@@ -94,28 +94,59 @@ class Var(Expr):
             raise ValueError("variable index must be nonnegative")
 
 
+class _Compound(Expr):
+    """Base of the nodes with children.
+
+    Hashing a frozen dataclass rehashes the whole tree on every dict
+    probe, so compound nodes keep their hash in a slot, filled on the
+    first ``hash()`` from the children's cached hashes.  The value is
+    the one the dataclass would compute, ``hash`` of the field tuple.
+    The slot is not a dataclass field: equality, ``repr``, pickling and
+    copying see only the structure, and a hash never travels to a
+    process with a different string-hash seed."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(tuple(getattr(self, name) for name in self.__match_args__))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+
+# Each subclass names the inherited __hash__ in its own body; otherwise
+# the frozen dataclass would install its recursive hash over it.
+
 @dataclass(frozen=True, slots=True)
-class Sum(Expr):
+class Sum(_Compound):
     terms: tuple[Expr, ...]
+
+    __hash__ = _Compound.__hash__
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
 
 
 @dataclass(frozen=True, slots=True)
-class Prod(Expr):
+class Prod(_Compound):
     factors: tuple[Expr, ...]
+
+    __hash__ = _Compound.__hash__
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
 
 
 @dataclass(frozen=True, slots=True)
-class Pow(Expr):
+class Pow(_Compound):
     """Integer power of a base expression."""
 
     base: Expr
     exponent: int
+
+    __hash__ = _Compound.__hash__
 
     def __post_init__(self):
         if not isinstance(self.exponent, int) or isinstance(self.exponent, bool):
@@ -123,11 +154,13 @@ class Pow(Expr):
 
 
 @dataclass(frozen=True, slots=True)
-class Func(Expr):
+class Func(_Compound):
     """Application of one of the supported analytic functions."""
 
     name: str
     arg: Expr
+
+    __hash__ = _Compound.__hash__
 
     def __post_init__(self):
         if self.name not in FUNCTIONS:
@@ -614,7 +647,3 @@ def equal_sampled(a: Expr, b: Expr, plan: SamplePlan = DEFAULT_PLAN) -> bool:
     """Numeric equality oracle: true iff the expressions agree within the
     plan's tolerance at every sampled point."""
     return sampled_deviation(a, b, plan) <= plan.tolerance
-
-
-def is_zero_sampled(e: Expr, plan: SamplePlan = DEFAULT_PLAN) -> bool:
-    return equal_sampled(e, ZERO, plan)

@@ -29,7 +29,11 @@ from .series import (
 @dataclass(frozen=True)
 class HpmExpansion:
     """Corrections u^(0)..u^(J), each a polynomial in time stored to a
-    common working order chosen so no finalized coefficient is lost."""
+    common working order of at least 2J+1.
+
+    Degrees 0..2J+1 of every correction do not depend on the working
+    order: the double time integral maps degree k of one correction to
+    degree k+2 of the next, so no degree reads a higher one."""
 
     corrections: tuple[TimeSeriesVec, ...]
     max_correction: int
@@ -46,20 +50,36 @@ def _double_time_integral(source: list, m: int, order: int) -> TimeSeriesVec:
     return TimeSeriesVec(m, order, tuple(rows))
 
 
-def solve_hpm(p: ProblemSpec, corrections: int) -> HpmExpansion:
-    """Compute corrections u^(0)..u^(corrections)."""
+def solve_hpm(
+    p: ProblemSpec, corrections: int, order: int | None = None
+) -> HpmExpansion:
+    """Compute corrections u^(0)..u^(corrections) to a working order.
+
+    With ``order=None`` the working order is 2J+1 plus the degree of the
+    forcing expanded to 2J+1, which keeps every correction whole when
+    the forcing is a polynomial in time of degree at most 2J+1; the
+    ``hpm`` command prints this.  An explicit ``order`` (at least 2J+1) skips that probe
+    expansion; ``order=2J+1`` builds only the degrees that the
+    comparison with the direct series reads."""
     if corrections < 0:
         raise ValueError("correction count must be nonnegative")
     final_degree = 2 * corrections + 1
 
-    # Degree of the expanded forcing sets how much headroom the working
-    # order needs beyond the finalized window.
-    probe = forcing_coefficients(p, final_degree)
-    forcing_degree = max(
-        (j for j, vec in enumerate(probe) if any(c != ZERO for c in vec)),
-        default=0,
-    )
-    working = final_degree + forcing_degree
+    if order is None:
+        # Degree of the expanded forcing sets how much headroom the
+        # working order needs beyond the finalized window.
+        probe = forcing_coefficients(p, final_degree)
+        forcing_degree = max(
+            (j for j, vec in enumerate(probe) if any(c != ZERO for c in vec)),
+            default=0,
+        )
+        working = final_degree + forcing_degree
+    elif order < final_degree:
+        raise ValueError(
+            f"working order {order} is below the finalized degree {final_degree}"
+        )
+    else:
+        working = order
     f = forcing_coefficients(p, working)
 
     out = [TimeSeriesVec.from_initial(p.u0, p.u1, working)]

@@ -11,8 +11,9 @@ Grammar, lowest to highest precedence:
 
 There is no implicit multiplication.  Division a/b becomes a * b^(-1)
 for non-constant b and folds exactly when both sides are constant.
-Decimal literals become exact rationals.  Offsets in errors are byte
-offsets into the UTF-8 source.
+Decimal literals become exact rationals.  Parentheses, function calls,
+unary minus and exponents may nest at most MAX_NESTING levels deep.
+Offsets in errors are byte offsets into the UTF-8 source.
 """
 
 from __future__ import annotations
@@ -114,6 +115,12 @@ def tokenize(src: str) -> list[Token]:
 
 _VAR_PATTERN = re.compile(r"x([1-9][0-9]*)\Z")
 
+# Each nesting level costs the parser up to five stack frames, and the
+# recursive passes over the tree (normalize, print, differentiate,
+# hash) more; deeper input would exhaust the interpreter's recursion
+# limit instead of failing as a syntax error.
+MAX_NESTING = 150
+
 
 class _Parser:
     def __init__(self, tokens: list[Token], n: int, allow_time: bool):
@@ -121,6 +128,7 @@ class _Parser:
         self.pos = 0
         self.n = n
         self.allow_time = allow_time
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -138,6 +146,13 @@ class _Parser:
             )
         return self.advance()
 
+    def enter(self, tok: Token) -> None:
+        """Open one nesting level at ``tok``; the caller closes it by
+        decrementing ``depth`` once the nested operand is parsed."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
+
     def parse(self) -> Expr:
         e = self.additive()
         tok = self.peek()
@@ -148,39 +163,45 @@ class _Parser:
             )
         return e
 
+    # Chains of + and * build one flat node, not a left-nested tree,
+    # so a long sum is as shallow as a short one for normalize.
+
     def additive(self) -> Expr:
-        left = self.multiplicative()
+        terms = [self.multiplicative()]
         while self.peek().kind in ("plus", "minus"):
             op = self.advance()
             right = self.multiplicative()
             if op.kind == "minus":
                 right = Prod((MINUS_ONE, right))
-            left = Sum((left, right))
-        return left
+            terms.append(right)
+        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
     def multiplicative(self) -> Expr:
-        left = self.unary()
+        factors = [self.unary()]
         while self.peek().kind in ("star", "slash"):
             op = self.advance()
             right = self.unary()
             if op.kind == "slash":
                 right = Pow(right, -1)
-            left = Prod((left, right))
-        return left
+            factors.append(right)
+        return factors[0] if len(factors) == 1 else Prod(tuple(factors))
 
     def unary(self) -> Expr:
         if self.peek().kind == "minus":
-            self.advance()
-            return Prod((MINUS_ONE, self.unary()))
+            self.enter(self.advance())
+            operand = self.unary()
+            self.depth -= 1
+            return Prod((MINUS_ONE, operand))
         return self.power()
 
     def power(self) -> Expr:
         base = self.atom()
         if self.peek().kind != "caret":
             return base
-        self.advance()
+        self.enter(self.advance())
         exp_tok = self.peek()
         exponent_raw = self.unary()  # right associativity: x^2^3 = x^(2^3)
+        self.depth -= 1
         exponent = normalize(exponent_raw)
         if not isinstance(exponent, Const) or exponent.value.denominator != 1:
             raise NonIntegerExponent(
@@ -194,9 +215,10 @@ class _Parser:
             self.advance()
             return Const(Fraction(tok.lexeme))
         if tok.kind == "lparen":
-            self.advance()
+            self.enter(self.advance())
             inner = self.additive()
             self.expect("rparen", "')'")
+            self.depth -= 1
             return inner
         if tok.kind == "ident":
             self.advance()
@@ -208,9 +230,10 @@ class _Parser:
                     )
                 return Var(TIME_INDEX)
             if name in FUNCTIONS:
-                self.expect("lparen", "'(' after function name")
+                self.enter(self.expect("lparen", "'(' after function name"))
                 arg = self.additive()
                 self.expect("rparen", "')'")
+                self.depth -= 1
                 return Func(name, arg)
             match = _VAR_PATTERN.match(name)
             if match:

@@ -230,11 +230,6 @@ def vec_scale(v: Sequence[Expr], factor: Fraction) -> ExprVec:
     return tuple(eprod([c, x]) for x in v)
 
 
-def vec_is_zero(v: Sequence[Expr]) -> bool:
-    """Structural zero test (every component is the literal zero)."""
-    return all(x == ZERO for x in v)
-
-
 def series_scale_matrix(matrix: RationalMatrix, v: Sequence[Expr]) -> ExprVec:
     """Exact matrix-vector product with rational scalars distributed
     into the expressions."""

@@ -27,6 +27,13 @@ class DegreeCheck:
     max_deviation: float
 
 
+def _per_degree_dicts(checks: tuple[DegreeCheck, ...]) -> list[dict]:
+    return [
+        {"degree": c.degree, "passed": c.passed, "max_deviation": c.max_deviation}
+        for c in checks
+    ]
+
+
 @dataclass(frozen=True)
 class ResidualReport:
     """Outcome of checking mass*u_tt - L u - f degree by degree.
@@ -46,14 +53,7 @@ class ResidualReport:
         return {
             "overall": self.overall,
             "checked_degrees": list(self.checked_orders),
-            "per_degree": [
-                {
-                    "degree": c.degree,
-                    "passed": c.passed,
-                    "max_deviation": c.max_deviation,
-                }
-                for c in self.per_degree
-            ],
+            "per_degree": _per_degree_dicts(self.per_degree),
         }
 
 
@@ -73,14 +73,7 @@ class EquivalenceReport:
         return {
             "overall": self.overall,
             "corrections": self.corrections,
-            "per_degree": [
-                {
-                    "degree": c.degree,
-                    "passed": c.passed,
-                    "max_deviation": c.max_deviation,
-                }
-                for c in self.per_degree
-            ],
+            "per_degree": _per_degree_dicts(self.per_degree),
         }
 
 
@@ -108,7 +101,8 @@ def equivalence_check(
     p: ProblemSpec, corrections: int, plan: SamplePlan = DEFAULT_PLAN
 ) -> EquivalenceReport:
     """Compare the direct series against the summed corrections,
-    coefficient by coefficient, for every degree up to 2J+1.
+    coefficient by coefficient, for every degree up to 2J+1.  The
+    corrections are built only through degree 2J+1, the degrees read.
 
     The comparison is per degree on purpose: evaluating the summed
     series at points could let cancellation between degrees mask a
@@ -117,7 +111,9 @@ def equivalence_check(
         raise ValueError("need at least one correction to compare engines")
     final_degree = 2 * corrections + 1
     direct = taylor_coefficients(p.with_order(final_degree))
-    summed = partial_sum(solve_hpm(p, corrections), final_degree)
+    summed = partial_sum(
+        solve_hpm(p, corrections, order=final_degree), final_degree
+    )
     checks = []
     for d in range(final_degree + 1):
         deviation = max(

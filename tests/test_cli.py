@@ -102,6 +102,17 @@ class TestExpand:
         assert code == 0
         assert out.strip() == "[0, x4]"
 
+    def test_deep_nesting_is_input_error(self, capsys):
+        deep = "(" * 3000 + "x1" + ")" * 3000
+        code, _, err = run(capsys, "expand", "--expr", deep, "--order", "1")
+        assert code == 2
+        assert "nesting" in err and "offset" in err
+
+    def test_moderate_nesting_expands(self, capsys):
+        for text in ("(" * 100 + "x1*t" + ")" * 100, "sin(" * 100 + "x1" + ")" * 100):
+            code, out, _ = run(capsys, "expand", "--expr", text, "--order", "1")
+            assert code == 0 and out.startswith("[")
+
     def test_singular_expansion_is_input_error(self, capsys):
         code, _, err = run(capsys, "expand", "--expr", "ln(t)", "--order", "2")
         assert code == 2

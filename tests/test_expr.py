@@ -1,7 +1,10 @@
 """Expression core: evaluation, differentiation, normalization and the
 sampled equality oracle."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -196,7 +199,11 @@ class TestNormalize:
             normalized = normalize(raw)
         except DomainError:
             return  # raw tree folded a zero to a negative power
-        assert normalize(normalized) == normalized
+        h = hash(normalized)
+        again = normalize(normalized)  # rebuilt, not the same objects
+        assert again == normalized
+        assert hash(again) == h
+        assert hash(normalized) == h
         self._assert_invariants(normalized)
 
     @given(st.integers(min_value=0, max_value=10**6))
@@ -224,6 +231,39 @@ class TestNormalize:
         a = evaluate(raw, point)
         b = evaluate(normalized, point)
         assert abs(a - b) <= 1e-12 * (1 + max(abs(a), abs(b)))
+
+
+def _subtrees(e):
+    yield e
+    if isinstance(e, (Sum, Prod)):
+        for child in e.terms if isinstance(e, Sum) else e.factors:
+            yield from _subtrees(child)
+    elif isinstance(e, Pow):
+        yield from _subtrees(e.base)
+    elif isinstance(e, Func):
+        yield from _subtrees(e.arg)
+
+
+class TestHash:
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_hash_fixed_after_first_call(self, seed):
+        e = random_normal_expr(random.Random(seed), depth=4)
+        first = hash(e)
+        table = {node: i for i, node in enumerate(_subtrees(e))}
+        assert table[e] == 0
+        assert hash(e) == first
+        # every cached hash is the hash of the node's own fields
+        for node in _subtrees(e):
+            fields = tuple(getattr(node, f.name) for f in dataclasses.fields(node))
+            assert hash(node) == hash(fields)
+
+    def test_cache_is_not_part_of_the_structure(self):
+        e = parse_expr("sin(x1)^2*(x1 + x2) - cos(x2)", 2)
+        hash(e)
+        assert [f.name for f in dataclasses.fields(Sum)] == ["terms"]
+        assert repr(Pow(var(1), 2)) == "Pow(base=Var(index=1), exponent=2)"
+        for clone in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+            assert clone == e and hash(clone) == hash(e)
 
 
 class TestSubstitute:

@@ -53,6 +53,43 @@ class TestWorkedCorrections:
             solve_hpm(wave, -1)
 
 
+def _assert_capped_matches_uncapped(p, corrections):
+    # degree k of correction j reads only degree k-2 of correction j-1,
+    # so capping the working order at 2J+1 changes no row 0..2J+1
+    window = 2 * corrections + 1
+    full = solve_hpm(p, corrections)
+    capped = solve_hpm(p, corrections, order=window)
+    assert capped.working_order == window
+    assert capped.max_correction == full.max_correction
+    assert len(capped.corrections) == len(full.corrections)
+    for small, large in zip(capped.corrections, full.corrections):
+        for d in range(window + 1):
+            assert small.coefficient(d) == large.coefficient(d)
+
+
+class TestWorkingOrder:
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=20)
+    def test_capped_rows_equal_uncapped(self, seed):
+        p, corrections = random_problem(seed)
+        _assert_capped_matches_uncapped(p, corrections)
+
+    @pytest.mark.parametrize("name", ["wave_1d.prob", "forced_wave_2d.prob",
+                                      "coupled_2x2.prob"])
+    @pytest.mark.parametrize("corrections", [0, 1, 3])
+    def test_capped_rows_on_bundled_problems(self, name, corrections):
+        p = load_problem(problem_path(name))
+        _assert_capped_matches_uncapped(p, corrections)
+
+    def test_order_above_window_is_kept(self, wave):
+        assert solve_hpm(wave, 1, order=6).working_order == 6
+
+    @pytest.mark.parametrize("corrections, order", [(0, 0), (1, 2), (3, 6), (2, -1)])
+    def test_order_below_window_rejected(self, wave, corrections, order):
+        with pytest.raises(ValueError):
+            solve_hpm(wave, corrections, order=order)
+
+
 class TestPartialSum:
     def test_wave_partial_sum(self, wave):
         h = solve_hpm(wave, 2)

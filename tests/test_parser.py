@@ -26,7 +26,7 @@ from pdeseries.expr import (
     Var,
     const,
 )
-from pdeseries.parser import parse_expr, parse_problem, print_expr
+from pdeseries.parser import MAX_NESTING, parse_expr, parse_problem, print_expr
 
 
 class TestGrammar:
@@ -120,6 +120,28 @@ class TestErrors:
             parse_expr(src, 2)
         assert err.value.offset == offset
 
+    @pytest.mark.parametrize("opening, token_at, leaf, closing", [
+        ("(", 0, "x1", ")"),
+        ("sin(", 3, "x1", ")"),
+        ("-", 0, "x1", ""),
+        ("1^", 1, "1", ""),
+    ])
+    def test_nesting_limit(self, opening, token_at, leaf, closing):
+        def nested(depth):
+            return opening * depth + leaf + closing * depth
+
+        assert parse_expr(nested(MAX_NESTING), 2) is not None
+        # the offset is that of the first opening token beyond the limit
+        beyond = len(opening) * MAX_NESTING + token_at
+        for depth in (MAX_NESTING + 1, 3000):
+            with pytest.raises(ParseError) as err:
+                parse_expr(nested(depth), 2)
+            assert err.value.offset == beyond
+
+    def test_long_chains_are_not_nesting(self):
+        text = " + ".join(["x1*x2"] * 3000) + " - " + "*".join(["x2"] * 3000)
+        assert print_expr(parse_expr(text, 2)) == "-x2^3000 + 3000*x1*x2"
+
     def test_time_not_allowed(self):
         with pytest.raises(TimeNotAllowed) as err:
             parse_expr("t + x1", 1)
@@ -152,6 +174,7 @@ class TestPrinting:
             text = print_expr(e)
             again = parse_expr(text, 2, allow_time=True)
             assert again == e, f"round trip changed {text!r}"
+            assert hash(again) == hash(e)
 
 
 def _base_doc():
@@ -221,6 +244,14 @@ class TestProblemFiles:
         with pytest.raises(TimeNotAllowed) as err:
             parse_problem(json.dumps(doc))
         assert "u0[0]" in err.value.message
+
+    def test_deep_nesting_rejected_in_fields(self):
+        doc = _base_doc()
+        doc["u1"] = ["(" * 3000 + "x1" + ")" * 3000]
+        with pytest.raises(ParseError) as err:
+            parse_problem(json.dumps(doc))
+        assert "u1[0]" in err.value.message
+        assert err.value.offset == MAX_NESTING
 
     def test_time_rejected_in_operator_coeff(self):
         doc = _base_doc()
