@@ -19,6 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .errors import DomainError, SamplingExhausted
@@ -101,11 +102,12 @@ class _Compound(Expr):
     probe, so compound nodes keep their hash in a slot, filled on the
     first ``hash()`` from the children's cached hashes.  The value is
     the one the dataclass would compute, ``hash`` of the field tuple.
-    The slot is not a dataclass field: equality, ``repr``, pickling and
-    copying see only the structure, and a hash never travels to a
-    process with a different string-hash seed."""
+    A second slot keeps the node's ``sort_key``, filled on its first
+    call.  The slots are not dataclass fields: equality, ``repr``,
+    pickling and copying see only the structure, and a hash never
+    travels to a process with a different string-hash seed."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_key")
 
     def __hash__(self) -> int:
         try:
@@ -226,18 +228,28 @@ def tanh(e) -> Expr:
 # ---------------------------------------------------------------------------
 
 def sort_key(e: Expr):
-    """Total order on trees; drives deterministic child ordering."""
+    """Total order on trees; drives deterministic child ordering.
+
+    Keys are flat: ``(0, num, den)``, ``(1, index)``, ``(2, argkey,
+    rank)``, ``(3, basekey, exponent)``, ``(4, *factor_keys)``,
+    ``(5, *term_keys)``.  Compound nodes cache theirs in a slot."""
     if isinstance(e, Const):
-        return (0, (e.value.numerator, e.value.denominator))
+        return (0, e.value.numerator, e.value.denominator)
     if isinstance(e, Var):
-        return (1, (e.index,))
+        return (1, e.index)
+    key = getattr(e, "_key", None)
+    if key is not None:
+        return key
     if isinstance(e, Func):
-        return (2, (sort_key(e.arg), _FUNC_RANK[e.name]))
-    if isinstance(e, Pow):
-        return (3, (sort_key(e.base), e.exponent))
-    if isinstance(e, Prod):
-        return (4, tuple(sort_key(f) for f in e.factors))
-    return (5, tuple(sort_key(t) for t in e.terms))
+        key = (2, sort_key(e.arg), _FUNC_RANK[e.name])
+    elif isinstance(e, Pow):
+        key = (3, sort_key(e.base), e.exponent)
+    elif isinstance(e, Prod):
+        key = (4, *map(sort_key, e.factors))
+    else:
+        key = (5, *map(sort_key, e.terms))
+    object.__setattr__(e, "_key", key)
+    return key
 
 
 def _factor_key(f: Expr):
@@ -543,41 +555,50 @@ def evaluate(e: Expr, point: Sequence[float], *, time: float | None = None) -> f
     """Evaluate at a point (component i binds variable x_i, 1-based).
 
     ``time`` supplies the value of the time symbol for expressions from
-    the extended grammar.  Raises DomainError on ln of a nonpositive
-    argument, zero to a negative power, or numeric overflow."""
+    the extended grammar.  Each distinct subtree is evaluated once.
+    Raises DomainError on ln of a nonpositive argument, zero to a
+    negative power, or numeric overflow."""
     try:
-        return _eval(e, point, time)
+        return _eval_points(e, [point], [time], {})[0]
     except OverflowError as exc:
         raise DomainError("numeric overflow during evaluation") from exc
 
 
-def _eval(e: Expr, point: Sequence[float], time: float | None) -> float:
+def _eval_points(e: Expr, xs: list, ts: list, memo: dict) -> list[float]:
+    """Values of ``e`` at the points ``(xs[i], ts[i])``.  ``memo`` holds
+    the values of every compound node seen, so equal subtrees are
+    evaluated once; per point the floats are those of a recursive walk."""
     if isinstance(e, Const):
-        return float(e.value)
+        return [float(e.value)] * len(xs)
     if isinstance(e, Var):
-        if e.index == TIME_INDEX:
-            if time is None:
-                raise ValueError("expression uses the time symbol but no time value was given")
-            return time
-        return float(point[e.index - 1])
-    if isinstance(e, Sum):
-        return sum(_eval(t, point, time) for t in e.terms)
-    if isinstance(e, Prod):
-        out = 1.0
-        for f in e.factors:
-            out *= _eval(f, point, time)
+        if e.index != TIME_INDEX:
+            return [float(x[e.index - 1]) for x in xs]
+        if None in ts:
+            raise ValueError("expression uses the time symbol but no time value was given")
+        return ts
+    out = memo.get(e)
+    if out is not None:
         return out
-    if isinstance(e, Pow):
-        b = _eval(e.base, point, time)
-        if b == 0.0 and e.exponent < 0:
+    if isinstance(e, Sum):
+        cols = [_eval_points(t, xs, ts, memo) for t in e.terms]
+        out = [sum(vs) for vs in zip(*cols)]
+    elif isinstance(e, Prod):
+        cols = [_eval_points(f, xs, ts, memo) for f in e.factors]
+        out = [math.prod(vs, start=1.0) for vs in zip(*cols)]
+    elif isinstance(e, Pow):
+        bs = _eval_points(e.base, xs, ts, memo)
+        if e.exponent < 0 and 0.0 in bs:
             raise DomainError("zero base with negative exponent")
-        return b ** e.exponent
-    if isinstance(e, Func):
-        a = _eval(e.arg, point, time)
-        if e.name == "ln" and a <= 0.0:
-            raise DomainError(f"ln of nonpositive value {a}")
-        return _MATH[e.name](a)
-    raise TypeError(f"not an expression: {e!r}")
+        out = [b ** e.exponent for b in bs]
+    elif isinstance(e, Func):
+        args = _eval_points(e.arg, xs, ts, memo)
+        if e.name == "ln" and any(a <= 0.0 for a in args):
+            raise DomainError(f"ln of nonpositive value {min(args)}")
+        out = list(map(_MATH[e.name], args))
+    else:
+        raise TypeError(f"not an expression: {e!r}")
+    memo[e] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -617,16 +638,42 @@ _RESAMPLE_TRIES = 64
 def sampled_deviation(a: Expr, b: Expr, plan: SamplePlan = DEFAULT_PLAN) -> float:
     """Worst relative deviation |a-b| / (1 + max(|a|,|b|)) over the plan's
     sample points.  Points where either side raises DomainError are
-    redrawn a bounded number of times; SamplingExhausted if none work."""
+    redrawn a bounded number of times; SamplingExhausted if none work.
+
+    Both sides are evaluated over all points at once, each distinct
+    subtree of either side once.  If that raises, the same points are
+    drawn again and evaluated one at a time through ``evaluate``, with
+    redraws; when nothing fails both ways give the same floats."""
     n_vars = max(1, max_variable_index(a), max_variable_index(b))
     with_time = uses_time(a) or uses_time(b)
+    xs, ts = zip(*islice(_draws(plan, n_vars, with_time), plan.points_per_check))
+    memo: dict = {}
+    try:
+        values = zip(_eval_points(a, xs, ts, memo), _eval_points(b, xs, ts, memo))
+    except (DomainError, OverflowError, ValueError):
+        values = _values_per_point(a, b, plan, n_vars, with_time)
+    worst = 0.0
+    for va, vb in values:
+        dev = abs(va - vb) / (1.0 + max(abs(va), abs(vb)))
+        if dev > worst:
+            worst = dev
+    return worst
+
+
+def _draws(plan: SamplePlan, n_vars: int, with_time: bool):
+    """Endless sample points ``(x, t)`` drawn from the plan's seed."""
     rng = random.Random(plan.seed)
     lo, hi = plan.domain
-    worst = 0.0
+    while True:
+        point = [rng.uniform(lo, hi) for _ in range(n_vars)]
+        yield point, (rng.uniform(lo, hi) if with_time else None)
+
+
+def _values_per_point(a: Expr, b: Expr, plan: SamplePlan, n_vars: int, with_time: bool):
+    draws = _draws(plan, n_vars, with_time)
     for _ in range(plan.points_per_check):
         for _attempt in range(_RESAMPLE_TRIES):
-            point = [rng.uniform(lo, hi) for _ in range(n_vars)]
-            tval = rng.uniform(lo, hi) if with_time else None
+            point, tval = next(draws)
             try:
                 va = evaluate(a, point, time=tval)
                 vb = evaluate(b, point, time=tval)
@@ -637,10 +684,7 @@ def sampled_deviation(a: Expr, b: Expr, plan: SamplePlan = DEFAULT_PLAN) -> floa
             raise SamplingExhausted(
                 f"no valid sample point found in {_RESAMPLE_TRIES} draws"
             )
-        dev = abs(va - vb) / (1.0 + max(abs(va), abs(vb)))
-        if dev > worst:
-            worst = dev
-    return worst
+        yield va, vb
 
 
 def equal_sampled(a: Expr, b: Expr, plan: SamplePlan = DEFAULT_PLAN) -> bool:

@@ -13,18 +13,22 @@ There is no implicit multiplication.  Division a/b becomes a * b^(-1)
 for non-constant b and folds exactly when both sides are constant.
 Decimal literals become exact rationals.  Parentheses, function calls,
 unary minus and exponents may nest at most MAX_NESTING levels deep.
+A power of a rational constant too large to print is rejected.
 Offsets in errors are byte offsets into the UTF-8 source.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
     DimensionMismatch,
+    DomainError,
     FormatError,
     NonIntegerExponent,
     ParseError,
@@ -207,7 +211,12 @@ class _Parser:
             raise NonIntegerExponent(
                 "exponent must reduce to an integer constant", exp_tok.pos
             )
-        return Pow(base, int(exponent.value))
+        k = int(exponent.value)
+        if _too_many_digits(base, k):
+            raise ParseError(
+                "power of a constant too large to represent", exp_tok.pos
+            )
+        return Pow(base, k)
 
     def atom(self) -> Expr:
         tok = self.peek()
@@ -248,6 +257,25 @@ class _Parser:
             f"unexpected {tok.kind or 'end of input'}", tok.pos,
             ("number", "identifier", "'('", "'-'"),
         )
+
+
+def _too_many_digits(base: Expr, k: int) -> bool:
+    """True when ``base`` reduces to a rational other than 0 and +-1
+    whose k-th power has more digits than the interpreter will convert
+    to text (``sys.get_int_max_str_digits``); computing such a power
+    can exhaust memory, and it could never be printed."""
+    # 0 means no limit; interpreters before 3.10.7 have none
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return False
+    try:
+        base = normalize(base)
+    except DomainError:
+        return False  # left for normalize to report
+    if not isinstance(base, Const) or base.value in (0, 1, -1):
+        return False
+    size = max(abs(base.value.numerator), base.value.denominator)
+    return abs(k) > limit / math.log10(size)
 
 
 def parse_expr(src: str, n: int, *, allow_time: bool = False) -> Expr:

@@ -1,6 +1,7 @@
 """Command line behavior: outputs, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -112,6 +113,20 @@ class TestExpand:
         for text in ("(" * 100 + "x1*t" + ")" * 100, "sin(" * 100 + "x1" + ")" * 100):
             code, out, _ = run(capsys, "expand", "--expr", text, "--order", "1")
             assert code == 0 and out.startswith("[")
+
+    @pytest.mark.parametrize("text", ["2^9999999999", "(1/3)^99999999", "2^99999999"])
+    def test_huge_constant_power_is_input_error(self, capsys, text):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "expand", "--expr", text, "--order", "0")
+        assert code == 2
+        assert "offset" in err
+        assert time.perf_counter() - start < 10  # refused, not computed
+
+    def test_large_powers_expand(self, capsys):
+        code, out, _ = run(capsys, "expand", "--expr", "x1^2*2^5000", "--order", "0")
+        assert code == 0 and out == f"[{2**5000}*x1^2]\n"
+        code, out, _ = run(capsys, "expand", "--expr", "x1^99999999", "--order", "0")
+        assert code == 0 and out == "[x1^99999999]\n"
 
     def test_singular_expansion_is_input_error(self, capsys):
         code, _, err = run(capsys, "expand", "--expr", "ln(t)", "--order", "2")

@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import PLAN, random_normal_expr, random_numeric_expr, random_raw_expr
+from pdeseries import expr
 from pdeseries.errors import DomainError, SamplingExhausted
 from pdeseries.expr import (
     Const,
@@ -28,35 +29,84 @@ from pdeseries.expr import (
     differentiate,
     equal_sampled,
     evaluate,
+    max_variable_index,
     normalize,
     sampled_deviation,
+    sort_key,
     substitute,
+    uses_time,
     var,
 )
 from pdeseries.parser import parse_expr
 
 
-def _reference_eval(e, point):
-    """Independent evaluator used as an oracle against evaluate()."""
+def _reference_eval(e, point, time=None):
+    """Independent evaluator used as an oracle against evaluate().
+
+    Sums go through the builtin ``sum``, as in evaluate(), so that both
+    give the same float on interpreters whose ``sum`` compensates."""
     if isinstance(e, Const):
         return e.value.numerator / e.value.denominator
     if isinstance(e, Var):
-        return point[e.index - 1]
+        return time if e.index == 0 else point[e.index - 1]
     if isinstance(e, Sum):
-        total = 0.0
-        for t in e.terms:
-            total += _reference_eval(t, point)
-        return total
+        return sum(_reference_eval(t, point, time) for t in e.terms)
     if isinstance(e, Prod):
         total = 1.0
         for f in e.factors:
-            total *= _reference_eval(f, point)
+            total *= _reference_eval(f, point, time)
         return total
     if isinstance(e, Pow):
-        return _reference_eval(e.base, point) ** e.exponent
+        return _reference_eval(e.base, point, time) ** e.exponent
     table = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log,
              "sinh": math.sinh, "cosh": math.cosh, "tanh": math.tanh}
-    return table[e.name](_reference_eval(e.arg, point))
+    return table[e.name](_reference_eval(e.arg, point, time))
+
+
+def _reference_deviation(a, b, plan):
+    """The oracle point by point: per point draw the x's, then t; redraw
+    while either side fails, at most 64 times."""
+    n_vars = max(1, max_variable_index(a), max_variable_index(b))
+    with_time = uses_time(a) or uses_time(b)
+    rng = random.Random(plan.seed)
+    lo, hi = plan.domain
+    worst = 0.0
+    for _ in range(plan.points_per_check):
+        for _attempt in range(64):
+            point = [rng.uniform(lo, hi) for _ in range(n_vars)]
+            tval = rng.uniform(lo, hi) if with_time else None
+            try:
+                va = _reference_eval(a, point, tval)
+                vb = _reference_eval(b, point, tval)
+            except (ValueError, ZeroDivisionError, OverflowError):
+                continue
+            break
+        else:
+            raise SamplingExhausted("no valid sample point")
+        worst = max(worst, abs(va - vb) / (1.0 + max(abs(va), abs(vb))))
+    return worst
+
+
+def _outcome(oracle, a, b, plan):
+    try:
+        return oracle(a, b, plan)
+    except SamplingExhausted:
+        return "exhausted"
+
+
+def _nested_sort_key(e):
+    """The sort key as first written: a tag and a tuple of parts."""
+    if isinstance(e, Const):
+        return (0, (e.value.numerator, e.value.denominator))
+    if isinstance(e, Var):
+        return (1, (e.index,))
+    if isinstance(e, Func):
+        return (2, (_nested_sort_key(e.arg), expr._FUNC_RANK[e.name]))
+    if isinstance(e, Pow):
+        return (3, (_nested_sort_key(e.base), e.exponent))
+    if isinstance(e, Prod):
+        return (4, tuple(_nested_sort_key(f) for f in e.factors))
+    return (5, tuple(_nested_sort_key(t) for t in e.terms))
 
 
 class TestEvaluate:
@@ -257,6 +307,23 @@ class TestHash:
             fields = tuple(getattr(node, f.name) for f in dataclasses.fields(node))
             assert hash(node) == hash(fields)
 
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_sort_key_gives_the_nested_order(self, seed):
+        rng = random.Random(seed)
+        nodes = [n for _ in range(4) for n in _subtrees(random_normal_expr(rng, depth=3))]
+        assert sorted(nodes, key=sort_key) == sorted(nodes, key=_nested_sort_key)
+        for x, y in zip(nodes, reversed(nodes)):
+            assert (sort_key(x) < sort_key(y)) == (_nested_sort_key(x) < _nested_sort_key(y))
+            assert (sort_key(x) == sort_key(y)) == (x == y)
+
+    def test_cached_sort_key_is_not_part_of_the_structure(self):
+        e = parse_expr("sin(x1)^2*(x1 + x2) - cos(x2)", 2)
+        key = sort_key(e)
+        assert sort_key(e) is key  # filled once
+        for clone in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+            assert clone == e and hash(clone) == hash(e)
+            assert sort_key(clone) == key
+
     def test_cache_is_not_part_of_the_structure(self):
         e = parse_expr("sin(x1)^2*(x1 + x2) - cos(x2)", 2)
         hash(e)
@@ -312,6 +379,55 @@ class TestEqualSampled:
     def test_resamples_through_partial_singularities(self):
         # ln(x1) fails on half the domain; retries must cope
         assert equal_sampled(Func("ln", Func("exp", Var(1))), Var(1), PLAN)
+
+
+class TestOracleParity:
+    """All points at once give the floats of the point-by-point loop."""
+
+    @given(st.integers(min_value=0, max_value=10**6),
+           st.sampled_from([1, 2, 7, 32]))
+    def test_random_trees(self, seed, points):
+        rng = random.Random(seed)
+        with_time = seed % 2 == 0
+        a = random_raw_expr(rng, allow_time=with_time)
+        b = random_raw_expr(rng, allow_time=with_time)
+        plan = SamplePlan(seed=seed, points_per_check=points)
+        pairs = [(a, b), (a, ZERO)]
+        try:
+            pairs.append((a, normalize(a)))
+        except DomainError:
+            pass  # a folds a zero to a negative power
+        for x, y in pairs:
+            want = _outcome(_reference_deviation, x, y, plan)
+            assert _outcome(sampled_deviation, x, y, plan) == want
+
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    @pytest.mark.parametrize("points", [1, 7, 32])
+    @pytest.mark.parametrize("a,b,want", [
+        (Func("ln", Var(1)), Var(1), None),           # redraws half the points
+        (Func("ln", const(-2)), ZERO, "exhausted"),   # every draw fails
+    ])
+    def test_partial_and_empty_domains(self, seed, points, a, b, want):
+        plan = SamplePlan(seed=seed, points_per_check=points)
+        got = _outcome(sampled_deviation, a, b, plan)
+        assert got == _outcome(_reference_deviation, a, b, plan)
+        assert want is None or got == want
+
+    def test_each_distinct_subtree_is_evaluated_once_per_point(self, monkeypatch):
+        calls = []
+
+        def counting_sin(x):
+            calls.append(x)
+            return math.sin(x)
+
+        monkeypatch.setitem(expr._MATH, "sin", counting_sin)
+        text = " + ".join(f"{k}*sin(x1)^{k}*cos(sin(x1 + x2) - x2)" for k in range(1, 30))
+        a, b = parse_expr(text, 2), parse_expr(text, 2)  # equal, not shared
+        assert a == b and a is not b
+        plan = SamplePlan(points_per_check=16)
+        assert sampled_deviation(a, b, plan) == 0.0
+        distinct_sin_subtrees = 2  # sin(x1) and sin(x1 + x2)
+        assert 0 < len(calls) <= plan.points_per_check * distinct_sin_subtrees
 
 
 class TestSamplePlan:

@@ -138,6 +138,27 @@ class TestErrors:
                 parse_expr(nested(depth), 2)
             assert err.value.offset == beyond
 
+    @pytest.mark.parametrize("src,offset", [
+        ("2^9999999999", 2),
+        ("(1/3)^99999999", 6),
+        ("2^99999999", 2),
+        ("x1 + (-3)^(-99999)", 10),
+        ("(2^5000)^5000", 9),
+        ("2^20000/2^20000", 2),
+    ])
+    def test_huge_constant_power(self, src, offset):
+        # past the interpreter's int-to-text limit the power could never
+        # be printed, and building it may exhaust memory
+        with pytest.raises(ParseError) as err:
+            parse_expr(src, 1)
+        assert err.value.offset == offset
+
+    def test_large_powers_within_the_limit(self):
+        assert parse_expr("x1^2*2^5000", 1) == Prod((const(2**5000), Pow(Var(1), 2)))
+        assert parse_expr("x1^99999999", 1) == Pow(Var(1), 99999999)
+        for src, value in (("1^99999999", 1), ("(-1)^99999999", -1), ("0^99999999", 0)):
+            assert parse_expr(src, 1) == const(value)
+
     def test_long_chains_are_not_nesting(self):
         text = " + ".join(["x1*x2"] * 3000) + " - " + "*".join(["x2"] * 3000)
         assert print_expr(parse_expr(text, 2)) == "-x2^3000 + 3000*x1*x2"
@@ -252,6 +273,14 @@ class TestProblemFiles:
             parse_problem(json.dumps(doc))
         assert "u1[0]" in err.value.message
         assert err.value.offset == MAX_NESTING
+
+    def test_huge_constant_power_rejected_in_fields(self):
+        doc = _base_doc()
+        doc["u0"] = ["x1 + 2^99999999"]
+        with pytest.raises(ParseError) as err:
+            parse_problem(json.dumps(doc))
+        assert "u0[0]" in err.value.message
+        assert err.value.offset == 7
 
     def test_time_rejected_in_operator_coeff(self):
         doc = _base_doc()
