@@ -204,6 +204,9 @@ def _cmd_expand(args) -> int:
         raise ValueError("--order must be >= 0")
     if args.dim < 1:
         raise ValueError("--dim must be >= 1")
+    if not isinstance(args.expr, str):
+        # argparse before Python 3.12 turns --expr=-- into an empty list
+        raise ValueError("--expr needs an expression")
     expression = parse_expr(args.expr, args.dim, allow_time=True)
     coefficients = expand_in_time(expression, args.order)
     rendered = [print_expr(c) for c in coefficients]

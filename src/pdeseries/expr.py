@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -427,6 +428,18 @@ def esum(terms: Iterable[Expr]) -> Expr:
 def eprod(factors: Iterable[Expr]) -> Expr:
     """Normalized product of already-normalized expressions."""
     return _mul(list(factors))
+
+
+def too_large_power(q: Fraction, k: int) -> bool:
+    """True when ``q``, a rational other than 0 and +-1, raised to ``k``
+    has more digits than the interpreter converts to text
+    (``sys.get_int_max_str_digits``); computing such a power can exhaust
+    memory, and it could never be printed."""
+    # 0 means no limit; interpreters before 3.10.7 have none
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or q in (0, 1, -1):
+        return False
+    return abs(k) > limit / math.log10(max(abs(q.numerator), q.denominator))
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,11 @@ def solve_hpm(
     final_degree = 2 * corrections + 1
 
     if order is None:
-        # Degree of the expanded forcing sets how much headroom the
-        # working order needs beyond the finalized window.
-        probe = forcing_coefficients(p, final_degree)
+        # Degree of the forcing expanded to 2J+1 sets how much headroom
+        # the working order needs beyond the finalized window.  The probe
+        # expands to the largest working order possible, 2(2J+1), so the
+        # forcing is expanded once; the call below reads a prefix.
+        probe = forcing_coefficients(p, 2 * final_degree)[: final_degree + 1]
         forcing_degree = max(
             (j for j, vec in enumerate(probe) if any(c != ZERO for c in vec)),
             default=0,

@@ -13,16 +13,15 @@ There is no implicit multiplication.  Division a/b becomes a * b^(-1)
 for non-constant b and folds exactly when both sides are constant.
 Decimal literals become exact rationals.  Parentheses, function calls,
 unary minus and exponents may nest at most MAX_NESTING levels deep.
-A power of a rational constant too large to print is rejected.
+A power or a product of rational constants too large to print is
+rejected.
 Offsets in errors are byte offsets into the UTF-8 source.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,6 +46,7 @@ from .expr import (
     TIME_INDEX,
     Var,
     normalize,
+    too_large_power,
 )
 from .series import OperatorTerm, ProblemSpec, RationalMatrix, SpatialOperator
 
@@ -182,11 +182,23 @@ class _Parser:
 
     def multiplicative(self) -> Expr:
         factors = [self.unary()]
+        # normalize folds the constant factors into one rational
+        coeff = factors[0].value if isinstance(factors[0], Const) else Fraction(1)
         while self.peek().kind in ("star", "slash"):
             op = self.advance()
+            start = self.peek()
             right = self.unary()
             if op.kind == "slash":
-                right = Pow(right, -1)
+                if isinstance(right, Const) and right.value:
+                    right = Const(1 / right.value)
+                else:
+                    right = Pow(right, -1)
+            if isinstance(right, Const):
+                coeff *= right.value
+                if too_large_power(coeff, 1):
+                    raise ParseError(
+                        "product of constants too large to represent", start.pos
+                    )
             factors.append(right)
         return factors[0] if len(factors) == 1 else Prod(tuple(factors))
 
@@ -195,6 +207,8 @@ class _Parser:
             self.enter(self.advance())
             operand = self.unary()
             self.depth -= 1
+            if isinstance(operand, Const):
+                return Const(-operand.value)
             return Prod((MINUS_ONE, operand))
         return self.power()
 
@@ -212,11 +226,17 @@ class _Parser:
                 "exponent must reduce to an integer constant", exp_tok.pos
             )
         k = int(exponent.value)
-        if _too_many_digits(base, k):
+        try:
+            folded = normalize(base)
+        except DomainError:
+            return Pow(base, k)  # left for normalize to report
+        if not isinstance(folded, Const) or (folded.value == 0 and k < 0):
+            return Pow(base, k)
+        if too_large_power(folded.value, k):
             raise ParseError(
                 "power of a constant too large to represent", exp_tok.pos
             )
-        return Pow(base, k)
+        return Const(folded.value ** k)
 
     def atom(self) -> Expr:
         tok = self.peek()
@@ -257,25 +277,6 @@ class _Parser:
             f"unexpected {tok.kind or 'end of input'}", tok.pos,
             ("number", "identifier", "'('", "'-'"),
         )
-
-
-def _too_many_digits(base: Expr, k: int) -> bool:
-    """True when ``base`` reduces to a rational other than 0 and +-1
-    whose k-th power has more digits than the interpreter will convert
-    to text (``sys.get_int_max_str_digits``); computing such a power
-    can exhaust memory, and it could never be printed."""
-    # 0 means no limit; interpreters before 3.10.7 have none
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        return False
-    try:
-        base = normalize(base)
-    except DomainError:
-        return False  # left for normalize to report
-    if not isinstance(base, Const) or base.value in (0, 1, -1):
-        return False
-    size = max(abs(base.value.numerator), base.value.denominator)
-    return abs(k) > limit / math.log10(size)
 
 
 def parse_expr(src: str, n: int, *, allow_time: bool = False) -> Expr:

@@ -9,13 +9,13 @@ that both solver engines consume.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
     DimensionMismatch,
-    DomainError,
     ExpansionSingular,
     SingularRho,
     TimeNotAllowed,
@@ -24,16 +24,19 @@ from .expr import (
     Const,
     Expr,
     Func,
+    ONE,
     Pow,
     Prod,
     Sum,
     TIME_INDEX,
+    Var,
     ZERO,
     differentiate,
     eprod,
     esum,
     normalize,
     substitute,
+    too_large_power,
     uses_time,
 )
 
@@ -173,40 +176,200 @@ def apply_operator(op: SpatialOperator, vec: Sequence[Expr]) -> ExprVec:
 # Expansion about time zero
 # ---------------------------------------------------------------------------
 
-def _scan_singular_at_zero(e: Expr) -> None:
-    if isinstance(e, Func):
-        if e.name == "ln" and isinstance(e.arg, Const) and e.arg.value <= 0:
-            raise ExpansionSingular("ln argument vanishes or is negative at time zero")
-        _scan_singular_at_zero(e.arg)
-    elif isinstance(e, Pow):
-        _scan_singular_at_zero(e.base)
-    elif isinstance(e, (Sum, Prod)):
-        for child in (e.terms if isinstance(e, Sum) else e.factors):
-            _scan_singular_at_zero(child)
-
-
 def expand_in_time(e: Expr, order: int) -> ExprVec:
     """Coefficients g_0..g_order of the expansion of ``e`` about time
-    zero, by repeated time differentiation, substitution of zero, and
-    exact division by the factorial."""
+    zero.
+
+    Each subtree of the normalized tree gets its truncated power series
+    in time (its "jet" [c_0..c_order]), built bottom-up from the jets of
+    its children (Griewank & Walther, *Evaluating Derivatives*, ch. 13;
+    Knuth, TAOCP vol. 2, 4.7):
+
+    * sums add term by term; products take a sparse Cauchy product;
+    * a function of a series a_0 + h composes its Taylor series about
+      a_0 with h, f(a_0 + h) = sum_k f^(k)(a_0)/k! h^k, where f^(k)
+      comes from differentiating the one-node tree f(t);
+    * a power of a series composes the binomial series in the same way.
+
+    The tree is never differentiated in time as a whole, and every c_0
+    equals the normalized tree at t = 0.
+
+    Raises ExpansionSingular where ``e`` has no power series at time
+    zero (ln of a series whose constant term is zero or a constant
+    <= 0, anywhere in the tree; a negative power of a series whose
+    constant term is zero), or where a constant term raised to the
+    exponent would be too large to represent."""
     if order < 0:
         raise ValueError("expansion order must be nonnegative")
-    current = normalize(e)
-    coeffs: list[Expr] = []
-    factorial = 1
-    for j in range(order + 1):
-        if j:
-            current = differentiate(current, TIME_INDEX)
-            factorial *= j
+    e = normalize(e)
+    jet = _Jets(order).of(e)
+    return (e,) + (ZERO,) * order if jet is None else tuple(jet)
+
+
+def _is_zero(e: Expr) -> bool:
+    return isinstance(e, Const) and not e.value
+
+
+def _top_terms(e: Expr) -> tuple[Expr, ...]:
+    return e.terms if isinstance(e, Sum) else (e,)
+
+
+def _binomial(k: int, m: int) -> Fraction:
+    """Generalised binomial coefficient k(k-1)...(k-m+1)/m!."""
+    out = Fraction(1)
+    for i in range(m):
+        out = out * (k - i) / (i + 1)
+    return out
+
+
+class _Jets:
+    """Jets of the subtrees of one expansion; ``None`` stands for a
+    time-free subtree e, whose jet is [e, 0, ..., 0]."""
+
+    def __init__(self, order: int):
+        self.order = order
+        self.memo: dict[Expr, list[Expr] | None] = {}
+        # f(t), f'(t), f''(t), ... per function name
+        self.derivatives: dict[str, list[Expr]] = {}
+
+    def of(self, e: Expr) -> list[Expr] | None:
+        if isinstance(e, Const):
+            return None
+        if isinstance(e, Var):
+            if e.index != TIME_INDEX:
+                return None
+            jet = [ZERO] * (self.order + 1)
+            if self.order:
+                jet[1] = ONE
+            return jet
         try:
-            at_zero = substitute(current, TIME_INDEX, ZERO)
-        except DomainError as exc:
+            return self.memo[e]
+        except KeyError:
+            pass
+        if isinstance(e, Sum):
+            jet = self._sum(e)
+        elif isinstance(e, Prod):
+            jet = self._prod(e)
+        elif isinstance(e, Pow):
+            jet = self._pow(e)
+        else:
+            jet = self._func(e)
+        self.memo[e] = jet
+        return jet
+
+    def _sum(self, e: Sum) -> list[Expr] | None:
+        jets = [self.of(t) for t in e.terms]
+        if all(j is None for j in jets):
+            return None
+        out = [esum(t if j is None else j[0] for t, j in zip(e.terms, jets))]
+        live = [j for j in jets if j is not None]
+        for n in range(1, self.order + 1):
+            out.append(esum(j[n] for j in live))
+        return out
+
+    def _prod(self, e: Prod) -> list[Expr] | None:
+        jets = [self.of(f) for f in e.factors]
+        if all(j is None for j in jets):
+            return None
+        free = eprod(f for f, j in zip(e.factors, jets) if j is None)
+        live = [j for j in jets if j is not None]
+        product = live[0]
+        for j in live[1:]:
+            product = self._cauchy(product, j)
+        # the time-free part stays one factor of every term, as the
+        # product rule would leave it
+        out = [eprod([free, product[0]])]
+        for c in product[1:]:
+            out.append(esum(eprod([free, t]) for t in _top_terms(c)))
+        return out
+
+    def _cauchy(self, a: list[Expr], b: list[Expr], spread: bool = True) -> list[Expr]:
+        """Truncated product of two jets.  Degree 0 is the plain product
+        of the constant terms.  Above it, with ``spread`` every a_i*b_j
+        is spread over the top-level terms of both sides, so like terms
+        collect as after the product rule; without, it is formed whole."""
+        n = self.order
+        terms = _top_terms if spread else (lambda c: (c,))
+        live_a = [(i, terms(c)) for i, c in enumerate(a) if not _is_zero(c)]
+        live_b = [(i, terms(c)) for i, c in enumerate(b) if not _is_zero(c)]
+        parts: list[list[Expr]] = [[] for _ in range(n + 1)]
+        for i, terms_a in live_a:
+            for j, terms_b in live_b:
+                if i + j > n:
+                    break
+                if i + j == 0:
+                    parts[0].append(eprod([a[0], b[0]]))
+                    continue
+                target = parts[i + j]
+                for x in terms_a:
+                    for y in terms_b:
+                        target.append(eprod([x, y]))
+        return [esum(p) for p in parts]
+
+    def _span(self, h: list[Expr]) -> int:
+        """Highest k for which h^k reaches the order, h with a zero
+        constant term."""
+        valuation = next((i for i, c in enumerate(h) if not _is_zero(c)), None)
+        return 0 if valuation is None else self.order // valuation
+
+    def _compose(self, taylor: list[Expr], h: list[Expr]) -> list[Expr]:
+        """g(a_0 + h) = sum over k of taylor[k] * h^k, truncated, for g
+        with Taylor coefficients ``taylor`` about a_0 (at most
+        ``_span(h)`` + 1 of them) and h with a zero constant term.  The
+        powers h^k and the products taylor[k] * (h^k)_j are formed whole:
+        spreading them over their terms made nested compositions such as
+        tanh(tanh(tanh(cosh(t)))) print two to three times longer."""
+        parts: list[list[Expr]] = [[taylor[0]]] + [[] for _ in range(self.order)]
+        last = max(k for k, c in enumerate(taylor) if k == 0 or not _is_zero(c))
+        power = h
+        for k in range(1, last + 1):
+            if k > 1:
+                power = self._cauchy(power, h, spread=False)
+            if _is_zero(taylor[k]):
+                continue
+            for j, c in enumerate(power):
+                if not _is_zero(c):
+                    parts[j].append(eprod([taylor[k], c]))
+        return [esum(p) for p in parts]
+
+    def _func(self, e: Func) -> list[Expr] | None:
+        a = self.of(e.arg)
+        a0 = e.arg if a is None else a[0]
+        if e.name == "ln" and isinstance(a0, Const) and a0.value <= 0:
+            raise ExpansionSingular("ln argument vanishes or is negative at time zero")
+        if a is None:
+            return None
+        h = [ZERO, *a[1:]]
+        derivatives = self.derivatives.setdefault(
+            e.name, [Func(e.name, Var(TIME_INDEX))]
+        )
+        taylor = []
+        for k in range(self._span(h) + 1):
+            if k == len(derivatives):
+                derivatives.append(differentiate(derivatives[-1], TIME_INDEX))
+            value = substitute(derivatives[k], TIME_INDEX, a0)
+            taylor.append(eprod([Const(Fraction(1, math.factorial(k))), value]))
+        return self._compose(taylor, h)
+
+    def _pow(self, e: Pow) -> list[Expr] | None:
+        b = self.of(e.base)
+        if b is None:
+            return None
+        k, b0 = e.exponent, b[0]
+        if k < 0 and _is_zero(b0):
             raise ExpansionSingular(
-                f"expression is singular at time zero: {exc}"
-            ) from exc
-        _scan_singular_at_zero(at_zero)
-        coeffs.append(eprod([Const(Fraction(1, factorial)), at_zero]))
-    return tuple(coeffs)
+                "negative power of a series that vanishes at time zero"
+            )
+        if isinstance(b0, Const) and too_large_power(b0.value, k):
+            raise ExpansionSingular(
+                "power of a constant too large to represent at time zero"
+            )
+        # the binomial series (b_0 + h)^k = sum_m C(k, m) b_0^(k-m) h^m,
+        # which for b_0 = 0 keeps only h^k
+        h = [ZERO, *b[1:]]
+        count = self._span(h) + 1 if k < 0 else min(self._span(h), k) + 1
+        taylor = [eprod([Const(_binomial(k, m)), b0 ** (k - m)]) for m in range(count)]
+        return self._compose(taylor, h)
 
 
 # ---------------------------------------------------------------------------
@@ -379,16 +542,44 @@ class ProblemSpec:
         )
 
     def with_order(self, order: int) -> "ProblemSpec":
+        """The same problem truncated at another order; it shares this
+        problem's forcing expansion."""
         if order < 1:
             raise ValueError("truncation order must be at least 1")
-        return dataclasses.replace(self, order=order)
+        other = dataclasses.replace(self, order=order)
+        object.__setattr__(other, "_forcing", _forcing_cache(self))
+        return other
+
+    def __getstate__(self) -> dict:
+        # pickles and copies carry the problem, not its forcing expansion
+        return {k: v for k, v in self.__dict__.items() if k != "_forcing"}
+
+
+def _forcing_cache(p: ProblemSpec) -> list:
+    """One-slot cache of the forcing expansion of ``p``: per component,
+    the coefficients up to the largest order asked for.  It is an
+    attribute, not a field, so equality, hashing and repr ignore it."""
+    try:
+        return p._forcing
+    except AttributeError:
+        cache = [None]
+        object.__setattr__(p, "_forcing", cache)
+        return cache
 
 
 def forcing_coefficients(p: ProblemSpec, order: int) -> list[ExprVec]:
     """Per-degree forcing vectors f_0..f_order from the closed-form
-    forcing expressions."""
-    per_component = [expand_in_time(c, order) for c in p.f_source]
+    forcing expressions.
+
+    Each forcing component is expanded by ``expand_in_time`` once per
+    problem: coefficients do not depend on the order they were expanded
+    to, so a later call with an order no larger reads a prefix of the
+    stored ones, and only a larger order expands again."""
+    cache = _forcing_cache(p)
+    per_component = cache[0]
+    if per_component is None or len(per_component[0]) <= order:
+        per_component = cache[0] = tuple(expand_in_time(c, order) for c in p.f_source)
     return [
-        tuple(per_component[k][j] for k in range(p.m))
+        tuple(coeffs[j] for coeffs in per_component)
         for j in range(order + 1)
     ]

@@ -1,9 +1,13 @@
 """Command line behavior: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pdeseries.cli import main
 
@@ -128,10 +132,59 @@ class TestExpand:
         code, out, _ = run(capsys, "expand", "--expr", "x1^99999999", "--order", "0")
         assert code == 0 and out == "[x1^99999999]\n"
 
+    def test_huge_constant_product_is_input_error(self, capsys):
+        code, out, err = run(capsys, "expand", "--expr", "2^14000*2^14000", "--order", "0")
+        assert code == 2 and out == ""
+        assert "product of constants" in err and "offset 8" in err
+        code, out, _ = run(capsys, "expand", "--expr", "x1*2^3000*2^3000", "--order", "0")
+        assert code == 0 and out == f"[{2**6000}*x1]\n"
+
     def test_singular_expansion_is_input_error(self, capsys):
         code, _, err = run(capsys, "expand", "--expr", "ln(t)", "--order", "2")
         assert code == 2
         assert "error" in err
+
+
+_EXPR_TOKENS = (
+    "x1", "x2", "x4", "t", "y", "2", "0", "1/2", "0.5", "14000", "99999999",
+    "sin(", "cos(", "exp(", "ln(", "sinh(", "cosh(", "tanh(", "(", ")",
+    "+", "-", "*", "/", "^", " ", ",", "$",
+)
+
+
+_TOKEN_SOUP = st.lists(st.sampled_from(_EXPR_TOKENS), max_size=14).map("".join)
+
+
+def _well_formed(inner):
+    exponents = st.sampled_from(("2", "-1", "(-2)", "14000", "99999999"))
+    functions = st.sampled_from(("sin", "cos", "exp", "ln", "sinh", "cosh", "tanh"))
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map("".join),
+        st.tuples(inner, exponents).map(lambda a: f"({a[0]})^{a[1]}"),
+        st.tuples(functions, inner).map(lambda a: f"{a[0]}({a[1]})"),
+    )
+
+
+_WELL_FORMED = st.recursive(
+    st.sampled_from(("x1", "x2", "t", "2", "1/2", "0", "14000", "99999999")),
+    _well_formed,
+    max_leaves=6,
+)
+
+
+class TestExpandFuzz:
+    @settings(max_examples=400)
+    @given(st.one_of(_TOKEN_SOUP, _WELL_FORMED), st.integers(0, 4))
+    @example("--", 0)  # argparse before 3.12 reads --expr=-- as an empty list
+    @example("(2+t)^99999999", 2)
+    @example("2^14000*2^14000", 0)
+    def test_exit_code_is_zero_or_input_error(self, text, order):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["expand", f"--expr={text}", "--order", str(order)])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2), err
+        assert (code == 0) == out.startswith("[")
 
 
 class TestErrorsAndExitCodes:

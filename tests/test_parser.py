@@ -153,6 +153,24 @@ class TestErrors:
             parse_expr(src, 1)
         assert err.value.offset == offset
 
+    @pytest.mark.parametrize("src,offset", [
+        ("2^14000*2^14000", 8),
+        ("x1*2^14000*2^14000", 11),
+        ("-2^14000*(2^14000)", 9),
+        ("2^14000/2^-14000", 8),
+    ])
+    def test_huge_constant_product(self, src, offset):
+        # each factor prints, but normalize folds them into one rational
+        # that would not; the offset is that of the factor passing it
+        with pytest.raises(ParseError) as err:
+            parse_expr(src, 1)
+        assert err.value.offset == offset
+        assert "product" in err.value.message
+
+    def test_constant_products_within_the_limit(self):
+        assert parse_expr("x1*2^3000*2^3000", 1) == Prod((const(2**6000), Var(1)))
+        assert parse_expr("2^14000/2^14000*x1", 1) == Var(1)
+
     def test_large_powers_within_the_limit(self):
         assert parse_expr("x1^2*2^5000", 1) == Prod((const(2**5000), Pow(Var(1), 2)))
         assert parse_expr("x1^99999999", 1) == Pow(Var(1), 99999999)

@@ -1,28 +1,48 @@
 """Rational matrix inversion, operator application, time expansion and
 series containers."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import PLAN, random_numeric_expr
-from pdeseries.errors import DimensionMismatch, ExpansionSingular, SingularRho
+from conftest import PLAN, problem_path, random_numeric_expr
+from pdeseries import series
+from pdeseries.cli import main
+from pdeseries.errors import (
+    DimensionMismatch,
+    DomainError,
+    ExpansionSingular,
+    SamplingExhausted,
+    SingularRho,
+)
 from pdeseries.expr import (
+    FUNCTIONS,
     Const,
+    Expr,
     Func,
     Pow,
     Prod,
+    Sum,
     TIME_INDEX,
     Var,
     ZERO,
     const,
+    differentiate,
+    eprod,
     equal_sampled,
     evaluate,
+    max_variable_index,
+    normalize,
+    sampled_deviation,
+    substitute,
+    uses_time,
 )
-from pdeseries.parser import parse_expr
+from pdeseries.parser import load_problem, parse_expr, print_expr
 from pdeseries.series import (
     OperatorTerm,
     RationalMatrix,
@@ -30,6 +50,7 @@ from pdeseries.series import (
     TimeSeriesVec,
     apply_operator,
     expand_in_time,
+    forcing_coefficients,
     invert,
     series_scale_matrix,
     vec_add,
@@ -166,6 +187,197 @@ class TestExpandInTime:
             )
             full = evaluate(e, x, time=t)
             assert abs(truncated - full) <= 1e-6
+
+
+# The expansion by repeated time differentiation that jets replaced,
+# kept as an independent reference.
+
+def _scan_singular_at_zero(e: Expr) -> None:
+    if isinstance(e, Func):
+        if e.name == "ln" and isinstance(e.arg, Const) and e.arg.value <= 0:
+            raise ExpansionSingular("ln argument vanishes or is negative at time zero")
+        _scan_singular_at_zero(e.arg)
+    elif isinstance(e, Pow):
+        _scan_singular_at_zero(e.base)
+    elif isinstance(e, (Sum, Prod)):
+        for child in (e.terms if isinstance(e, Sum) else e.factors):
+            _scan_singular_at_zero(child)
+
+
+def _expand_by_differentiation(e: Expr, order: int) -> tuple[Expr, ...]:
+    current = normalize(e)
+    coeffs = []
+    factorial = 1
+    for j in range(order + 1):
+        if j:
+            current = differentiate(current, TIME_INDEX)
+            factorial *= j
+        try:
+            at_zero = substitute(current, TIME_INDEX, ZERO)
+        except DomainError as exc:
+            raise ExpansionSingular(str(exc)) from exc
+        _scan_singular_at_zero(at_zero)
+        coeffs.append(eprod([Const(Fraction(1, factorial)), at_zero]))
+    return tuple(coeffs)
+
+
+def _positive(e: Expr, c: int) -> Expr:
+    """c + e^2: an argument that cannot vanish at time zero."""
+    return Sum((const(c), Pow(e, 2)))
+
+
+def _time_exprs() -> st.SearchStrategy:
+    leaves = st.one_of(
+        st.just(Var(TIME_INDEX)),
+        st.sampled_from((Var(1), Var(2))),
+        st.fractions(-3, 3, max_denominator=3).map(Const),
+    )
+    small = st.integers(1, 3)
+
+    def extend(children):
+        return st.one_of(
+            st.lists(children, min_size=2, max_size=3).map(lambda xs: Sum(tuple(xs))),
+            st.lists(children, min_size=2, max_size=3).map(lambda xs: Prod(tuple(xs))),
+            st.builds(Pow, children, st.sampled_from((2, 3))),
+            st.builds(lambda e, c, k: Pow(_positive(e, c), k),
+                      children, small, st.sampled_from((-1, -2))),
+            st.builds(Func, st.sampled_from([f for f in FUNCTIONS if f != "ln"]), children),
+            st.builds(lambda e, c: Func("ln", _positive(e, c)), children, small),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def _outcome(expand, e: Expr, order: int):
+    try:
+        return expand(e, order)
+    except ExpansionSingular as exc:
+        return type(exc)
+
+
+class TestJetsAgainstDifferentiation:
+    @settings(max_examples=200)
+    @given(_time_exprs(), st.integers(0, 5))
+    def test_same_values_and_zero_pattern(self, e, order):
+        try:
+            e = normalize(e)
+        except DomainError:
+            assume(False)
+        assume(uses_time(e))
+        want = _outcome(_expand_by_differentiation, e, order)
+        got = _outcome(expand_in_time, e, order)
+        if not isinstance(want, tuple):
+            assert got is want
+            return
+        # structural zeros decide hpm's working order, so they must agree
+        assert [c == ZERO for c in got] == [c == ZERO for c in want]
+        for a, b in zip(got, want):
+            try:
+                deviation = sampled_deviation(a, b, PLAN)
+            except SamplingExhausted:
+                continue  # overflows at every point, on both sides
+            assert deviation <= PLAN.tolerance
+
+    @pytest.mark.parametrize("text", [
+        "ln(t)", "t^-1", "sin(t)^-1*t", "ln(cos(t)-1)", "ln(-1+t)", "t^3*ln(t)",
+    ])
+    def test_same_exception_where_singular(self, text):
+        e = parse_expr(text, 1, allow_time=True)
+        assert _outcome(_expand_by_differentiation, e, 4) is ExpansionSingular
+        assert _outcome(expand_in_time, e, 4) is ExpansionSingular
+
+    @pytest.mark.parametrize("text,want", [
+        ("exp(t)*sin(x1+t)*cos(x2)", None),
+        ("(x1 + x2 + t)^3", "[(x1 + x2)^3, 3*(x1 + x2)^2, 3*x1 + 3*x2, 1, 0]"),
+        ("(x1 + sin(t))^(-1)", None),
+        ("tanh(t + x2)", None),
+        ("t^2*x1 + sin(t)^2 + cos(t)^2", None),
+        ("(x1 + x2 + t)*(x1 + t)", "[x1*(x1 + x2), 2*x1 + x2, 1, 0, 0]"),
+        ("(1 + x1^2)*sin(x1 + t)", None),
+    ])
+    def test_same_printed_form(self, capsys, text, want):
+        e = parse_expr(text, 2, allow_time=True)
+        assert expand_in_time(e, 4) == _expand_by_differentiation(e, 4)
+        if want is not None:
+            assert main(["expand", "--expr", text, "--order", "4"]) == 0
+            assert capsys.readouterr().out == want + "\n"
+
+    @pytest.mark.parametrize("text", [
+        "tanh(tanh(tanh(cosh(t))))", "tanh(tanh(exp(sin(t))))",
+    ])
+    def test_nested_functions_print_no_longer(self, text):
+        e = parse_expr(text, 2, allow_time=True)
+        got = expand_in_time(e, 5)
+        want = _expand_by_differentiation(e, 5)
+        assert sum(map(len, map(print_expr, got))) <= sum(map(len, map(print_expr, want)))
+
+    def test_power_of_zero_series_beyond_the_order(self):
+        e = parse_expr("sin(t)^99999999*x1 + (x1 + t)^99999999", 1, allow_time=True)
+        got = expand_in_time(e, 2)
+        assert got[0] == Pow(Var(1), 99999999)
+        assert got[2] == parse_expr("4999999850000001*x1^99999997", 1)
+
+    def test_huge_power_of_a_constant_term_is_refused(self):
+        with pytest.raises(ExpansionSingular):
+            expand_in_time(parse_expr("(2 + t)^99999999", 1, allow_time=True), 2)
+
+
+def _counting(monkeypatch, name: str) -> list:
+    calls = []
+    original = getattr(series, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(series, name, counted)
+    return calls
+
+
+class TestForcingExpandedOnce:
+    @pytest.mark.parametrize("argv", [
+        ("solve", "coupled_2x2.prob"),
+        ("residual", "coupled_2x2.prob"),
+        ("hpm", "coupled_2x2.prob", "--corrections", "2"),
+        ("compare", "coupled_2x2.prob", "--corrections", "2"),
+        ("hpm", "forced_wave_2d.prob", "--corrections", "3"),
+        ("compare", "wave_1d.prob", "--corrections", "3"),
+    ])
+    def test_one_expansion_per_component(self, monkeypatch, capsys, argv):
+        calls = _counting(monkeypatch, "expand_in_time")
+        path = problem_path(argv[1])
+        assert main([argv[0], path, *argv[2:]]) == 0
+        assert len(calls) == load_problem(path).m
+        capsys.readouterr()
+
+    def test_differentiation_bounded_by_order_per_function(self, monkeypatch):
+        calls = _counting(monkeypatch, "differentiate")
+        e = parse_expr("exp(sin(x1*t))*tanh(t+x2)", 2, allow_time=True)
+        expand_in_time(e, 12)
+        assert len(calls) <= 12 * 3  # three Func nodes
+        # only f(t) and its derivatives, never a tree holding x1 or x2
+        assert all(max_variable_index(d) == 0 for d, _ in calls)
+
+    def test_expansion_is_kept_per_problem(self, monkeypatch):
+        calls = _counting(monkeypatch, "expand_in_time")
+        p = load_problem(problem_path("coupled_2x2.prob"))
+        long = forcing_coefficients(p, 6)
+        assert forcing_coefficients(p, 3) == long[:4]
+        assert forcing_coefficients(p.with_order(2), 6) == long
+        assert len(calls) == p.m
+        longer = forcing_coefficients(p, 9)
+        assert longer[:7] == long and len(calls) == 2 * p.m
+        # another problem object with the same forcing expands anew
+        forcing_coefficients(load_problem(problem_path("coupled_2x2.prob")), 3)
+        assert len(calls) == 3 * p.m
+
+    def test_cache_is_not_part_of_the_problem(self):
+        p = load_problem(problem_path("coupled_2x2.prob"))
+        fresh = load_problem(problem_path("coupled_2x2.prob"))
+        forcing_coefficients(p, 5)
+        assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+        for copied in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+            assert copied == p and not hasattr(copied, "_forcing")
 
 
 class TestSeriesScaleMatrix:
