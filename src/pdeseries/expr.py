@@ -314,6 +314,9 @@ def _pow(base: Expr, k: int) -> Expr:
     if isinstance(base, Const):
         if base.value == 0 and k < 0:
             raise DomainError("zero raised to a negative power")
+        if too_large_power(base.value, k):
+            # refused before it is computed: it could exhaust memory
+            raise DomainError("power of a constant too large to represent")
         return Const(base.value ** k)
     if isinstance(base, Pow):
         return _pow(base.base, base.exponent * k)
@@ -322,7 +325,7 @@ def _pow(base: Expr, k: int) -> Expr:
     if isinstance(base, Sum):
         content, primitive = _sum_content(base)
         if content != 1:
-            return _mul([Const(content ** k), Pow(primitive, k)])
+            return _mul([_pow(Const(content), k), Pow(primitive, k)])
     return Pow(base, k)
 
 
@@ -431,15 +434,25 @@ def eprod(factors: Iterable[Expr]) -> Expr:
 
 
 def too_large_power(q: Fraction, k: int) -> bool:
-    """True when ``q``, a rational other than 0 and +-1, raised to ``k``
-    has more digits than the interpreter converts to text
-    (``sys.get_int_max_str_digits``); computing such a power can exhaust
-    memory, and it could never be printed."""
+    """True when the rational (or int) ``q`` raised to ``k`` has more
+    digits than the interpreter converts to text
+    (``sys.get_int_max_str_digits``); never for 0 and +-1.  Computing
+    such a power can exhaust memory, and it could never be printed."""
     # 0 means no limit; interpreters before 3.10.7 have none
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit or q in (0, 1, -1):
+    big = max(abs(q.numerator), q.denominator)  # 1 for 0 and +-1
+    # big < 2^b, so big^|k| has at most 0.302 |k| b + 1 digits
+    if not limit or big == 1 or abs(k) * big.bit_length() < 3 * limit:
         return False
-    return abs(k) > limit / math.log10(max(abs(q.numerator), q.denominator))
+    # big^|k| has floor(|k| log10 big) + 1 digits; within a digit of the
+    # limit the float estimate may round either way, and the exact power
+    # is small enough to compute
+    digits = math.log10(big)
+    if abs(k) > (limit + 1) / digits:
+        return True
+    if abs(k) < (limit - 1) / digits:
+        return False
+    return big ** abs(k) >= 10 ** limit
 
 
 # ---------------------------------------------------------------------------
@@ -448,51 +461,63 @@ def too_large_power(q: Fraction, k: int) -> bool:
 
 def differentiate(e: Expr, variable: int) -> Expr:
     """Exact symbolic partial derivative, returned normalized."""
-    return _diff(normalize(e), variable)
+    return _diff(normalize(e), variable, {})
 
 
-def _diff(e: Expr, v: int) -> Expr:
+def _diff(e: Expr, v: int, memo: dict) -> Expr:
+    """Derivative of a normalized tree, itself normalized.  ``memo``
+    maps ``(node, v)`` of every compound node seen to its derivative,
+    so equal subtrees are differentiated once per memo."""
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Var):
         return ONE if e.index == v else ZERO
+    key = (e, v)
+    out = memo.get(key)
+    if out is not None:
+        return out
     if isinstance(e, Sum):
-        return _add([_diff(t, v) for t in e.terms])
-    if isinstance(e, Prod):
+        out = _add([_diff(t, v, memo) for t in e.terms])
+    elif isinstance(e, Prod):
         pieces = []
         fs = e.factors
         for i, f in enumerate(fs):
-            df = _diff(f, v)
+            df = _diff(f, v, memo)
             if df == ZERO:
                 continue
             pieces.append(_mul([df, *fs[:i], *fs[i + 1:]]))
-        return _add(pieces)
-    if isinstance(e, Pow):
-        db = _diff(e.base, v)
-        if db == ZERO:
-            return ZERO
-        return _mul([Const(Fraction(e.exponent)), _pow(e.base, e.exponent - 1), db])
-    if isinstance(e, Func):
-        da = _diff(e.arg, v)
-        if da == ZERO:
-            return ZERO
-        a = e.arg
-        if e.name == "sin":
-            outer: Expr = Func("cos", a)
-        elif e.name == "cos":
-            outer = _mul([MINUS_ONE, Func("sin", a)])
-        elif e.name == "exp":
-            outer = e
-        elif e.name == "ln":
-            outer = _pow(a, -1)
-        elif e.name == "sinh":
-            outer = Func("cosh", a)
-        elif e.name == "cosh":
-            outer = Func("sinh", a)
-        else:  # tanh
-            outer = _add([ONE, _mul([MINUS_ONE, _pow(Func("tanh", a), 2)])])
-        return _mul([outer, da])
-    raise TypeError(f"not an expression: {e!r}")
+        out = _add(pieces)
+    elif isinstance(e, Pow):
+        db = _diff(e.base, v, memo)
+        out = ZERO if db == ZERO else _mul(
+            [Const(Fraction(e.exponent)), _pow(e.base, e.exponent - 1), db]
+        )
+    elif isinstance(e, Func):
+        da = _diff(e.arg, v, memo)
+        out = ZERO if da == ZERO else _mul([_outer_derivative(e), da])
+    else:
+        raise TypeError(f"not an expression: {e!r}")
+    memo[key] = out
+    return out
+
+
+def _outer_derivative(e: Func) -> Expr:
+    """f'(a) for ``e`` = f(a)."""
+    a = e.arg
+    if e.name == "sin":
+        return Func("cos", a)
+    if e.name == "cos":
+        return _mul([MINUS_ONE, Func("sin", a)])
+    if e.name == "exp":
+        return e
+    if e.name == "ln":
+        return _pow(a, -1)
+    if e.name == "sinh":
+        return Func("cosh", a)
+    if e.name == "cosh":
+        return Func("sinh", a)
+    # tanh
+    return _add([ONE, _mul([MINUS_ONE, _pow(Func("tanh", a), 2)])])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ for non-constant b and folds exactly when both sides are constant.
 Decimal literals become exact rationals.  Parentheses, function calls,
 unary minus and exponents may nest at most MAX_NESTING levels deep.
 A power or a product of rational constants too large to print is
-rejected.
+rejected, and so is an expression whose normalized form holds a
+constant or an exponent too large to print.
 Offsets in errors are byte offsets into the UTF-8 source.
 """
 
@@ -45,6 +46,8 @@ from .expr import (
     Sum,
     TIME_INDEX,
     Var,
+    eprod,
+    esum,
     normalize,
     too_large_power,
 )
@@ -133,6 +136,10 @@ class _Parser:
         self.n = n
         self.allow_time = allow_time
         self.depth = 0
+        # id of each chain and power node -> the node (kept alive, so
+        # its id stays its own) and the offsets of its operands, or of
+        # the exponent of a power
+        self.offsets: dict[int, tuple[Expr, list[int]]] = {}
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -170,29 +177,37 @@ class _Parser:
     # Chains of + and * build one flat node, not a left-nested tree,
     # so a long sum is as shallow as a short one for normalize.
 
+    def mark(self, node: Expr, offsets: list[int]) -> Expr:
+        self.offsets[id(node)] = (node, offsets)
+        return node
+
     def additive(self) -> Expr:
+        starts = [self.peek().pos]
         terms = [self.multiplicative()]
         while self.peek().kind in ("plus", "minus"):
             op = self.advance()
+            starts.append(self.peek().pos)
             right = self.multiplicative()
             if op.kind == "minus":
                 right = Prod((MINUS_ONE, right))
             terms.append(right)
-        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+        return terms[0] if len(terms) == 1 else self.mark(Sum(tuple(terms)), starts)
 
     def multiplicative(self) -> Expr:
+        starts = [self.peek().pos]
         factors = [self.unary()]
         # normalize folds the constant factors into one rational
         coeff = factors[0].value if isinstance(factors[0], Const) else Fraction(1)
         while self.peek().kind in ("star", "slash"):
             op = self.advance()
             start = self.peek()
+            starts.append(start.pos)
             right = self.unary()
             if op.kind == "slash":
                 if isinstance(right, Const) and right.value:
                     right = Const(1 / right.value)
                 else:
-                    right = Pow(right, -1)
+                    right = self.mark(Pow(right, -1), [start.pos])
             if isinstance(right, Const):
                 coeff *= right.value
                 if too_large_power(coeff, 1):
@@ -200,7 +215,7 @@ class _Parser:
                         "product of constants too large to represent", start.pos
                     )
             factors.append(right)
-        return factors[0] if len(factors) == 1 else Prod(tuple(factors))
+        return factors[0] if len(factors) == 1 else self.mark(Prod(tuple(factors)), starts)
 
     def unary(self) -> Expr:
         if self.peek().kind == "minus":
@@ -228,10 +243,10 @@ class _Parser:
         k = int(exponent.value)
         try:
             folded = normalize(base)
-        except DomainError:
-            return Pow(base, k)  # left for normalize to report
+        except DomainError:  # left for parse_expr to report
+            return self.mark(Pow(base, k), [exp_tok.pos])
         if not isinstance(folded, Const) or (folded.value == 0 and k < 0):
-            return Pow(base, k)
+            return self.mark(Pow(base, k), [exp_tok.pos])
         if too_large_power(folded.value, k):
             raise ParseError(
                 "power of a constant too large to represent", exp_tok.pos
@@ -242,7 +257,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Const(Fraction(tok.lexeme))
+            try:
+                return Const(Fraction(tok.lexeme))
+            except ValueError as exc:  # more digits than int() converts
+                raise ParseError("number too long to represent", tok.pos) from exc
         if tok.kind == "lparen":
             self.enter(self.advance())
             inner = self.additive()
@@ -284,9 +302,80 @@ def parse_expr(src: str, n: int, *, allow_time: bool = False) -> Expr:
     is normalized."""
     if n < 0:
         raise ValueError("spatial dimension must be nonnegative")
-    tokens = tokenize(src)
-    raw = _Parser(tokens, n, allow_time).parse()
-    return normalize(raw)
+    parser = _Parser(tokenize(src), n, allow_time)
+    raw = parser.parse()
+    try:
+        e = normalize(raw)
+    except DomainError as exc:
+        raise ParseError(str(exc), _failure_at(raw, parser.offsets)) from exc
+    if _unprintable(e):
+        raise ParseError(
+            "constant too large to represent", _failure_at(raw, parser.offsets)
+        )
+    return e
+
+
+def _children(e: Expr) -> tuple[Expr, ...]:
+    if isinstance(e, Sum):
+        return e.terms
+    if isinstance(e, Prod):
+        return e.factors
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, Func):
+        return (e.arg,)
+    return ()
+
+
+def _unprintable(e: Expr) -> bool:
+    """True when a constant or an exponent in the normalized tree ``e``
+    has more digits than the interpreter converts to text."""
+    if isinstance(e, Const):
+        return too_large_power(e.value, 1)
+    if isinstance(e, Pow) and too_large_power(e.exponent, 1):
+        return True
+    return any(map(_unprintable, _children(e)))
+
+
+def _checked(normal_form, e):
+    """``normal_form(e)``, or None where that raises DomainError or
+    holds a constant too large to print."""
+    try:
+        out = normal_form(e)
+    except DomainError:
+        return None
+    return None if _unprintable(out) else out
+
+
+def _failure_at(raw: Expr, offsets: dict) -> int:
+    """Offset at which normalizing the raw tree first fails or yields an
+    unprintable constant: descend while one child alone does, then take
+    the operand of the chain whose folding into the operands before it
+    does, or the exponent of the power."""
+    node = raw
+    while True:
+        children = _children(node)
+        normal = [_checked(normalize, c) for c in children]
+        if None not in normal:
+            break
+        node = children[normal.index(None)]
+    at = offsets.get(id(node), (None, [0]))[1]
+    if isinstance(node, (Sum, Prod)) and len(at) == len(children):
+        # the first `lo` operands fold, the first `hi` do not: double
+        # `hi` from 2, then bisect, so the folds cost about two folds of
+        # the whole chain
+        fold = esum if isinstance(node, Sum) else eprod
+        lo, hi = 1, 2
+        while hi < len(normal) and _checked(fold, normal[:hi]) is not None:
+            lo, hi = hi, min(2 * hi, len(normal))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _checked(fold, normal[:mid]) is None:
+                hi = mid
+            else:
+                lo = mid
+        return at[hi - 1]
+    return at[0]
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .expr import (
     TIME_INDEX,
     Var,
     ZERO,
+    _diff,
     differentiate,
     eprod,
     esum,
@@ -155,15 +156,25 @@ class SpatialOperator:
 
 
 def apply_operator(op: SpatialOperator, vec: Sequence[Expr]) -> ExprVec:
-    """Apply the operator to a vector of time-free expressions."""
+    """Apply the operator to a vector of time-free expressions.
+
+    Each component is normalized once, and every derivative step of
+    every term shares one memo, so a partial derivative that several
+    terms need (the d/dx1 of u under both d2/dx1^2 and d/dx1) and a
+    subtree repeated within a component are differentiated once.  Steps
+    run in the order x1 first, then x2, and so on: mixed partials taken
+    in another order may print differently."""
     if len(vec) != op.m:
         raise DimensionMismatch(f"vector length {len(vec)} != {op.m}")
+    used = dict.fromkeys(term.col for term in op.terms)
+    columns = {col: normalize(vec[col]) for col in used}
+    memo: dict = {}
     rows: list[list[Expr]] = [[] for _ in range(op.m)]
     for term in op.terms:
-        d = normalize(vec[term.col])
+        d = columns[term.col]
         for variable, order in enumerate(term.orders, start=1):
             for _ in range(order):
-                d = differentiate(d, variable)
+                d = _diff(d, variable, memo)
             if d == ZERO:
                 break
         if d == ZERO:

@@ -3,12 +3,15 @@
 import contextlib
 import io
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pdeseries import taylor
 from pdeseries.cli import main
 
 from conftest import problem_path
@@ -87,6 +90,17 @@ class TestResidual:
         assert doc["overall"] is True
         assert doc["checked_degrees"] == [0, 3]
 
+    @pytest.mark.parametrize("fmt", [(), ("--format", "json")])
+    def test_prints_no_exactness_verdict_and_computes_none(self, capsys, monkeypatch, fmt):
+        want = run(capsys, "residual", COUPLED, *fmt)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("residual has no use for an exactness verdict")
+
+        monkeypatch.setattr(taylor, "detect_exact", refuse)
+        assert run(capsys, "residual", COUPLED, *fmt) == want
+        assert want[0] == 0 and "exact" not in want[1]
+
 
 class TestExpand:
     def test_golden_expansion(self, capsys):
@@ -118,7 +132,10 @@ class TestExpand:
             code, out, _ = run(capsys, "expand", "--expr", text, "--order", "1")
             assert code == 0 and out.startswith("[")
 
-    @pytest.mark.parametrize("text", ["2^9999999999", "(1/3)^99999999", "2^99999999"])
+    @pytest.mark.parametrize("text", [
+        "2^9999999999", "(1/3)^99999999", "2^99999999", "(2*x1)^99999999",
+        "(x1/2 + 1/2)^99999999",
+    ])
     def test_huge_constant_power_is_input_error(self, capsys, text):
         start = time.perf_counter()
         code, _, err = run(capsys, "expand", "--expr", text, "--order", "0")
@@ -138,6 +155,17 @@ class TestExpand:
         assert "product of constants" in err and "offset 8" in err
         code, out, _ = run(capsys, "expand", "--expr", "x1*2^3000*2^3000", "--order", "0")
         assert code == 0 and out == f"[{2**6000}*x1]\n"
+
+    @pytest.mark.parametrize("text,offset", [
+        ("(2^14000*x1)*(2^14000*x1)", 13),
+        ("1/3^5000 + 1/7^5000", 11),
+        ("10^4300", 3),
+    ])
+    def test_huge_normalized_constant_is_input_error(self, capsys, text, offset):
+        # constants folded across chains, not only within one
+        code, out, err = run(capsys, "expand", "--expr", text, "--order", "0")
+        assert code == 2 and out == ""
+        assert "too large" in err and f"offset {offset}" in err
 
     def test_singular_expansion_is_input_error(self, capsys):
         code, _, err = run(capsys, "expand", "--expr", "ln(t)", "--order", "2")
@@ -185,6 +213,74 @@ class TestExpandFuzz:
         out, err = out.getvalue(), err.getvalue()
         assert code in (0, 2), err
         assert (code == 0) == out.startswith("[")
+
+
+_SPATIAL = st.recursive(
+    st.sampled_from(("x1", "2", "x2", "1/2", "0")),
+    _well_formed,
+    max_leaves=4,
+)
+_WITH_TIME = st.recursive(
+    st.sampled_from(("t", "x1", "2", "x2", "1/2", "0")),
+    _well_formed,
+    max_leaves=4,
+)
+_NOT_AN_EXPRESSION = st.one_of(st.none(), st.integers(-3, 3), st.lists(st.just("x1")))
+
+
+@st.composite
+def _problem_documents(draw):
+    """A problem document, well-formed or with one field broken."""
+    m, n = draw(st.integers(1, 2)), draw(st.sampled_from((2, 1)))
+
+    def expressions(texts):
+        return [draw(texts) for _ in range(m)]
+
+    doc = {
+        "m": m, "n": n, "order": draw(st.integers(1, 4)),
+        "rho": [[draw(st.sampled_from(("1", "-1/2") if i == j else ("0", "1/2")))
+                 for j in range(m)] for i in range(m)],
+        "L": [{"row": draw(st.integers(0, m - 1)), "col": draw(st.integers(0, m - 1)),
+               "coeff": draw(_SPATIAL),
+               "derivs": [draw(st.integers(0, 2)) for _ in range(n)]}
+              for _ in range(draw(st.integers(0, 3)))],
+        "f": expressions(_WITH_TIME),
+        "u0": expressions(_SPATIAL),
+        "u1": expressions(_SPATIAL),
+    }
+    broken = draw(st.sampled_from((None, None, "drop", "retype", "soup", "length")))
+    key = draw(st.sampled_from(sorted(doc)))
+    if broken == "drop":
+        del doc[key]
+    elif broken == "retype":
+        doc[key] = draw(st.one_of(_NOT_AN_EXPRESSION, st.just("1"), st.just(-1),
+                                  st.just([{"row": 0}]), st.just(10**30)))
+    elif broken == "soup":
+        for name in ("f", "u0", "u1"):
+            doc[name] = expressions(_TOKEN_SOUP)
+    elif broken == "length" and isinstance(doc[key], list):
+        doc[key] = doc[key][:-1]
+    text = json.dumps(doc)
+    if draw(st.integers(0, 9)) == 9:  # not JSON, or not all of it
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+class TestProblemFileFuzz:
+    @settings(max_examples=200)
+    @given(_problem_documents(), st.integers(1, 2))
+    @example(Path(COUPLED).read_text(encoding="utf-8"), 2)
+    def test_exit_code_is_success_input_error_or_check_failed(self, text, corrections):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.prob"
+            path.write_text(text, encoding="utf-8")
+            for argv in (["solve", str(path)], ["residual", str(path)],
+                         ["compare", str(path), "--corrections", str(corrections)]):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 2, 3), (argv[0], text, err.getvalue())
+                assert (code == 2) == err.getvalue().startswith("error: ")
 
 
 class TestErrorsAndExitCodes:

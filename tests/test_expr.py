@@ -194,6 +194,109 @@ class TestDifferentiate:
         assert abs(fd - exact) <= 1e-5 * (1 + abs(exact))
 
 
+def _unmemoised_diff(e, v):
+    """Differentiation of a normalized tree as first written: every
+    copy of a repeated subtree is walked again."""
+    if isinstance(e, Const):
+        return ZERO
+    if isinstance(e, Var):
+        return ONE if e.index == v else ZERO
+    if isinstance(e, Sum):
+        return expr._add([_unmemoised_diff(t, v) for t in e.terms])
+    if isinstance(e, Prod):
+        pieces = []
+        fs = e.factors
+        for i, f in enumerate(fs):
+            df = _unmemoised_diff(f, v)
+            if df == ZERO:
+                continue
+            pieces.append(expr._mul([df, *fs[:i], *fs[i + 1:]]))
+        return expr._add(pieces)
+    if isinstance(e, Pow):
+        db = _unmemoised_diff(e.base, v)
+        if db == ZERO:
+            return ZERO
+        return expr._mul([const(e.exponent), expr._pow(e.base, e.exponent - 1), db])
+    da = _unmemoised_diff(e.arg, v)
+    if da == ZERO:
+        return ZERO
+    a = e.arg
+    outer = {
+        "sin": lambda: Func("cos", a),
+        "cos": lambda: expr._mul([const(-1), Func("sin", a)]),
+        "exp": lambda: e,
+        "ln": lambda: expr._pow(a, -1),
+        "sinh": lambda: Func("cosh", a),
+        "cosh": lambda: Func("sinh", a),
+        "tanh": lambda: expr._add([ONE, expr._mul([const(-1), expr._pow(Func("tanh", a), 2)])]),
+    }[e.name]()
+    return expr._mul([outer, da])
+
+
+def _repeating(k):
+    """k terms that each hold one deep subtree, and that subtree."""
+    shared = parse_expr("sin(x1 + cos(x1*x2)^2*exp(x2^2 + x1)*ln(2 + x1^2))", 2)
+    terms = [Prod((Pow(Var(2), j + 2), shared)) for j in range(1, k + 1)]
+    return normalize(Sum(tuple(terms))), shared
+
+
+class TestMemoisedDifferentiation:
+    """``_diff`` differentiates each distinct subtree once per memo and
+    gives the trees of the unmemoised walk."""
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_same_trees_as_the_unmemoised_walk(self, seed):
+        rng = random.Random(seed)
+        raw = random_raw_expr(rng, depth=4, n_vars=2, allow_time=seed % 3 == 0)
+        try:
+            e = normalize(raw)
+        except DomainError:
+            return  # raw tree folded a zero to a negative power
+        for v, w in ((0, 1), (1, 2), (2, 1)):
+            want = _unmemoised_diff(e, v)
+            assert differentiate(raw, v) == want
+            assert differentiate(e, v) == want
+            # and a second step, as operator application takes it
+            assert differentiate(want, w) == _unmemoised_diff(want, w)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_derivative_of_a_normalized_tree_is_normalized(self, seed):
+        # operator application chains _diff without normalizing between
+        # steps, which needs this
+        rng = random.Random(seed)
+        d = random_normal_expr(rng, depth=4, n_vars=2)
+        memo = {}
+        for v in (1, 1, 2, 1, 2):
+            d = expr._diff(d, v, memo)
+            assert normalize(d) == d
+
+    def test_one_memo_serves_several_variables(self):
+        e, _ = _repeating(3)
+        memo = {}
+        for v in (1, 2, 1, 2):
+            assert expr._diff(e, v, memo) == differentiate(e, v)
+
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_repeated_subtree_is_differentiated_once(self, monkeypatch, k):
+        e, shared = _repeating(k)
+        assert sum(node == shared for node in _subtrees(e)) == k
+        inside = {n for n in _subtrees(shared) if not isinstance(n, (Const, Var))}
+        inside.discard(shared)
+        visits = []
+        original = expr._diff
+
+        def counting(node, v, memo):
+            if node in inside:
+                visits.append(node)
+            return original(node, v, memo)
+
+        monkeypatch.setattr(expr, "_diff", counting)
+        differentiate(e, 1)
+        # each compound node below the shared subtree is visited once,
+        # whatever k
+        assert len(visits) == len(inside) and set(visits) == inside
+
+
 class TestNormalize:
     def test_collect_like_terms(self):
         e = Sum((Var(1), ZERO, Var(1)))
@@ -240,6 +343,23 @@ class TestNormalize:
             self._assert_invariants(e.base)
         elif isinstance(e, Func):
             self._assert_invariants(e.arg)
+
+    @pytest.mark.parametrize("raw", [
+        Pow(const(2), 99999999),
+        Pow(Prod((const(2), Var(1))), 99999999),
+        Pow(Sum((Prod((const(Fraction(1, 2)), Var(1))), const(Fraction(1, 2)))), -99999999),
+    ])
+    def test_huge_constant_power_is_refused_before_it_is_computed(self, raw):
+        with pytest.raises(DomainError, match="too large"):
+            normalize(raw)
+
+    def test_constant_powers_within_the_limit(self):
+        assert normalize(Pow(Prod((const(2), Var(1))), 14000)) == Prod(
+            (const(2**14000), Pow(Var(1), 14000))
+        )
+        assert normalize(Pow(const(10), 4299)) == const(10**4299)
+        with pytest.raises(DomainError):
+            normalize(Pow(const(10), 4300))  # 4301 digits
 
     @given(st.integers(min_value=0, max_value=10**6))
     def test_idempotent_and_invariants(self, seed):

@@ -167,6 +167,58 @@ class TestErrors:
         assert err.value.offset == offset
         assert "product" in err.value.message
 
+    @pytest.mark.parametrize("src,offset", [
+        ("(2^14000*x1)*(2^14000*x1)", 13),         # across two chains
+        ("1/3^5000 + 1/7^5000", 11),               # denominators of a sum
+        ("x1 + 1/3^5000 + 1/7^5000", 16),
+        ("2*(-(2^14000*x1))*(2^14000)", 18),
+        ("(2^4000*x1 + 2^4000)^4", 21),            # content of a power of a sum
+        ("(x1^(2^8000))^(2^8000)", 14),            # an exponent, not a constant
+        ("((((x1^(2^4000))^(2^4000))^(2^4000))^(2^4000))", 37),
+        ("10^4300", 3),                            # 4301 digits, exactly one past
+        ("10^2150*10^2150", 8),
+    ])
+    def test_huge_normalized_constant(self, src, offset):
+        # each chain prints, but normalize folds constants across chains
+        # into one that would not; the offset is that of the operand, or
+        # the exponent, at which the folded constant first passes it
+        with pytest.raises(ParseError) as err:
+            parse_expr(src, 2)
+        assert err.value.offset == offset
+        assert "too large" in err.value.message
+
+    @pytest.mark.parametrize("src,offset,message", [
+        ("(2*x1)^99999999", 7, "power of a constant"),        # refused, not computed
+        ("(x1/2 + 1/2)^99999999", 13, "power of a constant"),  # content of a sum
+        ("1/(x1 - x1)", 2, "zero raised"),
+        ("x1 + 0^(-1)", 7, "zero raised"),
+        ("x1 + (x2 - x2)^(-2)", 15, "zero raised"),
+    ])
+    def test_normalization_errors_carry_an_offset(self, src, offset, message):
+        with pytest.raises(ParseError) as err:
+            parse_expr(src, 2)
+        assert err.value.offset == offset
+        assert message in err.value.message
+
+    def test_huge_normalized_constant_late_in_a_long_chain(self):
+        head = " + ".join(f"x1^{i}" for i in range(1, 1000)) + " + 1/3^5000 + "
+        with pytest.raises(ParseError) as err:
+            parse_expr(head + "1/7^5000", 1)
+        assert err.value.offset == len(head)
+
+    def test_normalized_constants_at_the_limit(self):
+        # 4300 digits print; 4301 would not
+        assert parse_expr("9*10^4299", 1) == const(9 * 10**4299)
+        assert parse_expr("(10^2150*x1)*(10^2149*x1)", 1) == Prod(
+            (const(10**4299), Pow(Var(1), 2))
+        )
+        assert parse_expr("(2^14000*x1)/(2^14000*x1)", 1) == const(1)
+
+    def test_number_too_long(self):
+        with pytest.raises(ParseError) as err:
+            parse_expr("x1 + " + "7" * 5000, 1)
+        assert err.value.offset == 5
+
     def test_constant_products_within_the_limit(self):
         assert parse_expr("x1*2^3000*2^3000", 1) == Prod((const(2**6000), Var(1)))
         assert parse_expr("2^14000/2^14000*x1", 1) == Var(1)
@@ -298,6 +350,29 @@ class TestProblemFiles:
         with pytest.raises(ParseError) as err:
             parse_problem(json.dumps(doc))
         assert "u0[0]" in err.value.message
+        assert err.value.offset == 7
+
+    @pytest.mark.parametrize("field", ["f", "u0", "u1", "coeff"])
+    def test_huge_normalized_constant_rejected_in_fields(self, field):
+        doc = _base_doc()
+        text = "(2^14000*x1)*(2^14000*x1)"
+        if field == "coeff":
+            doc["L"][0]["coeff"] = text
+            where = "L[0].coeff"
+        else:
+            doc[field] = [text]
+            where = f"{field}[0]"
+        with pytest.raises(ParseError) as err:
+            parse_problem(json.dumps(doc))
+        assert where in err.value.message
+        assert err.value.offset == 13
+
+    def test_zero_to_a_negative_power_rejected_in_fields(self):
+        doc = _base_doc()
+        doc["u1"] = ["x1 + 1/(x2 - x2)"]
+        with pytest.raises(ParseError) as err:
+            parse_problem(json.dumps(doc))
+        assert "u1[0]" in err.value.message
         assert err.value.offset == 7
 
     def test_time_rejected_in_operator_coeff(self):

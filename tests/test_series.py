@@ -10,8 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import PLAN, problem_path, random_numeric_expr
-from pdeseries import series
+from conftest import PLAN, problem_path, random_normal_expr, random_numeric_expr, random_raw_expr
+from pdeseries import expr, series
 from pdeseries.cli import main
 from pdeseries.errors import (
     DimensionMismatch,
@@ -35,6 +35,7 @@ from pdeseries.expr import (
     differentiate,
     eprod,
     equal_sampled,
+    esum,
     evaluate,
     max_variable_index,
     normalize,
@@ -139,6 +140,88 @@ class TestApplyOperator:
     def test_rejects_wrong_length(self):
         with pytest.raises(DimensionMismatch):
             apply_operator(_laplacian_2d(), (ZERO, ZERO))
+
+
+def _apply_by_differentiate(op, vec):
+    """Operator application as first written: each term normalizes its
+    column and takes every step through ``differentiate``."""
+    rows = [[] for _ in range(op.m)]
+    for term in op.terms:
+        d = normalize(vec[term.col])
+        for variable, order in enumerate(term.orders, start=1):
+            for _ in range(order):
+                d = differentiate(d, variable)
+            if d == ZERO:
+                break
+        if d == ZERO:
+            continue
+        rows[term.row].append(eprod([term.coeff, d]))
+    return tuple(esum(parts) for parts in rows)
+
+
+def _random_operator(rng, m, n):
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        orders = tuple(rng.choice((0, 0, 1, 2)) for _ in range(n))
+        coeff = random_normal_expr(rng, depth=1, n_vars=n)
+        terms.append(OperatorTerm(rng.randrange(m), rng.randrange(m), coeff, orders))
+    return SpatialOperator(m, n, tuple(terms))
+
+
+class TestOperatorDifferentiatesOnce:
+    """One normalization per column and one memo per call give the trees
+    of the term-by-term chain of ``differentiate`` calls."""
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_same_trees_as_a_chain_of_differentiate_calls(self, seed):
+        rng = random.Random(seed)
+        m, n = rng.choice((1, 2)), rng.choice((1, 2, 3))
+        op = _random_operator(rng, m, n)
+        vec = tuple(random_raw_expr(rng, depth=3, n_vars=n) for _ in range(m))
+        try:
+            want = _apply_by_differentiate(op, vec)
+        except DomainError:
+            with pytest.raises(DomainError):
+                apply_operator(op, vec)
+            return
+        assert apply_operator(op, vec) == want
+
+    def test_mixed_partials_in_the_order_x1_then_x2(self):
+        # the other order gives an equal value but another canonical tree
+        op = SpatialOperator(1, 2, (OperatorTerm(0, 0, const(1), (1, 1)),))
+        u = parse_expr("sin(x1*x2*exp(x1))", 2)
+        got = apply_operator(op, (u,))[0]
+        assert got == differentiate(differentiate(u, 1), 2)
+        assert got != differentiate(differentiate(u, 2), 1)
+        assert print_expr(got) == (
+            "-x1*exp(x1)*sin(x1*x2*exp(x1))*(x1*x2*exp(x1) + x2*exp(x1))"
+            " + cos(x1*x2*exp(x1))*(exp(x1) + x1*exp(x1))"
+        )
+
+    def test_each_subtree_is_differentiated_once_per_call(self, monkeypatch):
+        computed = []
+        original = expr._diff
+
+        def counting(node, v, memo):
+            if not isinstance(node, (Const, Var)) and (node, v) not in memo:
+                computed.append((node, v))
+            return original(node, v, memo)
+
+        monkeypatch.setattr(expr, "_diff", counting)
+        monkeypatch.setattr(series, "_diff", counting)
+        u = parse_expr("sin(x1 + cos(x1*x2)^2*exp(x2^2 + x1)) + cos(x1*x2)^2", 2)
+        op = SpatialOperator(2, 2, (
+            OperatorTerm(0, 0, parse_expr("1 + x1^2", 2), (2, 0)),
+            OperatorTerm(1, 0, parse_expr("sin(x1)", 2), (1, 0)),
+            OperatorTerm(1, 0, const(1), (1, 1)),
+            OperatorTerm(0, 1, const(1), (0, 2)),
+        ))
+        apply_operator(op, (u, u))
+        # d/dx1 of u serves three terms, and cos(x1*x2)^2 is differentiated
+        # once per variable although it occurs twice in u
+        assert len(computed) == len(set(computed))
+        assert {(u, 1), (u, 2)} <= set(computed)
+        assert (parse_expr("cos(x1*x2)^2", 2), 1) in computed
 
 
 class TestExpandInTime:
