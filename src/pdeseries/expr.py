@@ -359,11 +359,16 @@ def _mul(factors: Iterable[Expr]) -> Expr:
         else:
             flat.append(f)
 
+    # the running product stays within the digit limit, so folding many
+    # large constants costs linear, not quadratic, time before it fails
     coeff = Fraction(1)
     powers: dict[Expr, int] = {}
     for f in flat:
         if isinstance(f, Const):
             coeff *= f.value
+            bits = coeff.numerator.bit_length() + coeff.denominator.bit_length()
+            if bits > _FEW_BITS and too_large_power(coeff, 1):
+                raise DomainError("constant too large to represent")
             continue
         if isinstance(f, Pow):
             base, k = f.base, f.exponent
@@ -372,7 +377,11 @@ def _mul(factors: Iterable[Expr]) -> Expr:
         if isinstance(base, Sum):
             content, base = _sum_content(base)
             if content != 1:
+                if too_large_power(content, k):
+                    raise DomainError("power of a constant too large to represent")
                 coeff *= content ** k
+                if too_large_power(coeff, 1):
+                    raise DomainError("constant too large to represent")
         powers[base] = powers.get(base, 0) + k
 
     if coeff == 0:
@@ -389,6 +398,11 @@ def _mul(factors: Iterable[Expr]) -> Expr:
         # stay flat and like terms keep collecting across operations
         return _add([_mul([Const(coeff), t]) for t in parts[0].terms])
     return Prod((Const(coeff), *parts))
+
+
+# Rationals this small print under any int-to-text limit: Python sets
+# none below 640 digits, and 2^2000 has 603.
+_FEW_BITS = 2000
 
 
 def _add(terms: Iterable[Expr]) -> Expr:
@@ -548,30 +562,37 @@ def _subst(e: Expr, v: int, r: Expr) -> Expr:
 
 def max_variable_index(e: Expr) -> int:
     """Largest spatial variable index used (0 when none)."""
-    if isinstance(e, Var):
-        return e.index
-    if isinstance(e, Const):
-        return 0
-    if isinstance(e, Func):
-        return max_variable_index(e.arg)
-    if isinstance(e, Pow):
-        return max_variable_index(e.base)
-    children = e.factors if isinstance(e, Prod) else e.terms
-    return max((max_variable_index(c) for c in children), default=0)
+    return _variables(e, {})[0]
 
 
 def uses_time(e: Expr) -> bool:
     """True when the distinguished time symbol occurs in the tree."""
+    return _variables(e, {})[1]
+
+
+def _variables(e: Expr, memo: dict) -> tuple[int, bool]:
+    """(largest spatial variable index, whether time occurs) of ``e``.
+    ``memo`` holds the answer for every compound node seen, so a shared
+    subtree is walked once however many copies of it there are."""
     if isinstance(e, Var):
-        return e.index == TIME_INDEX
+        return e.index, e.index == TIME_INDEX
     if isinstance(e, Const):
-        return False
+        return 0, False
+    out = memo.get(e)
+    if out is not None:
+        return out
     if isinstance(e, Func):
-        return uses_time(e.arg)
-    if isinstance(e, Pow):
-        return uses_time(e.base)
-    children = e.factors if isinstance(e, Prod) else e.terms
-    return any(uses_time(c) for c in children)
+        out = _variables(e.arg, memo)
+    elif isinstance(e, Pow):
+        out = _variables(e.base, memo)
+    else:
+        index, time = 0, False
+        for child in e.factors if isinstance(e, Prod) else e.terms:
+            i, t = _variables(child, memo)
+            index, time = max(index, i), time or t
+        out = index, time
+    memo[e] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -682,8 +703,9 @@ def sampled_deviation(a: Expr, b: Expr, plan: SamplePlan = DEFAULT_PLAN) -> floa
     subtree of either side once.  If that raises, the same points are
     drawn again and evaluated one at a time through ``evaluate``, with
     redraws; when nothing fails both ways give the same floats."""
-    n_vars = max(1, max_variable_index(a), max_variable_index(b))
-    with_time = uses_time(a) or uses_time(b)
+    walked: dict = {}
+    (index_a, time_a), (index_b, time_b) = _variables(a, walked), _variables(b, walked)
+    n_vars, with_time = max(1, index_a, index_b), time_a or time_b
     xs, ts = zip(*islice(_draws(plan, n_vars, with_time), plan.points_per_check))
     memo: dict = {}
     try:

@@ -15,14 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import Const, ZERO, eprod
+from .poly import Poly, Ring, add, scale
 from .series import (
     ProblemSpec,
+    Rows,
     TimeSeriesVec,
-    apply_operator,
+    apply_rows,
     forcing_coefficients,
-    series_scale_matrix,
-    vec_add,
+    forcing_rows,
+    problem_ring,
+    rows_series,
+    scale_rows,
+    series_rows,
 )
 
 
@@ -40,14 +44,33 @@ class HpmExpansion:
     working_order: int
 
 
-def _double_time_integral(source: list, m: int, order: int) -> TimeSeriesVec:
+def _double_time_integral(source: Rows, m: int, order: int) -> Rows:
     """Map degree-k coefficients to degree k+2 divided by (k+1)(k+2);
     integration constants are zero, degrees beyond the order are cut."""
-    rows = [(ZERO,) * m, (ZERO,) * m]
+    rows: Rows = [[{}] * m, [{}] * m]
     for k in range(order - 1):
-        q = Const(Fraction(1, (k + 1) * (k + 2)))
-        rows.append(tuple(eprod([q, c]) for c in source[k]))
-    return TimeSeriesVec(m, order, tuple(rows))
+        q = Fraction(1, (k + 1) * (k + 2))
+        rows.append([scale(c, q) for c in source[k]])
+    return rows
+
+
+def hpm_rows(p: ProblemSpec, corrections: int, working: int) -> list[Rows]:
+    """Corrections u^(0)..u^(corrections) to degree ``working``, on
+    polynomials of ``problem_ring(p)``."""
+    ring = problem_ring(p)
+    f = forcing_rows(p, working)
+    zero = [{}] * p.m
+    first = [list(map(ring.from_tree, p.u0)), list(map(ring.from_tree, p.u1))]
+    out = [first + [zero] * (working - 1)]
+    for j in range(1, corrections + 1):
+        source = []
+        for k, row in enumerate(out[-1]):
+            s = apply_rows(ring, p.L, row)
+            if j == 1:
+                s = [add(a, b) for a, b in zip(s, f[k])]
+            source.append(scale_rows(p.rho_inv, s))
+        out.append(_double_time_integral(source, p.m, working))
+    return out
 
 
 def solve_hpm(
@@ -70,10 +93,10 @@ def solve_hpm(
         # the working order needs beyond the finalized window.  The probe
         # expands to the largest working order possible, 2(2J+1), so the
         # forcing is expanded once; the call below reads a prefix.
-        probe = forcing_coefficients(p, 2 * final_degree)[: final_degree + 1]
+        forcing_coefficients(p, 2 * final_degree)
+        probe = forcing_rows(p, final_degree)
         forcing_degree = max(
-            (j for j, vec in enumerate(probe) if any(c != ZERO for c in vec)),
-            default=0,
+            (j for j, vec in enumerate(probe) if any(vec)), default=0
         )
         working = final_degree + forcing_degree
     elif order < final_degree:
@@ -82,19 +105,25 @@ def solve_hpm(
         )
     else:
         working = order
-    f = forcing_coefficients(p, working)
+    ring = problem_ring(p)
+    expansion = HpmExpansion(tuple(
+        rows_series(ring, rows) for rows in hpm_rows(p, corrections, working)
+    ), corrections, working)
+    object.__setattr__(expansion, "_ring", ring)
+    return expansion
 
-    out = [TimeSeriesVec.from_initial(p.u0, p.u1, working)]
-    for j in range(1, corrections + 1):
-        prev = out[-1]
-        source = []
-        for k in range(working + 1):
-            s = apply_operator(p.L, prev.coefficient(k))
-            if j == 1:
-                s = vec_add(s, f[k])
-            source.append(series_scale_matrix(p.rho_inv, s))
-        out.append(_double_time_integral(source, p.m, working))
-    return HpmExpansion(tuple(out), corrections, working)
+
+def sum_rows(corrections: list[Rows], trunc: int) -> Rows:
+    """Degree-wise sum of the corrections through degree ``trunc``."""
+    m = len(corrections[0][0])
+    total = []
+    for k in range(trunc + 1):
+        row: list[Poly] = [{}] * m
+        for rows in corrections:
+            if k < len(rows):
+                row = [add(a, b) for a, b in zip(row, rows[k])]
+        total.append(row)
+    return total
 
 
 def partial_sum(h: HpmExpansion, trunc: int) -> TimeSeriesVec:
@@ -102,7 +131,6 @@ def partial_sum(h: HpmExpansion, trunc: int) -> TimeSeriesVec:
     0..trunc."""
     if trunc < 0:
         raise ValueError("truncation degree must be nonnegative")
-    total = TimeSeriesVec.zero(h.corrections[0].m, trunc)
-    for correction in h.corrections:
-        total = total.plus(correction.truncated(trunc))
-    return total
+    ring = getattr(h, "_ring", None) or Ring()
+    corrections = [series_rows(ring, c) for c in h.corrections]
+    return rows_series(ring, sum_rows(corrections, trunc))

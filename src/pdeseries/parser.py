@@ -440,7 +440,10 @@ def _negated(term: Expr) -> Expr | None:
         and isinstance(term.factors[0], Const)
         and term.factors[0].value < 0
     ):
-        return normalize(Prod((MINUS_ONE, term)))
+        value, rest = -term.factors[0].value, term.factors[1:]
+        if value != 1:
+            return Prod((Const(value), *rest))
+        return rest[0] if len(rest) == 1 else Prod(rest)
     return None
 
 

@@ -31,7 +31,6 @@ from .expr import (
     TIME_INDEX,
     Var,
     ZERO,
-    _diff,
     differentiate,
     eprod,
     esum,
@@ -40,6 +39,7 @@ from .expr import (
     too_large_power,
     uses_time,
 )
+from .poly import Poly, Ring, add, mul, scale
 
 ExprVec = tuple[Expr, ...]
 
@@ -156,31 +156,35 @@ class SpatialOperator:
 
 
 def apply_operator(op: SpatialOperator, vec: Sequence[Expr]) -> ExprVec:
-    """Apply the operator to a vector of time-free expressions.
-
-    Each component is normalized once, and every derivative step of
-    every term shares one memo, so a partial derivative that several
-    terms need (the d/dx1 of u under both d2/dx1^2 and d/dx1) and a
-    subtree repeated within a component are differentiated once.  Steps
-    run in the order x1 first, then x2, and so on: mixed partials taken
-    in another order may print differently."""
+    """Apply the operator to a vector of time-free expressions; the
+    results are distributed polynomials (see ``apply_rows``)."""
     if len(vec) != op.m:
         raise DimensionMismatch(f"vector length {len(vec)} != {op.m}")
-    used = dict.fromkeys(term.col for term in op.terms)
-    columns = {col: normalize(vec[col]) for col in used}
-    memo: dict = {}
-    rows: list[list[Expr]] = [[] for _ in range(op.m)]
+    ring = Ring()
+    return tuple(map(ring.to_tree, apply_rows(ring, op, list(map(ring.from_tree, vec)))))
+
+
+def apply_rows(ring: Ring, op: SpatialOperator, vec: Sequence[Poly]) -> list[Poly]:
+    """Apply the operator to a vector of polynomials of ``ring``.
+
+    A partial derivative that several terms need (the d/dx1 of u under
+    both d2/dx1^2 and d/dx1) is taken once per call, and the ring takes
+    the derivative of each atom once per variable."""
+    partials: dict[tuple, Poly] = {}
+    rows: list[Poly] = [{} for _ in range(op.m)]
     for term in op.terms:
-        d = columns[term.col]
+        key: tuple = (term.col,)
+        d = vec[term.col]
         for variable, order in enumerate(term.orders, start=1):
             for _ in range(order):
-                d = _diff(d, variable, memo)
-            if d == ZERO:
-                break
-        if d == ZERO:
-            continue
-        rows[term.row].append(eprod([term.coeff, d]))
-    return tuple(esum(parts) for parts in rows)
+                key += (variable,)
+                got = partials.get(key)
+                if got is None:
+                    got = partials[key] = ring.diff(d, variable)
+                d = got
+        if d:
+            rows[term.row] = add(rows[term.row], mul(ring.from_tree(term.coeff), d))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -393,33 +397,30 @@ def vec_add(a: Sequence[Expr], b: Sequence[Expr]) -> ExprVec:
     return tuple(esum([x, y]) for x, y in zip(a, b))
 
 
-def vec_sub(a: Sequence[Expr], b: Sequence[Expr]) -> ExprVec:
-    if len(a) != len(b):
-        raise DimensionMismatch(f"vector lengths differ: {len(a)} vs {len(b)}")
-    return tuple(esum([x, eprod([Const(Fraction(-1)), y])]) for x, y in zip(a, b))
-
-
 def vec_scale(v: Sequence[Expr], factor: Fraction) -> ExprVec:
     c = Const(Fraction(factor))
     return tuple(eprod([c, x]) for x in v)
 
 
 def series_scale_matrix(matrix: RationalMatrix, v: Sequence[Expr]) -> ExprVec:
-    """Exact matrix-vector product with rational scalars distributed
-    into the expressions."""
-    m = matrix.size
-    if len(v) != m:
-        raise DimensionMismatch(f"vector length {len(v)} != {m}")
+    """Exact matrix-vector product; the results are distributed
+    polynomials."""
+    if len(v) != matrix.size:
+        raise DimensionMismatch(f"vector length {len(v)} != {matrix.size}")
+    ring = Ring()
+    return tuple(map(ring.to_tree, scale_rows(matrix, list(map(ring.from_tree, v)))))
+
+
+def scale_rows(matrix: RationalMatrix, v: Sequence[Poly]) -> list[Poly]:
+    """Exact matrix-vector product on polynomials."""
     out = []
-    for r in range(m):
-        parts = []
-        for c in range(m):
-            q = matrix.entries[r][c]
-            if q == 0:
-                continue
-            parts.append(eprod([Const(q), v[c]]))
-        out.append(esum(parts))
-    return tuple(out)
+    for row in matrix.entries:
+        total: Poly = {}
+        for q, p in zip(row, v):
+            if q:
+                total = add(total, scale(p, q))
+        out.append(total)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +497,21 @@ class TimeSeriesVec:
         return TimeSeriesVec(self.m, self.order - 2, rows)
 
 
+Rows = list[list[Poly]]  # degree -> component -> polynomial
+
+
+def series_rows(ring: Ring, s: TimeSeriesVec) -> Rows:
+    """The coefficients of ``s`` as polynomials of ``ring``."""
+    return [list(map(ring.from_tree, row)) for row in s.coeffs]
+
+
+def rows_series(ring: Ring, rows: Rows) -> TimeSeriesVec:
+    """The series whose coefficients are the trees of ``rows``."""
+    return TimeSeriesVec(len(rows[0]), len(rows) - 1, tuple(
+        tuple(map(ring.to_tree, row)) for row in rows
+    ))
+
+
 # ---------------------------------------------------------------------------
 # Complete problem description
 # ---------------------------------------------------------------------------
@@ -554,28 +570,38 @@ class ProblemSpec:
 
     def with_order(self, order: int) -> "ProblemSpec":
         """The same problem truncated at another order; it shares this
-        problem's forcing expansion."""
+        problem's forcing expansion and polynomial ring."""
         if order < 1:
             raise ValueError("truncation order must be at least 1")
         other = dataclasses.replace(self, order=order)
-        object.__setattr__(other, "_forcing", _forcing_cache(self))
+        for name in _HIDDEN:
+            object.__setattr__(other, name, _hidden(self, name))
         return other
 
     def __getstate__(self) -> dict:
-        # pickles and copies carry the problem, not its forcing expansion
-        return {k: v for k, v in self.__dict__.items() if k != "_forcing"}
+        # pickles and copies carry the problem, not its caches
+        return {k: v for k, v in self.__dict__.items() if k not in _HIDDEN}
 
 
-def _forcing_cache(p: ProblemSpec) -> list:
-    """One-slot cache of the forcing expansion of ``p``: per component,
-    the coefficients up to the largest order asked for.  It is an
-    attribute, not a field, so equality, hashing and repr ignore it."""
+# Per-problem caches, kept as attributes rather than fields so that
+# equality, hashing and repr ignore them: the forcing expansion per
+# component and its polynomials per degree, and the ring both engines
+# compute in.
+_HIDDEN = {"_forcing": lambda: [None, []], "_ring": Ring}
+
+
+def _hidden(p: ProblemSpec, name: str):
     try:
-        return p._forcing
+        return getattr(p, name)
     except AttributeError:
-        cache = [None]
-        object.__setattr__(p, "_forcing", cache)
-        return cache
+        value = _HIDDEN[name]()
+        object.__setattr__(p, name, value)
+        return value
+
+
+def problem_ring(p: ProblemSpec) -> Ring:
+    """The polynomial ring of ``p``, made on first use."""
+    return _hidden(p, "_ring")
 
 
 def forcing_coefficients(p: ProblemSpec, order: int) -> list[ExprVec]:
@@ -586,7 +612,7 @@ def forcing_coefficients(p: ProblemSpec, order: int) -> list[ExprVec]:
     problem: coefficients do not depend on the order they were expanded
     to, so a later call with an order no larger reads a prefix of the
     stored ones, and only a larger order expands again."""
-    cache = _forcing_cache(p)
+    cache = _hidden(p, "_forcing")
     per_component = cache[0]
     if per_component is None or len(per_component[0]) <= order:
         per_component = cache[0] = tuple(expand_in_time(c, order) for c in p.f_source)
@@ -594,3 +620,13 @@ def forcing_coefficients(p: ProblemSpec, order: int) -> list[ExprVec]:
         tuple(coeffs[j] for coeffs in per_component)
         for j in range(order + 1)
     ]
+
+
+def forcing_rows(p: ProblemSpec, order: int) -> Rows:
+    """``forcing_coefficients`` as polynomials of ``problem_ring(p)``;
+    each degree is converted once per problem."""
+    ring, rows = problem_ring(p), _hidden(p, "_forcing")[1]
+    if len(rows) <= order:
+        trees = forcing_coefficients(p, order)
+        rows.extend([ring.from_tree(c) for c in vec] for vec in trees[len(rows):])
+    return rows[: order + 1]

@@ -10,14 +10,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import DEFAULT_PLAN, SamplePlan, ZERO, equal_sampled
+from .expr import DEFAULT_PLAN, SamplePlan
+from .poly import add
 from .series import (
     ProblemSpec,
+    Rows,
     TimeSeriesVec,
-    apply_operator,
-    forcing_coefficients,
-    series_scale_matrix,
-    vec_add,
+    apply_rows,
+    forcing_rows,
+    problem_ring,
+    rows_series,
+    scale_rows,
+    series_rows,
 )
 
 
@@ -32,15 +36,21 @@ class TaylorSolution:
     exact_reason: str | None
 
 
+def taylor_rows(p: ProblemSpec) -> Rows:
+    """The recursion up to the problem's truncation order, on
+    polynomials of ``problem_ring(p)``."""
+    ring = problem_ring(p)
+    f = forcing_rows(p, p.order)
+    rows = [list(map(ring.from_tree, p.u0)), list(map(ring.from_tree, p.u1))]
+    for j in range(p.order - 1):
+        w = [add(a, b) for a, b in zip(apply_rows(ring, p.L, rows[j]), f[j])]
+        rows.append(scale_rows(p.rho_inv.scaled(Fraction(1, (j + 1) * (j + 2))), w))
+    return rows
+
+
 def taylor_coefficients(p: ProblemSpec) -> TimeSeriesVec:
     """Run the recursion up to the problem's truncation order."""
-    f = forcing_coefficients(p, p.order)
-    coeffs = [p.u0, p.u1]
-    for j in range(p.order - 1):
-        w = vec_add(apply_operator(p.L, coeffs[j]), f[j])
-        scale = Fraction(1, (j + 1) * (j + 2))
-        coeffs.append(series_scale_matrix(p.rho_inv.scaled(scale), w))
-    return TimeSeriesVec(p.m, p.order, tuple(coeffs))
+    return rows_series(problem_ring(p), taylor_rows(p))
 
 
 def solve_taylor(p: ProblemSpec, plan: SamplePlan = DEFAULT_PLAN) -> TaylorSolution:
@@ -58,23 +68,24 @@ def detect_exact(
     higher forcing coefficient vanishes, so by induction the solution
     collapses to t*u1 (u1 itself nonzero, otherwise the verdict would
     be vacuous).  "tail-zero": every computed coefficient of degree 2
-    and up vanishes.  All checks use sampled equality.
+    and up vanishes.  A coefficient vanishes when its polynomial is
+    zero, or else when it samples equal to zero.
     """
-    f = forcing_coefficients(p, sol.order)
+    ring = problem_ring(p)
+    f = forcing_rows(p, sol.order)
 
     def vanishes(vec) -> bool:
-        return all(equal_sampled(c, ZERO, plan) for c in vec)
+        return all(ring.deviation(c, {}, plan) <= plan.tolerance for c in vec)
 
+    u1 = list(map(ring.from_tree, p.u1))
     linear = (
-        vanishes(p.u0)
+        vanishes(map(ring.from_tree, p.u0))
         and vanishes(f[0])
-        and vanishes(vec_add(apply_operator(p.L, p.u1), f[1]))
+        and vanishes([add(a, b) for a, b in zip(apply_rows(ring, p.L, u1), f[1])])
         and all(vanishes(f[j]) for j in range(2, sol.order + 1))
     )
-    if linear and not vanishes(p.u1):
+    if linear and not vanishes(u1):
         return True, "linear-exact"
-    if sol.order >= 2 and all(
-        vanishes(sol.coefficient(j)) for j in range(2, sol.order + 1)
-    ):
+    if sol.order >= 2 and all(vanishes(row) for row in series_rows(ring, sol)[2:]):
         return True, "tail-zero"
     return False, None

@@ -6,18 +6,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import DEFAULT_PLAN, SamplePlan, ZERO, sampled_deviation
-from .hpm import partial_sum, solve_hpm
+from .expr import DEFAULT_PLAN, SamplePlan
+from .hpm import hpm_rows, sum_rows
+from .poly import add, scale, sub
 from .series import (
     ProblemSpec,
     TimeSeriesVec,
-    apply_operator,
-    forcing_coefficients,
-    series_scale_matrix,
-    vec_add,
-    vec_sub,
+    apply_rows,
+    forcing_rows,
+    problem_ring,
+    scale_rows,
+    series_rows,
 )
-from .taylor import taylor_coefficients
+from .taylor import taylor_rows
 
 
 @dataclass(frozen=True)
@@ -81,18 +82,20 @@ def residual_check(
     p: ProblemSpec, sol: TimeSeriesVec, plan: SamplePlan = DEFAULT_PLAN
 ) -> ResidualReport:
     """Verify that the series satisfies the equation to its information
-    content: residual coefficients of degree 0..order-2 must vanish."""
+    content: residual coefficients of degree 0..order-2 must vanish.  A
+    residual whose polynomial is zero has deviation 0.0 exactly; any
+    other is sampled."""
     if sol.order < 2:
         raise ValueError("residual check needs a series of order >= 2")
-    f = forcing_coefficients(p, sol.order)
-    second = sol.second_time_derivative()
+    ring = problem_ring(p)
+    f = forcing_rows(p, sol.order)
+    rows = series_rows(ring, sol)
     checks = []
     for k in range(sol.order - 1):
-        residual = vec_sub(
-            series_scale_matrix(p.rho, second.coefficient(k)),
-            vec_add(apply_operator(p.L, sol.coefficient(k)), f[k]),
-        )
-        deviation = max(sampled_deviation(c, ZERO, plan) for c in residual)
+        second = [scale(c, (k + 1) * (k + 2)) for c in rows[k + 2]]
+        lhs = scale_rows(p.rho, second)
+        rhs = [add(a, b) for a, b in zip(apply_rows(ring, p.L, rows[k]), f[k])]
+        deviation = max(ring.deviation(sub(a, b), {}, plan) for a, b in zip(lhs, rhs))
         checks.append(DegreeCheck(k, deviation <= plan.tolerance, deviation))
     return ResidualReport(tuple(checks), all(c.passed for c in checks))
 
@@ -103,6 +106,8 @@ def equivalence_check(
     """Compare the direct series against the summed corrections,
     coefficient by coefficient, for every degree up to 2J+1.  The
     corrections are built only through degree 2J+1, the degrees read.
+    Coefficients whose polynomials are equal agree exactly; any other
+    pair is sampled.
 
     The comparison is per degree on purpose: evaluating the summed
     series at points could let cancellation between degrees mask a
@@ -110,15 +115,13 @@ def equivalence_check(
     if corrections < 1:
         raise ValueError("need at least one correction to compare engines")
     final_degree = 2 * corrections + 1
-    direct = taylor_coefficients(p.with_order(final_degree))
-    summed = partial_sum(
-        solve_hpm(p, corrections, order=final_degree), final_degree
-    )
+    ring = problem_ring(p)
+    direct = taylor_rows(p.with_order(final_degree))
+    summed = sum_rows(hpm_rows(p, corrections, final_degree), final_degree)
     checks = []
     for d in range(final_degree + 1):
         deviation = max(
-            sampled_deviation(a, b, plan)
-            for a, b in zip(direct.coefficient(d), summed.coefficient(d))
+            ring.deviation(a, b, plan) for a, b in zip(direct[d], summed[d])
         )
         checks.append(DegreeCheck(d, deviation <= plan.tolerance, deviation))
     return EquivalenceReport(corrections, tuple(checks), all(c.passed for c in checks))

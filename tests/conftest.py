@@ -20,6 +20,9 @@ from pdeseries.expr import (
     TIME_INDEX,
     Var,
     ZERO,
+    differentiate,
+    eprod,
+    esum,
     normalize,
     sampled_deviation,
 )
@@ -180,6 +183,27 @@ def random_problem(seed: int) -> tuple[ProblemSpec, int]:
         m, n, rho, operator, f, u0, u1, order=2 * corrections + 1
     )
     return problem, corrections
+
+
+# ---------------------------------------------------------------------------
+# Tree-built reference of the operator
+# ---------------------------------------------------------------------------
+
+def apply_by_differentiate(op, vec):
+    """Operator application on trees, as first written: each term
+    normalizes its column and takes every step through ``differentiate``."""
+    rows = [[] for _ in range(op.m)]
+    for term in op.terms:
+        d = normalize(vec[term.col])
+        for variable, order in enumerate(term.orders, start=1):
+            for _ in range(order):
+                d = differentiate(d, variable)
+            if d == ZERO:
+                break
+        if d == ZERO:
+            continue
+        rows[term.row].append(eprod([term.coeff, d]))
+    return tuple(esum(parts) for parts in rows)
 
 
 # ---------------------------------------------------------------------------

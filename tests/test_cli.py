@@ -1,6 +1,7 @@
 """Command line behavior: outputs, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -103,6 +104,17 @@ class TestResidual:
 
 
 class TestExpand:
+    @pytest.mark.parametrize("text,order,sha1", [
+        ("exp(t)*sin(x1+t)*cos(x2)", "18", "8a1fdcdec9e536c17e877f1c0aca1888f63c926d"),
+        ("exp(sin(x1*t))*tanh(t+x2)", "12", "441d2c1f3b5c0ce69aa3d257659656adcc2a389f"),
+        ("sinh(x1+t^2)*exp(-t*x2)", "14", "451f93bc4158b074eb76f72707e2902c47cf5238"),
+        ("cosh(x1*t)*sin(t^2+x2)*exp(t)", "10", "f070d8febfdae5c280c94573bd431a86dc827d2f"),
+    ])
+    def test_benchmark_expansions_print_the_same_bytes(self, capsys, text, order, sha1):
+        code, out, _ = run(capsys, "expand", "--expr", text, "--order", order)
+        assert code == 0
+        assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
     def test_golden_expansion(self, capsys):
         code, out, _ = run(capsys, "expand", "--expr", "x1^2*exp(t)", "--order", "3")
         assert code == 0

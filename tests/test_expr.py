@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import PLAN, random_normal_expr, random_numeric_expr, random_raw_expr
 from pdeseries import expr
-from pdeseries.errors import DomainError, SamplingExhausted
+from pdeseries.errors import DomainError, ParseError, SamplingExhausted
 from pdeseries.expr import (
     Const,
     Func,
@@ -361,6 +361,23 @@ class TestNormalize:
         with pytest.raises(DomainError):
             normalize(Pow(const(10), 4300))  # 4301 digits
 
+    def test_many_large_constant_factors_fail_early(self, monkeypatch):
+        # the running product never holds many more digits than the limit
+        # allows, so the refusal costs linear, not quadratic, time
+        seen = []
+        original = expr.too_large_power
+
+        def recording(q, k):
+            seen.append(max(abs(Fraction(q).numerator), Fraction(q).denominator).bit_length())
+            return original(q, k)
+
+        monkeypatch.setattr(expr, "too_large_power", recording)
+        src = "*".join(["(2^14000*x2)"] * 3000)
+        with pytest.raises(ParseError) as err:
+            parse_expr(src, 3)
+        assert err.value.offset == 13
+        assert seen and max(seen) <= 2 * 14001
+
     @given(st.integers(min_value=0, max_value=10**6))
     def test_idempotent_and_invariants(self, seed):
         rng = random.Random(seed)
@@ -548,6 +565,27 @@ class TestOracleParity:
         assert sampled_deviation(a, b, plan) == 0.0
         distinct_sin_subtrees = 2  # sin(x1) and sin(x1 + x2)
         assert 0 < len(calls) <= plan.points_per_check * distinct_sin_subtrees
+
+    def test_structure_is_walked_once_per_distinct_subtree(self, monkeypatch):
+        calls = []
+        original = expr._variables
+
+        def counting(e, memo):
+            calls.append(e)
+            return original(e, memo)
+
+        monkeypatch.setattr(expr, "_variables", counting)
+        shared = Var(2)
+        for _ in range(12):
+            shared = Func("sin", Sum((shared, Prod((Var(1), shared)))))
+        walks = {}
+        for k in (1, 4, 16):
+            calls.clear()
+            sampled_deviation(Sum((Var(0),) + (shared,) * k), Sum((shared,) * k), PLAN)
+            walks[k] = len(calls)
+        # each further copy costs one memo hit, not a walk of 2^12 copies
+        assert walks[4] - walks[1] == 2 * 3 and walks[16] - walks[1] == 2 * 15
+        assert walks[1] < 100
 
 
 class TestSamplePlan:

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_normal_expr
 from pdeseries.errors import (
@@ -25,8 +27,9 @@ from pdeseries.expr import (
     TIME_INDEX,
     Var,
     const,
+    normalize,
 )
-from pdeseries.parser import MAX_NESTING, parse_expr, parse_problem, print_expr
+from pdeseries.parser import MAX_NESTING, _negated, parse_expr, parse_problem, print_expr
 
 
 class TestGrammar:
@@ -266,6 +269,18 @@ class TestPrinting:
             again = parse_expr(text, 2, allow_time=True)
             assert again == e, f"round trip changed {text!r}"
             assert hash(again) == hash(e)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_negated_terms_match_normalizing_the_negation(self, seed):
+        e = random_normal_expr(random.Random(seed), depth=4, allow_time=True)
+        for term in (e.terms if isinstance(e, Sum) else (e,)):
+            want = None
+            negative = isinstance(term, Const) and term.value < 0
+            if isinstance(term, Prod) and isinstance(term.factors[0], Const):
+                negative = term.factors[0].value < 0
+            if negative:
+                want = normalize(Prod((Const(Fraction(-1)), term)))
+            assert _negated(term) == want
 
 
 def _base_doc():

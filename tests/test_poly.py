@@ -1,0 +1,239 @@
+"""Sparse distributed polynomials: ring laws, tree conversions,
+derivatives, and both engines against values built on trees."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from conftest import (
+    PLAN,
+    apply_by_differentiate,
+    random_normal_expr,
+    random_problem,
+    random_raw_expr,
+)
+from pdeseries import poly
+from pdeseries.cli import main
+from pdeseries.errors import DomainError, SamplingExhausted
+from pdeseries.expr import (
+    Const,
+    Pow,
+    Prod,
+    Sum,
+    Var,
+    differentiate,
+    eprod,
+    esum,
+    normalize,
+    sampled_deviation,
+)
+from pdeseries.hpm import partial_sum, solve_hpm
+from pdeseries.parser import parse_expr, parse_problem
+from pdeseries.poly import ONE, Ring, add, mul, scale, sub
+from pdeseries.series import forcing_coefficients, problem_ring
+from pdeseries.taylor import taylor_coefficients
+from pdeseries.verify import equivalence_check
+
+SEEDS = st.integers(min_value=0, max_value=10**6)
+
+HEAVY = """{"m": 2, "n": 2, "rho": [["2","1"],["1","1"]],
+ "L": [{"row":0,"col":0,"coeff":"1+x1^2","derivs":[2,0]},
+       {"row":0,"col":1,"coeff":"x2","derivs":[0,1]},
+       {"row":1,"col":0,"coeff":"sin(x1)","derivs":[1,0]},
+       {"row":1,"col":1,"coeff":"1","derivs":[0,2]}],
+ "f": ["exp(t)*sin(x1+t)*cos(x2)", "t^2*x1"],
+ "u0": ["sin(x1)*exp(x2)", "x1^2"], "u1": ["cos(x2)", "0"], "order": 8}"""
+
+
+def _random_polys(seed: int, count: int):
+    """``count`` polynomials of one ring, with functions, ln and
+    negative powers of sums."""
+    rng = random.Random(seed)
+    ring = Ring()
+    out = []
+    for _ in range(count):
+        try:
+            out.append(ring.from_tree(random_normal_expr(rng, depth=3, n_vars=2)))
+        except DomainError:
+            assume(False)
+    return ring, out
+
+
+def _close(a, b) -> bool:
+    try:
+        return sampled_deviation(a, b, PLAN) <= PLAN.tolerance
+    except SamplingExhausted:
+        return True  # ln of a negative value at every point drawn, both sides
+
+
+class TestRingLaws:
+    @given(SEEDS)
+    def test_addition(self, seed):
+        _, (a, b, c) = _random_polys(seed, 3)
+        assert add(a, b) == add(b, a)
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert add(a, {}) == a and sub(a, a) == {}
+        assert sub(add(a, b), b) == a
+
+    @given(SEEDS)
+    def test_multiplication(self, seed):
+        _, (a, b, c) = _random_polys(seed, 3)
+        assert mul(a, b) == mul(b, a)
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert mul(a, ONE) == a and mul(a, {}) == {}
+
+    @given(SEEDS)
+    def test_scaling(self, seed):
+        _, (a,) = _random_polys(seed, 1)
+        q, r = Fraction(-3, 7), Fraction(5, 2)
+        assert scale(scale(a, q), r) == scale(a, q * r)
+        assert scale(a, 0) == {} and scale(a, 1) == a
+        assert mul(a, {(): q}) == scale(a, q)
+
+    def test_negative_exponents_cancel_to_a_canonical_key(self):
+        ring = Ring()
+        x = ring.from_tree(Var(1))
+        inverse = ring.from_tree(Pow(Var(1), -1))
+        assert mul(x, inverse) == ONE and list(mul(x, inverse)) == [()]
+        s = ring.from_tree(parse_expr("1 + x1", 1))
+        s_inv = ring.from_tree(parse_expr("(2 + 2*x1)^(-1)", 1))
+        assert mul(s_inv, s_inv) == scale(ring.power(s, -2), Fraction(1, 4))
+        assert mul(s_inv, s_inv) == ring.from_tree(parse_expr("1/4*(1 + x1)^(-2)", 1))
+
+
+class TestConversions:
+    @given(SEEDS)
+    def test_to_tree_then_from_tree_is_the_identity(self, seed):
+        ring, polys = _random_polys(seed, 2)
+        for p in (*polys, mul(*polys)):
+            tree = ring.to_tree(p)
+            ring.known.clear()
+            assert ring.from_tree(tree) == p
+            assert normalize(tree) == tree
+            assert tree == esum(
+                eprod([Const(c), *(Pow(ring.trees[i], e) for i, e in enumerate(m) if e)])
+                for m, c in p.items()
+            )
+
+    @given(SEEDS)
+    def test_from_tree_then_to_tree_keeps_the_value(self, seed):
+        e = random_raw_expr(random.Random(seed), depth=3, n_vars=2, allow_time=True)
+        ring = Ring()
+        try:
+            want = normalize(e)
+        except DomainError:
+            with pytest.raises(DomainError):
+                ring.from_tree(e)
+            return
+        assert _close(ring.to_tree(ring.from_tree(e)), want)
+
+    def test_zero_to_a_negative_power_is_refused(self):
+        # the tree form keeps x1*(1 + x1) - x1 - x1^2 whole; the sum is zero
+        e = parse_expr("(x1*(1 + x1) - x1 - x1^2)^(-1)", 1)
+        with pytest.raises(DomainError):
+            Ring().from_tree(e)
+
+    def test_large_powers_of_sums_stay_one_atom(self):
+        ring = Ring()
+        p = ring.from_tree(parse_expr("(1 + x1)^99999999", 1))
+        assert len(p) == 1 and len(ring.from_tree(parse_expr("(1 + x1)^3", 1))) == 4
+        d = ring.diff(p, 1)
+        assert ring.to_tree(d) == parse_expr("99999999*(1 + x1)^99999998", 1)
+
+    def test_positive_powers_of_sums_are_multiplied_out(self):
+        # (x1 * (1 + x1)^-1)^-2 = x1^-2 * (1 + x1)^2, with the square expanded
+        ring = Ring()
+        s_inv = Pow(Sum((Const(Fraction(1)), Var(1))), -1)
+        raw = Pow(Prod((Var(1), s_inv)), -2)
+        assert ring.from_tree(raw) == ring.from_tree(normalize(raw))
+        assert ring.to_tree(ring.from_tree(raw)) == parse_expr("1 + 2*x1^(-1) + x1^(-2)", 1)
+
+    def test_special_values_fold(self):
+        ring = Ring()
+        assert ring.from_tree(parse_expr("sin(x1 - x1) + cos(0) + ln(1)", 1)) == ONE
+        e = parse_expr("sin(x1*(1 + x1) - x1 - x1^2)", 1)
+        assert ring.from_tree(e) == {}
+
+
+class TestDerivatives:
+    @given(SEEDS, st.sampled_from((1, 2)))
+    def test_same_values_as_differentiate(self, seed, v):
+        rng = random.Random(seed)
+        e = random_normal_expr(rng, depth=3, n_vars=2)
+        ring = Ring()
+        try:
+            p = ring.from_tree(e)
+        except DomainError:
+            assume(False)
+        assert _close(ring.to_tree(ring.diff(p, v)), differentiate(e, v))
+
+    @given(SEEDS)
+    def test_derivation_rules(self, seed):
+        ring, (a, b) = _random_polys(seed, 2)
+        assert ring.diff(mul(a, b), 1) == add(mul(ring.diff(a, 1), b), mul(a, ring.diff(b, 1)))
+        assert ring.diff(ring.diff(a, 1), 2) == ring.diff(ring.diff(a, 2), 1)
+
+    def test_each_atom_derivative_is_kept(self):
+        ring = Ring()
+        p = ring.from_tree(parse_expr("tanh(x1*x2)^3 + ln(1 + x1^2)*sin(x2)", 2))
+        ring.diff(p, 1)
+        kept = dict(ring.derivatives)
+        ring.diff(mul(p, p), 1)
+        assert {k: v for k, v in ring.derivatives.items() if k in kept} == kept
+        assert all(ring.derivatives[k] is kept[k] for k in kept)
+
+
+def _tree_taylor(p, order):
+    """The direct recursion on trees, with the tree-built operator."""
+    f = forcing_coefficients(p, order)
+    rows = [p.u0, p.u1]
+    for j in range(order - 1):
+        w = [esum([a, b]) for a, b in zip(apply_by_differentiate(p.L, rows[j]), f[j])]
+        q = Fraction(1, (j + 1) * (j + 2))
+        rows.append(tuple(
+            esum(eprod([Const(q * entry), c]) for entry, c in zip(row, w) if entry)
+            for row in p.rho_inv.entries
+        ))
+    return rows
+
+
+class TestEngineParity:
+    def test_both_engines_match_tree_values_on_random_problems(self):
+        for seed in range(2000, 2100):
+            p, corrections = random_problem(seed)
+            want = _tree_taylor(p, p.order)
+            direct = taylor_coefficients(p)
+            summed = partial_sum(solve_hpm(p, corrections), p.order)
+            for d in range(p.order + 1):
+                for a, b, c in zip(direct.coefficient(d), summed.coefficient(d), want[d]):
+                    assert _close(a, c) and _close(b, c), (seed, d)
+
+    def test_heavy_compare_is_decided_without_sampling(self, monkeypatch, capsys, tmp_path):
+        calls = []
+        original = poly.sampled_deviation
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(poly, "sampled_deviation", counted)
+        report = equivalence_check(parse_problem(HEAVY), 4, PLAN)
+        assert report.overall and len(report.per_degree) == 10
+        assert all(c.max_deviation == 0.0 for c in report.per_degree)
+        assert calls == []
+        path = tmp_path / "heavy.prob"
+        path.write_text(HEAVY)
+        assert main(["compare", str(path), "--corrections", "4"]) == 0
+        assert capsys.readouterr().out.endswith("overall: equivalent\n")
+        assert calls == []
+
+
+class TestRingScope:
+    def test_one_ring_per_problem_shared_by_its_orders(self):
+        p, q = parse_problem(HEAVY), parse_problem(HEAVY)
+        assert problem_ring(p) is not problem_ring(q)
+        assert problem_ring(p.with_order(3)) is problem_ring(p)

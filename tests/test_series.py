@@ -10,8 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import PLAN, problem_path, random_normal_expr, random_numeric_expr, random_raw_expr
-from pdeseries import expr, series
+from conftest import PLAN, apply_by_differentiate, problem_path, random_normal_expr, random_numeric_expr, random_raw_expr
+from pdeseries import series
 from pdeseries.cli import main
 from pdeseries.errors import (
     DimensionMismatch,
@@ -35,7 +35,6 @@ from pdeseries.expr import (
     differentiate,
     eprod,
     equal_sampled,
-    esum,
     evaluate,
     max_variable_index,
     normalize,
@@ -44,6 +43,8 @@ from pdeseries.expr import (
     uses_time,
 )
 from pdeseries.parser import load_problem, parse_expr, print_expr
+from pdeseries.poly import Ring
+from pdeseries.taylor import taylor_coefficients
 from pdeseries.series import (
     OperatorTerm,
     RationalMatrix,
@@ -142,23 +143,6 @@ class TestApplyOperator:
             apply_operator(_laplacian_2d(), (ZERO, ZERO))
 
 
-def _apply_by_differentiate(op, vec):
-    """Operator application as first written: each term normalizes its
-    column and takes every step through ``differentiate``."""
-    rows = [[] for _ in range(op.m)]
-    for term in op.terms:
-        d = normalize(vec[term.col])
-        for variable, order in enumerate(term.orders, start=1):
-            for _ in range(order):
-                d = differentiate(d, variable)
-            if d == ZERO:
-                break
-        if d == ZERO:
-            continue
-        rows[term.row].append(eprod([term.coeff, d]))
-    return tuple(esum(parts) for parts in rows)
-
-
 def _random_operator(rng, m, n):
     terms = []
     for _ in range(rng.randint(1, 4)):
@@ -169,46 +153,81 @@ def _random_operator(rng, m, n):
 
 
 class TestOperatorDifferentiatesOnce:
-    """One normalization per column and one memo per call give the trees
-    of the term-by-term chain of ``differentiate`` calls."""
+    """On distributed polynomials the operator gives the values of the
+    term-by-term chain of ``differentiate`` calls, and derives each atom
+    once per variable per call."""
 
     @given(st.integers(min_value=0, max_value=10**6))
-    def test_same_trees_as_a_chain_of_differentiate_calls(self, seed):
+    def test_same_values_as_a_chain_of_differentiate_calls(self, seed):
         rng = random.Random(seed)
         m, n = rng.choice((1, 2)), rng.choice((1, 2, 3))
         op = _random_operator(rng, m, n)
         vec = tuple(random_raw_expr(rng, depth=3, n_vars=n) for _ in range(m))
         try:
-            want = _apply_by_differentiate(op, vec)
+            want = apply_by_differentiate(op, vec)
         except DomainError:
             with pytest.raises(DomainError):
                 apply_operator(op, vec)
             return
-        assert apply_operator(op, vec) == want
+        got = apply_operator(op, vec)
+        for a, b in zip(got, want):
+            try:
+                deviation = sampled_deviation(a, b, PLAN)
+            except SamplingExhausted:
+                continue  # ln of a negative value at every point drawn
+            assert deviation <= PLAN.tolerance, (print_expr(a), print_expr(b))
 
-    def test_mixed_partials_in_the_order_x1_then_x2(self):
-        # the other order gives an equal value but another canonical tree
+    def test_mixed_partials_commute(self):
+        # distributed forms do not depend on the order of the steps
         op = SpatialOperator(1, 2, (OperatorTerm(0, 0, const(1), (1, 1)),))
         u = parse_expr("sin(x1*x2*exp(x1))", 2)
         got = apply_operator(op, (u,))[0]
-        assert got == differentiate(differentiate(u, 1), 2)
-        assert got != differentiate(differentiate(u, 2), 1)
+        ring = Ring()
+        p = ring.from_tree(u)
+        assert ring.diff(ring.diff(p, 1), 2) == ring.diff(ring.diff(p, 2), 1)
+        assert ring.from_tree(got) == ring.diff(ring.diff(p, 2), 1)
+        assert equal_sampled(got, differentiate(differentiate(u, 2), 1), PLAN)
         assert print_expr(got) == (
-            "-x1*exp(x1)*sin(x1*x2*exp(x1))*(x1*x2*exp(x1) + x2*exp(x1))"
-            " + cos(x1*x2*exp(x1))*(exp(x1) + x1*exp(x1))"
+            "-x1*x2*exp(x1)^2*sin(x1*x2*exp(x1)) + x1*exp(x1)*cos(x1*x2*exp(x1))"
+            " + exp(x1)*cos(x1*x2*exp(x1)) - x1^2*x2*exp(x1)^2*sin(x1*x2*exp(x1))"
         )
 
-    def test_each_subtree_is_differentiated_once_per_call(self, monkeypatch):
-        computed = []
-        original = expr._diff
+    def test_shared_partials_are_taken_once_per_call(self):
+        ring = Ring()
+        calls, depth = [], [0]
+        diff = ring.diff
 
-        def counting(node, v, memo):
-            if not isinstance(node, (Const, Var)) and (node, v) not in memo:
-                computed.append((node, v))
-            return original(node, v, memo)
+        def counting(p, v):
+            if not depth[0]:
+                calls.append(v)  # a step of the operator, not an atom's chain rule
+            depth[0] += 1
+            try:
+                return diff(p, v)
+            finally:
+                depth[0] -= 1
 
-        monkeypatch.setattr(expr, "_diff", counting)
-        monkeypatch.setattr(series, "_diff", counting)
+        ring.diff = counting
+        u = ring.from_tree(parse_expr("sin(x1*x2)*exp(x1) + x2^3", 2))
+        op = SpatialOperator(2, 2, (
+            OperatorTerm(0, 0, const(1), (2, 0)),
+            OperatorTerm(1, 0, const(1), (1, 0)),
+            OperatorTerm(1, 0, const(1), (1, 1)),
+            OperatorTerm(0, 1, const(1), (0, 2)),
+        ))
+        series.apply_rows(ring, op, [u, u])
+        # column 0: d/dx1, d2/dx1^2, d2/dx1dx2; column 1: d/dx2, d2/dx2^2
+        assert sorted(calls) == [1, 1, 2, 2, 2]
+
+    def test_each_atom_is_derived_once_per_variable_per_call(self, monkeypatch):
+        derived = []
+        original = Ring._atom_derivative
+
+        def counting(ring, i, v):
+            if (i, v) not in ring.derivatives:
+                derived.append((ring.trees[i], v))
+            return original(ring, i, v)
+
+        monkeypatch.setattr(Ring, "_atom_derivative", counting)
         u = parse_expr("sin(x1 + cos(x1*x2)^2*exp(x2^2 + x1)) + cos(x1*x2)^2", 2)
         op = SpatialOperator(2, 2, (
             OperatorTerm(0, 0, parse_expr("1 + x1^2", 2), (2, 0)),
@@ -216,12 +235,14 @@ class TestOperatorDifferentiatesOnce:
             OperatorTerm(1, 0, const(1), (1, 1)),
             OperatorTerm(0, 1, const(1), (0, 2)),
         ))
-        apply_operator(op, (u, u))
-        # d/dx1 of u serves three terms, and cos(x1*x2)^2 is differentiated
-        # once per variable although it occurs twice in u
-        assert len(computed) == len(set(computed))
-        assert {(u, 1), (u, 2)} <= set(computed)
-        assert (parse_expr("cos(x1*x2)^2", 2), 1) in computed
+        for _ in range(2):
+            derived.clear()
+            apply_operator(op, (u, u))
+            # d/dx1 of u serves three terms, and cos(x1*x2) is derived
+            # once per variable although it occurs in two atoms of u
+            assert len(derived) == len(set(derived))
+            cos = parse_expr("cos(x1*x2)", 2)
+            assert {(cos, 1), (cos, 2), (parse_expr("x1", 2), 1)} <= set(derived)
 
 
 class TestExpandInTime:
@@ -459,8 +480,11 @@ class TestForcingExpandedOnce:
         fresh = load_problem(problem_path("coupled_2x2.prob"))
         forcing_coefficients(p, 5)
         assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+        taylor_coefficients(p)  # fills the polynomial ring too
+        assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
         for copied in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
             assert copied == p and not hasattr(copied, "_forcing")
+            assert not hasattr(copied, "_ring")
 
 
 class TestSeriesScaleMatrix:
