@@ -7,6 +7,7 @@ Exit codes: 0 success or check passed, 2 input error, 3 check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -35,7 +36,10 @@ def _add_common(sp: argparse.ArgumentParser, with_problem: bool = True) -> None:
                     default="text", help="output format")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and then shared:
+    parsing leaves it unchanged."""
     root = argparse.ArgumentParser(
         prog="pdeseries",
         description="Truncated time power series for linear vector PDE systems: "

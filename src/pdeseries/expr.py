@@ -280,8 +280,8 @@ def _term_key(t: Expr):
 
 # Exact special values: these are rational constant folds, not
 # simplification identities (normalize applies no trig/exp identities).
-_AT_ZERO = {"sin": "zero", "sinh": "zero", "tanh": "zero",
-            "cos": "one", "cosh": "one", "exp": "one"}
+_AT_ZERO = {"sin": ZERO, "sinh": ZERO, "tanh": ZERO,
+            "cos": ONE, "cosh": ONE, "exp": ONE}
 
 
 def normalize(e: Expr) -> Expr:
@@ -293,7 +293,7 @@ def normalize(e: Expr) -> Expr:
     if isinstance(e, Func):
         arg = normalize(e.arg)
         if arg == ZERO and e.name in _AT_ZERO:
-            return ZERO if _AT_ZERO[e.name] == "zero" else ONE
+            return _AT_ZERO[e.name]
         if arg == ONE and e.name == "ln":
             return ZERO
         return Func(e.name, arg)
@@ -558,11 +558,6 @@ def _subst(e: Expr, v: int, r: Expr) -> Expr:
     if isinstance(e, Prod):
         return Prod(tuple(_subst(f, v, r) for f in e.factors))
     return Sum(tuple(_subst(t, v, r) for t in e.terms))
-
-
-def max_variable_index(e: Expr) -> int:
-    """Largest spatial variable index used (0 when none)."""
-    return _variables(e, {})[0]
 
 
 def uses_time(e: Expr) -> bool:

@@ -29,7 +29,9 @@ from .expr import (
     Sum,
     Var,
     ZERO,
+    _AT_ZERO,
     _factor_key,
+    _outer_derivative,
     _sum_content,
     _term_key,
     eprod,
@@ -45,10 +47,6 @@ ONE: Poly = {(): Fraction(1)}
 # A positive power of a sum is multiplied out when it has at most this
 # many terms; a larger one, such as (1 + x1)^99999999, stays one atom.
 EXPAND_LIMIT = 1000
-
-# exact special values, as ``expr.normalize`` folds them
-_AT_ZERO = {"sin": {}, "sinh": {}, "tanh": {}, "cos": ONE, "cosh": ONE, "exp": ONE}
-_COMPANION = {"sin": ("cos", 1), "cos": ("sin", -1), "sinh": ("cosh", 1), "cosh": ("sinh", 1)}
 
 
 def _trim(m: tuple) -> tuple:
@@ -222,7 +220,7 @@ class Ring:
 
     def func(self, name: str, a: Poly) -> Poly:
         if not a and name in _AT_ZERO:
-            return _AT_ZERO[name]
+            return self.from_tree(_AT_ZERO[name])
         if name == "ln" and a == ONE:
             return {}
         return {_unit(self.atom(Func(name, self.to_tree(a)), a)): ONE[()]}
@@ -253,21 +251,9 @@ class Ring:
                 d = self.diff(poly, v)
             else:
                 inner = self.diff(poly, v)
-                d = mul(self._outer(i, tree), inner) if inner else {}
+                d = mul(self.from_tree(_outer_derivative(tree)), inner) if inner else {}
             self.derivatives[i, v] = d
         return d
-
-    def _outer(self, i: int, f: Func) -> Poly:
-        """f'(a) for atom ``i`` = f(a)."""
-        a = self.polys[i]
-        if f.name in _COMPANION:
-            name, sign = _COMPANION[f.name]
-            return {_unit(self.atom(Func(name, f.arg), a)): Fraction(sign)}
-        if f.name == "exp":
-            return {_unit(i): ONE[()]}
-        if f.name == "ln":
-            return self.power(a, -1)
-        return {(): ONE[()], _unit(i, 2): Fraction(-1)}  # tanh
 
     def deviation(self, a: Poly, b: Poly, plan: SamplePlan) -> float:
         """0.0 when ``a - b`` is the zero polynomial, decided exactly;

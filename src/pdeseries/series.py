@@ -391,17 +391,6 @@ class _Jets:
 # Vectors of expressions
 # ---------------------------------------------------------------------------
 
-def vec_add(a: Sequence[Expr], b: Sequence[Expr]) -> ExprVec:
-    if len(a) != len(b):
-        raise DimensionMismatch(f"vector lengths differ: {len(a)} vs {len(b)}")
-    return tuple(esum([x, y]) for x, y in zip(a, b))
-
-
-def vec_scale(v: Sequence[Expr], factor: Fraction) -> ExprVec:
-    c = Const(Fraction(factor))
-    return tuple(eprod([c, x]) for x in v)
-
-
 def series_scale_matrix(matrix: RationalMatrix, v: Sequence[Expr]) -> ExprVec:
     """Exact matrix-vector product; the results are distributed
     polynomials."""
@@ -451,50 +440,8 @@ class TimeSeriesVec:
                     f"coefficient vector length {len(row)} != {self.m}"
                 )
 
-    @classmethod
-    def zero(cls, m: int, order: int) -> "TimeSeriesVec":
-        row = (ZERO,) * m
-        return cls(m, order, tuple(row for _ in range(order + 1)))
-
-    @classmethod
-    def from_initial(cls, u0: Sequence[Expr], u1: Sequence[Expr], order: int) -> "TimeSeriesVec":
-        """Series u0 + t*u1 padded with zeros up to the given order."""
-        if order < 1:
-            raise ValueError("order must be at least 1 to hold both initial vectors")
-        m = len(u0)
-        rows = [tuple(u0), tuple(u1)]
-        rows.extend([(ZERO,) * m] * (order - 1))
-        return cls(m, order, tuple(rows))
-
     def coefficient(self, degree: int) -> ExprVec:
         return self.coeffs[degree]
-
-    def truncated(self, new_order: int) -> "TimeSeriesVec":
-        """Cut or zero-pad to the requested order."""
-        if new_order < 0:
-            raise ValueError("order must be nonnegative")
-        rows = list(self.coeffs[: new_order + 1])
-        rows.extend([(ZERO,) * self.m] * (new_order + 1 - len(rows)))
-        return TimeSeriesVec(self.m, new_order, tuple(rows))
-
-    def plus(self, other: "TimeSeriesVec") -> "TimeSeriesVec":
-        if other.m != self.m:
-            raise DimensionMismatch("system sizes differ")
-        order = max(self.order, other.order)
-        a = self.truncated(order)
-        b = other.truncated(order)
-        rows = tuple(vec_add(x, y) for x, y in zip(a.coeffs, b.coeffs))
-        return TimeSeriesVec(self.m, order, rows)
-
-    def second_time_derivative(self) -> "TimeSeriesVec":
-        """Coefficient k of the result is (k+1)(k+2) * coeffs[k+2]."""
-        if self.order < 2:
-            raise ValueError("need order >= 2 to take a second time derivative")
-        rows = tuple(
-            vec_scale(self.coeffs[k + 2], Fraction((k + 1) * (k + 2)))
-            for k in range(self.order - 1)
-        )
-        return TimeSeriesVec(self.m, self.order - 2, rows)
 
 
 Rows = list[list[Poly]]  # degree -> component -> polynomial

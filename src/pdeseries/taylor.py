@@ -29,7 +29,10 @@ from .series import (
 class TaylorSolution:
     """Computed series plus the exact-termination verdict.
 
-    ``exact`` is a sampled claim, never an algebraic certificate."""
+    A coefficient that ``exact`` reads is decided exactly when its
+    polynomial is zero.  A nonzero polynomial may still vanish in value
+    (sin(x1)^2 + cos(x1)^2 - 1), so it is sampled, and a verdict that
+    rests on one is a sampled claim, not an algebraic certificate."""
 
     series: TimeSeriesVec
     exact: bool

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdeseries import taylor
-from pdeseries.cli import main
+from pdeseries.cli import build_parser, main
 
 from conftest import problem_path
 
@@ -293,6 +293,24 @@ class TestProblemFileFuzz:
                     code = main(argv)
                 assert code in (0, 2, 3), (argv[0], text, err.getvalue())
                 assert (code == 2) == err.getvalue().startswith("error: ")
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("bad", [
+        ("bogus", WAVE),
+        ("compare", WAVE),
+    ])
+    def test_bad_command_line_leaves_it_usable(self, capsys, bad):
+        argv = ("compare", WAVE, "--corrections", "2")
+        before = run(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            main(list(bad))
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, *argv) == before
 
 
 class TestErrorsAndExitCodes:

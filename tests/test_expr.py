@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import PLAN, random_normal_expr, random_numeric_expr, random_raw_expr
+from conftest import PLAN, random_normal_expr, random_numeric_expr, random_raw_expr, variable_indices
 from pdeseries import expr
 from pdeseries.errors import DomainError, ParseError, SamplingExhausted
 from pdeseries.expr import (
@@ -29,12 +29,10 @@ from pdeseries.expr import (
     differentiate,
     equal_sampled,
     evaluate,
-    max_variable_index,
     normalize,
     sampled_deviation,
     sort_key,
     substitute,
-    uses_time,
     var,
 )
 from pdeseries.parser import parse_expr
@@ -66,8 +64,9 @@ def _reference_eval(e, point, time=None):
 def _reference_deviation(a, b, plan):
     """The oracle point by point: per point draw the x's, then t; redraw
     while either side fails, at most 64 times."""
-    n_vars = max(1, max_variable_index(a), max_variable_index(b))
-    with_time = uses_time(a) or uses_time(b)
+    indices = variable_indices(a) | variable_indices(b)
+    n_vars = max(indices | {1})
+    with_time = 0 in indices
     rng = random.Random(plan.seed)
     lo, hi = plan.domain
     worst = 0.0

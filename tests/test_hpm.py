@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PLAN, correction_audit_max_deviation, problem_path, random_problem
+from pdeseries import hpm, series
 from pdeseries.expr import ZERO, const, equal_sampled
 from pdeseries.hpm import partial_sum, solve_hpm
 from pdeseries.parser import load_problem, parse_expr
+from pdeseries.poly import scale
 
 
 @pytest.fixture(scope="module")
@@ -150,3 +152,17 @@ class TestStructuralLaws:
         for p, j in ((wave, 3), (forced_wave, 2)):
             h = solve_hpm(p, j)
             assert correction_audit_max_deviation(p, h, PLAN) <= PLAN.tolerance
+
+    def test_audit_sees_a_fault_in_the_engine_arithmetic(self, monkeypatch):
+        # the audit rebuilds its source terms on trees, so a fault in the
+        # polynomial operator that the engine uses cannot cancel out
+        apply_rows = series.apply_rows
+
+        def doubled(ring, op, vec):
+            return [scale(p, 2) for p in apply_rows(ring, op, vec)]
+
+        monkeypatch.setattr(series, "apply_rows", doubled)
+        monkeypatch.setattr(hpm, "apply_rows", doubled)
+        p = load_problem(problem_path("wave_1d.prob"))
+        h = solve_hpm(p, 3)
+        assert correction_audit_max_deviation(p, h, PLAN) > PLAN.tolerance

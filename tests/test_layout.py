@@ -1,0 +1,39 @@
+"""Source layout: no module-level definition in the package is left
+without a caller."""
+
+import ast
+from pathlib import Path
+
+import pdeseries
+
+PACKAGE = Path(pdeseries.__file__).resolve().parent
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Every name that ``node`` reads, imports or reaches as an attribute."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+    return out
+
+
+def test_every_definition_is_used_or_exported():
+    statements = []  # (module, top-level statement)
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        statements.extend((path.stem, stmt) for stmt in tree.body)
+    defined = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    uses = [_names(stmt) for _, stmt in statements]
+    unused = []
+    for i, (module, stmt) in enumerate(statements):
+        if not isinstance(stmt, defined) or stmt.name in pdeseries.__all__:
+            continue
+        # a definition that only names itself has no caller
+        if not any(stmt.name in names for j, names in enumerate(uses) if j != i):
+            unused.append(f"{module}.{stmt.name}")
+    assert unused == []

@@ -19,7 +19,10 @@ from pdeseries import poly
 from pdeseries.cli import main
 from pdeseries.errors import DomainError, SamplingExhausted
 from pdeseries.expr import (
+    FUNCTIONS,
+    ZERO,
     Const,
+    Func,
     Pow,
     Prod,
     Sum,
@@ -176,6 +179,15 @@ class TestDerivatives:
         ring, (a, b) = _random_polys(seed, 2)
         assert ring.diff(mul(a, b), 1) == add(mul(ring.diff(a, 1), b), mul(a, ring.diff(b, 1)))
         assert ring.diff(ring.diff(a, 1), 2) == ring.diff(ring.diff(a, 2), 1)
+
+    @pytest.mark.parametrize("name", FUNCTIONS)
+    def test_function_rules_are_those_of_expr(self, name):
+        # special values and derivatives come from expr's one table
+        assert Ring().func(name, {}) == Ring().from_tree(normalize(Func(name, ZERO)))
+        for arg in ("x1", "1 + x1^2"):
+            e = normalize(Func(name, parse_expr(arg, 1)))
+            ring = Ring()
+            assert ring.diff(ring.from_tree(e), 1) == ring.from_tree(differentiate(e, 1))
 
     def test_each_atom_derivative_is_kept(self):
         ring = Ring()

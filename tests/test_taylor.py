@@ -19,7 +19,6 @@ from pdeseries.series import (
     apply_operator,
     forcing_coefficients,
     series_scale_matrix,
-    vec_add,
 )
 from pdeseries.taylor import detect_exact, solve_taylor, taylor_coefficients
 
@@ -142,7 +141,8 @@ class TestRecursionProperties:
         f = forcing_coefficients(p, p.order)
         for j in range(p.order - 1):
             recomputed = series_scale_matrix(
-                p.rho_inv, vec_add(apply_operator(p.L, series.coefficient(j)), f[j])
+                p.rho_inv,
+                tuple(a + b for a, b in zip(apply_operator(p.L, series.coefficient(j)), f[j])),
             )
             scaled_back = tuple(
                 c * const(Fraction((j + 1) * (j + 2))) for c in series.coefficient(j + 2)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PLAN, problem_path, random_problem
-from pdeseries.expr import Var, const, sin
+from pdeseries.expr import ZERO, Var, const, sin
 from pdeseries.parser import load_problem, parse_expr
 from pdeseries.series import TimeSeriesVec
 from pdeseries.taylor import taylor_coefficients
@@ -55,7 +55,7 @@ class TestResidual:
 
     def test_requires_enough_order(self, wave):
         with pytest.raises(ValueError):
-            residual_check(wave, TimeSeriesVec.zero(1, 1), PLAN)
+            residual_check(wave, TimeSeriesVec(1, 1, ((ZERO,), (ZERO,))), PLAN)
 
     def test_report_json_mirror(self, wave):
         report = residual_check(wave, taylor_coefficients(wave), PLAN)
