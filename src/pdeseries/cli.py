@@ -25,9 +25,8 @@ EXIT_CHECK_FAILED = 3
 EXIT_INTERNAL = 4
 
 
-def _add_common(sp: argparse.ArgumentParser, with_problem: bool = True) -> None:
-    if with_problem:
-        sp.add_argument("problem", help="path to a JSON problem file")
+def _add_common(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("problem", help="path to a JSON problem file")
     sp.add_argument("--seed", type=int, default=42,
                     help="seed for the sampled-equality oracle (default 42)")
     sp.add_argument("--tolerance", type=float, default=1e-9,

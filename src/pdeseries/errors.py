@@ -9,9 +9,9 @@ class PdeSeriesError(Exception):
 
 class DomainError(PdeSeriesError):
     """Numeric evaluation left the domain of a primitive (ln of a
-    nonpositive number, zero raised to a negative power, overflow), or
-    a rational constant raised to a power would have more digits than
-    the interpreter converts to text."""
+    nonpositive number, zero to a negative power, overflow, sin(inf)),
+    or a rational constant raised to a power would have more digits
+    than the interpreter converts to text."""
 
 
 class SamplingExhausted(PdeSeriesError):

@@ -610,20 +610,30 @@ def evaluate(e: Expr, point: Sequence[float], *, time: float | None = None) -> f
 
     ``time`` supplies the value of the time symbol for expressions from
     the extended grammar.  Each distinct subtree is evaluated once.
-    Raises DomainError on ln of a nonpositive argument, zero to a
-    negative power, or numeric overflow."""
-    try:
-        return _eval_points(e, [point], [time], {})[0]
-    except OverflowError as exc:
-        raise DomainError("numeric overflow during evaluation") from exc
+    Raises DomainError where the point fails: ln of a value <= 0, zero
+    to a negative power, an overflow, or a math domain error."""
+    failed: set = set()
+    value = _eval_points(e, [point], [time], {}, failed)[0]
+    if failed:
+        raise DomainError("evaluation left the domain of a primitive or overflowed")
+    return value
 
 
-def _eval_points(e: Expr, xs: list, ts: list, memo: dict) -> list[float]:
+def _eval_points(e: Expr, xs: list, ts: list, memo: dict, failed: set) -> list[float]:
     """Values of ``e`` at the points ``(xs[i], ts[i])``.  ``memo`` holds
     the values of every compound node seen, so equal subtrees are
-    evaluated once; per point the floats are those of a recursive walk."""
+    evaluated once; per point the floats are those of a recursive walk.
+
+    A point fails at a node on ln of a value <= 0, zero to a negative
+    power, an overflow, or a math domain error such as sin(inf): its
+    index joins ``failed``, the node takes the value 1.0 there, and the
+    other points go on unchanged."""
     if isinstance(e, Const):
-        return [float(e.value)] * len(xs)
+        try:
+            return [float(e.value)] * len(xs)
+        except OverflowError:
+            failed.update(range(len(xs)))
+            return [1.0] * len(xs)
     if isinstance(e, Var):
         if e.index != TIME_INDEX:
             return [float(x[e.index - 1]) for x in xs]
@@ -634,25 +644,33 @@ def _eval_points(e: Expr, xs: list, ts: list, memo: dict) -> list[float]:
     if out is not None:
         return out
     if isinstance(e, Sum):
-        cols = [_eval_points(t, xs, ts, memo) for t in e.terms]
+        cols = [_eval_points(t, xs, ts, memo, failed) for t in e.terms]
         out = [sum(vs) for vs in zip(*cols)]
     elif isinstance(e, Prod):
-        cols = [_eval_points(f, xs, ts, memo) for f in e.factors]
+        cols = [_eval_points(f, xs, ts, memo, failed) for f in e.factors]
         out = [math.prod(vs, start=1.0) for vs in zip(*cols)]
     elif isinstance(e, Pow):
-        bs = _eval_points(e.base, xs, ts, memo)
-        if e.exponent < 0 and 0.0 in bs:
-            raise DomainError("zero base with negative exponent")
-        out = [b ** e.exponent for b in bs]
+        bs = _eval_points(e.base, xs, ts, memo, failed)
+        out = _column(lambda b: b ** e.exponent, bs, failed)
     elif isinstance(e, Func):
-        args = _eval_points(e.arg, xs, ts, memo)
-        if e.name == "ln" and any(a <= 0.0 for a in args):
-            raise DomainError(f"ln of nonpositive value {min(args)}")
-        out = list(map(_MATH[e.name], args))
+        out = _column(_MATH[e.name], _eval_points(e.arg, xs, ts, memo, failed), failed)
     else:
         raise TypeError(f"not an expression: {e!r}")
     memo[e] = out
     return out
+
+
+def _column(fn, args: list, failed: set) -> list[float]:
+    """``fn`` at every point, once each; a point where it raises joins
+    ``failed`` and gets 1.0."""
+    out, rest = [], iter(args)
+    while True:
+        try:  # extend keeps the values before the failure; map resumes after it
+            out.extend(map(fn, rest))
+            return out
+        except (ArithmeticError, ValueError):
+            failed.add(len(out))
+            out.append(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -663,15 +681,15 @@ def _eval_points(e: Expr, xs: list, ts: list, memo: dict) -> list[float]:
 class SamplePlan:
     """Configuration of the numeric equality oracle.
 
-    Points are drawn uniformly from ``domain`` for every variable (and
-    for the time symbol when present), deterministically from ``seed``.
-    Two expressions count as equal at a point when
+    Points are drawn uniformly from ``SAMPLE_DOMAIN`` for every variable
+    (and for the time symbol when present), deterministically from
+    ``seed``; ``points_per_check`` of them are kept per check.  Two
+    expressions count as equal at a point when
     ``|a - b| <= tolerance * (1 + max(|a|, |b|))``.
     """
 
     seed: int = 42
     points_per_check: int = 32
-    domain: tuple[float, float] = (-1.0, 1.0)
     tolerance: float = 1e-9
 
     def __post_init__(self):
@@ -679,67 +697,55 @@ class SamplePlan:
             raise ValueError("points_per_check must be at least 1")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        lo, hi = self.domain
-        if not lo < hi:
-            raise ValueError("sampling interval is empty")
 
 
 DEFAULT_PLAN = SamplePlan()
+
+SAMPLE_DOMAIN = (-1.0, 1.0)
 
 _RESAMPLE_TRIES = 64
 
 
 def sampled_deviation(a: Expr, b: Expr, plan: SamplePlan = DEFAULT_PLAN) -> float:
     """Worst relative deviation |a-b| / (1 + max(|a|,|b|)) over the plan's
-    sample points.  Points where either side raises DomainError are
-    redrawn a bounded number of times; SamplingExhausted if none work.
+    sample points.
 
-    Both sides are evaluated over all points at once, each distinct
-    subtree of either side once.  If that raises, the same points are
-    drawn again and evaluated one at a time through ``evaluate``, with
-    redraws; when nothing fails both ways give the same floats."""
+    The points kept are the first ``points_per_check`` draws of the
+    seeded stream at which both sides evaluate.  Each batch of draws is
+    evaluated all at once, each distinct subtree of either side once;
+    the draws that fail on either side are replaced in the next batch.
+    SamplingExhausted after ``_RESAMPLE_TRIES`` failed draws in a row."""
     walked: dict = {}
     (index_a, time_a), (index_b, time_b) = _variables(a, walked), _variables(b, walked)
-    n_vars, with_time = max(1, index_a, index_b), time_a or time_b
-    xs, ts = zip(*islice(_draws(plan, n_vars, with_time), plan.points_per_check))
-    memo: dict = {}
-    try:
-        values = zip(_eval_points(a, xs, ts, memo), _eval_points(b, xs, ts, memo))
-    except (DomainError, OverflowError, ValueError):
-        values = _values_per_point(a, b, plan, n_vars, with_time)
-    worst = 0.0
-    for va, vb in values:
-        dev = abs(va - vb) / (1.0 + max(abs(va), abs(vb)))
-        if dev > worst:
-            worst = dev
+    draws = _draws(plan.seed, max(1, index_a, index_b), time_a or time_b)
+    worst, wanted, failures_in_a_row = 0.0, plan.points_per_check, 0
+    while wanted:
+        xs, ts = zip(*islice(draws, wanted))
+        memo, failed = {}, set()
+        values = zip(_eval_points(a, xs, ts, memo, failed), _eval_points(b, xs, ts, memo, failed))
+        for i, (va, vb) in enumerate(values):
+            if i in failed:
+                failures_in_a_row += 1
+                if failures_in_a_row == _RESAMPLE_TRIES:
+                    raise SamplingExhausted(
+                        f"no valid sample point found in {_RESAMPLE_TRIES} draws"
+                    )
+                continue
+            failures_in_a_row = 0
+            wanted -= 1
+            dev = abs(va - vb) / (1.0 + max(abs(va), abs(vb)))
+            if dev > worst:
+                worst = dev
     return worst
 
 
-def _draws(plan: SamplePlan, n_vars: int, with_time: bool):
-    """Endless sample points ``(x, t)`` drawn from the plan's seed."""
-    rng = random.Random(plan.seed)
-    lo, hi = plan.domain
+def _draws(seed: int, n_vars: int, with_time: bool):
+    """Endless sample points ``(x, t)`` drawn from ``seed``."""
+    rng = random.Random(seed)
+    lo, hi = SAMPLE_DOMAIN
     while True:
         point = [rng.uniform(lo, hi) for _ in range(n_vars)]
         yield point, (rng.uniform(lo, hi) if with_time else None)
-
-
-def _values_per_point(a: Expr, b: Expr, plan: SamplePlan, n_vars: int, with_time: bool):
-    draws = _draws(plan, n_vars, with_time)
-    for _ in range(plan.points_per_check):
-        for _attempt in range(_RESAMPLE_TRIES):
-            point, tval = next(draws)
-            try:
-                va = evaluate(a, point, time=tval)
-                vb = evaluate(b, point, time=tval)
-            except DomainError:
-                continue
-            break
-        else:
-            raise SamplingExhausted(
-                f"no valid sample point found in {_RESAMPLE_TRIES} draws"
-            )
-        yield va, vb
 
 
 def equal_sampled(a: Expr, b: Expr, plan: SamplePlan = DEFAULT_PLAN) -> bool:

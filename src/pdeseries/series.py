@@ -532,9 +532,8 @@ class ProblemSpec:
 
 # Per-problem caches, kept as attributes rather than fields so that
 # equality, hashing and repr ignore them: the forcing expansion per
-# component and its polynomials per degree, and the ring both engines
-# compute in.
-_HIDDEN = {"_forcing": lambda: [None, []], "_ring": Ring}
+# component, and the ring both engines compute in.
+_HIDDEN = {"_forcing": list, "_ring": Ring}
 
 
 def _hidden(p: ProblemSpec, name: str):
@@ -559,10 +558,9 @@ def forcing_coefficients(p: ProblemSpec, order: int) -> list[ExprVec]:
     problem: coefficients do not depend on the order they were expanded
     to, so a later call with an order no larger reads a prefix of the
     stored ones, and only a larger order expands again."""
-    cache = _hidden(p, "_forcing")
-    per_component = cache[0]
-    if per_component is None or len(per_component[0]) <= order:
-        per_component = cache[0] = tuple(expand_in_time(c, order) for c in p.f_source)
+    per_component = _hidden(p, "_forcing")
+    if not per_component or len(per_component[0]) <= order:
+        per_component[:] = [expand_in_time(c, order) for c in p.f_source]
     return [
         tuple(coeffs[j] for coeffs in per_component)
         for j in range(order + 1)
@@ -571,9 +569,6 @@ def forcing_coefficients(p: ProblemSpec, order: int) -> list[ExprVec]:
 
 def forcing_rows(p: ProblemSpec, order: int) -> Rows:
     """``forcing_coefficients`` as polynomials of ``problem_ring(p)``;
-    each degree is converted once per problem."""
-    ring, rows = problem_ring(p), _hidden(p, "_forcing")[1]
-    if len(rows) <= order:
-        trees = forcing_coefficients(p, order)
-        rows.extend([ring.from_tree(c) for c in vec] for vec in trees[len(rows):])
-    return rows[: order + 1]
+    the ring converts each distinct tree once per problem."""
+    ring = problem_ring(p)
+    return [list(map(ring.from_tree, vec)) for vec in forcing_coefficients(p, order)]

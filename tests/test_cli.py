@@ -43,6 +43,19 @@ class TestSolve:
         assert "verdict: not exact" in out
         assert "u[2] = -1/2*sin(x1)" in out
 
+    def test_sample_points_where_sin_meets_infinity_are_redrawn(self, tmp_path, capsys):
+        # for x1 above about 0.5 the product overflows to inf without raising
+        doc = {
+            "m": 1, "n": 1, "rho": [["1"]],
+            "L": [{"row": 0, "col": 0, "coeff": "1", "derivs": [2]}],
+            "f": ["0"], "u0": ["sin(exp(700*x1)*exp(699*x1))"], "u1": ["0"], "order": 3,
+        }
+        path = tmp_path / "overflow.prob"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 0 and err == ""
+        assert "verdict: not exact" in out
+
     def test_multi_component_labels(self, capsys):
         code, out, _ = run(capsys, "solve", COUPLED)
         assert code == 0

@@ -68,7 +68,7 @@ def _reference_deviation(a, b, plan):
     n_vars = max(indices | {1})
     with_time = 0 in indices
     rng = random.Random(plan.seed)
-    lo, hi = plan.domain
+    lo, hi = expr.SAMPLE_DOMAIN
     worst = 0.0
     for _ in range(plan.points_per_check):
         for _attempt in range(64):
@@ -542,6 +542,9 @@ class TestOracleParity:
     @pytest.mark.parametrize("a,b,want", [
         (Func("ln", Var(1)), Var(1), None),           # redraws half the points
         (Func("ln", const(-2)), ZERO, "exhausted"),   # every draw fails
+        # sin(inf) for x1 above about 0.5: the product overflows without raising
+        (parse_expr("sin(exp(700*x1)*exp(699*x1))", 1), ZERO, None),
+        (parse_expr("10^400*sin(x1)", 1), ZERO, "exhausted"),  # no float for the constant
     ])
     def test_partial_and_empty_domains(self, seed, points, a, b, want):
         plan = SamplePlan(seed=seed, points_per_check=points)
@@ -550,20 +553,33 @@ class TestOracleParity:
         assert want is None or got == want
 
     def test_each_distinct_subtree_is_evaluated_once_per_point(self, monkeypatch):
-        calls = []
+        calls, draws = [], []
+        original_draws = expr._draws
 
         def counting_sin(x):
             calls.append(x)
             return math.sin(x)
 
+        def counting_draws(*args):
+            for point in original_draws(*args):
+                draws.append(point)
+                yield point
+
         monkeypatch.setitem(expr._MATH, "sin", counting_sin)
+        monkeypatch.setattr(expr, "_draws", counting_draws)
         text = " + ".join(f"{k}*sin(x1)^{k}*cos(sin(x1 + x2) - x2)" for k in range(1, 30))
-        a, b = parse_expr(text, 2), parse_expr(text, 2)  # equal, not shared
-        assert a == b and a is not b
         plan = SamplePlan(points_per_check=16)
-        assert sampled_deviation(a, b, plan) == 0.0
-        distinct_sin_subtrees = 2  # sin(x1) and sin(x1 + x2)
-        assert 0 < len(calls) <= plan.points_per_check * distinct_sin_subtrees
+        # ln(x1) fails at about half the draws
+        for suffix, defined in (("", lambda x1: True), (" + ln(x1)", lambda x1: x1 > 0)):
+            calls.clear()
+            draws.clear()
+            a, b = parse_expr(text + suffix, 2), parse_expr(text + suffix, 2)  # equal, not shared
+            assert a == b and a is not b
+            assert sampled_deviation(a, b, plan) == 0.0
+            # every draw at which both sides are defined is kept: none is thrown away
+            assert sum(defined(x[0]) for x, _ in draws) == plan.points_per_check
+            distinct_sin_subtrees = 2  # sin(x1) and sin(x1 + x2)
+            assert 0 < len(calls) <= len(draws) * distinct_sin_subtrees
 
     def test_structure_is_walked_once_per_distinct_subtree(self, monkeypatch):
         calls = []
@@ -592,8 +608,6 @@ class TestSamplePlan:
         {"points_per_check": 0},
         {"tolerance": 0.0},
         {"tolerance": -1e-9},
-        {"domain": (1.0, 1.0)},
-        {"domain": (2.0, -2.0)},
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
