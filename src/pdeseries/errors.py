@@ -10,8 +10,8 @@ class PdeSeriesError(Exception):
 class DomainError(PdeSeriesError):
     """Numeric evaluation left the domain of a primitive (ln of a
     nonpositive number, zero to a negative power, overflow, sin(inf)),
-    or a rational constant raised to a power would have more digits
-    than the interpreter converts to text."""
+    or a constant or an exponent that exact arithmetic would form has
+    more digits than the interpreter converts to text."""
 
 
 class SamplingExhausted(PdeSeriesError):

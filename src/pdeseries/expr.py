@@ -291,12 +291,7 @@ def normalize(e: Expr) -> Expr:
     if isinstance(e, (Const, Var)):
         return e
     if isinstance(e, Func):
-        arg = normalize(e.arg)
-        if arg == ZERO and e.name in _AT_ZERO:
-            return _AT_ZERO[e.name]
-        if arg == ONE and e.name == "ln":
-            return ZERO
-        return Func(e.name, arg)
+        return _func(e.name, normalize(e.arg))
     if isinstance(e, Pow):
         return _pow(normalize(e.base), e.exponent)
     if isinstance(e, Prod):
@@ -306,11 +301,23 @@ def normalize(e: Expr) -> Expr:
     raise TypeError(f"not an expression: {e!r}")
 
 
+def _func(name: str, arg: Expr) -> Expr:
+    """``name`` applied to the normalized ``arg``, exact special values
+    folded."""
+    if arg == ZERO and name in _AT_ZERO:
+        return _AT_ZERO[name]
+    if arg == ONE and name == "ln":
+        return ZERO
+    return Func(name, arg)
+
+
 def _pow(base: Expr, k: int) -> Expr:
     if k == 0:
         return ONE
     if k == 1:
         return base
+    if k.bit_length() > _FEW_BITS and too_large_power(k, 1):
+        raise DomainError("exponent too large to represent")
     if isinstance(base, Const):
         if base.value == 0 and k < 0:
             raise DomainError("zero raised to a negative power")
@@ -368,7 +375,7 @@ def _mul(factors: Iterable[Expr]) -> Expr:
             coeff *= f.value
             bits = coeff.numerator.bit_length() + coeff.denominator.bit_length()
             if bits > _FEW_BITS and too_large_power(coeff, 1):
-                raise DomainError("constant too large to represent")
+                raise DomainError("product of constants too large to represent")
             continue
         if isinstance(f, Pow):
             base, k = f.base, f.exponent
@@ -381,7 +388,7 @@ def _mul(factors: Iterable[Expr]) -> Expr:
                     raise DomainError("power of a constant too large to represent")
                 coeff *= content ** k
                 if too_large_power(coeff, 1):
-                    raise DomainError("constant too large to represent")
+                    raise DomainError("product of constants too large to represent")
         powers[base] = powers.get(base, 0) + k
 
     if coeff == 0:
@@ -429,6 +436,9 @@ def _add(terms: Iterable[Expr]) -> Expr:
         parts.append(rest if coeff == 1 else _mul([Const(coeff), rest]))
     parts.sort(key=_term_key)
     if const_acc != 0:
+        bits = const_acc.numerator.bit_length() + const_acc.denominator.bit_length()
+        if bits > _FEW_BITS and too_large_power(const_acc, 1):
+            raise DomainError("constant too large to represent")
         parts.insert(0, Const(const_acc))
     if not parts:
         return ZERO
@@ -711,9 +721,10 @@ def sampled_deviation(a: Expr, b: Expr, plan: SamplePlan = DEFAULT_PLAN) -> floa
     sample points.
 
     The points kept are the first ``points_per_check`` draws of the
-    seeded stream at which both sides evaluate.  Each batch of draws is
-    evaluated all at once, each distinct subtree of either side once;
-    the draws that fail on either side are replaced in the next batch.
+    seeded stream at which both sides evaluate and their difference is
+    finite.  Each batch of draws is evaluated all at once, each distinct
+    subtree of either side once; the draws that fail are replaced in the
+    next batch.
     SamplingExhausted after ``_RESAMPLE_TRIES`` failed draws in a row."""
     walked: dict = {}
     (index_a, time_a), (index_b, time_b) = _variables(a, walked), _variables(b, walked)
@@ -724,7 +735,7 @@ def sampled_deviation(a: Expr, b: Expr, plan: SamplePlan = DEFAULT_PLAN) -> floa
         memo, failed = {}, set()
         values = zip(_eval_points(a, xs, ts, memo, failed), _eval_points(b, xs, ts, memo, failed))
         for i, (va, vb) in enumerate(values):
-            if i in failed:
+            if i in failed or not math.isfinite(va - vb):
                 failures_in_a_row += 1
                 if failures_in_a_row == _RESAMPLE_TRIES:
                     raise SamplingExhausted(

@@ -73,38 +73,26 @@ def hpm_rows(p: ProblemSpec, corrections: int, working: int) -> list[Rows]:
     return out
 
 
-def solve_hpm(
-    p: ProblemSpec, corrections: int, order: int | None = None
-) -> HpmExpansion:
-    """Compute corrections u^(0)..u^(corrections) to a working order.
-
-    With ``order=None`` the working order is 2J+1 plus the degree of the
-    forcing expanded to 2J+1, which keeps every correction whole when
-    the forcing is a polynomial in time of degree at most 2J+1; the
-    ``hpm`` command prints this.  An explicit ``order`` (at least 2J+1) skips that probe
-    expansion; ``order=2J+1`` builds only the degrees that the
-    comparison with the direct series reads."""
+def solve_hpm(p: ProblemSpec, corrections: int) -> HpmExpansion:
+    """Compute corrections u^(0)..u^(corrections) to a working order of
+    2J+1 plus the degree of the forcing expanded to 2J+1, which keeps
+    every correction whole when the forcing is a polynomial in time of
+    degree at most 2J+1; the ``hpm`` command prints this.  The
+    comparison with the direct series reads only degrees 0..2J+1 and
+    builds them with ``hpm_rows`` directly."""
     if corrections < 0:
         raise ValueError("correction count must be nonnegative")
     final_degree = 2 * corrections + 1
-
-    if order is None:
-        # Degree of the forcing expanded to 2J+1 sets how much headroom
-        # the working order needs beyond the finalized window.  The probe
-        # expands to the largest working order possible, 2(2J+1), so the
-        # forcing is expanded once; the call below reads a prefix.
-        forcing_coefficients(p, 2 * final_degree)
-        probe = forcing_rows(p, final_degree)
-        forcing_degree = max(
-            (j for j, vec in enumerate(probe) if any(vec)), default=0
-        )
-        working = final_degree + forcing_degree
-    elif order < final_degree:
-        raise ValueError(
-            f"working order {order} is below the finalized degree {final_degree}"
-        )
-    else:
-        working = order
+    # Degree of the forcing expanded to 2J+1 sets how much headroom the
+    # working order needs beyond the finalized window.  The probe
+    # expands to the largest working order possible, 2(2J+1), so the
+    # forcing is expanded once; the call below reads a prefix.
+    forcing_coefficients(p, 2 * final_degree)
+    probe = forcing_rows(p, final_degree)
+    forcing_degree = max(
+        (j for j, vec in enumerate(probe) if any(vec)), default=0
+    )
+    working = final_degree + forcing_degree
     ring = problem_ring(p)
     expansion = HpmExpansion(tuple(
         rows_series(ring, rows) for rows in hpm_rows(p, corrections, working)

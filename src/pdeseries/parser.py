@@ -13,9 +13,18 @@ There is no implicit multiplication.  Division a/b becomes a * b^(-1)
 for non-constant b and folds exactly when both sides are constant.
 Decimal literals become exact rationals.  Parentheses, function calls,
 unary minus and exponents may nest at most MAX_NESTING levels deep.
-A power or a product of rational constants too large to print is
-rejected, and so is an expression whose normalized form holds a
-constant or an exponent too large to print.
+
+Each construct is normalized as soon as it is parsed, by the steps
+``normalize`` takes, so the result is the normalized tree.  A step
+fails on zero to a negative power, and on a constant or an exponent
+with more digits than the interpreter converts to text; the error is
+placed at the construct: the exponent of a power, the '-' of a
+negation, the operand of a division or a subtraction, and in a chain
+of + and - or of * and / the operand whose folding into the operands
+before it first fails.  A construct that fails is rejected even where
+a later step would cancel it.  A product whose constants reach zero
+stays zero, so (x1-x1)*1/7^5000*1/7^5000 is 0; with the zero factor
+last, the two constants fail first.
 Offsets in errors are byte offsets into the UTF-8 source.
 """
 
@@ -46,10 +55,10 @@ from .expr import (
     Sum,
     TIME_INDEX,
     Var,
+    _func,
+    _pow,
     eprod,
     esum,
-    normalize,
-    too_large_power,
 )
 from .series import OperatorTerm, ProblemSpec, RationalMatrix, SpatialOperator
 
@@ -130,16 +139,16 @@ MAX_NESTING = 150
 
 
 class _Parser:
+    """Recursive descent that returns each construct normalized, built
+    with the steps ``normalize`` takes; a DomainError in a step becomes
+    a ParseError at that construct."""
+
     def __init__(self, tokens: list[Token], n: int, allow_time: bool):
         self.tokens = tokens
         self.pos = 0
         self.n = n
         self.allow_time = allow_time
         self.depth = 0
-        # id of each chain and power node -> the node (kept alive, so
-        # its id stays its own) and the offsets of its operands, or of
-        # the exponent of a power
-        self.offsets: dict[int, tuple[Expr, list[int]]] = {}
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -174,12 +183,9 @@ class _Parser:
             )
         return e
 
-    # Chains of + and * build one flat node, not a left-nested tree,
-    # so a long sum is as shallow as a short one for normalize.
-
-    def mark(self, node: Expr, offsets: list[int]) -> Expr:
-        self.offsets[id(node)] = (node, offsets)
-        return node
+    # A chain of + or of * is folded once, by one esum or eprod of all
+    # its operands: folding operand by operand would fold the growing
+    # result again at every step.
 
     def additive(self) -> Expr:
         starts = [self.peek().pos]
@@ -189,42 +195,29 @@ class _Parser:
             starts.append(self.peek().pos)
             right = self.multiplicative()
             if op.kind == "minus":
-                right = Prod((MINUS_ONE, right))
+                right = _step(starts[-1], eprod, [MINUS_ONE, right])
             terms.append(right)
-        return terms[0] if len(terms) == 1 else self.mark(Sum(tuple(terms)), starts)
+        return _chain(esum, terms, starts)
 
     def multiplicative(self) -> Expr:
         starts = [self.peek().pos]
         factors = [self.unary()]
-        # normalize folds the constant factors into one rational
-        coeff = factors[0].value if isinstance(factors[0], Const) else Fraction(1)
         while self.peek().kind in ("star", "slash"):
             op = self.advance()
-            start = self.peek()
-            starts.append(start.pos)
+            starts.append(self.peek().pos)
             right = self.unary()
             if op.kind == "slash":
-                if isinstance(right, Const) and right.value:
-                    right = Const(1 / right.value)
-                else:
-                    right = self.mark(Pow(right, -1), [start.pos])
-            if isinstance(right, Const):
-                coeff *= right.value
-                if too_large_power(coeff, 1):
-                    raise ParseError(
-                        "product of constants too large to represent", start.pos
-                    )
+                right = _step(starts[-1], _pow, right, -1)
             factors.append(right)
-        return factors[0] if len(factors) == 1 else self.mark(Prod(tuple(factors)), starts)
+        return _chain(eprod, factors, starts)
 
     def unary(self) -> Expr:
         if self.peek().kind == "minus":
-            self.enter(self.advance())
+            tok = self.advance()
+            self.enter(tok)
             operand = self.unary()
             self.depth -= 1
-            if isinstance(operand, Const):
-                return Const(-operand.value)
-            return Prod((MINUS_ONE, operand))
+            return _step(tok.pos, eprod, [MINUS_ONE, operand])
         return self.power()
 
     def power(self) -> Expr:
@@ -233,25 +226,13 @@ class _Parser:
             return base
         self.enter(self.advance())
         exp_tok = self.peek()
-        exponent_raw = self.unary()  # right associativity: x^2^3 = x^(2^3)
+        exponent = self.unary()  # right associativity: x^2^3 = x^(2^3)
         self.depth -= 1
-        exponent = normalize(exponent_raw)
         if not isinstance(exponent, Const) or exponent.value.denominator != 1:
             raise NonIntegerExponent(
                 "exponent must reduce to an integer constant", exp_tok.pos
             )
-        k = int(exponent.value)
-        try:
-            folded = normalize(base)
-        except DomainError:  # left for parse_expr to report
-            return self.mark(Pow(base, k), [exp_tok.pos])
-        if not isinstance(folded, Const) or (folded.value == 0 and k < 0):
-            return self.mark(Pow(base, k), [exp_tok.pos])
-        if too_large_power(folded.value, k):
-            raise ParseError(
-                "power of a constant too large to represent", exp_tok.pos
-            )
-        return Const(folded.value ** k)
+        return _step(exp_tok.pos, _pow, base, int(exponent.value))
 
     def atom(self) -> Expr:
         tok = self.peek()
@@ -281,7 +262,7 @@ class _Parser:
                 arg = self.additive()
                 self.expect("rparen", "')'")
                 self.depth -= 1
-                return Func(name, arg)
+                return _func(name, arg)
             match = _VAR_PATTERN.match(name)
             if match:
                 index = int(match.group(1))
@@ -297,85 +278,54 @@ class _Parser:
         )
 
 
+def _step(at: int, fold, *args) -> Expr:
+    """``fold(*args)``, a DomainError reported at byte offset ``at``."""
+    try:
+        return fold(*args)
+    except DomainError as exc:
+        raise ParseError(str(exc), at) from exc
+
+
+def _chain(fold, operands: list[Expr], starts: list[int]) -> Expr:
+    """``fold`` (esum or eprod) of a chain's normalized operands, which
+    start at the byte offsets ``starts``.  Where it fails, the error is
+    placed at the operand whose folding into the operands before it
+    first fails."""
+    if len(operands) == 1:
+        return operands[0]
+    try:
+        return fold(operands)
+    except DomainError as exc:
+        error = exc
+
+    def folds(count: int) -> bool:
+        try:
+            fold(operands[:count])
+        except DomainError:
+            return False
+        return True
+
+    # the first `lo` operands fold, the first `hi` do not: double `hi`
+    # from 2, then bisect, so the folds cost about two folds of the
+    # whole chain
+    lo, hi = 1, 2
+    while hi < len(operands) and folds(hi):
+        lo, hi = hi, min(2 * hi, len(operands))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if folds(mid):
+            lo = mid
+        else:
+            hi = mid
+    raise ParseError(str(error), starts[hi - 1]) from error
+
+
 def parse_expr(src: str, n: int, *, allow_time: bool = False) -> Expr:
     """Parse an expression over x1..xn (and t when allowed); the result
     is normalized."""
     if n < 0:
         raise ValueError("spatial dimension must be nonnegative")
-    parser = _Parser(tokenize(src), n, allow_time)
-    raw = parser.parse()
-    try:
-        e = normalize(raw)
-    except DomainError as exc:
-        raise ParseError(str(exc), _failure_at(raw, parser.offsets)) from exc
-    if _unprintable(e):
-        raise ParseError(
-            "constant too large to represent", _failure_at(raw, parser.offsets)
-        )
-    return e
-
-
-def _children(e: Expr) -> tuple[Expr, ...]:
-    if isinstance(e, Sum):
-        return e.terms
-    if isinstance(e, Prod):
-        return e.factors
-    if isinstance(e, Pow):
-        return (e.base,)
-    if isinstance(e, Func):
-        return (e.arg,)
-    return ()
-
-
-def _unprintable(e: Expr) -> bool:
-    """True when a constant or an exponent in the normalized tree ``e``
-    has more digits than the interpreter converts to text."""
-    if isinstance(e, Const):
-        return too_large_power(e.value, 1)
-    if isinstance(e, Pow) and too_large_power(e.exponent, 1):
-        return True
-    return any(map(_unprintable, _children(e)))
-
-
-def _checked(normal_form, e):
-    """``normal_form(e)``, or None where that raises DomainError or
-    holds a constant too large to print."""
-    try:
-        out = normal_form(e)
-    except DomainError:
-        return None
-    return None if _unprintable(out) else out
-
-
-def _failure_at(raw: Expr, offsets: dict) -> int:
-    """Offset at which normalizing the raw tree first fails or yields an
-    unprintable constant: descend while one child alone does, then take
-    the operand of the chain whose folding into the operands before it
-    does, or the exponent of the power."""
-    node = raw
-    while True:
-        children = _children(node)
-        normal = [_checked(normalize, c) for c in children]
-        if None not in normal:
-            break
-        node = children[normal.index(None)]
-    at = offsets.get(id(node), (None, [0]))[1]
-    if isinstance(node, (Sum, Prod)) and len(at) == len(children):
-        # the first `lo` operands fold, the first `hi` do not: double
-        # `hi` from 2, then bisect, so the folds cost about two folds of
-        # the whole chain
-        fold = esum if isinstance(node, Sum) else eprod
-        lo, hi = 1, 2
-        while hi < len(normal) and _checked(fold, normal[:hi]) is not None:
-            lo, hi = hi, min(2 * hi, len(normal))
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _checked(fold, normal[:mid]) is None:
-                hi = mid
-            else:
-                lo = mid
-        return at[hi - 1]
-    return at[0]
+    return _Parser(tokenize(src), n, allow_time).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,20 @@ class TestSolve:
         assert code == 0 and err == ""
         assert "verdict: not exact" in out
 
+    def test_sample_points_where_a_side_is_infinite_are_redrawn(self, tmp_path, capsys):
+        # exp(400)*exp(401) overflows to inf at every point, so no point
+        # can show whether the residual is zero
+        doc = {
+            "m": 1, "n": 1, "rho": [["1"]],
+            "L": [{"row": 0, "col": 0, "coeff": "1", "derivs": [2]}],
+            "f": ["0"], "u0": ["exp(400)*exp(401)*sin(x1)"], "u1": ["0"], "order": 4,
+        }
+        path = tmp_path / "infinite.prob"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: no valid sample point found in 64 draws\n"
+
     def test_multi_component_labels(self, capsys):
         code, out, _ = run(capsys, "solve", COUPLED)
         assert code == 0

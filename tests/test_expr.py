@@ -63,7 +63,8 @@ def _reference_eval(e, point, time=None):
 
 def _reference_deviation(a, b, plan):
     """The oracle point by point: per point draw the x's, then t; redraw
-    while either side fails, at most 64 times."""
+    while either side fails or their difference is not finite, at most
+    64 times."""
     indices = variable_indices(a) | variable_indices(b)
     n_vars = max(indices | {1})
     with_time = 0 in indices
@@ -79,7 +80,8 @@ def _reference_deviation(a, b, plan):
                 vb = _reference_eval(b, point, tval)
             except (ValueError, ZeroDivisionError, OverflowError):
                 continue
-            break
+            if math.isfinite(va - vb):
+                break
         else:
             raise SamplingExhausted("no valid sample point")
         worst = max(worst, abs(va - vb) / (1.0 + max(abs(va), abs(vb))))
@@ -545,6 +547,9 @@ class TestOracleParity:
         # sin(inf) for x1 above about 0.5: the product overflows without raising
         (parse_expr("sin(exp(700*x1)*exp(699*x1))", 1), ZERO, None),
         (parse_expr("10^400*sin(x1)", 1), ZERO, "exhausted"),  # no float for the constant
+        # both sides overflow to inf without raising: no point compares them
+        (parse_expr("exp(400)*exp(401)*x1", 1), parse_expr("2*exp(400)*exp(401)*x1", 1),
+         "exhausted"),
     ])
     def test_partial_and_empty_domains(self, seed, points, a, b, want):
         plan = SamplePlan(seed=seed, points_per_check=points)

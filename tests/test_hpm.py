@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from conftest import PLAN, correction_audit_max_deviation, problem_path, random_problem
 from pdeseries import hpm, series
 from pdeseries.expr import ZERO, const, equal_sampled
-from pdeseries.hpm import partial_sum, solve_hpm
+from pdeseries.hpm import hpm_rows, partial_sum, solve_hpm
 from pdeseries.parser import load_problem, parse_expr
 from pdeseries.poly import scale
+from pdeseries.series import problem_ring, rows_series
 
 
 @pytest.fixture(scope="module")
@@ -57,14 +58,15 @@ class TestWorkedCorrections:
 
 def _assert_capped_matches_uncapped(p, corrections):
     # degree k of correction j reads only degree k-2 of correction j-1,
-    # so capping the working order at 2J+1 changes no row 0..2J+1
+    # so the rows the comparison builds to 2J+1 are those of solve_hpm
     window = 2 * corrections + 1
     full = solve_hpm(p, corrections)
-    capped = solve_hpm(p, corrections, order=window)
-    assert capped.working_order == window
-    assert capped.max_correction == full.max_correction
-    assert len(capped.corrections) == len(full.corrections)
-    for small, large in zip(capped.corrections, full.corrections):
+    capped = [rows_series(problem_ring(p), rows)
+              for rows in hpm_rows(p, corrections, window)]
+    assert full.working_order >= window
+    assert len(capped) == len(full.corrections) == corrections + 1
+    for small, large in zip(capped, full.corrections):
+        assert small.order == window
         for d in range(window + 1):
             assert small.coefficient(d) == large.coefficient(d)
 
@@ -82,14 +84,6 @@ class TestWorkingOrder:
     def test_capped_rows_on_bundled_problems(self, name, corrections):
         p = load_problem(problem_path(name))
         _assert_capped_matches_uncapped(p, corrections)
-
-    def test_order_above_window_is_kept(self, wave):
-        assert solve_hpm(wave, 1, order=6).working_order == 6
-
-    @pytest.mark.parametrize("corrections, order", [(0, 0), (1, 2), (3, 6), (2, -1)])
-    def test_order_below_window_rejected(self, wave, corrections, order):
-        with pytest.raises(ValueError):
-            solve_hpm(wave, corrections, order=order)
 
 
 class TestPartialSum:

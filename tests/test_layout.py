@@ -1,5 +1,5 @@
-"""Source layout: no module-level definition in the package is left
-without a caller."""
+"""Source layout: no module-level definition or import in the package
+is left without a caller."""
 
 import ast
 from pathlib import Path
@@ -37,3 +37,22 @@ def test_every_definition_is_used_or_exported():
         if not any(stmt.name in names for j, names in enumerate(uses) if j != i):
             unused.append(f"{module}.{stmt.name}")
     assert unused == []
+
+
+def test_every_import_is_read():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue  # its imports are the package's exports
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            for alias in stmt.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read:
+                    unread.append(f"{path.stem}.{name}")
+    assert unread == []

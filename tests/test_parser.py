@@ -5,12 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_normal_expr
+from conftest import random_normal_expr, random_raw_expr
 from pdeseries.errors import (
     DimensionMismatch,
+    DomainError,
     FormatError,
     NonIntegerExponent,
     ParseError,
@@ -180,13 +181,16 @@ class TestErrors:
         ("((((x1^(2^4000))^(2^4000))^(2^4000))^(2^4000))", 37),
         ("10^4300", 3),                            # 4301 digits, exactly one past
         ("10^2150*10^2150", 8),
+        # negating the sum takes out its content, 1/231^3000
+        ("x1 + -(x1/3^3000 + x2/7^3000 + x3/11^3000)", 5),
+        ("x1*(-(x1/3^3000 + x2/7^3000 + x3/11^3000))", 4),
     ])
     def test_huge_normalized_constant(self, src, offset):
         # each chain prints, but normalize folds constants across chains
         # into one that would not; the offset is that of the operand, or
         # the exponent, at which the folded constant first passes it
         with pytest.raises(ParseError) as err:
-            parse_expr(src, 2)
+            parse_expr(src, 3)
         assert err.value.offset == offset
         assert "too large" in err.value.message
 
@@ -202,6 +206,26 @@ class TestErrors:
             parse_expr(src, 2)
         assert err.value.offset == offset
         assert message in err.value.message
+
+    def test_first_failing_construct_is_reported(self):
+        # the division by zero comes before the product passes the limit
+        with pytest.raises(ParseError) as err:
+            parse_expr("exp(0.5/0/1/3^5000/1/3^5000)", 1)
+        assert err.value.offset == 8
+        assert "zero raised" in err.value.message
+
+    def test_zero_factor_before_huge_constants(self):
+        # the running product is zero before the constants would pass the limit
+        assert parse_expr("(x1-x1)*1/7^5000*1/7^5000", 1) == const(0)
+
+    def test_exponent_sum_past_the_limit(self):
+        # nine factors give x1^(9*10^4299), 4300 digits; the tenth passes the limit
+        src = "*".join(["x1^(10^4299)"] * 10)
+        assert parse_expr(src[:-13], 1) == Pow(Var(1), 9 * 10**4299)
+        with pytest.raises(ParseError) as err:
+            parse_expr(src, 1)
+        assert err.value.offset == 117
+        assert "exponent too large" in err.value.message
 
     def test_huge_normalized_constant_late_in_a_long_chain(self):
         head = " + ".join(f"x1^{i}" for i in range(1, 1000)) + " + 1/3^5000 + "
@@ -242,6 +266,69 @@ class TestErrors:
         assert err.value.offset == 0
         # allowed in the extended grammar
         parse_expr("t + x1", 1, allow_time=True)
+
+
+def _parenthesised(e) -> str:
+    """The raw tree ``e`` in the input grammar, every node in parentheses."""
+    if isinstance(e, Const):
+        return f"({e.value})"
+    if isinstance(e, Var):
+        return "t" if e.index == TIME_INDEX else f"x{e.index}"
+    if isinstance(e, Func):
+        return f"{e.name}({_parenthesised(e.arg)})"
+    if isinstance(e, Pow):
+        return f"({_parenthesised(e.base)})^({e.exponent})"
+    if isinstance(e, Prod):
+        return "(" + "*".join(map(_parenthesised, e.factors)) + ")"
+    return "(" + " + ".join(map(_parenthesised, e.terms)) + ")"
+
+
+_HUGE_ATOMS = (
+    "x1", "t", "0", "1/2", "(x1-x1)", "2^14000", "10^4299", "1/3^5000", "1/7^5000",
+    "x1^(10^4299)", "x2/7^3000",
+)
+_HUGE_SOUP = st.lists(
+    st.sampled_from(_HUGE_ATOMS + ("ln(", "tanh(", "(", ")", "+", "-", "*", "/", "^")),
+    max_size=12,
+).map("".join)
+_HUGE_NESTED = st.recursive(
+    st.sampled_from(_HUGE_ATOMS),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map("".join),
+        st.tuples(inner, st.sampled_from(("2", "(-1)", "0", "(10^4299)"))).map(
+            lambda a: f"({a[0]})^{a[1]}"
+        ),
+        st.tuples(st.sampled_from(("ln", "tanh", "exp")), inner).map(
+            lambda a: f"{a[0]}({a[1]})"
+        ),
+    ),
+    max_leaves=8,
+)
+
+
+class TestParsingIsNormalizing:
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=300)
+    def test_parse_equals_normalize_of_the_raw_tree(self, seed):
+        raw = random_raw_expr(random.Random(seed), depth=4, allow_time=True)
+        text = _parenthesised(raw)
+        try:
+            want = normalize(raw)
+        except DomainError:
+            with pytest.raises(ParseError):
+                parse_expr(text, 2, allow_time=True)
+            return
+        assert parse_expr(text, 2, allow_time=True) == want
+
+    @given(st.one_of(_HUGE_SOUP, _HUGE_NESTED))
+    @settings(max_examples=400)
+    def test_every_parsed_expression_prints(self, text):
+        # no constant or exponent past the int-to-text limit survives a parse
+        try:
+            e = parse_expr(text, 2, allow_time=True)
+        except ParseError:
+            return
+        assert parse_expr(print_expr(e), 2, allow_time=True) == e
 
 
 class TestPrinting:
