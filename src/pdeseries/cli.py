@@ -16,8 +16,8 @@ from .expr import SamplePlan
 from .hpm import partial_sum, solve_hpm
 from .parser import load_problem, parse_expr, print_expr
 from .series import TimeSeriesVec, expand_in_time
-from .taylor import solve_taylor, taylor_coefficients
-from .verify import equivalence_check, residual_check
+from .taylor import solve_taylor, taylor_rows
+from .verify import equivalence_check, residual_check_rows
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -191,7 +191,7 @@ def _cmd_residual(args) -> int:
     if args.order is not None:
         problem = problem.with_order(args.order)
     plan = SamplePlan(seed=args.seed, tolerance=args.tolerance)
-    report = residual_check(problem, taylor_coefficients(problem), plan)
+    report = residual_check_rows(problem, taylor_rows(problem), plan)
     if args.output_format == "json":
         sys.stdout.write(_render_json(report.to_dict()))
     else:

@@ -420,11 +420,15 @@ def _add(terms: Iterable[Expr]) -> Expr:
         else:
             flat.append(t)
 
+    # the running constant stays within the digit limit, as in _mul
     const_acc = Fraction(0)
     groups: dict[Expr, Fraction] = {}
     for t in flat:
         if isinstance(t, Const):
             const_acc += t.value
+            bits = const_acc.numerator.bit_length() + const_acc.denominator.bit_length()
+            if bits > _FEW_BITS and too_large_power(const_acc, 1):
+                raise DomainError("constant too large to represent")
             continue
         coeff, rest = _split_coeff(t)
         groups[rest] = groups.get(rest, Fraction(0)) + coeff
@@ -436,9 +440,6 @@ def _add(terms: Iterable[Expr]) -> Expr:
         parts.append(rest if coeff == 1 else _mul([Const(coeff), rest]))
     parts.sort(key=_term_key)
     if const_acc != 0:
-        bits = const_acc.numerator.bit_length() + const_acc.denominator.bit_length()
-        if bits > _FEW_BITS and too_large_power(const_acc, 1):
-            raise DomainError("constant too large to represent")
         parts.insert(0, Const(const_acc))
     if not parts:
         return ZERO

@@ -21,7 +21,6 @@ from .series import (
     Rows,
     TimeSeriesVec,
     apply_rows,
-    forcing_coefficients,
     forcing_rows,
     problem_ring,
     rows_series,
@@ -83,12 +82,9 @@ def solve_hpm(p: ProblemSpec, corrections: int) -> HpmExpansion:
     if corrections < 0:
         raise ValueError("correction count must be nonnegative")
     final_degree = 2 * corrections + 1
-    # Degree of the forcing expanded to 2J+1 sets how much headroom the
-    # working order needs beyond the finalized window.  The probe
-    # expands to the largest working order possible, 2(2J+1), so the
-    # forcing is expanded once; the call below reads a prefix.
-    forcing_coefficients(p, 2 * final_degree)
-    probe = forcing_rows(p, final_degree)
+    # the forcing's degree through 2J+1 is the headroom the working order
+    # needs; expanding to 2(2J+1), the largest, lets hpm_rows read a prefix
+    probe = forcing_rows(p, 2 * final_degree)[: final_degree + 1]
     forcing_degree = max(
         (j for j, vec in enumerate(probe) if any(vec)), default=0
     )

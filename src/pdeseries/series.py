@@ -39,7 +39,7 @@ from .expr import (
     too_large_power,
     uses_time,
 )
-from .poly import Poly, Ring, add, mul, scale
+from .poly import ONE as POLY_ONE, Poly, Ring, _iadd, add, mul, scale
 
 ExprVec = tuple[Expr, ...]
 
@@ -193,21 +193,8 @@ def apply_rows(ring: Ring, op: SpatialOperator, vec: Sequence[Poly]) -> list[Pol
 
 def expand_in_time(e: Expr, order: int) -> ExprVec:
     """Coefficients g_0..g_order of the expansion of ``e`` about time
-    zero.
-
-    Each subtree of the normalized tree gets its truncated power series
-    in time (its "jet" [c_0..c_order]), built bottom-up from the jets of
-    its children (Griewank & Walther, *Evaluating Derivatives*, ch. 13;
-    Knuth, TAOCP vol. 2, 4.7):
-
-    * sums add term by term; products take a sparse Cauchy product;
-    * a function of a series a_0 + h composes its Taylor series about
-      a_0 with h, f(a_0 + h) = sum_k f^(k)(a_0)/k! h^k, where f^(k)
-      comes from differentiating the one-node tree f(t);
-    * a power of a series composes the binomial series in the same way.
-
-    The tree is never differentiated in time as a whole, and every c_0
-    equals the normalized tree at t = 0.
+    zero, by ``_Jets`` on normalized trees; g_0 is the normalized tree
+    at t = 0.
 
     Raises ExpansionSingular where ``e`` has no power series at time
     zero (ln of a series whose constant term is zero or a constant
@@ -216,17 +203,7 @@ def expand_in_time(e: Expr, order: int) -> ExprVec:
     exponent would be too large to represent."""
     if order < 0:
         raise ValueError("expansion order must be nonnegative")
-    e = normalize(e)
-    jet = _Jets(order).of(e)
-    return (e,) + (ZERO,) * order if jet is None else tuple(jet)
-
-
-def _is_zero(e: Expr) -> bool:
-    return isinstance(e, Const) and not e.value
-
-
-def _top_terms(e: Expr) -> tuple[Expr, ...]:
-    return e.terms if isinstance(e, Sum) else (e,)
+    return tuple(_Jets(order).expansion(normalize(e)))
 
 
 def _binomial(k: int, m: int) -> Fraction:
@@ -238,24 +215,65 @@ def _binomial(k: int, m: int) -> Fraction:
 
 
 class _Jets:
-    """Jets of the subtrees of one expansion; ``None`` stands for a
-    time-free subtree e, whose jet is [e, 0, ..., 0]."""
+    """Truncated power series in time ("jets" [c_0..c_order]) of the
+    subtrees of one expansion, each built bottom-up from the jets of its
+    children (Griewank & Walther, *Evaluating Derivatives*, ch. 13;
+    Knuth, TAOCP vol. 2, 4.7); ``None`` stands for a time-free subtree
+    e, whose jet is [e, 0, ..., 0].
+
+    * sums add term by term; products take a sparse Cauchy product;
+    * a function of a series a_0 + h composes its Taylor series about
+      a_0 with h, f(a_0 + h) = sum_k f^(k)(a_0)/k! h^k;
+    * a power of a series composes the binomial series in the same way.
+
+    The tree is never differentiated in time as a whole.  The recursion
+    is written once over hooks: ``_add``, ``_mul``, ``_power``,
+    ``_terms`` (what a product spreads over), ``_leaf`` (a time-free
+    subtree as a value), ``_constant`` (the rational a value is, or
+    None) and ``_taylor`` (the f^(k)(a_0)/k!).  This class computes on
+    normalized trees; ``_RingJets`` on polynomials."""
+
+    _add, _mul, _power = staticmethod(esum), staticmethod(eprod), staticmethod(Expr.__pow__)
 
     def __init__(self, order: int):
         self.order = order
-        self.memo: dict[Expr, list[Expr] | None] = {}
-        # f(t), f'(t), f''(t), ... per function name
-        self.derivatives: dict[str, list[Expr]] = {}
+        self.memo: dict[Expr, list | None] = {}
+        self.derivatives: dict = {}  # per function name: f(t), f'(t), ...
 
-    def of(self, e: Expr) -> list[Expr] | None:
+    @staticmethod
+    def _terms(c: Expr) -> tuple[Expr, ...]:
+        return c.terms if isinstance(c, Sum) else (c,)
+
+    @staticmethod
+    def _leaf(e: Expr):
+        return e
+
+    @staticmethod
+    def _constant(c) -> Fraction | None:
+        return c.value if isinstance(c, Const) else None
+
+    def _taylor(self, name: str, a0, count: int) -> list:
+        """From differentiating the one-node tree f(t) and substituting a0."""
+        derivatives = self.derivatives.setdefault(name, [Func(name, Var(TIME_INDEX))])
+        while len(derivatives) < count:
+            derivatives.append(differentiate(derivatives[-1], TIME_INDEX))
+        return [eprod([Const(Fraction(1, math.factorial(k))), substitute(d, TIME_INDEX, a0)])
+                for k, d in enumerate(derivatives[:count])]
+
+    def expansion(self, e: Expr) -> list:
+        """The jet of the normalized tree ``e``, time-free or not."""
+        jet = self.of(e)
+        return [self._leaf(e)] + [self._leaf(ZERO)] * self.order if jet is None else jet
+
+    def of(self, e: Expr) -> list | None:
         if isinstance(e, Const):
             return None
         if isinstance(e, Var):
             if e.index != TIME_INDEX:
                 return None
-            jet = [ZERO] * (self.order + 1)
+            jet = [self._leaf(ZERO)] * (self.order + 1)
             if self.order:
-                jet[1] = ONE
+                jet[1] = self._leaf(ONE)
             return jet
         try:
             return self.memo[e]
@@ -272,119 +290,158 @@ class _Jets:
         self.memo[e] = jet
         return jet
 
-    def _sum(self, e: Sum) -> list[Expr] | None:
+    def _sum(self, e: Sum) -> list | None:
         jets = [self.of(t) for t in e.terms]
         if all(j is None for j in jets):
             return None
-        out = [esum(t if j is None else j[0] for t, j in zip(e.terms, jets))]
+        out = [self._add([self._leaf(t) if j is None else j[0] for t, j in zip(e.terms, jets)])]
         live = [j for j in jets if j is not None]
         for n in range(1, self.order + 1):
-            out.append(esum(j[n] for j in live))
+            out.append(self._add([j[n] for j in live]))
         return out
 
-    def _prod(self, e: Prod) -> list[Expr] | None:
+    def _prod(self, e: Prod) -> list | None:
         jets = [self.of(f) for f in e.factors]
         if all(j is None for j in jets):
             return None
-        free = eprod(f for f, j in zip(e.factors, jets) if j is None)
+        free = self._mul([self._leaf(f) for f, j in zip(e.factors, jets) if j is None])
         live = [j for j in jets if j is not None]
         product = live[0]
         for j in live[1:]:
             product = self._cauchy(product, j)
         # the time-free part stays one factor of every term, as the
         # product rule would leave it
-        out = [eprod([free, product[0]])]
+        out = [self._mul([free, product[0]])]
         for c in product[1:]:
-            out.append(esum(eprod([free, t]) for t in _top_terms(c)))
+            out.append(self._add([self._mul([free, t]) for t in self._terms(c)]))
         return out
 
-    def _cauchy(self, a: list[Expr], b: list[Expr], spread: bool = True) -> list[Expr]:
+    def _cauchy(self, a: list, b: list, spread: bool = True) -> list:
         """Truncated product of two jets.  Degree 0 is the plain product
         of the constant terms.  Above it, with ``spread`` every a_i*b_j
         is spread over the top-level terms of both sides, so like terms
         collect as after the product rule; without, it is formed whole."""
-        n = self.order
-        terms = _top_terms if spread else (lambda c: (c,))
-        live_a = [(i, terms(c)) for i, c in enumerate(a) if not _is_zero(c)]
-        live_b = [(i, terms(c)) for i, c in enumerate(b) if not _is_zero(c)]
-        parts: list[list[Expr]] = [[] for _ in range(n + 1)]
+        n, mul = self.order, self._mul
+        terms = self._terms if spread else (lambda c: (c,))
+        live_a = [(i, terms(c)) for i, c in enumerate(a) if self._constant(c) != 0]
+        live_b = [(i, terms(c)) for i, c in enumerate(b) if self._constant(c) != 0]
+        parts: list[list] = [[] for _ in range(n + 1)]
         for i, terms_a in live_a:
             for j, terms_b in live_b:
                 if i + j > n:
                     break
                 if i + j == 0:
-                    parts[0].append(eprod([a[0], b[0]]))
+                    parts[0].append(mul([a[0], b[0]]))
                     continue
                 target = parts[i + j]
                 for x in terms_a:
                     for y in terms_b:
-                        target.append(eprod([x, y]))
-        return [esum(p) for p in parts]
+                        target.append(mul([x, y]))
+        return [self._add(p) for p in parts]
 
-    def _span(self, h: list[Expr]) -> int:
+    def _span(self, h: list) -> int:
         """Highest k for which h^k reaches the order, h with a zero
         constant term."""
-        valuation = next((i for i, c in enumerate(h) if not _is_zero(c)), None)
+        valuation = next((i for i, c in enumerate(h) if self._constant(c) != 0), None)
         return 0 if valuation is None else self.order // valuation
 
-    def _compose(self, taylor: list[Expr], h: list[Expr]) -> list[Expr]:
+    def _compose(self, taylor: list, h: list) -> list:
         """g(a_0 + h) = sum over k of taylor[k] * h^k, truncated, for g
         with Taylor coefficients ``taylor`` about a_0 (at most
         ``_span(h)`` + 1 of them) and h with a zero constant term.  The
         powers h^k and the products taylor[k] * (h^k)_j are formed whole:
         spreading them over their terms made nested compositions such as
         tanh(tanh(tanh(cosh(t)))) print two to three times longer."""
-        parts: list[list[Expr]] = [[taylor[0]]] + [[] for _ in range(self.order)]
-        last = max(k for k, c in enumerate(taylor) if k == 0 or not _is_zero(c))
+        parts: list[list] = [[taylor[0]]] + [[] for _ in range(self.order)]
+        last = max(k for k, c in enumerate(taylor) if k == 0 or self._constant(c) != 0)
         power = h
         for k in range(1, last + 1):
             if k > 1:
                 power = self._cauchy(power, h, spread=False)
-            if _is_zero(taylor[k]):
+            if self._constant(taylor[k]) == 0:
                 continue
             for j, c in enumerate(power):
-                if not _is_zero(c):
-                    parts[j].append(eprod([taylor[k], c]))
-        return [esum(p) for p in parts]
+                if self._constant(c) != 0:
+                    parts[j].append(self._mul([taylor[k], c]))
+        return [self._add(p) for p in parts]
 
-    def _func(self, e: Func) -> list[Expr] | None:
+    def _func(self, e: Func) -> list | None:
         a = self.of(e.arg)
-        a0 = e.arg if a is None else a[0]
-        if e.name == "ln" and isinstance(a0, Const) and a0.value <= 0:
+        a0 = self._leaf(e.arg) if a is None else a[0]
+        if e.name == "ln" and (c := self._constant(a0)) is not None and c <= 0:
             raise ExpansionSingular("ln argument vanishes or is negative at time zero")
         if a is None:
             return None
-        h = [ZERO, *a[1:]]
-        derivatives = self.derivatives.setdefault(
-            e.name, [Func(e.name, Var(TIME_INDEX))]
-        )
-        taylor = []
-        for k in range(self._span(h) + 1):
-            if k == len(derivatives):
-                derivatives.append(differentiate(derivatives[-1], TIME_INDEX))
-            value = substitute(derivatives[k], TIME_INDEX, a0)
-            taylor.append(eprod([Const(Fraction(1, math.factorial(k))), value]))
-        return self._compose(taylor, h)
+        h = [self._leaf(ZERO), *a[1:]]
+        return self._compose(self._taylor(e.name, a0, self._span(h) + 1), h)
 
-    def _pow(self, e: Pow) -> list[Expr] | None:
+    def _pow(self, e: Pow) -> list | None:
         b = self.of(e.base)
         if b is None:
             return None
         k, b0 = e.exponent, b[0]
-        if k < 0 and _is_zero(b0):
+        c = self._constant(b0)
+        if k < 0 and c == 0:
             raise ExpansionSingular(
                 "negative power of a series that vanishes at time zero"
             )
-        if isinstance(b0, Const) and too_large_power(b0.value, k):
+        if c is not None and too_large_power(c, k):
             raise ExpansionSingular(
                 "power of a constant too large to represent at time zero"
             )
         # the binomial series (b_0 + h)^k = sum_m C(k, m) b_0^(k-m) h^m,
         # which for b_0 = 0 keeps only h^k
-        h = [ZERO, *b[1:]]
+        h = [self._leaf(ZERO), *b[1:]]
         count = self._span(h) + 1 if k < 0 else min(self._span(h), k) + 1
-        taylor = [eprod([Const(_binomial(k, m)), b0 ** (k - m)]) for m in range(count)]
+        taylor = [
+            self._mul([self._leaf(Const(_binomial(k, m))), self._power(b0, k - m)])
+            for m in range(count)
+        ]
         return self._compose(taylor, h)
+
+
+class _RingJets(_Jets):
+    """The same recursion on polynomials of ``ring``.  f^(k)(a0)/k!
+    comes from differentiating f(t) in a small ring of its own, then
+    mapping t to a0 and each g(t) there to g(a0), monomial by monomial."""
+
+    _terms = staticmethod(lambda c: (c,))
+
+    def __init__(self, ring: Ring, order: int):
+        super().__init__(order)
+        self.ring, self._power, self._leaf = ring, ring.power, ring.from_tree
+
+    @staticmethod
+    def _add(parts: list) -> Poly:
+        out: Poly = {}
+        for p in parts:
+            _iadd(out, p)
+        return out
+
+    @staticmethod
+    def _mul(factors: list) -> Poly:
+        out = POLY_ONE
+        for f in factors:
+            out = f if out is POLY_ONE else mul(out, f)
+        return out
+
+    @staticmethod
+    def _constant(c: Poly) -> Fraction | None:
+        return Fraction(0) if not c else c.get(()) if len(c) == 1 else None
+
+    def _taylor(self, name: str, a0: Poly, count: int) -> list:
+        if name not in self.derivatives:
+            small = Ring()
+            self.derivatives[name] = small, [small.from_tree(Func(name, Var(TIME_INDEX)))]
+        small, derivatives = self.derivatives[name]
+        while len(derivatives) < count:
+            derivatives.append(small.diff(derivatives[-1], TIME_INDEX))
+        images = [a0 if isinstance(g, Var) else self.ring.func(g.name, a0) for g in small.trees]
+        return [self._add([
+            self._mul([{(): c / math.factorial(k)},
+                       *(self.ring.power(images[i], e) for i, e in enumerate(m) if e)])
+            for m, c in derivatives[k].items()
+        ]) for k in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -551,24 +608,21 @@ def problem_ring(p: ProblemSpec) -> Ring:
 
 
 def forcing_coefficients(p: ProblemSpec, order: int) -> list[ExprVec]:
-    """Per-degree forcing vectors f_0..f_order from the closed-form
-    forcing expressions.
+    """``forcing_rows`` as canonical trees."""
+    ring = problem_ring(p)
+    return [tuple(map(ring.to_tree, row)) for row in forcing_rows(p, order)]
 
-    Each forcing component is expanded by ``expand_in_time`` once per
+
+def forcing_rows(p: ProblemSpec, order: int) -> Rows:
+    """Per-degree forcing vectors f_0..f_order from the closed-form
+    forcing expressions, as polynomials of ``problem_ring(p)``.
+
+    Each forcing component is expanded by jets in the ring once per
     problem: coefficients do not depend on the order they were expanded
     to, so a later call with an order no larger reads a prefix of the
     stored ones, and only a larger order expands again."""
     per_component = _hidden(p, "_forcing")
     if not per_component or len(per_component[0]) <= order:
-        per_component[:] = [expand_in_time(c, order) for c in p.f_source]
-    return [
-        tuple(coeffs[j] for coeffs in per_component)
-        for j in range(order + 1)
-    ]
-
-
-def forcing_rows(p: ProblemSpec, order: int) -> Rows:
-    """``forcing_coefficients`` as polynomials of ``problem_ring(p)``;
-    the ring converts each distinct tree once per problem."""
-    ring = problem_ring(p)
-    return [list(map(ring.from_tree, vec)) for vec in forcing_coefficients(p, order)]
+        jets = _RingJets(problem_ring(p), order)
+        per_component[:] = [jets.expansion(c) for c in p.f_source]
+    return [[c[j] for c in per_component] for j in range(order + 1)]

@@ -11,6 +11,7 @@ from .hpm import hpm_rows, sum_rows
 from .poly import add, scale, sub
 from .series import (
     ProblemSpec,
+    Rows,
     TimeSeriesVec,
     apply_rows,
     forcing_rows,
@@ -81,17 +82,25 @@ class EquivalenceReport:
 def residual_check(
     p: ProblemSpec, sol: TimeSeriesVec, plan: SamplePlan = DEFAULT_PLAN
 ) -> ResidualReport:
-    """Verify that the series satisfies the equation to its information
+    """``residual_check_rows`` of the series' coefficients."""
+    return residual_check_rows(p, series_rows(problem_ring(p), sol), plan)
+
+
+def residual_check_rows(
+    p: ProblemSpec, rows: Rows, plan: SamplePlan = DEFAULT_PLAN
+) -> ResidualReport:
+    """Verify that the series with coefficients ``rows``, polynomials of
+    ``problem_ring(p)``, satisfies the equation to its information
     content: residual coefficients of degree 0..order-2 must vanish.  A
     residual whose polynomial is zero has deviation 0.0 exactly; any
     other is sampled."""
-    if sol.order < 2:
+    order = len(rows) - 1
+    if order < 2:
         raise ValueError("residual check needs a series of order >= 2")
     ring = problem_ring(p)
-    f = forcing_rows(p, sol.order)
-    rows = series_rows(ring, sol)
+    f = forcing_rows(p, order)
     checks = []
-    for k in range(sol.order - 1):
+    for k in range(order - 1):
         second = [scale(c, (k + 1) * (k + 2)) for c in rows[k + 2]]
         lhs = scale_rows(p.rho, second)
         rhs = [add(a, b) for a, b in zip(apply_rows(ring, p.L, rows[k]), f[k])]

@@ -31,7 +31,7 @@ from pdeseries.series import (
     ProblemSpec,
     RationalMatrix,
     SpatialOperator,
-    forcing_coefficients,
+    expand_in_time,
     invert,
 )
 from pdeseries.errors import SingularRho
@@ -203,6 +203,14 @@ def apply_by_differentiate(op, vec):
     return tuple(esum(parts) for parts in rows)
 
 
+def tree_forcing(p, order: int) -> list[tuple[Expr, ...]]:
+    """Per-degree forcing vectors f_0..f_order by ``expand_in_time``,
+    the jets on trees, one component at a time: apart from the ring
+    expansion that the engines use."""
+    per_component = [expand_in_time(c, order) for c in p.f_source]
+    return [tuple(c[j] for c in per_component) for j in range(order + 1)]
+
+
 # ---------------------------------------------------------------------------
 # Correction audit: second time derivative of each correction must match
 # its defining source term
@@ -214,9 +222,9 @@ def correction_audit_max_deviation(p, expansion, plan: SamplePlan = PLAN) -> flo
 
     Both sides are built on trees, apart from the engines: degree k of
     d2/dt2 u^(j) is (k+1)(k+2) times degree k+2 of u^(j), L goes
-    through ``apply_by_differentiate``, and rho^{-1} is applied entry by
-    entry."""
-    f = forcing_coefficients(p, expansion.working_order)
+    through ``apply_by_differentiate``, the forcing through
+    ``tree_forcing``, and rho^{-1} is applied entry by entry."""
+    f = tree_forcing(p, expansion.working_order)
     worst = 0.0
     for j in range(1, expansion.max_correction + 1):
         prev, cur = expansion.corrections[j - 1], expansion.corrections[j]

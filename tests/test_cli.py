@@ -21,6 +21,13 @@ FORCED_WAVE = problem_path("forced_wave_2d.prob")
 WAVE = problem_path("wave_1d.prob")
 COUPLED = problem_path("coupled_2x2.prob")
 
+FORCING_1X1 = """{"m": 1, "n": 2, "rho": [["1"]],
+ "L": [{"row": 0, "col": 0, "coeff": "1", "derivs": [2, 0]},
+       {"row": 0, "col": 0, "coeff": "1", "derivs": [0, 2]}],
+ "f": ["exp(sin(x1*t))*tanh(t+x2)"],
+ "u0": ["0"], "u1": ["0"], "order": 10}
+"""
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -128,6 +135,23 @@ class TestResidual:
         monkeypatch.setattr(taylor, "detect_exact", refuse)
         assert run(capsys, "residual", COUPLED, *fmt) == want
         assert want[0] == 0 and "exact" not in want[1]
+
+
+class TestForcedProblem:
+    @pytest.mark.parametrize("argv,sha1", [
+        (("solve", "--order", "10"), "52a6c17da9077952e7c132143522b4023d8c4bcd"),
+        (("residual", "--order", "10"), "5841f4fefe86801a442f96bb0735386771ed536f"),
+        (("hpm", "--corrections", "2"), "a629e7bd220798c684a305cffe0aaeba5256963c"),
+        (("compare", "--corrections", "2"), "7aa390d0b6ed1ed7a1c8c1fa715517b28dda64b6"),
+    ])
+    def test_prints_the_same_bytes(self, capsys, tmp_path, argv, sha1):
+        # the engines expand the forcing in the polynomial ring; these are
+        # the bytes of the expansion by tree jets converted to the ring
+        path = tmp_path / "forcing_1x1.prob"
+        path.write_text(FORCING_1X1, encoding="utf-8")
+        code, out, _ = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 0
+        assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
 
 class TestExpand:
@@ -350,6 +374,27 @@ class TestErrorsAndExitCodes:
         path.write_text("not json", encoding="utf-8")
         code, _, err = run(capsys, "solve", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("forcing,message", [
+        # a constant term that is a zero polynomial, though not the tree 0
+        ("ln((1+x1)*(1-x1)+x1^2-1+t)", "ln argument vanishes or is negative at time zero"),
+        ("((1+x1)*(1-x1)+x1^2-1+t)^(-2)", "negative power of a series that vanishes at time zero"),
+        ("ln((1+x1)*(1-x1)+x1^2-2)*t", "ln argument vanishes or is negative at time zero"),
+        ("((2+x1)*(2-x1)+x1^2+t)^99999999",
+         "power of a constant too large to represent at time zero"),
+    ])
+    @pytest.mark.parametrize("command", ["solve", "hpm", "compare", "residual"])
+    def test_hidden_constant_term_is_singular(self, tmp_path, capsys, forcing, message, command):
+        doc = {
+            "m": 1, "n": 1, "rho": [["1"]],
+            "L": [{"row": 0, "col": 0, "coeff": "1", "derivs": [2]}],
+            "f": [forcing], "u0": ["0"], "u1": ["0"], "order": 4,
+        }
+        path = tmp_path / "hidden.prob"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        extra = ("--corrections", "2") if command in ("hpm", "compare") else ()
+        code, out, err = run(capsys, command, str(path), *extra)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_singular_mass_matrix(self, tmp_path, capsys):
         doc = {

@@ -160,3 +160,17 @@ class TestStructuralLaws:
         p = load_problem(problem_path("wave_1d.prob"))
         h = solve_hpm(p, 3)
         assert correction_audit_max_deviation(p, h, PLAN) > PLAN.tolerance
+
+    def test_audit_sees_a_fault_in_the_ring_forcing(self, monkeypatch):
+        # the audit expands the forcing by jets on trees, so a fault in
+        # the engines' expansion in the ring cannot cancel out
+        expansion = series._RingJets.expansion
+
+        def faulty(self, e):
+            jet = expansion(self, e)
+            return [scale(c, 2) if d == 1 else c for d, c in enumerate(jet)]
+
+        monkeypatch.setattr(series._RingJets, "expansion", faulty)
+        p = load_problem(problem_path("forced_wave_2d.prob"))
+        h = solve_hpm(p, 2)
+        assert correction_audit_max_deviation(p, h, PLAN) > PLAN.tolerance

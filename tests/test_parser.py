@@ -1,7 +1,9 @@
 """Grammar, error offsets, printing round-trips, and problem files."""
 
 import json
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -232,6 +234,17 @@ class TestErrors:
         with pytest.raises(ParseError) as err:
             parse_expr(head + "1/7^5000", 1)
         assert err.value.offset == len(head)
+
+    def test_many_constant_terms_are_refused_where_the_sum_passes_the_limit(self):
+        # the running constant passes the limit at the 17th term, 1/61^200;
+        # summing all 549 terms first took seconds
+        primes = [p for p in range(3, 4000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_expr(" + ".join(f"1/{p}^200" for p in primes), 1)
+        assert time.perf_counter() - start < 1.0
+        assert err.value.offset == 173
+        assert "too large" in err.value.message
 
     def test_normalized_constants_at_the_limit(self):
         # 4300 digits print; 4301 would not

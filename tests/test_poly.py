@@ -14,6 +14,7 @@ from conftest import (
     random_normal_expr,
     random_problem,
     random_raw_expr,
+    tree_forcing,
 )
 from pdeseries import poly
 from pdeseries.cli import main
@@ -36,7 +37,7 @@ from pdeseries.expr import (
 from pdeseries.hpm import partial_sum, solve_hpm
 from pdeseries.parser import parse_expr, parse_problem
 from pdeseries.poly import ONE, Ring, add, mul, scale, sub
-from pdeseries.series import forcing_coefficients, problem_ring
+from pdeseries.series import problem_ring
 from pdeseries.taylor import taylor_coefficients
 from pdeseries.verify import equivalence_check
 
@@ -200,8 +201,9 @@ class TestDerivatives:
 
 
 def _tree_taylor(p, order):
-    """The direct recursion on trees, with the tree-built operator."""
-    f = forcing_coefficients(p, order)
+    """The direct recursion on trees, with the tree-built operator and
+    the tree-built forcing."""
+    f = tree_forcing(p, order)
     rows = [p.u0, p.u1]
     for j in range(order - 1):
         w = [esum([a, b]) for a, b in zip(apply_by_differentiate(p.L, rows[j]), f[j])]
