@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Poly, Ring, add, scale
+from .poly import ZERO, Ring, add, scale
 from .series import (
     ProblemSpec,
     Rows,
@@ -46,7 +46,7 @@ class HpmExpansion:
 def _double_time_integral(source: Rows, m: int, order: int) -> Rows:
     """Map degree-k coefficients to degree k+2 divided by (k+1)(k+2);
     integration constants are zero, degrees beyond the order are cut."""
-    rows: Rows = [[{}] * m, [{}] * m]
+    rows: Rows = [[ZERO] * m, [ZERO] * m]
     for k in range(order - 1):
         q = Fraction(1, (k + 1) * (k + 2))
         rows.append([scale(c, q) for c in source[k]])
@@ -58,7 +58,7 @@ def hpm_rows(p: ProblemSpec, corrections: int, working: int) -> list[Rows]:
     polynomials of ``problem_ring(p)``."""
     ring = problem_ring(p)
     f = forcing_rows(p, working)
-    zero = [{}] * p.m
+    zero = [ZERO] * p.m
     first = [list(map(ring.from_tree, p.u0)), list(map(ring.from_tree, p.u1))]
     out = [first + [zero] * (working - 1)]
     for j in range(1, corrections + 1):
@@ -100,14 +100,10 @@ def solve_hpm(p: ProblemSpec, corrections: int) -> HpmExpansion:
 def sum_rows(corrections: list[Rows], trunc: int) -> Rows:
     """Degree-wise sum of the corrections through degree ``trunc``."""
     m = len(corrections[0][0])
-    total = []
-    for k in range(trunc + 1):
-        row: list[Poly] = [{}] * m
-        for rows in corrections:
-            if k < len(rows):
-                row = [add(a, b) for a, b in zip(row, rows[k])]
-        total.append(row)
-    return total
+    return [
+        [add(*(rows[k][i] for rows in corrections if k < len(rows))) for i in range(m)]
+        for k in range(trunc + 1)
+    ]
 
 
 def partial_sum(h: HpmExpansion, trunc: int) -> TimeSeriesVec:

@@ -60,7 +60,7 @@ from .expr import (
     eprod,
     esum,
 )
-from .series import OperatorTerm, ProblemSpec, RationalMatrix, SpatialOperator
+from .series import OperatorTerm, ProblemSpec, RationalMatrix, SpatialOperator, problem_ring
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +501,26 @@ def parse_problem(src: str) -> ProblemSpec:
     u0 = _expr_vector(doc, "u0", m, n, allow_time=False)
     u1 = _expr_vector(doc, "u1", m, n, allow_time=False)
 
-    return ProblemSpec.create(m, n, rho, operator, f, u0, u1, order)
+    spec = ProblemSpec.create(m, n, rho, operator, f, u0, u1, order)
+    _convert_fields(spec)
+    return spec
+
+
+def _convert_fields(spec: ProblemSpec) -> None:
+    """Convert the operator coefficients and the initial data to
+    polynomials of the problem's ring, where the engines find them.  A
+    sum that is zero only as a polynomial, such as
+    (1+x1)*(1-x1)+x1^2-1, is seen here, so zero raised to a negative
+    power is reported with its field; at offset 0, since the tree keeps
+    no byte offsets."""
+    ring = problem_ring(spec)
+    coeffs = [t.coeff for t in spec.L.terms]
+    for where, vec in (("L[{}].coeff", coeffs), ("u0[{}]", spec.u0), ("u1[{}]", spec.u1)):
+        for i, tree in enumerate(vec):
+            try:
+                ring.from_tree(tree)
+            except DomainError as exc:
+                raise ParseError(f"{where.format(i)}: {exc}", 0) from exc
 
 
 def load_problem(path: str) -> ProblemSpec:

@@ -1,12 +1,24 @@
 """Sparse distributed polynomials over an interned table of atoms.
 
-Both engines compute in this form.  A polynomial is a ``dict`` from an
-exponent tuple (entry i: the exponent of atom i) to a nonzero
-``Fraction``.  No tuple ends in a zero, so ``a == b`` decides
-``a - b == 0`` exactly.  Atoms are variables, functions of a canonical
-argument, and multi-term sums, which are atoms only when raised to a
-negative power or to a positive one too large to multiply out.  Products
-follow ``sympy.polys.rings.PolyElement.__mul__``; a derivative is the
+Both engines compute in this form.  A polynomial is a ``Poly``: a
+``dict`` from an exponent tuple (entry i: the exponent of atom i) to a
+nonzero ``int`` numerator, over one positive ``int`` denominator, as in
+FLINT's ``fmpq_poly`` and ``sympy.polys.rings.PolyElement.clear_denoms``.
+It is kept in normal form: the denominator is coprime to the content of
+the numerators, no tuple ends in a zero, and zero is no terms over 1.
+Each operation makes its result with one ``math.gcd`` over the
+denominator and the numerators, so ``a == b`` decides ``a - b == 0``
+exactly, and a polynomial is never changed once made.
+
+``Fraction`` is met only at the edges: constants of trees read and
+written (``Ring.from_tree``, ``Ring.to_tree``), the rational factors
+``scale`` applies (as numerator times n, denominator times d), and the
+content of a sum made an atom.
+
+Atoms are variables, functions of a canonical argument, and multi-term
+sums, which are atoms only when raised to a negative power or to a
+positive one too large to multiply out.  Products follow
+``sympy.polys.rings.PolyElement.__mul__``; a derivative is the
 derivation ``D_v p = sum over atoms g of dp/dg * D_v(g)``.  No identity
 between atoms (``sin^2 + cos^2 = 1``) is applied, so a nonzero
 polynomial may still vanish in value; checks sample those.
@@ -28,7 +40,7 @@ from .expr import (
     SamplePlan,
     Sum,
     Var,
-    ZERO,
+    ZERO as ZERO_TREE,
     _AT_ZERO,
     _factor_key,
     _outer_derivative,
@@ -40,9 +52,40 @@ from .expr import (
     too_large_power,
 )
 
-Poly = dict  # exponent tuple -> nonzero Fraction
 
-ONE: Poly = {(): Fraction(1)}
+class Poly:
+    """``num`` over ``den`` in normal form; the constructor normalises.
+    ``num`` must hold nonzero ints under trimmed tuples, and neither
+    field is changed afterwards.  Falsy exactly when zero."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: dict, den: int = 1):
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {m: c // g for m, c in num.items()}
+        self.num, self.den = num, den
+
+    def __len__(self) -> int:
+        return len(self.num)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Poly) and self.den == other.den and self.num == other.num
+
+    def __repr__(self) -> str:
+        return f"Poly({self.num!r}, {self.den})"
+
+
+ZERO = Poly({})
+ONE = Poly({(): 1})
+
+
+def const(q) -> Poly:
+    """The constant polynomial of the rational or int ``q``."""
+    return Poly({(): q.numerator}, q.denominator) if q else ZERO
+
 
 # A positive power of a sum is multiplied out when it has at most this
 # many terms; a larger one, such as (1 + x1)^99999999, stays one atom.
@@ -60,23 +103,25 @@ def _unit(i: int, e: int = 1) -> tuple:
     return (0,) * i + (e,)
 
 
-def _iadd(out: Poly, p: Poly) -> None:
-    """out += p in place; ``p`` is left alone."""
+def _nonzero(num: dict) -> dict:
+    return {m: c for m, c in num.items() if c} if 0 in num.values() else num
+
+
+def add(*parts: Poly) -> Poly:
+    """The sum of ``parts``: the lcm of their denominators, then one
+    integer sum per monomial."""
+    parts = [p for p in parts if p.num]
+    if len(parts) < 2:
+        return parts[0] if parts else ZERO
+    den = math.lcm(*[p.den for p in parts])
+    out: dict = {}
     get = out.get
-    for m, c in p.items():
-        s = get(m)
-        if s is not None:
-            c += s
-            if not c:
-                del out[m]
-                continue
-        out[m] = c
-
-
-def add(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    _iadd(out, b)
-    return out
+    for p in parts:
+        f = den // p.den
+        for m, c in p.num.items():
+            s = get(m)
+            out[m] = c * f if s is None else s + c * f
+    return Poly(_nonzero(out), den)
 
 
 def sub(a: Poly, b: Poly) -> Poly:
@@ -84,16 +129,23 @@ def sub(a: Poly, b: Poly) -> Poly:
 
 
 def scale(p: Poly, q) -> Poly:
-    return {m: c * q for m, c in p.items()} if q else {}
+    """``p`` times the rational or int ``q``."""
+    if not q or not p.num:
+        return ZERO
+    n, d = q.numerator, q.denominator
+    if n == 1 and d == 1:
+        return p
+    return Poly({m: c * n for m, c in p.num.items()}, p.den * d)
 
 
 def mul(a: Poly, b: Poly) -> Poly:
-    if len(a) < len(b):
-        a, b = b, a
-    out: Poly = {}
+    na, nb = a.num, b.num
+    if len(na) < len(nb):
+        na, nb = nb, na
+    out: dict = {}
     get = out.get
-    terms_b = list(b.items())
-    for ma, ca in a.items():
+    terms_b = list(nb.items())
+    for ma, ca in na.items():
         la = len(ma)
         for mb, cb in terms_b:
             lb = len(mb)
@@ -106,7 +158,7 @@ def mul(a: Poly, b: Poly) -> Poly:
                 m = _trim(m)  # a negative exponent cancelled the last one
             c = get(m)
             out[m] = ca * cb if c is None else c + ca * cb
-    return {m: c for m, c in out.items() if c}
+    return Poly(_nonzero(out), a.den * b.den)
 
 
 class Ring:
@@ -144,16 +196,14 @@ class Ring:
 
     def _convert(self, e: Expr, memo: dict) -> Poly:
         if isinstance(e, Const):
-            return {(): e.value} if e.value else {}
+            return const(e.value)
         if isinstance(e, Var):
-            return {_unit(self.atom(e)): ONE[()]}
+            return Poly({_unit(self.atom(e)): 1})
         p = memo.get(e)
         if p is not None:
             return p
         if isinstance(e, Sum):
-            p = {}
-            for t in e.terms:
-                _iadd(p, self._convert(t, memo))
+            p = add(*(self._convert(t, memo) for t in e.terms))
         elif isinstance(e, Prod):
             p = ONE
             for f in e.factors:
@@ -170,36 +220,41 @@ class Ring:
     def to_tree(self, p: Poly) -> Expr:
         """Canonical tree of ``p``: the tree ``esum`` and ``eprod`` make
         of its terms, put together directly."""
-        trees, terms = self.trees, []
-        for m, c in p.items():
+        trees, den, terms = self.trees, p.den, []
+        for m, c in p.num.items():
             parts = [trees[i] if e == 1 else Pow(trees[i], e) for i, e in enumerate(m) if e]
             parts.sort(key=_factor_key)
-            terms.append((c, parts))
+            terms.append((Fraction(c, den), parts))
         if any(c != 1 and len(f) == 1 and isinstance(f[0], Sum) for c, f in terms):
             # a rational times a sum atom to the first power: eprod spreads it
             tree = esum(eprod([Const(c), *f]) for c, f in terms)
         else:
-            const = [Const(c) for c, f in terms if not f]
+            constants = [Const(c) for c, f in terms if not f]
             terms = sorted((
                 (f[0] if len(f) == 1 else Prod(tuple(f))) if c == 1 else Prod((Const(c), *f))
                 for c, f in terms if f
             ), key=_term_key)
-            terms[:0] = const
-            tree = Sum(tuple(terms)) if len(terms) > 1 else terms[0] if terms else ZERO
+            terms[:0] = constants
+            tree = Sum(tuple(terms)) if len(terms) > 1 else terms[0] if terms else ZERO_TREE
         self.known.setdefault(tree, p)
         return tree
 
     def power(self, p: Poly, k: int) -> Poly:
         if k == 0:
             return ONE
-        if not p:
+        if not p.num:
             if k < 0:
                 raise DomainError("zero raised to a negative power")
-            return {}
-        if len(p) == 1:
-            ((m, c),) = p.items()
-            if too_large_power(c, k):
+            return ZERO
+        if len(p.num) == 1:
+            ((m, c),) = p.num.items()
+            d = p.den
+            if too_large_power(Fraction(c, d), k):
                 raise DomainError("power of a constant too large to represent")
+            # c and d are coprime, and so are their powers
+            c, d = (c ** k, d ** k) if k > 0 else (d ** -k, c ** -k)
+            if d < 0:
+                c, d = -c, -d
             mono = [e * k for e in m]
             out = ONE
             for i, e in enumerate(mono):
@@ -207,8 +262,8 @@ class Ring:
                     # (S^-j)^-k: a positive power of a sum, multiplied out
                     mono[i] = 0
                     out = mul(out, self.power(self.polys[i], e))
-            return mul(out, {_trim(tuple(mono)): c ** k})
-        if k > 0 and math.comb(len(p) + k - 1, k) <= EXPAND_LIMIT:
+            return mul(out, Poly({_trim(tuple(mono)): c}, d))
+        if k > 0 and math.comb(len(p.num) + k - 1, k) <= EXPAND_LIMIT:
             out = p
             for _ in range(k - 1):
                 out = mul(out, p)
@@ -216,29 +271,42 @@ class Ring:
         content, primitive = _sum_content(self.to_tree(p))
         if too_large_power(content, k):
             raise DomainError("power of a constant too large to represent")
-        return {_unit(self.atom(primitive, scale(p, 1 / content)), k): content ** k}
+        q = content ** k
+        return Poly({_unit(self.atom(primitive, scale(p, 1 / content)), k): q.numerator},
+                    q.denominator)
 
     def func(self, name: str, a: Poly) -> Poly:
         if not a and name in _AT_ZERO:
             return self.from_tree(_AT_ZERO[name])
         if name == "ln" and a == ONE:
-            return {}
-        return {_unit(self.atom(Func(name, self.to_tree(a)), a)): ONE[()]}
+            return ZERO
+        return Poly({_unit(self.atom(Func(name, self.to_tree(a)), a)): 1})
 
     def diff(self, p: Poly, v: int) -> Poly:
-        """Partial derivative in variable ``v``."""
-        out: Poly = {}
-        for i in sorted({i for m in p for i, e in enumerate(m) if e}):
-            d = self._atom_derivative(i, v)
-            if not d:
-                continue
-            partial = {}  # dp/d(atom i)
-            for m, c in p.items():
-                if len(m) > i and m[i]:
-                    e = m[i]
-                    partial[_trim(m[:i] + (e - 1,) + m[i + 1:])] = c * e
-            _iadd(out, partial if d == ONE else mul(partial, d))
-        return out
+        """Partial derivative in variable ``v``.  One pass over the terms
+        builds dp/d(atom i) for every atom i whose derivative is nonzero."""
+        partials: dict = {}  # atom i -> numerators of dp/d(atom i)
+        constant = set()  # atoms whose derivative is zero
+        for m, c in p.num.items():
+            last = len(m) - 1
+            for i, e in enumerate(m):
+                if not e or i in constant:
+                    continue
+                partial = partials.get(i)
+                if partial is None:
+                    if not self._atom_derivative(i, v):
+                        constant.add(i)
+                        continue
+                    partial = partials[i] = {}
+                if i < last:
+                    partial[m[:i] + (e - 1,) + m[i + 1:]] = c * e
+                else:
+                    partial[_trim(m[:i]) if e == 1 else m[:i] + (e - 1,)] = c * e
+        parts = []
+        for i, partial in partials.items():
+            d, partial = self.derivatives[i, v], Poly(partial, p.den)
+            parts.append(partial if d == ONE else mul(partial, d))
+        return add(*parts)
 
     def _atom_derivative(self, i: int, v: int) -> Poly:
         """D_v of atom i, taken once per ring."""
@@ -246,12 +314,12 @@ class Ring:
         if d is None:
             tree, poly = self.trees[i], self.polys[i]
             if isinstance(tree, Var):
-                d = ONE if tree.index == v else {}
+                d = ONE if tree.index == v else ZERO
             elif isinstance(tree, Sum):
                 d = self.diff(poly, v)
             else:
                 inner = self.diff(poly, v)
-                d = mul(self.from_tree(_outer_derivative(tree)), inner) if inner else {}
+                d = mul(self.from_tree(_outer_derivative(tree)), inner) if inner else ZERO
             self.derivatives[i, v] = d
         return d
 

@@ -39,7 +39,7 @@ from .expr import (
     too_large_power,
     uses_time,
 )
-from .poly import ONE as POLY_ONE, Poly, Ring, _iadd, add, mul, scale
+from .poly import ONE as POLY_ONE, Poly, Ring, add, mul, scale
 
 ExprVec = tuple[Expr, ...]
 
@@ -171,7 +171,7 @@ def apply_rows(ring: Ring, op: SpatialOperator, vec: Sequence[Poly]) -> list[Pol
     both d2/dx1^2 and d/dx1) is taken once per call, and the ring takes
     the derivative of each atom once per variable."""
     partials: dict[tuple, Poly] = {}
-    rows: list[Poly] = [{} for _ in range(op.m)]
+    rows: list[list[Poly]] = [[] for _ in range(op.m)]
     for term in op.terms:
         key: tuple = (term.col,)
         d = vec[term.col]
@@ -182,9 +182,9 @@ def apply_rows(ring: Ring, op: SpatialOperator, vec: Sequence[Poly]) -> list[Pol
                 if got is None:
                     got = partials[key] = ring.diff(d, variable)
                 d = got
-        if d:
-            rows[term.row] = add(rows[term.row], mul(ring.from_tree(term.coeff), d))
-    return rows
+        if d.num:
+            rows[term.row].append(mul(ring.from_tree(term.coeff), d))
+    return [add(*parts) for parts in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +413,7 @@ class _RingJets(_Jets):
 
     @staticmethod
     def _add(parts: list) -> Poly:
-        out: Poly = {}
-        for p in parts:
-            _iadd(out, p)
-        return out
+        return add(*parts)
 
     @staticmethod
     def _mul(factors: list) -> Poly:
@@ -427,7 +424,11 @@ class _RingJets(_Jets):
 
     @staticmethod
     def _constant(c: Poly) -> Fraction | None:
-        return Fraction(0) if not c else c.get(()) if len(c) == 1 else None
+        num = c.num
+        if not num:
+            return Fraction(0)
+        n = num.get(()) if len(num) == 1 else None
+        return None if n is None else Fraction(n, c.den)
 
     def _taylor(self, name: str, a0: Poly, count: int) -> list:
         if name not in self.derivatives:
@@ -438,9 +439,9 @@ class _RingJets(_Jets):
             derivatives.append(small.diff(derivatives[-1], TIME_INDEX))
         images = [a0 if isinstance(g, Var) else self.ring.func(g.name, a0) for g in small.trees]
         return [self._add([
-            self._mul([{(): c / math.factorial(k)},
+            self._mul([Poly({(): c}, derivatives[k].den * math.factorial(k)),
                        *(self.ring.power(images[i], e) for i, e in enumerate(m) if e)])
-            for m, c in derivatives[k].items()
+            for m, c in derivatives[k].num.items()
         ]) for k in range(count)]
 
 
@@ -459,14 +460,7 @@ def series_scale_matrix(matrix: RationalMatrix, v: Sequence[Expr]) -> ExprVec:
 
 def scale_rows(matrix: RationalMatrix, v: Sequence[Poly]) -> list[Poly]:
     """Exact matrix-vector product on polynomials."""
-    out = []
-    for row in matrix.entries:
-        total: Poly = {}
-        for q, p in zip(row, v):
-            if q:
-                total = add(total, scale(p, q))
-        out.append(total)
-    return out
+    return [add(*(scale(p, q) for q, p in zip(row, v))) for row in matrix.entries]
 
 
 # ---------------------------------------------------------------------------

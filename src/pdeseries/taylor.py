@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import DEFAULT_PLAN, SamplePlan
-from .poly import add
+from .poly import ZERO, add
 from .series import (
     ProblemSpec,
     Rows,
@@ -78,7 +78,7 @@ def detect_exact(
     f = forcing_rows(p, sol.order)
 
     def vanishes(vec) -> bool:
-        return all(ring.deviation(c, {}, plan) <= plan.tolerance for c in vec)
+        return all(ring.deviation(c, ZERO, plan) <= plan.tolerance for c in vec)
 
     u1 = list(map(ring.from_tree, p.u1))
     linear = (

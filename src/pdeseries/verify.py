@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .expr import DEFAULT_PLAN, SamplePlan
 from .hpm import hpm_rows, sum_rows
-from .poly import add, scale, sub
+from .poly import ZERO, add, scale, sub
 from .series import (
     ProblemSpec,
     Rows,
@@ -104,7 +104,7 @@ def residual_check_rows(
         second = [scale(c, (k + 1) * (k + 2)) for c in rows[k + 2]]
         lhs = scale_rows(p.rho, second)
         rhs = [add(a, b) for a, b in zip(apply_rows(ring, p.L, rows[k]), f[k])]
-        deviation = max(ring.deviation(sub(a, b), {}, plan) for a, b in zip(lhs, rhs))
+        deviation = max(ring.deviation(sub(a, b), ZERO, plan) for a, b in zip(lhs, rhs))
         checks.append(DegreeCheck(k, deviation <= plan.tolerance, deviation))
     return ResidualReport(tuple(checks), all(c.passed for c in checks))
 

@@ -20,6 +20,7 @@ from pdeseries.expr import (
     TIME_INDEX,
     Var,
     ZERO,
+    _outer_derivative,
     differentiate,
     eprod,
     esum,
@@ -212,6 +213,124 @@ def tree_forcing(p, order: int) -> list[tuple[Expr, ...]]:
 
 
 # ---------------------------------------------------------------------------
+# Fraction-dict reference of the polynomial kernel: a polynomial as a dict
+# from exponent tuple to nonzero Fraction, as the kernel was first written
+# ---------------------------------------------------------------------------
+
+def ref_of(p) -> dict:
+    """The reference form of a ``poly.Poly``."""
+    return {m: Fraction(c, p.den) for m, c in p.num.items()}
+
+
+def ref_iadd(out: dict, p: dict) -> None:
+    for m, c in p.items():
+        s = out.get(m, 0) + c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+
+
+def ref_scale(p: dict, q) -> dict:
+    return {m: c * q for m, c in p.items()} if q else {}
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            n = max(len(ma), len(mb))
+            m = [x + y for x, y in zip(ma + (0,) * (n - len(ma)), mb + (0,) * (n - len(mb)))]
+            while m and not m[-1]:
+                m.pop()
+            ref_iadd(out, {tuple(m): ca * cb})
+    return out
+
+
+def ref_diff(ring, p: dict, v: int) -> dict:
+    """D_v p over the atoms of ``ring``; an atom's own derivative is
+    taken here too, from its tree and its polynomial."""
+    out: dict = {}
+    for i in sorted({i for m in p for i, e in enumerate(m) if e}):
+        tree, inner = ring.trees[i], ring.polys[i]
+        if isinstance(tree, Var):
+            d = {(): Fraction(1)} if tree.index == v else {}
+        elif isinstance(tree, Sum):
+            d = ref_diff(ring, ref_of(inner), v)
+        else:
+            d = ref_diff(ring, ref_of(inner), v)
+            if d:  # the outer derivative may be singular where unused
+                d = ref_mul(ref_of(ring.from_tree(_outer_derivative(tree))), d)
+        for m, c in p.items():
+            if len(m) > i and m[i]:
+                partial = list(m[:i]) + [m[i] - 1] + list(m[i + 1:])
+                while partial and not partial[-1]:
+                    partial.pop()
+                ref_iadd(out, ref_mul({tuple(partial): c * m[i]}, d))
+    return out
+
+
+def ref_apply(ring, op, vec: list[dict]) -> list[dict]:
+    rows: list[dict] = [{} for _ in range(op.m)]
+    for term in op.terms:
+        d = vec[term.col]
+        for variable, order in enumerate(term.orders, start=1):
+            for _ in range(order):
+                d = ref_diff(ring, d, variable)
+        ref_iadd(rows[term.row], ref_mul(ref_of(ring.from_tree(term.coeff)), d))
+    return rows
+
+
+def ref_scale_rows(matrix, v: list[dict]) -> list[dict]:
+    out = []
+    for row in matrix.entries:
+        total: dict = {}
+        for q, p in zip(row, v):
+            ref_iadd(total, ref_scale(p, q))
+        out.append(total)
+    return out
+
+
+def ref_engines(p, corrections: int) -> tuple[list, list]:
+    """The direct rows to the problem's order and the correction rows to
+    the same degree, in the reference arithmetic; the forcing comes from
+    the tree jets, and only the trees of the data go through the ring."""
+    from pdeseries.series import problem_ring
+
+    ring, order = problem_ring(p), p.order
+    f = [[ref_of(ring.from_tree(c)) for c in row] for row in tree_forcing(p, order)]
+    first = [[ref_of(ring.from_tree(c)) for c in vec] for vec in (p.u0, p.u1)]
+    direct = list(first)
+    for j in range(order - 1):
+        w = ref_apply(ring, p.L, direct[j])
+        for a, b in zip(w, f[j]):
+            ref_iadd(a, b)
+        direct.append(ref_scale_rows(p.rho_inv.scaled(Fraction(1, (j + 1) * (j + 2))), w))
+    hpm = [first + [[{}] * p.m] * (order - 1)]
+    for j in range(1, corrections + 1):
+        rows = [[{}] * p.m, [{}] * p.m]
+        for k in range(order - 1):
+            s = ref_apply(ring, p.L, hpm[-1][k])
+            if j == 1:
+                for a, b in zip(s, f[k]):
+                    ref_iadd(a, b)
+            q = Fraction(1, (k + 1) * (k + 2))
+            rows.append([ref_scale(c, q) for c in ref_scale_rows(p.rho_inv, s)])
+        hpm.append(rows)
+    return direct, hpm
+
+
+def ref_tree(ring, p: dict) -> Expr:
+    """The canonical tree of a reference polynomial, by ``esum`` and
+    ``eprod`` of its terms."""
+    return esum(
+        eprod([Const(c), *(Pow(ring.trees[i], e) for i, e in enumerate(m) if e)])
+        for m, c in p.items()
+    )
+
+
+# ---------------------------------------------------------------------------
+# Correction audit# ---------------------------------------------------------------------------
 # Correction audit: second time derivative of each correction must match
 # its defining source term
 # ---------------------------------------------------------------------------

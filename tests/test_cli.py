@@ -375,6 +375,17 @@ class TestErrorsAndExitCodes:
         code, _, err = run(capsys, "solve", str(path))
         assert code == 2
 
+    def test_hidden_zero_in_initial_data_names_its_field(self, tmp_path, capsys):
+        doc = {
+            "m": 1, "n": 1, "rho": [["1"]],
+            "L": [{"row": 0, "col": 0, "coeff": "1", "derivs": [2]}],
+            "f": ["0"], "u0": ["1/((1+x1)*(1-x1)+x1^2-1)"], "u1": ["0"], "order": 4,
+        }
+        path = tmp_path / "hidden.prob"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(capsys, "solve", str(path)) == (
+            2, "", "error: u0[0]: zero raised to a negative power at offset 0\n")
+
     @pytest.mark.parametrize("forcing,message", [
         # a constant term that is a zero polynomial, though not the tree 0
         ("ln((1+x1)*(1-x1)+x1^2-1+t)", "ln argument vanishes or is negative at time zero"),

@@ -490,6 +490,22 @@ class TestProblemFiles:
         assert "u1[0]" in err.value.message
         assert err.value.offset == 7
 
+    @pytest.mark.parametrize("field", ["u0", "u1", "coeff"])
+    def test_hidden_zero_to_a_negative_power_rejected_in_fields(self, field):
+        # the tree keeps the product of sums whole; only the polynomial is 0
+        doc = _base_doc()
+        text = "x1 + 1/((1+x1)*(1-x1)+x1^2-1)"
+        if field == "coeff":
+            doc["L"][0]["coeff"] = text
+            where = "L[0].coeff"
+        else:
+            doc[field] = [text]
+            where = f"{field}[0]"
+        with pytest.raises(ParseError) as err:
+            parse_problem(json.dumps(doc))
+        assert err.value.message == f"{where}: zero raised to a negative power"
+        assert err.value.offset == 0
+
     def test_time_rejected_in_operator_coeff(self):
         doc = _base_doc()
         doc["L"][0]["coeff"] = "t"

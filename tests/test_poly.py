@@ -1,6 +1,7 @@
 """Sparse distributed polynomials: ring laws, tree conversions,
 derivatives, and both engines against values built on trees."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,13 @@ from conftest import (
     random_normal_expr,
     random_problem,
     random_raw_expr,
+    ref_diff,
+    ref_engines,
+    ref_iadd,
+    ref_mul,
+    ref_of,
+    ref_scale,
+    ref_tree,
     tree_forcing,
 )
 from pdeseries import poly
@@ -34,11 +42,11 @@ from pdeseries.expr import (
     normalize,
     sampled_deviation,
 )
-from pdeseries.hpm import partial_sum, solve_hpm
+from pdeseries.hpm import hpm_rows, partial_sum, solve_hpm
 from pdeseries.parser import parse_expr, parse_problem
 from pdeseries.poly import ONE, Ring, add, mul, scale, sub
 from pdeseries.series import problem_ring
-from pdeseries.taylor import taylor_coefficients
+from pdeseries.taylor import taylor_coefficients, taylor_rows
 from pdeseries.verify import equivalence_check
 
 SEEDS = st.integers(min_value=0, max_value=10**6)
@@ -79,7 +87,7 @@ class TestRingLaws:
         _, (a, b, c) = _random_polys(seed, 3)
         assert add(a, b) == add(b, a)
         assert add(add(a, b), c) == add(a, add(b, c))
-        assert add(a, {}) == a and sub(a, a) == {}
+        assert add(a, poly.ZERO) == a and sub(a, a) == poly.ZERO
         assert sub(add(a, b), b) == a
 
     @given(SEEDS)
@@ -88,25 +96,69 @@ class TestRingLaws:
         assert mul(a, b) == mul(b, a)
         assert mul(mul(a, b), c) == mul(a, mul(b, c))
         assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
-        assert mul(a, ONE) == a and mul(a, {}) == {}
+        assert mul(a, ONE) == a and mul(a, poly.ZERO) == poly.ZERO
 
     @given(SEEDS)
     def test_scaling(self, seed):
         _, (a,) = _random_polys(seed, 1)
         q, r = Fraction(-3, 7), Fraction(5, 2)
         assert scale(scale(a, q), r) == scale(a, q * r)
-        assert scale(a, 0) == {} and scale(a, 1) == a
-        assert mul(a, {(): q}) == scale(a, q)
+        assert scale(a, 0) == poly.ZERO and scale(a, 1) == a
+        assert mul(a, poly.const(q)) == scale(a, q)
 
     def test_negative_exponents_cancel_to_a_canonical_key(self):
         ring = Ring()
         x = ring.from_tree(Var(1))
         inverse = ring.from_tree(Pow(Var(1), -1))
-        assert mul(x, inverse) == ONE and list(mul(x, inverse)) == [()]
+        assert mul(x, inverse) == ONE and list(mul(x, inverse).num) == [()]
         s = ring.from_tree(parse_expr("1 + x1", 1))
         s_inv = ring.from_tree(parse_expr("(2 + 2*x1)^(-1)", 1))
         assert mul(s_inv, s_inv) == scale(ring.power(s, -2), Fraction(1, 4))
         assert mul(s_inv, s_inv) == ring.from_tree(parse_expr("1/4*(1 + x1)^(-2)", 1))
+
+
+def _normal(p):
+    """``p`` in normal form: int numerators over a positive int
+    denominator coprime to them, trimmed keys, zero as no terms over 1."""
+    assert isinstance(p, poly.Poly) and type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c for c in p.num.values())
+    assert all(not m or m[-1] for m in p.num)
+    assert math.gcd(p.den, *p.num.values()) == 1
+    return p
+
+
+class TestAgainstReference:
+    """The kernel against the Fraction-dict reference in conftest."""
+
+    @given(SEEDS, st.sampled_from((1, 2)))
+    def test_kernel_equals_the_reference(self, seed, v):
+        ring, (a, b, c) = _random_polys(seed, 3)
+        ra, rb, rc = map(ref_of, (a, b, c))
+        product = _normal(mul(a, b))
+        assert ref_of(product) == ref_mul(ra, rb)
+        # (a + b)(a - b): the cross terms cancel inside the product
+        assert ref_of(_normal(mul(add(a, b), sub(a, b)))) == ref_mul(
+            ref_of(add(a, b)), ref_of(sub(a, b)))
+        total = {}
+        for r in (ra, rb, rc, ref_scale(ra, -1)):
+            ref_iadd(total, r)
+        assert ref_of(_normal(add(a, b, c, scale(a, -1)))) == total
+        assert _normal(add(a, scale(a, -1))) == poly.ZERO and poly.ZERO.den == 1
+        for q in (Fraction(-3, 7), Fraction(6), Fraction(5, 2), 0):
+            assert ref_of(_normal(scale(product, q))) == ref_scale(ref_mul(ra, rb), q)
+        for p in (a, product):
+            assert ref_of(_normal(ring.diff(p, v))) == ref_diff(ring, ref_of(p), v)
+
+    def test_engines_equal_the_reference_trees(self):
+        for seed in range(2000, 2030):
+            p, corrections = random_problem(seed)
+            direct, hpm = ref_engines(p, corrections)
+            ring = problem_ring(p)
+            got = [taylor_rows(p), *hpm_rows(p, corrections, p.order)]
+            for rows, want in zip(got, [direct, *hpm]):
+                for row, ref_row in zip(rows, want, strict=True):
+                    for c, r in zip(row, ref_row, strict=True):
+                        assert ring.to_tree(_normal(c)) == ref_tree(ring, r), seed
 
 
 class TestConversions:
@@ -119,8 +171,9 @@ class TestConversions:
             assert ring.from_tree(tree) == p
             assert normalize(tree) == tree
             assert tree == esum(
-                eprod([Const(c), *(Pow(ring.trees[i], e) for i, e in enumerate(m) if e)])
-                for m, c in p.items()
+                eprod([Const(Fraction(c, p.den)),
+                       *(Pow(ring.trees[i], e) for i, e in enumerate(m) if e)])
+                for m, c in p.num.items()
             )
 
     @given(SEEDS)
@@ -160,7 +213,7 @@ class TestConversions:
         ring = Ring()
         assert ring.from_tree(parse_expr("sin(x1 - x1) + cos(0) + ln(1)", 1)) == ONE
         e = parse_expr("sin(x1*(1 + x1) - x1 - x1^2)", 1)
-        assert ring.from_tree(e) == {}
+        assert ring.from_tree(e) == poly.ZERO
 
 
 class TestDerivatives:
@@ -184,7 +237,7 @@ class TestDerivatives:
     @pytest.mark.parametrize("name", FUNCTIONS)
     def test_function_rules_are_those_of_expr(self, name):
         # special values and derivatives come from expr's one table
-        assert Ring().func(name, {}) == Ring().from_tree(normalize(Func(name, ZERO)))
+        assert Ring().func(name, poly.ZERO) == Ring().from_tree(normalize(Func(name, ZERO)))
         for arg in ("x1", "1 + x1^2"):
             e = normalize(Func(name, parse_expr(arg, 1)))
             ring = Ring()
