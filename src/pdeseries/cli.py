@@ -13,10 +13,11 @@ import sys
 
 from .errors import PdeSeriesError
 from .expr import SamplePlan
-from .hpm import partial_sum, solve_hpm
-from .parser import load_problem, parse_expr, print_expr
-from .series import TimeSeriesVec, expand_in_time
-from .taylor import solve_taylor, taylor_rows
+from .hpm import hpm_rows, sum_rows, working_order
+from .parser import load_problem, parse_expr, print_expr, print_poly
+from .poly import Ring
+from .series import Rows, expand_in_time, problem_ring
+from .taylor import detect_exact_rows, taylor_rows
 from .verify import equivalence_check, residual_check_rows
 
 EXIT_OK = 0
@@ -95,23 +96,19 @@ def _render_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _series_lines(series: TimeSeriesVec, label: str, indent: str = "") -> list[str]:
+def _series_lines(ring: Ring, rows: Rows, label: str, indent: str = "") -> list[str]:
     lines = []
-    for j in range(series.order + 1):
-        vec = series.coefficient(j)
-        if series.m == 1:
-            lines.append(f"{indent}{label}[{j}] = {print_expr(vec[0])}")
+    for j, vec in enumerate(rows):
+        if len(vec) == 1:
+            lines.append(f"{indent}{label}[{j}] = {print_poly(ring, vec[0])}")
         else:
-            for k in range(series.m):
-                lines.append(f"{indent}{label}[{j}][{k}] = {print_expr(vec[k])}")
+            for k, c in enumerate(vec):
+                lines.append(f"{indent}{label}[{j}][{k}] = {print_poly(ring, c)}")
     return lines
 
 
-def _series_payload(series: TimeSeriesVec) -> list[list[str]]:
-    return [
-        [print_expr(c) for c in series.coefficient(j)]
-        for j in range(series.order + 1)
-    ]
+def _series_payload(ring: Ring, rows: Rows) -> list[list[str]]:
+    return [[print_poly(ring, c) for c in vec] for vec in rows]
 
 
 def _cmd_solve(args) -> int:
@@ -119,20 +116,19 @@ def _cmd_solve(args) -> int:
     if args.order is not None:
         problem = problem.with_order(args.order)
     plan = SamplePlan(seed=args.seed, tolerance=args.tolerance)
-    solution = solve_taylor(problem, plan)
-    verdict = (
-        f"exact ({solution.exact_reason})" if solution.exact else "not exact"
-    )
+    ring, rows = problem_ring(problem), taylor_rows(problem)
+    exact, reason = detect_exact_rows(problem, rows, plan)
+    verdict = f"exact ({reason})" if exact else "not exact"
     if args.output_format == "json":
         sys.stdout.write(_render_json({
             "order": problem.order,
             "m": problem.m,
-            "coefficients": _series_payload(solution.series),
-            "exact": solution.exact,
-            "exact_reason": solution.exact_reason,
+            "coefficients": _series_payload(ring, rows),
+            "exact": exact,
+            "exact_reason": reason,
         }))
     else:
-        for line in _series_lines(solution.series, "u"):
+        for line in _series_lines(ring, rows, "u"):
             print(line)
         print(f"verdict: {verdict}")
     return EXIT_OK
@@ -142,23 +138,22 @@ def _cmd_hpm(args) -> int:
     problem = load_problem(args.problem)
     if args.corrections < 0:
         raise ValueError("--corrections must be >= 0")
-    expansion = solve_hpm(problem, args.corrections)
-    total = partial_sum(expansion, expansion.working_order)
+    working = working_order(problem, args.corrections)
+    ring, corrections = problem_ring(problem), hpm_rows(problem, args.corrections, working)
+    total = sum_rows(corrections, working)
     if args.output_format == "json":
         sys.stdout.write(_render_json({
-            "corrections": [
-                _series_payload(c) for c in expansion.corrections
-            ],
-            "partial_sum": _series_payload(total),
-            "working_order": expansion.working_order,
+            "corrections": [_series_payload(ring, c) for c in corrections],
+            "partial_sum": _series_payload(ring, total),
+            "working_order": working,
         }))
     else:
-        for j, correction in enumerate(expansion.corrections):
+        for j, correction in enumerate(corrections):
             print(f"correction {j}:")
-            for line in _series_lines(correction, "u", indent="  "):
+            for line in _series_lines(ring, correction, "u", indent="  "):
                 print(line)
-        print(f"partial sum (degrees 0..{expansion.working_order}):")
-        for line in _series_lines(total, "u", indent="  "):
+        print(f"partial sum (degrees 0..{working}):")
+        for line in _series_lines(ring, total, "u", indent="  "):
             print(line)
     return EXIT_OK
 

@@ -382,6 +382,14 @@ def _mul(factors: Iterable[Expr]) -> Expr:
         else:
             base, k = f, 1
         if isinstance(base, Sum):
+            if k == 1 and sum(not isinstance(g, Const) for g in flat) == 1:
+                # a rational times one sum: spread it over the terms, which
+                # needs no content; the content alone can be too large to
+                # represent, as in -(x1/3^3000 + x2/7^3000 + x3/11^3000)
+                rational = _mul([g for g in flat if isinstance(g, Const)])
+                if rational == ONE:
+                    return base
+                return _add([_mul([rational, t]) for t in base.terms])
             content, base = _sum_content(base)
             if content != 1:
                 if too_large_power(content, k):

@@ -63,7 +63,8 @@ def hpm_rows(p: ProblemSpec, corrections: int, working: int) -> list[Rows]:
     out = [first + [zero] * (working - 1)]
     for j in range(1, corrections + 1):
         source = []
-        for k, row in enumerate(out[-1]):
+        # the double time integral reads degrees 0..working-2
+        for k, row in enumerate(out[-1][:working - 1]):
             s = apply_rows(ring, p.L, row)
             if j == 1:
                 s = [add(a, b) for a, b in zip(s, f[k])]
@@ -72,13 +73,11 @@ def hpm_rows(p: ProblemSpec, corrections: int, working: int) -> list[Rows]:
     return out
 
 
-def solve_hpm(p: ProblemSpec, corrections: int) -> HpmExpansion:
-    """Compute corrections u^(0)..u^(corrections) to a working order of
-    2J+1 plus the degree of the forcing expanded to 2J+1, which keeps
+def working_order(p: ProblemSpec, corrections: int) -> int:
+    """2J+1 plus the degree of the forcing expanded to 2J+1, which keeps
     every correction whole when the forcing is a polynomial in time of
-    degree at most 2J+1; the ``hpm`` command prints this.  The
-    comparison with the direct series reads only degrees 0..2J+1 and
-    builds them with ``hpm_rows`` directly."""
+    degree at most 2J+1; the ``hpm`` command prints corrections to this
+    order."""
     if corrections < 0:
         raise ValueError("correction count must be nonnegative")
     final_degree = 2 * corrections + 1
@@ -88,7 +87,14 @@ def solve_hpm(p: ProblemSpec, corrections: int) -> HpmExpansion:
     forcing_degree = max(
         (j for j, vec in enumerate(probe) if any(vec)), default=0
     )
-    working = final_degree + forcing_degree
+    return final_degree + forcing_degree
+
+
+def solve_hpm(p: ProblemSpec, corrections: int) -> HpmExpansion:
+    """Compute corrections u^(0)..u^(corrections) to ``working_order``.
+    The comparison with the direct series reads only degrees 0..2J+1
+    and builds them with ``hpm_rows`` directly."""
+    working = working_order(p, corrections)
     ring = problem_ring(p)
     expansion = HpmExpansion(tuple(
         rows_series(ring, rows) for rows in hpm_rows(p, corrections, working)

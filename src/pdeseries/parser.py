@@ -31,6 +31,7 @@ Offsets in errors are byte offsets into the UTF-8 source.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,7 +60,9 @@ from .expr import (
     _pow,
     eprod,
     esum,
+    sort_key,
 )
+from .poly import Poly, Ring, _unit
 from .series import OperatorTerm, ProblemSpec, RationalMatrix, SpatialOperator, problem_ring
 
 
@@ -346,11 +349,7 @@ def _fmt(e: Expr) -> str:
     if isinstance(e, Func):
         return f"{e.name}({_fmt(e.arg)})"
     if isinstance(e, Pow):
-        base = _fmt(e.base)
-        if isinstance(e.base, (Sum, Prod, Const)):
-            base = f"({base})"
-        exponent = str(e.exponent) if e.exponent >= 0 else f"({e.exponent})"
-        return f"{base}^{exponent}"
+        return _fmt_power(_fmt(e.base), isinstance(e.base, (Sum, Prod, Const)), e.exponent)
     if isinstance(e, Prod):
         factors = e.factors
         prefix = ""
@@ -373,6 +372,92 @@ def _fmt(e: Expr) -> str:
                 out += f" + {_fmt(term)}"
         return out
     raise TypeError(f"not an expression: {e!r}")
+
+
+def print_poly(ring: Ring, p: Poly) -> str:
+    """``print_expr(ring.to_tree(p))``, written from the terms of ``p``
+    without building the tree.
+
+    A term is its rational times the product its monomial names, whose
+    sort key and text ``_monomial`` keeps in ``ring.printed``.  The
+    constant comes first, the other terms follow in the order of their
+    keys, and a negative term after the first is written with " - ".
+    Where a rational other than 1 times a sum atom to the first power
+    is a term, ``eprod`` spreads that product over the sum, so such a
+    polynomial is printed from its tree."""
+    num = p.num
+    if not num:
+        return "0"
+    printed, den = ring.printed, p.den
+    out: list[str] = []  # the constant, if any
+    terms = []  # (key, numerator, denominator, text of the monomial)
+    for m, c in num.items():
+        d = den
+        if d != 1:
+            g = math.gcd(c, d)
+            c, d = c // g, d // g
+        if not m:
+            out.append(f"{c}" if d == 1 else f"{c}/{d}")
+            continue
+        key, body, is_sum = printed.get(m) or _monomial(ring, m)
+        if is_sum and (c != 1 or d != 1):
+            return print_expr(ring.to_tree(p))
+        terms.append((key, c, d, body))
+    terms.sort()  # no two terms have the same key
+    for _, c, d, body in terms:
+        sign = ""
+        if out:
+            sign = " + "
+            if c < 0:
+                sign, c = " - ", -c
+        if d != 1:
+            body = f"{c}/{d}*{body}"
+        elif c == -1:
+            body = "-" + body
+        elif c != 1:
+            body = f"{c}*{body}"
+        out.append(sign + body)
+    return "".join(out)
+
+
+def _monomial(ring: Ring, m: tuple) -> tuple:
+    """The ``sort_key`` and the text of the tree of the monomial ``m``,
+    and whether it is a sum atom alone, kept in ``ring.printed``.  Its
+    factors sort by atom key: the atom's key for a, (3, key, e) for a^e,
+    (4, *factor keys) for a product."""
+    printed = ring.printed
+    factors = []
+    for i, e in enumerate(m):
+        if e:
+            unit = _unit(i)
+            atom = printed.get(unit)
+            if atom is None:
+                tree = ring.trees[i]
+                atom = printed[unit] = (sort_key(tree), _fmt(tree), isinstance(tree, Sum))
+            factors.append((atom, e))
+    factors.sort()  # atoms have distinct keys
+    if len(factors) == 1:
+        (key, text, is_sum), e = factors[0]
+        entry = (key, text, is_sum) if e == 1 else (
+            (3, key, e), _fmt_power(text, is_sum, e), False)
+    else:
+        keys, texts = [4], []
+        for (key, text, is_sum), e in factors:
+            if e == 1:
+                keys.append(key)
+                texts.append(f"({text})" if is_sum else text)
+            else:
+                keys.append((3, key, e))
+                texts.append(_fmt_power(text, is_sum, e))
+        entry = (tuple(keys), "*".join(texts), False)
+    printed[m] = entry
+    return entry
+
+
+def _fmt_power(base: str, bracket: bool, e: int) -> str:
+    if bracket:
+        base = f"({base})"
+    return f"{base}^{e}" if e >= 0 else f"{base}^({e})"
 
 
 def _fmt_factor(f: Expr) -> str:

@@ -167,8 +167,9 @@ class Ring:
     ``trees[i]`` is atom i as a canonical tree: a ``Var``, a ``Func`` or
     a primitive ``Sum``.  ``polys[i]`` is what its derivative reads: the
     function's argument, the sum itself, or None.  ``known`` maps every
-    tree converted or built here to its polynomial.  Polynomials of
-    different rings must not meet."""
+    tree converted here to its polynomial.  ``printed`` maps a monomial
+    to what ``parser.print_poly`` writes it from, and is filled there.
+    Polynomials of different rings must not meet."""
 
     def __init__(self):
         self.trees: list[Expr] = []
@@ -176,6 +177,7 @@ class Ring:
         self.index: dict[Expr, int] = {}
         self.known: dict[Expr, Poly] = {}
         self.derivatives: dict[tuple[int, int], Poly] = {}
+        self.printed: dict[tuple, tuple] = {}
 
     def atom(self, tree: Expr, poly: Poly | None = None) -> int:
         i = self.index.get(tree)
@@ -227,17 +229,14 @@ class Ring:
             terms.append((Fraction(c, den), parts))
         if any(c != 1 and len(f) == 1 and isinstance(f[0], Sum) for c, f in terms):
             # a rational times a sum atom to the first power: eprod spreads it
-            tree = esum(eprod([Const(c), *f]) for c, f in terms)
-        else:
-            constants = [Const(c) for c, f in terms if not f]
-            terms = sorted((
-                (f[0] if len(f) == 1 else Prod(tuple(f))) if c == 1 else Prod((Const(c), *f))
-                for c, f in terms if f
-            ), key=_term_key)
-            terms[:0] = constants
-            tree = Sum(tuple(terms)) if len(terms) > 1 else terms[0] if terms else ZERO_TREE
-        self.known.setdefault(tree, p)
-        return tree
+            return esum(eprod([Const(c), *f]) for c, f in terms)
+        constants = [Const(c) for c, f in terms if not f]
+        terms = sorted((
+            (f[0] if len(f) == 1 else Prod(tuple(f))) if c == 1 else Prod((Const(c), *f))
+            for c, f in terms if f
+        ), key=_term_key)
+        terms[:0] = constants
+        return Sum(tuple(terms)) if len(terms) > 1 else terms[0] if terms else ZERO_TREE
 
     def power(self, p: Poly, k: int) -> Poly:
         if k == 0:

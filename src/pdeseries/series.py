@@ -472,7 +472,9 @@ class TimeSeriesVec:
     """Truncated expansion sum_j t^j * c_j(x) with vector coefficients.
 
     ``coeffs[j][k]`` is component k of the degree-j coefficient; the
-    list always holds exactly ``order + 1`` entries."""
+    list always holds exactly ``order + 1`` entries.  A series that
+    ``rows_series`` made keeps its rows and their ring as attributes,
+    not fields: equality, hashing, repr, pickles and copies ignore them."""
 
     m: int
     order: int
@@ -494,20 +496,31 @@ class TimeSeriesVec:
     def coefficient(self, degree: int) -> ExprVec:
         return self.coeffs[degree]
 
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k not in ("_ring", "_rows")}
+
 
 Rows = list[list[Poly]]  # degree -> component -> polynomial
 
 
 def series_rows(ring: Ring, s: TimeSeriesVec) -> Rows:
-    """The coefficients of ``s`` as polynomials of ``ring``."""
+    """The coefficients of ``s`` as polynomials of ``ring``: the rows
+    ``rows_series`` made it from in ``ring``, or else its trees
+    converted."""
+    if getattr(s, "_ring", None) is ring:
+        return s._rows
     return [list(map(ring.from_tree, row)) for row in s.coeffs]
 
 
 def rows_series(ring: Ring, rows: Rows) -> TimeSeriesVec:
-    """The series whose coefficients are the trees of ``rows``."""
-    return TimeSeriesVec(len(rows[0]), len(rows) - 1, tuple(
+    """The series whose coefficients are the trees of ``rows``; it
+    keeps ``rows`` for ``series_rows``."""
+    series = TimeSeriesVec(len(rows[0]), len(rows) - 1, tuple(
         tuple(map(ring.to_tree, row)) for row in rows
     ))
+    object.__setattr__(series, "_ring", ring)
+    object.__setattr__(series, "_rows", rows)
+    return series
 
 
 # ---------------------------------------------------------------------------

@@ -57,15 +57,24 @@ def taylor_coefficients(p: ProblemSpec) -> TimeSeriesVec:
 
 
 def solve_taylor(p: ProblemSpec, plan: SamplePlan = DEFAULT_PLAN) -> TaylorSolution:
-    series = taylor_coefficients(p)
-    exact, reason = detect_exact(p, series, plan)
-    return TaylorSolution(series=series, exact=exact, exact_reason=reason)
+    rows = taylor_rows(p)
+    exact, reason = detect_exact_rows(p, rows, plan)
+    return TaylorSolution(series=rows_series(problem_ring(p), rows), exact=exact,
+                          exact_reason=reason)
 
 
 def detect_exact(
     p: ProblemSpec, sol: TimeSeriesVec, plan: SamplePlan = DEFAULT_PLAN
 ) -> tuple[bool, str | None]:
-    """Classify exact termination of a computed series.
+    """``detect_exact_rows`` of the series' coefficients."""
+    return detect_exact_rows(p, series_rows(problem_ring(p), sol), plan)
+
+
+def detect_exact_rows(
+    p: ProblemSpec, rows: Rows, plan: SamplePlan = DEFAULT_PLAN
+) -> tuple[bool, str | None]:
+    """Classify exact termination of the series with coefficients
+    ``rows``, polynomials of ``problem_ring(p)``.
 
     "linear-exact": u0 and f_0 vanish, L u1 + f_1 vanishes, and every
     higher forcing coefficient vanishes, so by induction the solution
@@ -75,7 +84,8 @@ def detect_exact(
     zero, or else when it samples equal to zero.
     """
     ring = problem_ring(p)
-    f = forcing_rows(p, sol.order)
+    order = len(rows) - 1
+    f = forcing_rows(p, order)
 
     def vanishes(vec) -> bool:
         return all(ring.deviation(c, ZERO, plan) <= plan.tolerance for c in vec)
@@ -85,10 +95,10 @@ def detect_exact(
         vanishes(map(ring.from_tree, p.u0))
         and vanishes(f[0])
         and vanishes([add(a, b) for a, b in zip(apply_rows(ring, p.L, u1), f[1])])
-        and all(vanishes(f[j]) for j in range(2, sol.order + 1))
+        and all(vanishes(f[j]) for j in range(2, order + 1))
     )
     if linear and not vanishes(u1):
         return True, "linear-exact"
-    if sol.order >= 2 and all(vanishes(row) for row in series_rows(ring, sol)[2:]):
+    if order >= 2 and all(vanishes(row) for row in rows[2:]):
         return True, "tail-zero"
     return False, None

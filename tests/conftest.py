@@ -54,6 +54,18 @@ def problem_path(name: str) -> str:
     return str(PROBLEM_DIR / name)
 
 
+# the heavy 2x2 problem of the benchmark: variable coefficients, a
+# transcendental forcing, coupled components
+HEAVY_2X2 = """{"m": 2, "n": 2, "rho": [["2","1"],["1","1"]],
+ "L": [{"row":0,"col":0,"coeff":"1+x1^2","derivs":[2,0]},
+       {"row":0,"col":1,"coeff":"x2","derivs":[0,1]},
+       {"row":1,"col":0,"coeff":"sin(x1)","derivs":[1,0]},
+       {"row":1,"col":1,"coeff":"1","derivs":[0,2]}],
+ "f": ["exp(t)*sin(x1+t)*cos(x2)", "t^2*x1"],
+ "u0": ["sin(x1)*exp(x2)", "x1^2"], "u1": ["cos(x2)", "0"], "order": 8}
+"""
+
+
 # ---------------------------------------------------------------------------
 # Random expressions
 # ---------------------------------------------------------------------------

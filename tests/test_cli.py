@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdeseries import taylor
+from pdeseries import hpm, series, taylor, verify
 from pdeseries.cli import build_parser, main
+from pdeseries.poly import Ring
 
 from conftest import problem_path
 
@@ -464,3 +466,29 @@ class TestHpmCommand:
         assert len(doc["corrections"]) == 2
         assert doc["working_order"] == 3
         assert doc["partial_sum"][2] == ["-1/2*sin(x1)"]
+
+
+class TestPrintsFromPolynomials:
+    @pytest.mark.parametrize("path", [WAVE, FORCED_WAVE, COUPLED])
+    @pytest.mark.parametrize("argv", [("solve",), ("hpm", "--corrections", "3")])
+    @pytest.mark.parametrize("fmt", [(), ("--format", "json")])
+    def test_no_coefficient_tree_is_built_or_read(self, monkeypatch, capsys, path, argv, fmt):
+        # the rows go from the engine to the printer.  Ring.to_tree is left
+        # to the ring itself: to name the argument of a function atom, and
+        # for the oracle, which samples trees, in the verdict of solve
+        callers = []
+        original = Ring.to_tree
+
+        def to_tree(self, p):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return original(self, p)
+
+        def refuse(*args):
+            raise AssertionError("series_rows called")
+
+        monkeypatch.setattr(Ring, "to_tree", to_tree)
+        for module in (series, taylor, hpm, verify):
+            monkeypatch.setattr(module, "series_rows", refuse)
+        code, out, _ = run(capsys, argv[0], path, *argv[1:], *fmt)
+        assert code == 0 and out
+        assert set(callers) <= {"func", "deviation"}

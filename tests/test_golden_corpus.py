@@ -2,11 +2,13 @@
 stdout and of stderr, and the exit code, of each command.
 
 The corpus covers every command on the bundled problems in text and
-JSON, the heavy 2x2 problem and the transcendental forcing problem of
-the benchmark, the benchmark's four expansions, and three input errors.
-A change to the arithmetic under the engines must leave all of them as
-they are.  To print the table for a deliberate change of output, run
-``PYTHONPATH=src python tests/test_golden_corpus.py`` from the checkout root.
+JSON, the heavy 2x2 problem (``solve`` and ``hpm`` also in JSON) and
+the transcendental forcing problem of the benchmark, the benchmark's
+four expansions, and three input errors.  A change to the arithmetic
+under the engines, or to how coefficients are printed, must leave all
+of them as they are.  To print the table for a deliberate change of
+output, run ``PYTHONPATH=src python tests/test_golden_corpus.py`` from
+the checkout root.
 """
 
 from __future__ import annotations
@@ -20,17 +22,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import problem_path
+from conftest import HEAVY_2X2, problem_path
 from pdeseries.cli import main
 
-HEAVY_2X2 = """{"m": 2, "n": 2, "rho": [["2","1"],["1","1"]],
- "L": [{"row":0,"col":0,"coeff":"1+x1^2","derivs":[2,0]},
-       {"row":0,"col":1,"coeff":"x2","derivs":[0,1]},
-       {"row":1,"col":0,"coeff":"sin(x1)","derivs":[1,0]},
-       {"row":1,"col":1,"coeff":"1","derivs":[0,2]}],
- "f": ["exp(t)*sin(x1+t)*cos(x2)", "t^2*x1"],
- "u0": ["sin(x1)*exp(x2)", "x1^2"], "u1": ["cos(x2)", "0"], "order": 8}
-"""
 
 FORCING_1X1 = """{"m": 1, "n": 2, "rho": [["1"]],
  "L": [{"row": 0, "col": 0, "coeff": "1", "derivs": [2, 0]},
@@ -64,7 +58,7 @@ BUNDLED_COMMANDS = (
 
 
 def corpus() -> list[tuple[str, ...]]:
-    """The 39 commands; a bundled problem is named by its file name."""
+    """The 41 commands; a bundled problem is named by its file name."""
     out = [
         (cmd[0], name, *cmd[1:], *fmt)
         for name in BUNDLED
@@ -76,6 +70,8 @@ def corpus() -> list[tuple[str, ...]]:
         ("hpm", "heavy_2x2.prob", "--corrections", "3"),
         ("compare", "heavy_2x2.prob", "--corrections", "5"),
         ("residual", "heavy_2x2.prob", "--order", "8"),
+        ("solve", "heavy_2x2.prob", "--order", "10", "--format", "json"),
+        ("hpm", "heavy_2x2.prob", "--corrections", "3", "--format", "json"),
         ("solve", "forcing_1x1.prob"),
         ("residual", "forcing_1x1.prob", "--order", "10"),
         ("hpm", "forcing_1x1.prob", "--corrections", "2"),
@@ -92,7 +88,9 @@ def corpus() -> list[tuple[str, ...]]:
 
 
 # (command, exit code, sha1 of stdout, sha1 of stderr), recorded before
-# polynomials took integer numerators over one denominator
+# polynomials took integer numerators over one denominator; the two heavy
+# JSON commands were recorded before coefficients were printed from
+# polynomials without building trees
 GOLDEN = {
     ('solve', 'wave_1d.prob'):
         (0, 'ed23383102f2929eebe354654e482b7e6f1e6654', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
@@ -150,6 +148,10 @@ GOLDEN = {
         (0, 'ea637a3c418b8b7d7ab1dde457c4df9191cde347', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
     ('residual', 'heavy_2x2.prob', '--order', '8'):
         (0, 'daff45b5e63ae96a69b7606e0500b07019f08abe', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    ('solve', 'heavy_2x2.prob', '--order', '10', '--format', 'json'):
+        (0, '97f5a6deed0a2b50f291fd474eb1af75393f3f7c', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    ('hpm', 'heavy_2x2.prob', '--corrections', '3', '--format', 'json'):
+        (0, 'f4bf9112791703c3c2669f8ca70f598cf9b3a793', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
     ('solve', 'forcing_1x1.prob'):
         (0, '52a6c17da9077952e7c132143522b4023d8c4bcd', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
     ('residual', 'forcing_1x1.prob', '--order', '10'):
@@ -203,7 +205,7 @@ def workdir(tmp_path, monkeypatch):
 
 
 def test_the_corpus_is_complete():
-    assert len(corpus()) == 39 and set(GOLDEN) == set(corpus())
+    assert len(corpus()) == 41 and set(GOLDEN) == set(corpus())
 
 
 @pytest.mark.parametrize("command", corpus(), ids=" ".join)

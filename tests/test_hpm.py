@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PLAN, correction_audit_max_deviation, problem_path, random_problem
+from conftest import HEAVY_2X2, PLAN, correction_audit_max_deviation, problem_path, random_problem
 from pdeseries import hpm, series
+from pdeseries.cli import main
 from pdeseries.expr import ZERO, const, equal_sampled
 from pdeseries.hpm import hpm_rows, partial_sum, solve_hpm
 from pdeseries.parser import load_problem, parse_expr
@@ -84,6 +85,26 @@ class TestWorkingOrder:
     def test_capped_rows_on_bundled_problems(self, name, corrections):
         p = load_problem(problem_path(name))
         _assert_capped_matches_uncapped(p, corrections)
+
+
+class TestDegreesComputed:
+    def test_only_the_degrees_the_integral_reads_are_computed(self, monkeypatch, tmp_path,
+                                                              capsys):
+        # the double time integral reads degrees 0..working-2 of the
+        # previous correction; at working order 14 that is 13 rows each
+        calls = []
+        original = hpm.apply_rows
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(hpm, "apply_rows", counted)
+        path = tmp_path / "heavy.prob"
+        path.write_text(HEAVY_2X2)
+        assert main(["hpm", str(path), "--corrections", "3"]) == 0
+        assert "partial sum (degrees 0..14):" in capsys.readouterr().out
+        assert len(calls) == 3 * 13
 
 
 class TestPartialSum:

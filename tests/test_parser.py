@@ -183,9 +183,8 @@ class TestErrors:
         ("((((x1^(2^4000))^(2^4000))^(2^4000))^(2^4000))", 37),
         ("10^4300", 3),                            # 4301 digits, exactly one past
         ("10^2150*10^2150", 8),
-        # negating the sum takes out its content, 1/231^3000
-        ("x1 + -(x1/3^3000 + x2/7^3000 + x3/11^3000)", 5),
-        ("x1*(-(x1/3^3000 + x2/7^3000 + x3/11^3000))", 4),
+        # a product with the sum takes out its content, 1/231^3000
+        ("x1*(-(x1/3^3000 + x2/7^3000 + x3/11^3000))", 3),
     ])
     def test_huge_normalized_constant(self, src, offset):
         # each chain prints, but normalize folds constants across chains
@@ -208,6 +207,17 @@ class TestErrors:
             parse_expr(src, 2)
         assert err.value.offset == offset
         assert message in err.value.message
+
+    @pytest.mark.parametrize("src,spelled", [
+        ("-(x1/3^3000 + x2/7^3000 + x3/11^3000)", "-x1/3^3000 - x2/7^3000 - x3/11^3000"),
+        ("x1 + -(x1/3^3000 + x2/7^3000 + x3/11^3000)",
+         "x1 - x1/3^3000 - x2/7^3000 - x3/11^3000"),
+        ("2/7*(x1/3^3000 + 1)", "2/7*x1/3^3000 + 2/7"),
+    ])
+    def test_a_rational_times_a_sum_needs_no_content(self, src, spelled):
+        # spread over the terms; the content, 1/231^3000 in the first two,
+        # is too large to represent although no term is
+        assert parse_expr(src, 3) == parse_expr(spelled, 3)
 
     def test_first_failing_construct_is_reported(self):
         # the division by zero comes before the product passes the limit

@@ -10,6 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import (
+    HEAVY_2X2,
     PLAN,
     apply_by_differentiate,
     random_normal_expr,
@@ -43,22 +44,13 @@ from pdeseries.expr import (
     sampled_deviation,
 )
 from pdeseries.hpm import hpm_rows, partial_sum, solve_hpm
-from pdeseries.parser import parse_expr, parse_problem
+from pdeseries.parser import parse_expr, parse_problem, print_expr, print_poly
 from pdeseries.poly import ONE, Ring, add, mul, scale, sub
 from pdeseries.series import problem_ring
 from pdeseries.taylor import taylor_coefficients, taylor_rows
 from pdeseries.verify import equivalence_check
 
 SEEDS = st.integers(min_value=0, max_value=10**6)
-
-HEAVY = """{"m": 2, "n": 2, "rho": [["2","1"],["1","1"]],
- "L": [{"row":0,"col":0,"coeff":"1+x1^2","derivs":[2,0]},
-       {"row":0,"col":1,"coeff":"x2","derivs":[0,1]},
-       {"row":1,"col":0,"coeff":"sin(x1)","derivs":[1,0]},
-       {"row":1,"col":1,"coeff":"1","derivs":[0,2]}],
- "f": ["exp(t)*sin(x1+t)*cos(x2)", "t^2*x1"],
- "u0": ["sin(x1)*exp(x2)", "x1^2"], "u1": ["cos(x2)", "0"], "order": 8}"""
-
 
 def _random_polys(seed: int, count: int):
     """``count`` polynomials of one ring, with functions, ln and
@@ -216,6 +208,49 @@ class TestConversions:
         assert ring.from_tree(e) == poly.ZERO
 
 
+# atoms print_poly must place and spell: sums at negative powers and
+# at powers too large to expand, functions of sums, bare constants
+PRINTER_ATOMS = ("(1 + x1)^(-2)", "(2*x1 - x2)^(-1)*x2^(-3)", "(x1 + x2)^99999999",
+                 "sin(1 + x1)", "cosh(x2 - 1/3*x1)^2*exp(x1)", "-5/7", "0")
+
+
+def _printer_polys(seed: int) -> tuple[Ring, list]:
+    """Polynomials of one ring built from ``PRINTER_ATOMS``, random
+    expressions and a sum atom to the first power, times rationals."""
+    rng = random.Random(seed)
+    ring, pool = _random_polys(seed, 2)
+    pool += [ring.from_tree(parse_expr(text, 2)) for text in PRINTER_ATOMS]
+    big = ring.from_tree(parse_expr("(x1 + x2)^99999999", 2))
+    # (x1 + x2)^99999999 * (x1 + x2)^-99999998: the sum atom to the power 1
+    pool.append(mul(big, ring.from_tree(parse_expr("(x1 + x2)^(-99999998)", 2))))
+    out = []
+    for _ in range(4):
+        parts = [scale(mul(rng.choice(pool), rng.choice(pool)),
+                       Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+                 for _ in range(rng.randint(1, 4))]
+        out.append(add(*parts))
+    return ring, pool + out
+
+
+class TestPrinter:
+    @given(SEEDS)
+    def test_prints_the_bytes_of_the_tree(self, seed):
+        ring, polys = _printer_polys(seed)
+        for p in polys:
+            assert print_poly(ring, p) == print_expr(ring.to_tree(p))
+
+    def test_a_rational_times_a_sum_atom_is_printed_from_its_tree(self):
+        ring = Ring()
+        big = ring.from_tree(parse_expr("(x1 + x2)^99999999", 2))
+        s = mul(big, ring.from_tree(parse_expr("(x1 + x2)^(-99999998)", 2)))
+        assert list(s.num) == [(0, 0, 1)]  # the atom x1 + x2, to the power 1
+        p = add(scale(s, 3), ring.from_tree(Var(1)))
+        # eprod spreads 3 over the sum, and the x1 terms collect
+        assert print_poly(ring, p) == print_expr(ring.to_tree(p)) == "4*x1 + 3*x2"
+        assert print_poly(ring, s) == "x1 + x2"
+        assert print_poly(ring, poly.ZERO) == "0"
+
+
 class TestDerivatives:
     @given(SEEDS, st.sampled_from((1, 2)))
     def test_same_values_as_differentiate(self, seed, v):
@@ -288,12 +323,12 @@ class TestEngineParity:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(poly, "sampled_deviation", counted)
-        report = equivalence_check(parse_problem(HEAVY), 4, PLAN)
+        report = equivalence_check(parse_problem(HEAVY_2X2), 4, PLAN)
         assert report.overall and len(report.per_degree) == 10
         assert all(c.max_deviation == 0.0 for c in report.per_degree)
         assert calls == []
         path = tmp_path / "heavy.prob"
-        path.write_text(HEAVY)
+        path.write_text(HEAVY_2X2)
         assert main(["compare", str(path), "--corrections", "4"]) == 0
         assert capsys.readouterr().out.endswith("overall: equivalent\n")
         assert calls == []
@@ -301,6 +336,6 @@ class TestEngineParity:
 
 class TestRingScope:
     def test_one_ring_per_problem_shared_by_its_orders(self):
-        p, q = parse_problem(HEAVY), parse_problem(HEAVY)
+        p, q = parse_problem(HEAVY_2X2), parse_problem(HEAVY_2X2)
         assert problem_ring(p) is not problem_ring(q)
         assert problem_ring(p.with_order(3)) is problem_ring(p)

@@ -51,7 +51,7 @@ from pdeseries.expr import (
 )
 from pdeseries.parser import load_problem, parse_expr, print_expr
 from pdeseries.poly import Ring
-from pdeseries.taylor import taylor_coefficients
+from pdeseries.taylor import taylor_coefficients, taylor_rows
 from pdeseries.series import (
     OperatorTerm,
     RationalMatrix,
@@ -61,6 +61,9 @@ from pdeseries.series import (
     expand_in_time,
     forcing_coefficients,
     invert,
+    problem_ring,
+    rows_series,
+    series_rows,
     series_scale_matrix,
 )
 
@@ -566,3 +569,15 @@ class TestTimeSeriesVec:
         assert len(s.coeffs) == s.order + 1
         with pytest.raises(ValueError):
             TimeSeriesVec(1, 2, ((ZERO,),))
+
+    def test_a_series_of_rows_keeps_them_aside(self):
+        p = load_problem(problem_path("forced_wave_2d.prob"))
+        ring, rows = problem_ring(p), taylor_rows(p)
+        s = rows_series(ring, rows)
+        assert series_rows(ring, s) is rows  # no tree is converted back
+        plain = TimeSeriesVec(s.m, s.order, s.coeffs)
+        assert plain == s and hash(plain) == hash(s) and repr(plain) == repr(s)
+        assert series_rows(ring, plain) == rows
+        for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s)):
+            assert copied == s and not hasattr(copied, "_rows")
+            assert not hasattr(copied, "_ring")
