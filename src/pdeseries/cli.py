@@ -13,12 +13,12 @@ import sys
 
 from .errors import PdeSeriesError
 from .expr import SamplePlan
-from .hpm import hpm_rows, sum_rows, working_order
+from .hpm import partial_sum, solve_hpm
 from .parser import load_problem, parse_expr, print_expr, print_poly
 from .poly import Ring
-from .series import Rows, expand_in_time, problem_ring
-from .taylor import detect_exact_rows, taylor_rows
-from .verify import equivalence_check, residual_check_rows
+from .series import Rows, expand_in_time, problem_ring, series_rows
+from .taylor import solve_taylor, taylor_coefficients
+from .verify import equivalence_check, residual_check
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -116,20 +116,21 @@ def _cmd_solve(args) -> int:
     if args.order is not None:
         problem = problem.with_order(args.order)
     plan = SamplePlan(seed=args.seed, tolerance=args.tolerance)
-    ring, rows = problem_ring(problem), taylor_rows(problem)
-    exact, reason = detect_exact_rows(problem, rows, plan)
-    verdict = f"exact ({reason})" if exact else "not exact"
+    solution = solve_taylor(problem, plan)
+    ring = problem_ring(problem)
+    rows = series_rows(ring, solution.series)
     if args.output_format == "json":
         sys.stdout.write(_render_json({
             "order": problem.order,
             "m": problem.m,
             "coefficients": _series_payload(ring, rows),
-            "exact": exact,
-            "exact_reason": reason,
+            "exact": solution.exact,
+            "exact_reason": solution.exact_reason,
         }))
     else:
         for line in _series_lines(ring, rows, "u"):
             print(line)
+        verdict = f"exact ({solution.exact_reason})" if solution.exact else "not exact"
         print(f"verdict: {verdict}")
     return EXIT_OK
 
@@ -138,9 +139,11 @@ def _cmd_hpm(args) -> int:
     problem = load_problem(args.problem)
     if args.corrections < 0:
         raise ValueError("--corrections must be >= 0")
-    working = working_order(problem, args.corrections)
-    ring, corrections = problem_ring(problem), hpm_rows(problem, args.corrections, working)
-    total = sum_rows(corrections, working)
+    expansion = solve_hpm(problem, args.corrections)
+    working = expansion.working_order
+    ring = problem_ring(problem)
+    corrections = [series_rows(ring, c) for c in expansion.corrections]
+    total = series_rows(ring, partial_sum(expansion, working))
     if args.output_format == "json":
         sys.stdout.write(_render_json({
             "corrections": [_series_payload(ring, c) for c in corrections],
@@ -186,7 +189,7 @@ def _cmd_residual(args) -> int:
     if args.order is not None:
         problem = problem.with_order(args.order)
     plan = SamplePlan(seed=args.seed, tolerance=args.tolerance)
-    report = residual_check_rows(problem, taylor_rows(problem), plan)
+    report = residual_check(problem, taylor_coefficients(problem), plan)
     if args.output_format == "json":
         sys.stdout.write(_render_json(report.to_dict()))
     else:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import ZERO, Ring, add, scale
+from .poly import ZERO, add, scale
 from .series import (
     ProblemSpec,
     Rows,
@@ -25,6 +25,7 @@ from .series import (
     problem_ring,
     rows_series,
     scale_rows,
+    series_ring,
     series_rows,
 )
 
@@ -96,11 +97,9 @@ def solve_hpm(p: ProblemSpec, corrections: int) -> HpmExpansion:
     and builds them with ``hpm_rows`` directly."""
     working = working_order(p, corrections)
     ring = problem_ring(p)
-    expansion = HpmExpansion(tuple(
+    return HpmExpansion(tuple(
         rows_series(ring, rows) for rows in hpm_rows(p, corrections, working)
     ), corrections, working)
-    object.__setattr__(expansion, "_ring", ring)
-    return expansion
 
 
 def sum_rows(corrections: list[Rows], trunc: int) -> Rows:
@@ -114,9 +113,9 @@ def sum_rows(corrections: list[Rows], trunc: int) -> Rows:
 
 def partial_sum(h: HpmExpansion, trunc: int) -> TimeSeriesVec:
     """Coefficient-wise sum of all corrections, truncated to degrees
-    0..trunc."""
-    if trunc < 0:
-        raise ValueError("truncation degree must be nonnegative")
-    ring = getattr(h, "_ring", None) or Ring()
+    0..trunc; degrees past the working order are not known."""
+    if not 0 <= trunc <= h.working_order:
+        raise ValueError(f"truncation degree must be in 0..{h.working_order}")
+    ring = series_ring(h.corrections[0])
     corrections = [series_rows(ring, c) for c in h.corrections]
     return rows_series(ring, sum_rows(corrections, trunc))

@@ -155,21 +155,14 @@ class SpatialOperator:
                 raise TimeNotAllowed("operator coefficients must be time-free", 0)
 
 
-def apply_operator(op: SpatialOperator, vec: Sequence[Expr]) -> ExprVec:
-    """Apply the operator to a vector of time-free expressions; the
-    results are distributed polynomials (see ``apply_rows``)."""
-    if len(vec) != op.m:
-        raise DimensionMismatch(f"vector length {len(vec)} != {op.m}")
-    ring = Ring()
-    return tuple(map(ring.to_tree, apply_rows(ring, op, list(map(ring.from_tree, vec)))))
-
-
 def apply_rows(ring: Ring, op: SpatialOperator, vec: Sequence[Poly]) -> list[Poly]:
     """Apply the operator to a vector of polynomials of ``ring``.
 
     A partial derivative that several terms need (the d/dx1 of u under
     both d2/dx1^2 and d/dx1) is taken once per call, and the ring takes
     the derivative of each atom once per variable."""
+    if len(vec) != op.m:
+        raise DimensionMismatch(f"vector length {len(vec)} != {op.m}")
     partials: dict[tuple, Poly] = {}
     rows: list[list[Poly]] = [[] for _ in range(op.m)]
     for term in op.terms:
@@ -446,17 +439,8 @@ class _RingJets(_Jets):
 
 
 # ---------------------------------------------------------------------------
-# Vectors of expressions
+# Vectors of polynomials
 # ---------------------------------------------------------------------------
-
-def series_scale_matrix(matrix: RationalMatrix, v: Sequence[Expr]) -> ExprVec:
-    """Exact matrix-vector product; the results are distributed
-    polynomials."""
-    if len(v) != matrix.size:
-        raise DimensionMismatch(f"vector length {len(v)} != {matrix.size}")
-    ring = Ring()
-    return tuple(map(ring.to_tree, scale_rows(matrix, list(map(ring.from_tree, v)))))
-
 
 def scale_rows(matrix: RationalMatrix, v: Sequence[Poly]) -> list[Poly]:
     """Exact matrix-vector product on polynomials."""
@@ -474,7 +458,8 @@ class TimeSeriesVec:
     ``coeffs[j][k]`` is component k of the degree-j coefficient; the
     list always holds exactly ``order + 1`` entries.  A series that
     ``rows_series`` made keeps its rows and their ring as attributes,
-    not fields: equality, hashing, repr, pickles and copies ignore them."""
+    not fields, and builds ``coeffs`` from them when it is first read:
+    equality, hashing, repr, pickles and copies see only the trees."""
 
     m: int
     order: int
@@ -493,11 +478,20 @@ class TimeSeriesVec:
                     f"coefficient vector length {len(row)} != {self.m}"
                 )
 
+    def __getattr__(self, name: str):
+        # reached only for an attribute not yet set: the trees of a series of rows
+        if name != "coeffs" or "_rows" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        coeffs = tuple(tuple(map(self._ring.to_tree, row)) for row in self._rows)
+        object.__setattr__(self, "coeffs", coeffs)
+        return coeffs
+
     def coefficient(self, degree: int) -> ExprVec:
         return self.coeffs[degree]
 
     def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k not in ("_ring", "_rows")}
+        # pickles and copies carry the trees, not the rows or their ring
+        return {"m": self.m, "order": self.order, "coeffs": self.coeffs}
 
 
 Rows = list[list[Poly]]  # degree -> component -> polynomial
@@ -507,19 +501,22 @@ def series_rows(ring: Ring, s: TimeSeriesVec) -> Rows:
     """The coefficients of ``s`` as polynomials of ``ring``: the rows
     ``rows_series`` made it from in ``ring``, or else its trees
     converted."""
-    if getattr(s, "_ring", None) is ring:
+    if vars(s).get("_ring") is ring:
         return s._rows
     return [list(map(ring.from_tree, row)) for row in s.coeffs]
 
 
+def series_ring(s: TimeSeriesVec) -> Ring:
+    """The ring of the rows ``s`` keeps, or a new one for a series of trees."""
+    return vars(s).get("_ring") or Ring()
+
+
 def rows_series(ring: Ring, rows: Rows) -> TimeSeriesVec:
-    """The series whose coefficients are the trees of ``rows``; it
-    keeps ``rows`` for ``series_rows``."""
-    series = TimeSeriesVec(len(rows[0]), len(rows) - 1, tuple(
-        tuple(map(ring.to_tree, row)) for row in rows
-    ))
-    object.__setattr__(series, "_ring", ring)
-    object.__setattr__(series, "_rows", rows)
+    """The series with coefficients ``rows``, polynomials of ``ring``.
+    It keeps ``rows`` for ``series_rows`` and builds no tree until
+    ``coeffs`` is read."""
+    series = object.__new__(TimeSeriesVec)
+    vars(series).update(m=len(rows[0]), order=len(rows) - 1, _ring=ring, _rows=rows)
     return series
 
 
@@ -612,12 +609,6 @@ def _hidden(p: ProblemSpec, name: str):
 def problem_ring(p: ProblemSpec) -> Ring:
     """The polynomial ring of ``p``, made on first use."""
     return _hidden(p, "_ring")
-
-
-def forcing_coefficients(p: ProblemSpec, order: int) -> list[ExprVec]:
-    """``forcing_rows`` as canonical trees."""
-    ring = problem_ring(p)
-    return [tuple(map(ring.to_tree, row)) for row in forcing_rows(p, order)]
 
 
 def forcing_rows(p: ProblemSpec, order: int) -> Rows:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import DimensionMismatch
 from .expr import DEFAULT_PLAN, SamplePlan
 from .poly import ZERO, add
 from .series import (
@@ -57,24 +58,15 @@ def taylor_coefficients(p: ProblemSpec) -> TimeSeriesVec:
 
 
 def solve_taylor(p: ProblemSpec, plan: SamplePlan = DEFAULT_PLAN) -> TaylorSolution:
-    rows = taylor_rows(p)
-    exact, reason = detect_exact_rows(p, rows, plan)
-    return TaylorSolution(series=rows_series(problem_ring(p), rows), exact=exact,
-                          exact_reason=reason)
+    series = taylor_coefficients(p)
+    exact, reason = detect_exact(p, series, plan)
+    return TaylorSolution(series=series, exact=exact, exact_reason=reason)
 
 
 def detect_exact(
     p: ProblemSpec, sol: TimeSeriesVec, plan: SamplePlan = DEFAULT_PLAN
 ) -> tuple[bool, str | None]:
-    """``detect_exact_rows`` of the series' coefficients."""
-    return detect_exact_rows(p, series_rows(problem_ring(p), sol), plan)
-
-
-def detect_exact_rows(
-    p: ProblemSpec, rows: Rows, plan: SamplePlan = DEFAULT_PLAN
-) -> tuple[bool, str | None]:
-    """Classify exact termination of the series with coefficients
-    ``rows``, polynomials of ``problem_ring(p)``.
+    """Classify exact termination of the series ``sol`` of ``p``.
 
     "linear-exact": u0 and f_0 vanish, L u1 + f_1 vanishes, and every
     higher forcing coefficient vanishes, so by induction the solution
@@ -83,8 +75,10 @@ def detect_exact_rows(
     and up vanishes.  A coefficient vanishes when its polynomial is
     zero, or else when it samples equal to zero.
     """
+    if sol.m != p.m:
+        raise DimensionMismatch(f"series has {sol.m} components, the problem {p.m}")
     ring = problem_ring(p)
-    order = len(rows) - 1
+    rows, order = series_rows(ring, sol), sol.order
     f = forcing_rows(p, order)
 
     def vanishes(vec) -> bool:

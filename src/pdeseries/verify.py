@@ -6,12 +6,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import DimensionMismatch
 from .expr import DEFAULT_PLAN, SamplePlan
 from .hpm import hpm_rows, sum_rows
 from .poly import ZERO, add, scale, sub
 from .series import (
     ProblemSpec,
-    Rows,
     TimeSeriesVec,
     apply_rows,
     forcing_rows,
@@ -82,22 +82,17 @@ class EquivalenceReport:
 def residual_check(
     p: ProblemSpec, sol: TimeSeriesVec, plan: SamplePlan = DEFAULT_PLAN
 ) -> ResidualReport:
-    """``residual_check_rows`` of the series' coefficients."""
-    return residual_check_rows(p, series_rows(problem_ring(p), sol), plan)
-
-
-def residual_check_rows(
-    p: ProblemSpec, rows: Rows, plan: SamplePlan = DEFAULT_PLAN
-) -> ResidualReport:
-    """Verify that the series with coefficients ``rows``, polynomials of
-    ``problem_ring(p)``, satisfies the equation to its information
-    content: residual coefficients of degree 0..order-2 must vanish.  A
-    residual whose polynomial is zero has deviation 0.0 exactly; any
-    other is sampled."""
-    order = len(rows) - 1
+    """Verify that the series ``sol`` of ``p`` satisfies the equation to
+    its information content: residual coefficients of degree
+    0..order-2 must vanish.  A residual whose polynomial is zero has
+    deviation 0.0 exactly; any other is sampled."""
+    if sol.m != p.m:
+        raise DimensionMismatch(f"series has {sol.m} components, the problem {p.m}")
+    order = sol.order
     if order < 2:
         raise ValueError("residual check needs a series of order >= 2")
     ring = problem_ring(p)
+    rows = series_rows(ring, sol)
     f = forcing_rows(p, order)
     checks = []
     for k in range(order - 1):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdeseries import hpm, series, taylor, verify
+from pdeseries import cli, hpm, series, taylor, verify
 from pdeseries.cli import build_parser, main
 from pdeseries.poly import Ring
 
@@ -422,7 +422,6 @@ class TestErrorsAndExitCodes:
     def test_mismatch_exit_three(self, capsys, monkeypatch):
         # no valid problem can make the engines disagree, so stub the
         # check to exercise the failure exit path
-        import pdeseries.cli as cli
         from pdeseries.verify import DegreeCheck, EquivalenceReport
 
         failing = EquivalenceReport(
@@ -470,12 +469,14 @@ class TestHpmCommand:
 
 class TestPrintsFromPolynomials:
     @pytest.mark.parametrize("path", [WAVE, FORCED_WAVE, COUPLED])
-    @pytest.mark.parametrize("argv", [("solve",), ("hpm", "--corrections", "3")])
+    @pytest.mark.parametrize("argv", [("solve",), ("hpm", "--corrections", "3"), ("residual",)])
     @pytest.mark.parametrize("fmt", [(), ("--format", "json")])
     def test_no_coefficient_tree_is_built_or_read(self, monkeypatch, capsys, path, argv, fmt):
         # the rows go from the engine to the printer.  Ring.to_tree is left
         # to the ring itself: to name the argument of a function atom, and
-        # for the oracle, which samples trees, in the verdict of solve
+        # for the oracle, which samples trees, in the verdicts of solve and
+        # residual.  series_rows hands back the rows a series keeps and
+        # converts no tree
         callers = []
         original = Ring.to_tree
 
@@ -483,12 +484,14 @@ class TestPrintsFromPolynomials:
             callers.append(sys._getframe(1).f_code.co_name)
             return original(self, p)
 
-        def refuse(*args):
-            raise AssertionError("series_rows called")
+        def kept_rows(ring, s):
+            rows = series.series_rows(ring, s)
+            assert rows is vars(s).get("_rows"), "series_rows converted a tree"
+            return rows
 
         monkeypatch.setattr(Ring, "to_tree", to_tree)
-        for module in (series, taylor, hpm, verify):
-            monkeypatch.setattr(module, "series_rows", refuse)
+        for module in (cli, taylor, hpm, verify):
+            monkeypatch.setattr(module, "series_rows", kept_rows)
         code, out, _ = run(capsys, argv[0], path, *argv[1:], *fmt)
         assert code == 0 and out
         assert set(callers) <= {"func", "deviation"}

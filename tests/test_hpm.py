@@ -124,6 +124,14 @@ class TestPartialSum:
         assert total.order == 0
         assert total.coefficient(0) == (parse_expr("sin(x1)", 1),)
 
+    def test_refuses_degrees_past_the_working_order(self, wave):
+        # degrees 4.. of wave's true sum are 1/24*sin(x1), ..., not zero
+        h = solve_hpm(wave, 1)
+        assert h.working_order == 3 and partial_sum(h, 3).order == 3
+        for trunc in (4, 8):
+            with pytest.raises(ValueError):
+                partial_sum(h, trunc)
+
     def test_one_correction_low_truncation(self, wave):
         h = solve_hpm(wave, 0)
         total = partial_sum(h, 1)

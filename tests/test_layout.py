@@ -56,3 +56,17 @@ def test_every_import_is_read():
                 if name not in read:
                     unread.append(f"{path.stem}.{name}")
     assert unread == []
+
+
+def test_the_cli_calls_only_the_public_engine_api():
+    # one path per command: what the CLI takes from the engines is what
+    # a caller of the package can call too
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        f"{stmt.module}.{alias.name}"
+        for stmt in tree.body
+        if isinstance(stmt, ast.ImportFrom) and stmt.module in ("taylor", "hpm", "verify")
+        for alias in stmt.names
+        if alias.name not in pdeseries.__all__
+    ]
+    assert private == []

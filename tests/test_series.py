@@ -2,8 +2,10 @@
 series containers."""
 
 import copy
+import dataclasses
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -50,21 +52,21 @@ from pdeseries.expr import (
     uses_time,
 )
 from pdeseries.parser import load_problem, parse_expr, print_expr
-from pdeseries.poly import Ring
+from pdeseries.poly import ZERO as POLY_ZERO, Ring, add, scale
 from pdeseries.taylor import taylor_coefficients, taylor_rows
 from pdeseries.series import (
     OperatorTerm,
     RationalMatrix,
     SpatialOperator,
     TimeSeriesVec,
-    apply_operator,
+    apply_rows,
     expand_in_time,
-    forcing_coefficients,
+    forcing_rows,
     invert,
     problem_ring,
     rows_series,
+    scale_rows,
     series_rows,
-    series_scale_matrix,
 )
 
 
@@ -110,18 +112,23 @@ def _laplacian_2d() -> SpatialOperator:
     ))
 
 
-class TestApplyOperator:
+def _apply_trees(ring: Ring, op: SpatialOperator, vec) -> list[Expr]:
+    """``apply_rows`` on the polynomials of the trees ``vec``, as trees."""
+    return [ring.to_tree(c) for c in apply_rows(ring, op, [ring.from_tree(e) for e in vec])]
+
+
+class TestApplyRows:
     def test_laplacian_of_separable_product(self):
-        got = apply_operator(_laplacian_2d(), (parse_expr("sin(x1)^2*cos(x2)", 2),))
+        got = _apply_trees(Ring(), _laplacian_2d(), (parse_expr("sin(x1)^2*cos(x2)", 2),))
         want = parse_expr("2*cos(2*x1)*cos(x2) - sin(x1)^2*cos(x2)", 2)
         assert equal_sampled(got[0], want, PLAN)
 
     def test_zero_vector(self):
-        assert apply_operator(_laplacian_2d(), (ZERO,)) == (ZERO,)
+        assert apply_rows(Ring(), _laplacian_2d(), [POLY_ZERO]) == [POLY_ZERO]
 
     def test_second_derivative_of_sine(self):
         op = SpatialOperator(1, 1, (OperatorTerm(0, 0, const(1), (2,)),))
-        got = apply_operator(op, (Func("sin", Var(1)),))
+        got = _apply_trees(Ring(), op, (Func("sin", Var(1)),))
         assert got[0] == parse_expr("-sin(x1)", 1)
 
     def test_component_mixing(self):
@@ -129,24 +136,24 @@ class TestApplyOperator:
             OperatorTerm(0, 1, const(2), (1,)),
             OperatorTerm(1, 0, Var(1), (0,)),
         ))
-        got = apply_operator(op, (Var(1), Pow(Var(1), 2)))
+        got = _apply_trees(Ring(), op, (Var(1), Pow(Var(1), 2)))
         assert got[0] == parse_expr("4*x1", 1)
         assert got[1] == parse_expr("x1^2", 1)
 
     @given(st.integers(min_value=0, max_value=10**6))
     def test_linearity(self, seed):
         rng = random.Random(seed)
-        op = _laplacian_2d()
+        op, ring = _laplacian_2d(), Ring()
         a = random_numeric_expr(rng, depth=2)
         b = random_numeric_expr(rng, depth=2)
-        scale = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        left = apply_operator(op, (const(scale) * a + b,))
-        right = const(scale) * apply_operator(op, (a,))[0] + apply_operator(op, (b,))[0]
-        assert equal_sampled(left[0], right, PLAN)
+        q = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        left = apply_rows(ring, op, [ring.from_tree(const(q) * a + b)])
+        pa, pb = (apply_rows(ring, op, [ring.from_tree(e)])[0] for e in (a, b))
+        assert left == [add(scale(pa, q), pb)]
 
     def test_rejects_wrong_length(self):
         with pytest.raises(DimensionMismatch):
-            apply_operator(_laplacian_2d(), (ZERO, ZERO))
+            apply_rows(Ring(), _laplacian_2d(), [POLY_ZERO, POLY_ZERO])
 
 
 def _random_operator(rng, m, n):
@@ -173,9 +180,9 @@ class TestOperatorDifferentiatesOnce:
             want = apply_by_differentiate(op, vec)
         except DomainError:
             with pytest.raises(DomainError):
-                apply_operator(op, vec)
+                _apply_trees(Ring(), op, vec)
             return
-        got = apply_operator(op, vec)
+        got = _apply_trees(Ring(), op, vec)
         for a, b in zip(got, want):
             try:
                 deviation = sampled_deviation(a, b, PLAN)
@@ -187,8 +194,8 @@ class TestOperatorDifferentiatesOnce:
         # distributed forms do not depend on the order of the steps
         op = SpatialOperator(1, 2, (OperatorTerm(0, 0, const(1), (1, 1)),))
         u = parse_expr("sin(x1*x2*exp(x1))", 2)
-        got = apply_operator(op, (u,))[0]
         ring = Ring()
+        got = _apply_trees(ring, op, (u,))[0]
         p = ring.from_tree(u)
         assert ring.diff(ring.diff(p, 1), 2) == ring.diff(ring.diff(p, 2), 1)
         assert ring.from_tree(got) == ring.diff(ring.diff(p, 2), 1)
@@ -220,7 +227,7 @@ class TestOperatorDifferentiatesOnce:
             OperatorTerm(1, 0, const(1), (1, 1)),
             OperatorTerm(0, 1, const(1), (0, 2)),
         ))
-        series.apply_rows(ring, op, [u, u])
+        apply_rows(ring, op, [u, u])
         # column 0: d/dx1, d2/dx1^2, d2/dx1dx2; column 1: d/dx2, d2/dx2^2
         assert sorted(calls) == [1, 1, 2, 2, 2]
 
@@ -243,7 +250,8 @@ class TestOperatorDifferentiatesOnce:
         ))
         for _ in range(2):
             derived.clear()
-            apply_operator(op, (u, u))
+            ring = Ring()  # the derivatives an earlier call took are kept
+            apply_rows(ring, op, [ring.from_tree(u)] * 2)
             # d/dx1 of u serves three terms, and cos(x1*x2) is derived
             # once per variable although it occurs in two atoms of u
             assert len(derived) == len(set(derived))
@@ -524,20 +532,20 @@ class TestForcingExpandedOnce:
     def test_expansion_is_kept_per_problem(self, monkeypatch):
         calls = _ring_expansions(monkeypatch)
         p = load_problem(problem_path("coupled_2x2.prob"))
-        long = forcing_coefficients(p, 6)
-        assert forcing_coefficients(p, 3) == long[:4]
-        assert forcing_coefficients(p.with_order(2), 6) == long
+        long = forcing_rows(p, 6)
+        assert forcing_rows(p, 3) == long[:4]
+        assert forcing_rows(p.with_order(2), 6) == long
         assert len(calls) == p.m
-        longer = forcing_coefficients(p, 9)
+        longer = forcing_rows(p, 9)
         assert longer[:7] == long and len(calls) == 2 * p.m
         # another problem object with the same forcing expands anew
-        forcing_coefficients(load_problem(problem_path("coupled_2x2.prob")), 3)
+        forcing_rows(load_problem(problem_path("coupled_2x2.prob")), 3)
         assert len(calls) == 3 * p.m
 
     def test_cache_is_not_part_of_the_problem(self):
         p = load_problem(problem_path("coupled_2x2.prob"))
         fresh = load_problem(problem_path("coupled_2x2.prob"))
-        forcing_coefficients(p, 5)
+        forcing_rows(p, 5)
         assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
         taylor_coefficients(p)  # fills the polynomial ring too
         assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
@@ -546,21 +554,24 @@ class TestForcingExpandedOnce:
             assert not hasattr(copied, "_ring")
 
 
-class TestSeriesScaleMatrix:
+class TestScaleRows:
     def test_identity(self):
-        v = (Var(1), Func("sin", Var(1)))
-        assert series_scale_matrix(RationalMatrix.identity(2), v) == v
+        ring = Ring()
+        v = [ring.from_tree(Var(1)), ring.from_tree(Func("sin", Var(1)))]
+        assert scale_rows(RationalMatrix.identity(2), v) == v
 
     def test_scalar_half(self):
-        got = series_scale_matrix(RationalMatrix.from_rows([["1/2"]]),
-                                  (Func("sin", Var(1)),))
-        assert got[0] == parse_expr("1/2*sin(x1)", 1)
+        ring = Ring()
+        got = scale_rows(RationalMatrix.from_rows([["1/2"]]),
+                         [ring.from_tree(Func("sin", Var(1)))])
+        assert ring.to_tree(got[0]) == parse_expr("1/2*sin(x1)", 1)
 
     def test_hand_product(self):
+        ring = Ring()
         matrix = RationalMatrix.from_rows([[1, -1], [-1, 2]])
-        got = series_scale_matrix(matrix, (Var(1), Var(2)))
-        assert got[0] == parse_expr("x1 - x2", 2)
-        assert got[1] == parse_expr("-x1 + 2*x2", 2)
+        got = scale_rows(matrix, [ring.from_tree(Var(1)), ring.from_tree(Var(2))])
+        assert ring.to_tree(got[0]) == parse_expr("x1 - x2", 2)
+        assert ring.to_tree(got[1]) == parse_expr("-x1 + 2*x2", 2)
 
 
 class TestTimeSeriesVec:
@@ -578,6 +589,45 @@ class TestTimeSeriesVec:
         plain = TimeSeriesVec(s.m, s.order, s.coeffs)
         assert plain == s and hash(plain) == hash(s) and repr(plain) == repr(s)
         assert series_rows(ring, plain) == rows
+        assert series_rows(ring, s) is rows  # reading the trees keeps the rows
         for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s)):
             assert copied == s and not hasattr(copied, "_rows")
             assert not hasattr(copied, "_ring")
+
+    @pytest.mark.parametrize("name", ["wave_1d.prob", "forced_wave_2d.prob",
+                                      "coupled_2x2.prob"])
+    def test_trees_are_built_when_first_read(self, monkeypatch, name):
+        p = load_problem(problem_path(name))
+        ring = problem_ring(p)
+        # the series as built with every tree up front
+        eager = TimeSeriesVec(p.m, p.order, tuple(
+            tuple(map(ring.to_tree, row)) for row in taylor_rows(p)
+        ))
+        callers = []
+        to_tree = Ring.to_tree
+
+        def spy(self, q):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return to_tree(self, q)
+
+        monkeypatch.setattr(Ring, "to_tree", spy)
+        s = taylor_coefficients(p)
+        # only the ring names the argument of a function atom
+        assert set(callers) <= {"func"} and "coeffs" not in vars(s)
+        assert s.coeffs == eager.coeffs and s.coefficient(1) == eager.coefficient(1)
+        built = len(callers)
+        assert s.coeffs is s.coeffs and len(callers) == built  # built once
+        reads = (
+            lambda s: s == eager and eager == s,
+            lambda s: hash(s) == hash(eager),
+            lambda s: repr(s) == repr(eager),
+            lambda s: dataclasses.replace(s) == eager,
+            lambda s: pickle.loads(pickle.dumps(s)) == eager,
+            lambda s: copy.copy(s) == eager,
+            lambda s: copy.deepcopy(s) == eager,
+        )
+        for read in reads:
+            assert read(taylor_coefficients(p))
+        for copied in (pickle.loads(pickle.dumps(taylor_coefficients(p))),
+                       copy.copy(taylor_coefficients(p))):
+            assert vars(copied).keys() == {"m", "order", "coeffs"}

@@ -9,16 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PLAN, problem_path, random_problem
-from pdeseries.expr import ZERO, const, equal_sampled
+from conftest import PLAN, problem_path, random_problem, tree_forcing
+from pdeseries.errors import DimensionMismatch
+from pdeseries.expr import ZERO, Var, const, equal_sampled
 from pdeseries.parser import load_problem, parse_expr
+from pdeseries.poly import Ring, add
 from pdeseries.series import (
     OperatorTerm,
     ProblemSpec,
     SpatialOperator,
-    apply_operator,
-    forcing_coefficients,
-    series_scale_matrix,
+    TimeSeriesVec,
+    apply_rows,
+    scale_rows,
 )
 from pdeseries.taylor import detect_exact, solve_taylor, taylor_coefficients
 
@@ -81,6 +83,13 @@ class TestDetectExact:
         sol = solve_taylor(p, PLAN)
         assert sol.exact and sol.exact_reason == "tail-zero"
 
+    @pytest.mark.parametrize("name, m", [("wave_1d.prob", 2), ("coupled_2x2.prob", 1)])
+    def test_wrong_component_count_is_refused(self, name, m):
+        p = load_problem(problem_path(name))
+        series = TimeSeriesVec(m, p.order, ((Var(1),) * m,) * (p.order + 1))
+        with pytest.raises(DimensionMismatch):
+            detect_exact(p, series, PLAN)
+
     def test_linear_exact_coefficients_vanish(self, forced_wave):
         # when the verdict is linear-exact, every degree >= 2 vanishes
         sol = solve_taylor(forced_wave, PLAN)
@@ -138,12 +147,12 @@ class TestRecursionProperties:
         # (j+1)(j+2) u_{j+2} recomputes to rho^{-1}(L u_j + f_j)
         p, _ = random_problem(seed)
         series = taylor_coefficients(p)
-        f = forcing_coefficients(p, p.order)
+        f = tree_forcing(p, p.order)
+        ring = Ring()  # apart from the ring the engine computed in
         for j in range(p.order - 1):
-            recomputed = series_scale_matrix(
-                p.rho_inv,
-                tuple(a + b for a, b in zip(apply_operator(p.L, series.coefficient(j)), f[j])),
-            )
+            u = [ring.from_tree(c) for c in series.coefficient(j)]
+            w = [add(a, ring.from_tree(b)) for a, b in zip(apply_rows(ring, p.L, u), f[j])]
+            recomputed = tuple(map(ring.to_tree, scale_rows(p.rho_inv, w)))
             scaled_back = tuple(
                 c * const(Fraction((j + 1) * (j + 2))) for c in series.coefficient(j + 2)
             )

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PLAN, problem_path, random_problem
+from pdeseries.errors import DimensionMismatch
 from pdeseries.expr import ZERO, Var, const, sin
 from pdeseries.parser import load_problem, parse_expr
 from pdeseries.series import TimeSeriesVec
@@ -56,6 +57,20 @@ class TestResidual:
     def test_requires_enough_order(self, wave):
         with pytest.raises(ValueError):
             residual_check(wave, TimeSeriesVec(1, 1, ((ZERO,), (ZERO,))), PLAN)
+
+    def test_extra_component_is_refused(self, wave):
+        # an extra component x1 at every degree, with wave's own first one
+        sol = taylor_coefficients(wave)
+        wide = TimeSeriesVec(2, sol.order, tuple((*row, Var(1)) for row in sol.coeffs))
+        with pytest.raises(DimensionMismatch):
+            residual_check(wave, wide, PLAN)
+
+    def test_missing_component_is_refused(self):
+        coupled = load_problem(problem_path("coupled_2x2.prob"))
+        sol = taylor_coefficients(coupled)
+        narrow = TimeSeriesVec(1, sol.order, tuple(row[:1] for row in sol.coeffs))
+        with pytest.raises(DimensionMismatch):
+            residual_check(coupled, narrow, PLAN)
 
     def test_report_json_mirror(self, wave):
         report = residual_check(wave, taylor_coefficients(wave), PLAN)
