@@ -104,11 +104,14 @@ class _Compound(Expr):
     first ``hash()`` from the children's cached hashes.  The value is
     the one the dataclass would compute, ``hash`` of the field tuple.
     A second slot keeps the node's ``sort_key``, filled on its first
-    call.  The slots are not dataclass fields: equality, ``repr``,
-    pickling and copying see only the structure, and a hash never
-    travels to a process with a different string-hash seed."""
+    call.  A third, ``_content``, keeps a sum's split into rational
+    content and primitive sum (``_sum_content``), filled on its first
+    use; other nodes leave it empty.  The slots are not dataclass
+    fields and not part of the structure: equality, ``repr``, pickling
+    and copying see only the fields, and a hash never travels to a
+    process with a different string-hash seed."""
 
-    __slots__ = ("_hash", "_key")
+    __slots__ = ("_hash", "_key", "_content")
 
     def __hash__(self) -> int:
         try:
@@ -274,6 +277,14 @@ def _term_key(t: Expr):
     return (sort_key(rest), coeff)
 
 
+def _rest_key(part: tuple) -> tuple:
+    """``_term_key`` order of ``_add``'s (factors, term) pairs: the
+    factors after the coefficient differ from pair to pair, so their
+    key alone decides it, and it is read without building their node."""
+    rest = part[0]
+    return sort_key(rest[0]) if len(rest) == 1 else (4, *map(sort_key, rest))
+
+
 # ---------------------------------------------------------------------------
 # Normalization
 # ---------------------------------------------------------------------------
@@ -336,26 +347,44 @@ def _pow(base: Expr, k: int) -> Expr:
     return Pow(base, k)
 
 
+_UNIT = Fraction(1)
+
+
 def _sum_content(s: Sum) -> tuple[Fraction, Expr]:
     """Split a normalized sum into (rational content, primitive sum).
 
     The content is the gcd of the term coefficients, signed so the
     primitive sum's leading coefficient is positive.  Keeping sums
     inside products primitive makes normalization independent of how a
-    product was associated."""
+    product was associated.  The split is computed once per node and
+    kept in its ``_content`` slot."""
+    try:
+        split = s._content
+    except AttributeError:
+        split = _content_split(s)
+        object.__setattr__(s, "_content", split)
+    return (_UNIT, s) if split is None else split
+
+
+def _content_split(s: Sum) -> tuple[Fraction, Sum] | None:
+    """The split ``_sum_content`` caches: None for a primitive sum, so
+    that no sum refers to itself, else (content, primitive sum)."""
     coeffs = [
-        t.value if isinstance(t, Const) else _split_coeff(t)[0] for t in s.terms
+        t.value if isinstance(t, Const)
+        else t.factors[0].value if isinstance(t, Prod) and isinstance(t.factors[0], Const)
+        else 1
+        for t in s.terms
     ]
-    content = Fraction(
-        math.gcd(*(abs(c.numerator) for c in coeffs)),
-        math.lcm(*(c.denominator for c in coeffs)),
-    )
-    if coeffs[0] < 0:
-        content = -content
-    if content == 1:
-        return Fraction(1), s
+    gcd = math.gcd(*(c.numerator for c in coeffs))
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    if gcd == lcm == 1 and coeffs[0] > 0:
+        return None
+    content = Fraction(gcd, lcm) if coeffs[0] > 0 else Fraction(-gcd, lcm)
     inverse = Const(1 / content)
-    return content, _add([_mul([inverse, t]) for t in s.terms])
+    primitive = _add([_mul([inverse, t]) for t in s.terms])
+    # its coefficients are coprime integers, the first one positive
+    object.__setattr__(primitive, "_content", None)
+    return content, primitive
 
 
 def _mul(factors: Iterable[Expr]) -> Expr:
@@ -367,12 +396,13 @@ def _mul(factors: Iterable[Expr]) -> Expr:
             flat.append(f)
 
     # the running product stays within the digit limit, so folding many
-    # large constants costs linear, not quadratic, time before it fails
-    coeff = Fraction(1)
+    # large constants costs linear, not quadratic, time before it fails;
+    # it starts at the first constant (None: no constant yet)
+    coeff = None
     powers: dict[Expr, int] = {}
     for f in flat:
         if isinstance(f, Const):
-            coeff *= f.value
+            coeff = f.value if coeff is None else coeff * f.value
             bits = coeff.numerator.bit_length() + coeff.denominator.bit_length()
             if bits > _FEW_BITS and too_large_power(coeff, 1):
                 raise DomainError("product of constants too large to represent")
@@ -394,7 +424,7 @@ def _mul(factors: Iterable[Expr]) -> Expr:
             if content != 1:
                 if too_large_power(content, k):
                     raise DomainError("power of a constant too large to represent")
-                coeff *= content ** k
+                coeff = content ** k if coeff is None else coeff * content ** k
                 if too_large_power(coeff, 1):
                     raise DomainError("product of constants too large to represent")
         powers[base] = powers.get(base, 0) + k
@@ -402,11 +432,12 @@ def _mul(factors: Iterable[Expr]) -> Expr:
     if coeff == 0:
         return ZERO
 
-    parts = [_pow(b, k) for b, k in powers.items() if k != 0]
-    parts.sort(key=_factor_key)
+    parts = [b if k == 1 else _pow(b, k) for b, k in powers.items() if k != 0]
+    if len(parts) > 1:
+        parts.sort(key=_factor_key)
     if not parts:
-        return Const(coeff)
-    if coeff == 1:
+        return ONE if coeff is None else Const(coeff)
+    if coeff is None or coeff == 1:
         return parts[0] if len(parts) == 1 else Prod(tuple(parts))
     if len(parts) == 1 and isinstance(parts[0], Sum):
         # distribute the rational over a bare sum so that scaled sums
@@ -429,26 +460,48 @@ def _add(terms: Iterable[Expr]) -> Expr:
             flat.append(t)
 
     # the running constant stays within the digit limit, as in _mul
-    const_acc = Fraction(0)
-    groups: dict[Expr, Fraction] = {}
+    const_acc = None
+    # the factors after a term's coefficient -> [coefficient, the term
+    # itself while no other term has been collected with it]
+    groups: dict[tuple, list] = {}
     for t in flat:
         if isinstance(t, Const):
-            const_acc += t.value
+            const_acc = t.value if const_acc is None else const_acc + t.value
             bits = const_acc.numerator.bit_length() + const_acc.denominator.bit_length()
             if bits > _FEW_BITS and too_large_power(const_acc, 1):
                 raise DomainError("constant too large to represent")
             continue
-        coeff, rest = _split_coeff(t)
-        groups[rest] = groups.get(rest, Fraction(0)) + coeff
+        if not isinstance(t, Prod):
+            coeff, rest = _UNIT, (t,)
+        elif isinstance(t.factors[0], Const):
+            coeff, rest = t.factors[0].value, t.factors[1:]
+        else:
+            coeff, rest = _UNIT, t.factors
+        group = groups.get(rest)
+        if group is None:
+            groups[rest] = [coeff, t]
+        else:
+            group[0] += coeff
+            group[1] = None
 
-    parts: list[Expr] = []
-    for rest, coeff in groups.items():
-        if coeff == 0:
-            continue
-        parts.append(rest if coeff == 1 else _mul([Const(coeff), rest]))
-    parts.sort(key=_term_key)
-    if const_acc != 0:
-        parts.insert(0, Const(const_acc))
+    kept: list[tuple] = []  # (factors after the coefficient, term)
+    for rest, (coeff, t) in groups.items():
+        if t is not None:
+            # a term alone keeps its node; the check is the one that
+            # rebuilding it, coefficient first, would make
+            if coeff is not _UNIT:
+                bits = coeff.numerator.bit_length() + coeff.denominator.bit_length()
+                if bits > _FEW_BITS and too_large_power(coeff, 1):
+                    raise DomainError("product of constants too large to represent")
+            kept.append((rest, t))
+        elif coeff == 1:
+            kept.append((rest, rest[0] if len(rest) == 1 else Prod(rest)))
+        elif coeff != 0:
+            kept.append((rest, _mul([Const(coeff), *rest])))
+    if len(kept) > 1:
+        kept.sort(key=_rest_key)
+    parts = [Const(const_acc)] if const_acc else []
+    parts += [t for _, t in kept]
     if not parts:
         return ZERO
     if len(parts) == 1:

@@ -242,7 +242,9 @@ class _Parser:
         if tok.kind == "number":
             self.advance()
             try:
-                return Const(Fraction(tok.lexeme))
+                # an integer skips Fraction's string parser
+                lexeme = tok.lexeme
+                return Const(Fraction(lexeme if "." in lexeme else int(lexeme)))
             except ValueError as exc:  # more digits than int() converts
                 raise ParseError("number too long to represent", tok.pos) from exc
         if tok.kind == "lparen":

@@ -3,16 +3,19 @@ correction-audit used by several suites."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import HealthCheck, settings
 
+from pdeseries.errors import DomainError, SingularRho
 from pdeseries.expr import (
     Const,
     Expr,
     Func,
+    ONE,
     Pow,
     Prod,
     SamplePlan,
@@ -20,12 +23,17 @@ from pdeseries.expr import (
     TIME_INDEX,
     Var,
     ZERO,
+    _FEW_BITS,
+    _factor_key,
+    _func,
     _outer_derivative,
     differentiate,
     eprod,
     esum,
     normalize,
     sampled_deviation,
+    sort_key,
+    too_large_power,
 )
 from pdeseries.series import (
     OperatorTerm,
@@ -35,7 +43,6 @@ from pdeseries.series import (
     expand_in_time,
     invert,
 )
-from pdeseries.errors import SingularRho
 
 settings.register_profile(
     "pdeseries",
@@ -104,8 +111,6 @@ def random_raw_expr(
 
 
 def random_normal_expr(rng: random.Random, **kwargs) -> Expr:
-    from pdeseries.errors import DomainError
-
     while True:
         try:
             return normalize(random_raw_expr(rng, **kwargs))
@@ -342,7 +347,160 @@ def ref_tree(ring, p: dict) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Correction audit# ---------------------------------------------------------------------------
+# Reference of the tree kernel: normalize's _pow, _sum_content, _mul and
+# _add as first written, recomputing every sum's content on every use
+# ---------------------------------------------------------------------------
+
+def tree_ref_normalize(e: Expr) -> Expr:
+    if isinstance(e, (Const, Var)):
+        return e
+    if isinstance(e, Func):
+        return _func(e.name, tree_ref_normalize(e.arg))
+    if isinstance(e, Pow):
+        return tree_ref_pow(tree_ref_normalize(e.base), e.exponent)
+    if isinstance(e, Prod):
+        return tree_ref_mul([tree_ref_normalize(f) for f in e.factors])
+    return tree_ref_add([tree_ref_normalize(t) for t in e.terms])
+
+
+def _ref_split_coeff(t: Expr) -> tuple[Fraction, Expr]:
+    if isinstance(t, Prod) and isinstance(t.factors[0], Const):
+        rest = t.factors[1:]
+        return t.factors[0].value, (rest[0] if len(rest) == 1 else Prod(rest))
+    return Fraction(1), t
+
+
+def _ref_term_key(t: Expr):
+    coeff, rest = _ref_split_coeff(t)
+    return (sort_key(rest), coeff)
+
+
+def tree_ref_pow(base: Expr, k: int) -> Expr:
+    if k == 0:
+        return ONE
+    if k == 1:
+        return base
+    if k.bit_length() > _FEW_BITS and too_large_power(k, 1):
+        raise DomainError("exponent too large to represent")
+    if isinstance(base, Const):
+        if base.value == 0 and k < 0:
+            raise DomainError("zero raised to a negative power")
+        if too_large_power(base.value, k):
+            raise DomainError("power of a constant too large to represent")
+        return Const(base.value ** k)
+    if isinstance(base, Pow):
+        return tree_ref_pow(base.base, base.exponent * k)
+    if isinstance(base, Prod):
+        return tree_ref_mul([tree_ref_pow(f, k) for f in base.factors])
+    if isinstance(base, Sum):
+        content, primitive = tree_ref_sum_content(base)
+        if content != 1:
+            return tree_ref_mul([tree_ref_pow(Const(content), k), Pow(primitive, k)])
+    return Pow(base, k)
+
+
+def tree_ref_sum_content(s: Sum) -> tuple[Fraction, Expr]:
+    coeffs = [
+        t.value if isinstance(t, Const) else _ref_split_coeff(t)[0] for t in s.terms
+    ]
+    content = Fraction(
+        math.gcd(*(abs(c.numerator) for c in coeffs)),
+        math.lcm(*(c.denominator for c in coeffs)),
+    )
+    if coeffs[0] < 0:
+        content = -content
+    if content == 1:
+        return Fraction(1), s
+    inverse = Const(1 / content)
+    return content, tree_ref_add([tree_ref_mul([inverse, t]) for t in s.terms])
+
+
+def tree_ref_mul(factors) -> Expr:
+    flat: list[Expr] = []
+    for f in factors:
+        if isinstance(f, Prod):
+            flat.extend(f.factors)
+        else:
+            flat.append(f)
+
+    coeff = Fraction(1)
+    powers: dict[Expr, int] = {}
+    for f in flat:
+        if isinstance(f, Const):
+            coeff *= f.value
+            bits = coeff.numerator.bit_length() + coeff.denominator.bit_length()
+            if bits > _FEW_BITS and too_large_power(coeff, 1):
+                raise DomainError("product of constants too large to represent")
+            continue
+        if isinstance(f, Pow):
+            base, k = f.base, f.exponent
+        else:
+            base, k = f, 1
+        if isinstance(base, Sum):
+            if k == 1 and sum(not isinstance(g, Const) for g in flat) == 1:
+                rational = tree_ref_mul([g for g in flat if isinstance(g, Const)])
+                if rational == ONE:
+                    return base
+                return tree_ref_add([tree_ref_mul([rational, t]) for t in base.terms])
+            content, base = tree_ref_sum_content(base)
+            if content != 1:
+                if too_large_power(content, k):
+                    raise DomainError("power of a constant too large to represent")
+                coeff *= content ** k
+                if too_large_power(coeff, 1):
+                    raise DomainError("product of constants too large to represent")
+        powers[base] = powers.get(base, 0) + k
+
+    if coeff == 0:
+        return ZERO
+
+    parts = [tree_ref_pow(b, k) for b, k in powers.items() if k != 0]
+    parts.sort(key=_factor_key)
+    if not parts:
+        return Const(coeff)
+    if coeff == 1:
+        return parts[0] if len(parts) == 1 else Prod(tuple(parts))
+    if len(parts) == 1 and isinstance(parts[0], Sum):
+        return tree_ref_add([tree_ref_mul([Const(coeff), t]) for t in parts[0].terms])
+    return Prod((Const(coeff), *parts))
+
+
+def tree_ref_add(terms) -> Expr:
+    flat: list[Expr] = []
+    for t in terms:
+        if isinstance(t, Sum):
+            flat.extend(t.terms)
+        else:
+            flat.append(t)
+
+    const_acc = Fraction(0)
+    groups: dict[Expr, Fraction] = {}
+    for t in flat:
+        if isinstance(t, Const):
+            const_acc += t.value
+            bits = const_acc.numerator.bit_length() + const_acc.denominator.bit_length()
+            if bits > _FEW_BITS and too_large_power(const_acc, 1):
+                raise DomainError("constant too large to represent")
+            continue
+        coeff, rest = _ref_split_coeff(t)
+        groups[rest] = groups.get(rest, Fraction(0)) + coeff
+
+    parts: list[Expr] = []
+    for rest, coeff in groups.items():
+        if coeff == 0:
+            continue
+        parts.append(rest if coeff == 1 else tree_ref_mul([Const(coeff), rest]))
+    parts.sort(key=_ref_term_key)
+    if const_acc != 0:
+        parts.insert(0, Const(const_acc))
+    if not parts:
+        return ZERO
+    if len(parts) == 1:
+        return parts[0]
+    return Sum(tuple(parts))
+
+
+# ---------------------------------------------------------------------------
 # Correction audit: second time derivative of each correction must match
 # its defining source term
 # ---------------------------------------------------------------------------

@@ -3,17 +3,29 @@ sampled equality oracle."""
 
 import copy
 import dataclasses
+import gc
 import math
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import PLAN, random_normal_expr, random_numeric_expr, random_raw_expr, variable_indices
-from pdeseries import expr
+from conftest import (
+    PLAN,
+    random_normal_expr,
+    random_numeric_expr,
+    random_raw_expr,
+    tree_ref_add,
+    tree_ref_mul,
+    tree_ref_normalize,
+    tree_ref_pow,
+    variable_indices,
+)
+from pdeseries import expr, parser
 from pdeseries.errors import DomainError, ParseError, SamplingExhausted
 from pdeseries.expr import (
     Const,
@@ -25,6 +37,7 @@ from pdeseries.expr import (
     Var,
     ZERO,
     ONE,
+    MINUS_ONE,
     const,
     differentiate,
     equal_sampled,
@@ -36,6 +49,7 @@ from pdeseries.expr import (
     var,
 )
 from pdeseries.parser import parse_expr
+from pdeseries.series import expand_in_time
 
 
 def _reference_eval(e, point, time=None):
@@ -469,6 +483,136 @@ class TestHash:
         assert repr(Pow(var(1), 2)) == "Pow(base=Var(index=1), exponent=2)"
         for clone in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
             assert clone == e and hash(clone) == hash(e)
+
+    def test_cached_content_is_not_part_of_the_structure(self):
+        src = "2*x1*(x1 - 2*sin(x2))*(3*x1 + 6*x2)^2 - 4*cos(x2)*(x1 + x2)"
+        used, fresh = parse_expr(src, 2), parse_expr(src, 2)
+        sums = [node for node in _subtrees(used) if isinstance(node, Sum)]
+        assert [expr._sum_content(s)[0] for s in sums] == [2, 1, 1, 1]
+        assert all(hasattr(s, "_content") for s in sums)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        for clone in (pickle.loads(pickle.dumps(used)), copy.deepcopy(used)):
+            assert clone == fresh and pickle.dumps(clone) == pickle.dumps(fresh)
+            assert not any(hasattr(node, "_content") for node in _subtrees(clone))
+
+    def test_cached_content_does_not_refer_to_its_sum(self):
+        # a sum that referred to itself would be freed only by the
+        # cyclic collector
+        e = parse_expr("-2*x1 + 4*cos(x2)", 2)
+        content, primitive = expr._sum_content(e)
+        assert (content, primitive) == (-2, parse_expr("x1 - 2*cos(x2)", 2))
+        assert expr._sum_content(primitive) == (1, primitive)
+        for s in (e, primitive, parse_expr("x1 + x2", 2)):
+            expr._sum_content(s)
+            assert not any(r is s for r in gc.get_referents(s._content))
+        assert primitive._content is None
+
+
+def _kernel_outcome(fold, *args):
+    """The tree ``fold(*args)`` gives, or the DomainError it raises."""
+    try:
+        return fold(*args)
+    except DomainError as exc:
+        return ("DomainError", str(exc))
+
+
+def _parse_outcome(src, n):
+    try:
+        return parse_expr(src, n)
+    except ParseError as exc:
+        return (type(exc).__name__, str(exc), exc.offset)
+
+
+class TestKernelParity:
+    """The kernel against ``conftest``'s copy of it as first written,
+    which recomputes every sum's content, rebuilds every term and folds
+    constants from 1 and 0."""
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_normalize_agrees_with_the_reference(self, seed):
+        raw = random_raw_expr(random.Random(seed), depth=4, n_vars=3)
+        assert _kernel_outcome(normalize, raw) == _kernel_outcome(tree_ref_normalize, raw)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_operations_agree_with_the_reference(self, seed):
+        rng = random.Random(seed)
+        a, b, c = (random_normal_expr(rng, depth=3) for _ in range(3))
+        q = Const(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+        cases = [
+            (expr._mul, tree_ref_mul, [a, b]),
+            (expr._mul, tree_ref_mul, [q, a, b, c]),
+            (expr._mul, tree_ref_mul, [a, q]),
+            (expr._add, tree_ref_add, [a, b, c]),
+            (expr._add, tree_ref_add, [a, expr._mul([q, b]), c, expr._mul([MINUS_ONE, a])]),
+            (expr._add, tree_ref_add, [q, expr._mul([q, a]), expr._mul([a, b])]),
+        ]
+        # twice: once as the operands' sums fill their caches, once after
+        for _ in range(2):
+            for fold, reference, args in cases:
+                assert _kernel_outcome(fold, args) == _kernel_outcome(reference, args)
+            for k in (-2, -1, 2, 3):
+                assert _kernel_outcome(expr._pow, a, k) == _kernel_outcome(tree_ref_pow, a, k)
+
+    @pytest.mark.parametrize("src", [
+        # leading coefficient negative
+        "(-2*x1 + 4*x2)*x3",
+        "(-x1/3 + x2/6)^2*(x1 - x2)",
+        "(-3 + 6*x1)^-1*(1 - 2*x1)",
+        "-(x1 - 2*x2)*(3*x2 - 6*x1)",
+        # like terms that collect to zero
+        "x1*sin(x2) - sin(x2)*x1 + 3",
+        "2*(x1 + x2) - 2*x1 - 2*x2",
+        "(x1 + 1)^2 - (1 + x1)^2 + x3",
+        "x1/3 + x1/6 - x1/2 + x2",
+        # powers of sums that have a content
+        "(2*x1 + 4*x2)^3",
+        "(x1/2 + x2/4)^-2*(x1 + 2*x2)",
+        "(2*x1 + 2)^2*(3*x1 + 3)^-1",
+        "(6*x1 - 4)^2*x2 + (6*x1 - 4)^2*x2",
+        # constants near the digit limit
+        "(x1-x1)*1/7^5000*1/7^5000",
+        "1/7^5000*1/7^5000*(x1-x1)",
+        "x1/7^3000 + x1/11^3000",
+        "5*10^4299*x1 + 5*10^4299*x1",
+        "-(x1/3^3000 + x2/7^3000 + x3/11^3000)",
+        "(x1/3^3000 + x2/7^3000)*x3",
+        "(x1/3^3000 + x2/7^3000 + x3/11^3000)*x3",
+        "(x1/3^3000 + x2/7^3000)^2*x3",
+        "x1^(10^4299)*x1^(9*10^4299)*x2",
+    ])
+    def test_parses_agree_with_the_reference(self, src, monkeypatch):
+        ours = _parse_outcome(src, 3)
+        monkeypatch.setattr(parser, "esum", lambda terms: tree_ref_add(list(terms)))
+        monkeypatch.setattr(parser, "eprod", lambda factors: tree_ref_mul(list(factors)))
+        monkeypatch.setattr(parser, "_pow", tree_ref_pow)
+        assert ours == _parse_outcome(src, 3)
+
+    def test_a_term_kept_whole_is_still_checked(self):
+        # no kernel makes this term, but one given to _add is refused as
+        # rebuilding it, coefficient first, refused it
+        big = Prod((Const(Fraction(10**4300)), Var(1)))
+        refused = ("DomainError", "product of constants too large to represent")
+        assert _kernel_outcome(expr._add, [big, Var(2)]) == refused
+        assert _kernel_outcome(tree_ref_add, [big, Var(2)]) == refused
+
+
+class TestContentCache:
+    def test_each_sum_content_is_computed_once_in_an_expansion(self, monkeypatch):
+        # the work the cache saves: without it the expansion below
+        # computes the content of one sum node up to 83 times
+        computed = []
+        original = expr._content_split
+
+        def counting(s):
+            computed.append(s)  # kept alive, so no id is reused
+            return original(s)
+
+        monkeypatch.setattr(expr, "_content_split", counting)
+        expand_in_time(parse_expr("exp(sin(x1*t))*tanh(t+x2)", 2, allow_time=True), 12)
+        counts = Counter(map(id, computed))
+        assert computed and max(counts.values()) == 1
 
 
 class TestSubstitute:
