@@ -387,7 +387,19 @@ def _content_split(s: Sum) -> tuple[Fraction, Sum] | None:
     return content, primitive
 
 
-def _mul(factors: Iterable[Expr]) -> Expr:
+def _mul(factors: list[Expr]) -> Expr:
+    if len(factors) == 2 and isinstance(factors[0], Const) and _small(factors[0].value):
+        # a small rational times a rational with a small product, a
+        # variable, a function or a power of one: the loop's result, as
+        # its digit checks pass where every rational is small
+        c, f = factors
+        if isinstance(f, Const):
+            q = c.value * f.value
+            if _small(q):
+                return Const(q) if q else ZERO
+        base = f.base if isinstance(f, Pow) and f.exponent not in (0, 1) and _small(f.exponent) else f
+        if isinstance(base, (Var, Func)):
+            return ZERO if not c.value else f if c.value == 1 else Prod((c, f))
     flat: list[Expr] = []
     for f in factors:
         if isinstance(f, Prod):
@@ -449,6 +461,11 @@ def _mul(factors: Iterable[Expr]) -> Expr:
 # Rationals this small print under any int-to-text limit: Python sets
 # none below 640 digits, and 2^2000 has 603.
 _FEW_BITS = 2000
+
+
+def _small(q) -> bool:
+    """True when the rational or int ``q`` has at most _FEW_BITS bits."""
+    return q.numerator.bit_length() + q.denominator.bit_length() <= _FEW_BITS
 
 
 def _add(terms: Iterable[Expr]) -> Expr:

@@ -25,7 +25,10 @@ before it first fails.  A construct that fails is rejected even where
 a later step would cancel it.  A product whose constants reach zero
 stays zero, so (x1-x1)*1/7^5000*1/7^5000 is 0; with the zero factor
 last, the two constants fail first.
-Offsets in errors are byte offsets into the UTF-8 source.
+The lexer is one regular expression, and a token is a tuple (kind,
+lexeme, byte offset).  Tokens are ASCII, so up to the first character
+that starts none an offset counts characters and bytes alike.  Offsets
+in errors are byte offsets into the UTF-8 source.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+import string
 from fractions import Fraction
 
 from .errors import (
@@ -63,68 +66,40 @@ from .expr import (
     sort_key,
 )
 from .poly import Poly, Ring, _unit
-from .series import OperatorTerm, ProblemSpec, RationalMatrix, SpatialOperator, problem_ring
+from .series import (
+    OperatorTerm, ProblemSpec, RationalMatrix, SpatialOperator, invert, problem_ring,
+)
 
 
 # ---------------------------------------------------------------------------
 # Lexer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    lexeme: str
-    pos: int  # byte offset
-
-
-_SINGLE = {
-    ord("+"): "plus",
-    ord("-"): "minus",
-    ord("*"): "star",
-    ord("/"): "slash",
-    ord("^"): "caret",
-    ord("("): "lparen",
-    ord(")"): "rparen",
-    ord(","): "comma",
+# the blanks before a token, then the token or a character that starts none
+_TOKEN = re.compile(
+    r"([ \t\r\n]*)(?:([0-9]+(?:\.[0-9]+)?|[A-Za-z_][A-Za-z0-9_]*|[-+*/^(),])|([^ \t\r\n]))"
+)
+_KINDS = {
+    **dict.fromkeys("0123456789", "number"),
+    **dict.fromkeys(string.ascii_letters + "_", "ident"),
+    "+": "plus", "-": "minus", "*": "star", "/": "slash",
+    "^": "caret", "(": "lparen", ")": "rparen", ",": "comma",
 }
 
-_DIGITS = frozenset(b"0123456789")
-_IDENT_START = frozenset(b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | _DIGITS
 
-
-def tokenize(src: str) -> list[Token]:
-    data = src.encode("utf-8")
-    out: list[Token] = []
-    i = 0
-    while i < len(data):
-        c = data[i]
-        if c in b" \t\r\n":
-            i += 1
-            continue
-        if c in _DIGITS:
-            start = i
-            while i < len(data) and data[i] in _DIGITS:
-                i += 1
-            if i + 1 < len(data) and data[i] == ord(".") and data[i + 1] in _DIGITS:
-                i += 1
-                while i < len(data) and data[i] in _DIGITS:
-                    i += 1
-            out.append(Token("number", data[start:i].decode("ascii"), start))
-            continue
-        if c in _IDENT_START:
-            start = i
-            while i < len(data) and data[i] in _IDENT_CONT:
-                i += 1
-            out.append(Token("ident", data[start:i].decode("ascii"), start))
-            continue
-        kind = _SINGLE.get(c)
-        if kind is not None:
-            out.append(Token(kind, chr(c), i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {bytes([c])!r}", i)
-    out.append(Token("eof", "", len(data)))
+def tokenize(src: str) -> list[tuple[str, str, int]]:
+    out = []
+    pos = 0
+    for blanks, lexeme, other in _TOKEN.findall(src):
+        pos += len(blanks)
+        if other:
+            # only ASCII comes before it, so pos counts bytes; encoding all
+            # of src raises UnicodeEncodeError for a lone surrogate in it
+            raise ParseError(f"unexpected character {src.encode('utf-8')[pos:pos + 1]!r}", pos)
+        out.append((_KINDS[lexeme[0]], lexeme, pos))
+        pos += len(lexeme)
+    # src is ASCII here, so its length counts bytes
+    out.append(("eof", "", len(src)))
     return out
 
 
@@ -134,7 +109,7 @@ def tokenize(src: str) -> list[Token]:
 
 _VAR_PATTERN = re.compile(r"x([1-9][0-9]*)\Z")
 
-# Each nesting level costs the parser up to five stack frames, and the
+# Each nesting level costs the parser up to four stack frames, and the
 # recursive passes over the tree (normalize, print, differentiate,
 # hash) more; deeper input would exhaust the interpreter's recursion
 # limit instead of failing as a syntax error.
@@ -146,139 +121,144 @@ class _Parser:
     with the steps ``normalize`` takes; a DomainError in a step becomes
     a ParseError at that construct."""
 
-    def __init__(self, tokens: list[Token], n: int, allow_time: bool):
+    def __init__(self, tokens: list[tuple[str, str, int]], n: int, allow_time: bool):
         self.tokens = tokens
-        self.pos = 0
+        self.pos = 0  # index of the next token
         self.n = n
         self.allow_time = allow_time
         self.depth = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, description: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
+    def expect(self, kind: str, description: str) -> int:
+        got, _, at = self.tokens[self.pos]
+        if got != kind:
             raise ParseError(
-                f"unexpected {tok.kind or 'end of input'}", tok.pos, (description,)
+                f"unexpected {got}", at, (description,)
             )
-        return self.advance()
+        self.pos += 1
+        return at
 
-    def enter(self, tok: Token) -> None:
-        """Open one nesting level at ``tok``; the caller closes it by
+    def enter(self, at: int) -> None:
+        """Open one nesting level at offset ``at``; the caller closes it by
         decrementing ``depth`` once the nested operand is parsed."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", at)
 
     def parse(self) -> Expr:
         e = self.additive()
-        tok = self.peek()
-        if tok.kind != "eof":
+        kind, _, at = self.tokens[self.pos]
+        if kind != "eof":
             raise ParseError(
-                "unexpected token after expression", tok.pos,
+                "unexpected token after expression", at,
                 ("operator", "end of input"),
             )
         return e
 
     # A chain of + or of * is folded once, by one esum or eprod of all
     # its operands: folding operand by operand would fold the growing
-    # result again at every step.
+    # result again at every step.  An operand alone is returned as it is.
 
     def additive(self) -> Expr:
-        starts = [self.peek().pos]
-        terms = [self.multiplicative()]
-        while self.peek().kind in ("plus", "minus"):
-            op = self.advance()
-            starts.append(self.peek().pos)
-            right = self.multiplicative()
-            if op.kind == "minus":
-                right = _step(starts[-1], eprod, [MINUS_ONE, right])
-            terms.append(right)
+        tokens = self.tokens
+        start = tokens[self.pos][2]
+        term = self.multiplicative()
+        op = tokens[self.pos][0]
+        if op != "plus" and op != "minus":
+            return term
+        terms, starts = [term], [start]
+        while op == "plus" or op == "minus":
+            self.pos += 1
+            start = tokens[self.pos][2]
+            term = self.multiplicative()
+            if op == "minus":
+                term = _step(start, eprod, [MINUS_ONE, term])
+            terms.append(term)
+            starts.append(start)
+            op = tokens[self.pos][0]
         return _chain(esum, terms, starts)
 
     def multiplicative(self) -> Expr:
-        starts = [self.peek().pos]
-        factors = [self.unary()]
-        while self.peek().kind in ("star", "slash"):
-            op = self.advance()
-            starts.append(self.peek().pos)
-            right = self.unary()
-            if op.kind == "slash":
-                right = _step(starts[-1], _pow, right, -1)
-            factors.append(right)
+        tokens = self.tokens
+        start = tokens[self.pos][2]
+        factor = self.unary()
+        op = tokens[self.pos][0]
+        if op != "star" and op != "slash":
+            return factor
+        factors, starts = [factor], [start]
+        while op == "star" or op == "slash":
+            self.pos += 1
+            start = tokens[self.pos][2]
+            factor = self.unary()
+            if op == "slash":
+                factor = _step(start, _pow, factor, -1)
+            factors.append(factor)
+            starts.append(start)
+            op = tokens[self.pos][0]
         return _chain(eprod, factors, starts)
 
     def unary(self) -> Expr:
-        if self.peek().kind == "minus":
-            tok = self.advance()
-            self.enter(tok)
+        """A negation, or an atom raised to at most one power."""
+        kind, _, at = self.tokens[self.pos]
+        if kind == "minus":
+            self.pos += 1
+            self.enter(at)
             operand = self.unary()
             self.depth -= 1
-            return _step(tok.pos, eprod, [MINUS_ONE, operand])
-        return self.power()
-
-    def power(self) -> Expr:
+            return _step(at, eprod, [MINUS_ONE, operand])
         base = self.atom()
-        if self.peek().kind != "caret":
+        kind, _, at = self.tokens[self.pos]
+        if kind != "caret":
             return base
-        self.enter(self.advance())
-        exp_tok = self.peek()
+        self.pos += 1
+        self.enter(at)
+        at = self.tokens[self.pos][2]
         exponent = self.unary()  # right associativity: x^2^3 = x^(2^3)
         self.depth -= 1
         if not isinstance(exponent, Const) or exponent.value.denominator != 1:
             raise NonIntegerExponent(
-                "exponent must reduce to an integer constant", exp_tok.pos
+                "exponent must reduce to an integer constant", at
             )
-        return _step(exp_tok.pos, _pow, base, int(exponent.value))
+        return _step(at, _pow, base, int(exponent.value))
 
     def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
+        kind, lexeme, at = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "number":
             try:
                 # an integer skips Fraction's string parser
-                lexeme = tok.lexeme
                 return Const(Fraction(lexeme if "." in lexeme else int(lexeme)))
             except ValueError as exc:  # more digits than int() converts
-                raise ParseError("number too long to represent", tok.pos) from exc
-        if tok.kind == "lparen":
-            self.enter(self.advance())
+                raise ParseError("number too long to represent", at) from exc
+        if kind == "lparen":
+            self.enter(at)
             inner = self.additive()
             self.expect("rparen", "')'")
             self.depth -= 1
             return inner
-        if tok.kind == "ident":
-            self.advance()
-            name = tok.lexeme
-            if name == "t":
+        if kind == "ident":
+            if lexeme == "t":
                 if not self.allow_time:
                     raise TimeNotAllowed(
-                        "the time symbol is not allowed here", tok.pos
+                        "the time symbol is not allowed here", at
                     )
                 return Var(TIME_INDEX)
-            if name in FUNCTIONS:
+            if lexeme in FUNCTIONS:
                 self.enter(self.expect("lparen", "'(' after function name"))
                 arg = self.additive()
                 self.expect("rparen", "')'")
                 self.depth -= 1
-                return _func(name, arg)
-            match = _VAR_PATTERN.match(name)
+                return _func(lexeme, arg)
+            match = _VAR_PATTERN.match(lexeme)
             if match:
                 index = int(match.group(1))
                 if index > self.n:
                     raise UnknownIdentifier(
-                        f"variable {name} exceeds spatial dimension {self.n}", tok.pos
+                        f"variable {lexeme} exceeds spatial dimension {self.n}", at
                     )
                 return Var(index)
-            raise UnknownIdentifier(f"unknown identifier {name!r}", tok.pos)
+            raise UnknownIdentifier(f"unknown identifier {lexeme!r}", at)
         raise ParseError(
-            f"unexpected {tok.kind or 'end of input'}", tok.pos,
+            f"unexpected {kind}", at,
             ("number", "identifier", "'('", "'-'"),
         )
 
@@ -296,8 +276,6 @@ def _chain(fold, operands: list[Expr], starts: list[int]) -> Expr:
     start at the byte offsets ``starts``.  Where it fails, the error is
     placed at the operand whose folding into the operands before it
     first fails."""
-    if len(operands) == 1:
-        return operands[0]
     try:
         return fold(operands)
     except DomainError as exc:
@@ -507,6 +485,10 @@ def _rational(text, where: str) -> Fraction:
     if not isinstance(text, str):
         raise FormatError(f"{where} must be a rational string like \"-3/2\"")
     try:
+        return Fraction(int(text))  # Fraction(text) where int() parses it
+    except ValueError:
+        pass
+    try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"{where} is not a valid rational: {exc}") from exc
@@ -539,6 +521,8 @@ def parse_problem(src: str) -> ProblemSpec:
         doc = json.loads(src)
     except json.JSONDecodeError as exc:
         raise FormatError(f"problem file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError("problem file nests deeper than the JSON decoder allows") from exc
     if not isinstance(doc, dict):
         raise FormatError("problem file must be a JSON object")
 
@@ -588,7 +572,9 @@ def parse_problem(src: str) -> ProblemSpec:
     u0 = _expr_vector(doc, "u0", m, n, allow_time=False)
     u1 = _expr_vector(doc, "u1", m, n, allow_time=False)
 
-    spec = ProblemSpec.create(m, n, rho, operator, f, u0, u1, order)
+    # the checks of ProblemSpec.create are made above, field by field,
+    # and the trees are normalized already
+    spec = ProblemSpec(m, n, rho, invert(rho), operator, f, u0, u1, order)
     _convert_fields(spec)
     return spec
 

@@ -188,35 +188,32 @@ class Ring:
         return i
 
     def from_tree(self, e: Expr) -> Poly:
-        """The polynomial of a tree, each distinct subtree converted once.
-        Raises DomainError where the tree raises a zero polynomial to a
-        negative power, or a constant past the digit limit."""
-        p = self.known.get(e)
-        if p is None:
-            p = self.known[e] = self._convert(e, {})
-        return p
-
-    def _convert(self, e: Expr, memo: dict) -> Poly:
+        """The polynomial of a tree, each compound subtree converted once
+        per ring and kept in ``known``.  Raises DomainError where the tree
+        raises a zero polynomial to a negative power, or a constant past
+        the digit limit."""
         if isinstance(e, Const):
             return const(e.value)
         if isinstance(e, Var):
             return Poly({_unit(self.atom(e)): 1})
-        p = memo.get(e)
+        p = self.known.get(e)
         if p is not None:
             return p
         if isinstance(e, Sum):
-            p = add(*(self._convert(t, memo) for t in e.terms))
+            p = add(*(self.from_tree(t) for t in e.terms))
         elif isinstance(e, Prod):
             p = ONE
             for f in e.factors:
-                p = mul(p, self._convert(f, memo))
+                p = mul(p, self.from_tree(f))
         elif isinstance(e, Pow):
-            p = self.power(self._convert(e.base, memo), e.exponent)
+            p = self.power(self.from_tree(e.base), e.exponent)
         elif isinstance(e, Func):
-            p = self.func(e.name, self._convert(e.arg, memo))
+            a = self.from_tree(e.arg)
+            # a function of a variable is its own atom
+            p = Poly({_unit(self.atom(e, a)): 1}) if isinstance(e.arg, Var) else self.func(e.name, a)
         else:
             raise TypeError(f"not an expression: {e!r}")
-        memo[e] = p
+        self.known[e] = p
         return p
 
     def to_tree(self, p: Poly) -> Expr:

@@ -31,7 +31,7 @@ from .expr import (
     TIME_INDEX,
     Var,
     ZERO,
-    differentiate,
+    _diff,
     eprod,
     esum,
     normalize,
@@ -231,7 +231,7 @@ class _Jets:
     def __init__(self, order: int):
         self.order = order
         self.memo: dict[Expr, list | None] = {}
-        self.derivatives: dict = {}  # per function name: f(t), f'(t), ...
+        self.derivatives: dict = {}  # per function name: (memo, [f(t), f'(t), ...])
 
     @staticmethod
     def _terms(c: Expr) -> tuple[Expr, ...]:
@@ -247,9 +247,9 @@ class _Jets:
 
     def _taylor(self, name: str, a0, count: int) -> list:
         """From differentiating the one-node tree f(t) and substituting a0."""
-        derivatives = self.derivatives.setdefault(name, [Func(name, Var(TIME_INDEX))])
+        memo, derivatives = self.derivatives.setdefault(name, ({}, [Func(name, Var(TIME_INDEX))]))
         while len(derivatives) < count:
-            derivatives.append(differentiate(derivatives[-1], TIME_INDEX))
+            derivatives.append(_diff(derivatives[-1], TIME_INDEX, memo))
         return [eprod([Const(Fraction(1, math.factorial(k))), substitute(d, TIME_INDEX, a0)])
                 for k, d in enumerate(derivatives[:count])]
 

@@ -1,20 +1,32 @@
-"""Shared test helpers: seeded expression/problem generators and the
+"""Shared test helpers: seeded expression/problem generators, reference
+copies of the kernel and the parser as first written, and the
 correction-audit used by several suites."""
 
 from __future__ import annotations
 
 import math
 import random
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import HealthCheck, settings
 
-from pdeseries.errors import DomainError, SingularRho
+from pdeseries.errors import (
+    DomainError,
+    NonIntegerExponent,
+    ParseError,
+    SingularRho,
+    TimeNotAllowed,
+    UnknownIdentifier,
+)
 from pdeseries.expr import (
     Const,
     Expr,
+    FUNCTIONS,
     Func,
+    MINUS_ONE,
     ONE,
     Pow,
     Prod,
@@ -27,6 +39,7 @@ from pdeseries.expr import (
     _factor_key,
     _func,
     _outer_derivative,
+    _pow,
     differentiate,
     eprod,
     esum,
@@ -35,6 +48,7 @@ from pdeseries.expr import (
     sort_key,
     too_large_power,
 )
+from pdeseries.parser import MAX_NESTING
 from pdeseries.series import (
     OperatorTerm,
     ProblemSpec,
@@ -498,6 +512,262 @@ def tree_ref_add(terms) -> Expr:
     if len(parts) == 1:
         return parts[0]
     return Sum(tuple(parts))
+
+
+# ---------------------------------------------------------------------------
+# Reference of the expression parser: the lexer of frozen-dataclass tokens
+# and the descent as first written, names prefixed; the kernel is the
+# package's
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RefToken:
+    kind: str
+    lexeme: str
+    pos: int  # byte offset
+
+
+_REF_SINGLE = {
+    ord("+"): "plus",
+    ord("-"): "minus",
+    ord("*"): "star",
+    ord("/"): "slash",
+    ord("^"): "caret",
+    ord("("): "lparen",
+    ord(")"): "rparen",
+    ord(","): "comma",
+}
+
+_REF_DIGITS = frozenset(b"0123456789")
+_REF_IDENT_START = frozenset(b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_REF_IDENT_CONT = _REF_IDENT_START | _REF_DIGITS
+
+
+def ref_tokenize(src: str) -> list[RefToken]:
+    data = src.encode("utf-8")
+    out: list[RefToken] = []
+    i = 0
+    while i < len(data):
+        c = data[i]
+        if c in b" \t\r\n":
+            i += 1
+            continue
+        if c in _REF_DIGITS:
+            start = i
+            while i < len(data) and data[i] in _REF_DIGITS:
+                i += 1
+            if i + 1 < len(data) and data[i] == ord(".") and data[i + 1] in _REF_DIGITS:
+                i += 1
+                while i < len(data) and data[i] in _REF_DIGITS:
+                    i += 1
+            out.append(RefToken("number", data[start:i].decode("ascii"), start))
+            continue
+        if c in _REF_IDENT_START:
+            start = i
+            while i < len(data) and data[i] in _REF_IDENT_CONT:
+                i += 1
+            out.append(RefToken("ident", data[start:i].decode("ascii"), start))
+            continue
+        kind = _REF_SINGLE.get(c)
+        if kind is not None:
+            out.append(RefToken(kind, chr(c), i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {bytes([c])!r}", i)
+    out.append(RefToken("eof", "", len(data)))
+    return out
+
+
+_REF_VAR_PATTERN = re.compile(r"x([1-9][0-9]*)\Z")
+
+
+
+class _RefParser:
+    """Recursive descent that returns each construct normalized, built
+    with the steps ``normalize`` takes; a DomainError in a step becomes
+    a ParseError at that construct."""
+
+    def __init__(self, tokens: list[RefToken], n: int, allow_time: bool):
+        self.tokens = tokens
+        self.pos = 0
+        self.n = n
+        self.allow_time = allow_time
+        self.depth = 0
+
+    def peek(self) -> RefToken:
+        return self.tokens[self.pos]
+
+    def advance(self) -> RefToken:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str, description: str) -> RefToken:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(
+                f"unexpected {tok.kind or 'end of input'}", tok.pos, (description,)
+            )
+        return self.advance()
+
+    def enter(self, tok: RefToken) -> None:
+        """Open one nesting level at ``tok``; the caller closes it by
+        decrementing ``depth`` once the nested operand is parsed."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
+
+    def parse(self) -> Expr:
+        e = self.additive()
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise ParseError(
+                "unexpected token after expression", tok.pos,
+                ("operator", "end of input"),
+            )
+        return e
+
+    # A chain of + or of * is folded once, by one esum or eprod of all
+    # its operands: folding operand by operand would fold the growing
+    # result again at every step.
+
+    def additive(self) -> Expr:
+        starts = [self.peek().pos]
+        terms = [self.multiplicative()]
+        while self.peek().kind in ("plus", "minus"):
+            op = self.advance()
+            starts.append(self.peek().pos)
+            right = self.multiplicative()
+            if op.kind == "minus":
+                right = _ref_step(starts[-1], eprod, [MINUS_ONE, right])
+            terms.append(right)
+        return _ref_chain(esum, terms, starts)
+
+    def multiplicative(self) -> Expr:
+        starts = [self.peek().pos]
+        factors = [self.unary()]
+        while self.peek().kind in ("star", "slash"):
+            op = self.advance()
+            starts.append(self.peek().pos)
+            right = self.unary()
+            if op.kind == "slash":
+                right = _ref_step(starts[-1], _pow, right, -1)
+            factors.append(right)
+        return _ref_chain(eprod, factors, starts)
+
+    def unary(self) -> Expr:
+        if self.peek().kind == "minus":
+            tok = self.advance()
+            self.enter(tok)
+            operand = self.unary()
+            self.depth -= 1
+            return _ref_step(tok.pos, eprod, [MINUS_ONE, operand])
+        return self.power()
+
+    def power(self) -> Expr:
+        base = self.atom()
+        if self.peek().kind != "caret":
+            return base
+        self.enter(self.advance())
+        exp_tok = self.peek()
+        exponent = self.unary()  # right associativity: x^2^3 = x^(2^3)
+        self.depth -= 1
+        if not isinstance(exponent, Const) or exponent.value.denominator != 1:
+            raise NonIntegerExponent(
+                "exponent must reduce to an integer constant", exp_tok.pos
+            )
+        return _ref_step(exp_tok.pos, _pow, base, int(exponent.value))
+
+    def atom(self) -> Expr:
+        tok = self.peek()
+        if tok.kind == "number":
+            self.advance()
+            try:
+                # an integer skips Fraction's string parser
+                lexeme = tok.lexeme
+                return Const(Fraction(lexeme if "." in lexeme else int(lexeme)))
+            except ValueError as exc:  # more digits than int() converts
+                raise ParseError("number too long to represent", tok.pos) from exc
+        if tok.kind == "lparen":
+            self.enter(self.advance())
+            inner = self.additive()
+            self.expect("rparen", "')'")
+            self.depth -= 1
+            return inner
+        if tok.kind == "ident":
+            self.advance()
+            name = tok.lexeme
+            if name == "t":
+                if not self.allow_time:
+                    raise TimeNotAllowed(
+                        "the time symbol is not allowed here", tok.pos
+                    )
+                return Var(TIME_INDEX)
+            if name in FUNCTIONS:
+                self.enter(self.expect("lparen", "'(' after function name"))
+                arg = self.additive()
+                self.expect("rparen", "')'")
+                self.depth -= 1
+                return _func(name, arg)
+            match = _REF_VAR_PATTERN.match(name)
+            if match:
+                index = int(match.group(1))
+                if index > self.n:
+                    raise UnknownIdentifier(
+                        f"variable {name} exceeds spatial dimension {self.n}", tok.pos
+                    )
+                return Var(index)
+            raise UnknownIdentifier(f"unknown identifier {name!r}", tok.pos)
+        raise ParseError(
+            f"unexpected {tok.kind or 'end of input'}", tok.pos,
+            ("number", "identifier", "'('", "'-'"),
+        )
+
+
+def _ref_step(at: int, fold, *args) -> Expr:
+    """``fold(*args)``, a DomainError reported at byte offset ``at``."""
+    try:
+        return fold(*args)
+    except DomainError as exc:
+        raise ParseError(str(exc), at) from exc
+
+
+def _ref_chain(fold, operands: list[Expr], starts: list[int]) -> Expr:
+    """``fold`` (esum or eprod) of a chain's normalized operands, which
+    start at the byte offsets ``starts``.  Where it fails, the error is
+    placed at the operand whose folding into the operands before it
+    first fails."""
+    if len(operands) == 1:
+        return operands[0]
+    try:
+        return fold(operands)
+    except DomainError as exc:
+        error = exc
+
+    def folds(count: int) -> bool:
+        try:
+            fold(operands[:count])
+        except DomainError:
+            return False
+        return True
+
+    # the first `lo` operands fold, the first `hi` do not: double `hi`
+    # from 2, then bisect, so the folds cost about two folds of the
+    # whole chain
+    lo, hi = 1, 2
+    while hi < len(operands) and folds(hi):
+        lo, hi = hi, min(2 * hi, len(operands))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if folds(mid):
+            lo = mid
+        else:
+            hi = mid
+    raise ParseError(str(error), starts[hi - 1]) from error
+
+
+def ref_parse_expr(src: str, n: int, *, allow_time: bool = False) -> Expr:
+    return _RefParser(ref_tokenize(src), n, allow_time).parse()
 
 
 # ---------------------------------------------------------------------------

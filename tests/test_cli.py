@@ -377,6 +377,25 @@ class TestErrorsAndExitCodes:
         code, _, err = run(capsys, "solve", str(path))
         assert code == 2
 
+    def test_product_past_a_lowered_digit_limit_is_input_error(self, capsys):
+        # under a limit of 640 digits, 2^1990 (600 digits) passes and its
+        # square (1199) is refused where the product is made
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            result = run(capsys, "expand", "--expr", "2^1990*2^1990", "--order", "2")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert result == (
+            2, "", "error: product of constants too large to represent at offset 7\n")
+
+    def test_deeply_nested_json_is_input_error(self, tmp_path, capsys):
+        # deeper than the JSON decoder recurses: an input error, not exit 4
+        path = tmp_path / "deep.prob"
+        path.write_text('{"m": ' + "[" * 100000 + "]" * 100000 + "}", encoding="utf-8")
+        assert run(capsys, "solve", str(path)) == (
+            2, "", "error: problem file nests deeper than the JSON decoder allows\n")
+
     def test_hidden_zero_in_initial_data_names_its_field(self, tmp_path, capsys):
         doc = {
             "m": 1, "n": 1, "rho": [["1"]],

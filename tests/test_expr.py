@@ -7,6 +7,7 @@ import gc
 import math
 import pickle
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -544,6 +545,11 @@ class TestKernelParity:
             (expr._mul, tree_ref_mul, [a, b]),
             (expr._mul, tree_ref_mul, [q, a, b, c]),
             (expr._mul, tree_ref_mul, [a, q]),
+            # a rational first, as the two-factor fast path takes it
+            (expr._mul, tree_ref_mul, [q, a]),
+            (expr._mul, tree_ref_mul, [q, Pow(b, rng.choice((-1, 0, 1, 2)))]),  # raw too
+            (expr._mul, tree_ref_mul, [q, Pow(Var(1), 10**4400)]),  # raw, refused
+            (expr._mul, tree_ref_mul, [Const(Fraction(3**1300, 7)), a]),  # not small
             (expr._add, tree_ref_add, [a, b, c]),
             (expr._add, tree_ref_add, [a, expr._mul([q, b]), c, expr._mul([MINUS_ONE, a])]),
             (expr._add, tree_ref_add, [q, expr._mul([q, a]), expr._mul([a, b])]),
@@ -588,6 +594,28 @@ class TestKernelParity:
         monkeypatch.setattr(parser, "eprod", lambda factors: tree_ref_mul(list(factors)))
         monkeypatch.setattr(parser, "_pow", tree_ref_pow)
         assert ours == _parse_outcome(src, 3)
+
+    def test_constants_agree_under_the_lowest_digit_limit(self, monkeypatch):
+        # 640 digits is the lowest limit Python allows: 2^1990 has 600
+        # digits and passes it, its square has 1199 and is refused
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            big = Const(Fraction(2**1990))
+            refused = ("DomainError", "product of constants too large to represent")
+            assert _kernel_outcome(expr._mul, [big, big]) == refused
+            for args in ([big, big], [MINUS_ONE, big], [big, Const(Fraction(1, 2**1990))],
+                         [big, big, Var(1)], [big, Var(1)]):
+                assert _kernel_outcome(expr._mul, args) == _kernel_outcome(tree_ref_mul, args)
+            texts = ["2^1990*2^1990", "x1*2^1990*2^1990", "-(2^1990*2^1990)",
+                     "2^1990*2^1990*x1", "-2^1990*2^1990", "2^1990*2^-1990"]
+            ours = [_parse_outcome(src, 1) for src in texts]
+            monkeypatch.setattr(parser, "esum", lambda terms: tree_ref_add(list(terms)))
+            monkeypatch.setattr(parser, "eprod", lambda factors: tree_ref_mul(list(factors)))
+            monkeypatch.setattr(parser, "_pow", tree_ref_pow)
+            assert ours == [_parse_outcome(src, 1) for src in texts]
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_a_term_kept_whole_is_still_checked(self):
         # no kernel makes this term, but one given to _add is refused as

@@ -4,7 +4,7 @@ stdout and of stderr, and the exit code, of each command.
 The corpus covers every command on the bundled problems in text and
 JSON, the heavy 2x2 problem (``solve`` and ``hpm`` also in JSON) and
 the transcendental forcing problem of the benchmark, the benchmark's
-four expansions, and three input errors.  A change to the arithmetic
+four expansions, and six input errors.  A change to the arithmetic
 under the engines, or to how coefficients are printed, must leave all
 of them as they are.  To print the table for a deliberate change of
 output, run ``PYTHONPATH=src python tests/test_golden_corpus.py`` from
@@ -40,12 +40,24 @@ BAD_U0 = """{"m": 1, "n": 1, "rho": [["1"]],
  "f": ["0"], "u0": ["sin(x1"], "u1": ["0"], "order": 4}
 """
 
+# an unexpected two-byte character after valid tokens: the offset
+# counts bytes, and the message shows the character's first byte
+BAD_CHAR = """{"m": 1, "n": 1, "rho": [["1"]],
+ "L": [{"row": 0, "col": 0, "coeff": "1", "derivs": [2]}],
+ "f": ["0"], "u0": ["sin(x1) + 2\u00b7x1"], "u1": ["0"], "order": 4}
+"""
+
+# deeper than the JSON decoder recurses
+DEEP = '{"m": ' + "[" * 100000 + "]" * 100000 + "}"
+
 # written to the working directory of each test, named by relative path
 FILES = {
     "heavy_2x2.prob": HEAVY_2X2,
     "forcing_1x1.prob": FORCING_1X1,
     "malformed.prob": MALFORMED,
     "bad_u0.prob": BAD_U0,
+    "bad_char.prob": BAD_CHAR,
+    "deep.prob": DEEP,
 }
 
 BUNDLED = ("wave_1d.prob", "forced_wave_2d.prob", "coupled_2x2.prob")
@@ -58,7 +70,7 @@ BUNDLED_COMMANDS = (
 
 
 def corpus() -> list[tuple[str, ...]]:
-    """The 41 commands; a bundled problem is named by its file name."""
+    """The 44 commands; a bundled problem is named by its file name."""
     out = [
         (cmd[0], name, *cmd[1:], *fmt)
         for name in BUNDLED
@@ -83,6 +95,10 @@ def corpus() -> list[tuple[str, ...]]:
         ("solve", "malformed.prob"),
         ("solve", "bad_u0.prob"),
         ("solve", "missing.prob"),
+        ("solve", "bad_char.prob"),
+        # the fold of the chain fails at its third operand
+        ("expand", "--expr", "x1*7^3000*7^3000", "--order", "2"),
+        ("solve", "deep.prob"),
     ]
     return out
 
@@ -174,6 +190,15 @@ GOLDEN = {
         (2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', '9f3fc77481639666b1af5a1247c508f7acb4b5b9'),
     ('solve', 'missing.prob'):
         (2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'c3a0f8980edd1d623efc5d012ad6e4f29b1f07f7'),
+    ('solve', 'bad_char.prob'):
+        (2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', '59803e9d8ee1684317288b281e6786e4bc0763c0'),
+    ('expand', '--expr', 'x1*7^3000*7^3000', '--order', '2'):
+        (2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', '132b7e1787f66ffb459eca01a6d0c8881201a649'),
+    # recorded after the JSON decoder's RecursionError became an input
+    # error; it exited 4 with "internal error: maximum recursion depth
+    # exceeded while decoding a JSON array from a unicode string" before
+    ('solve', 'deep.prob'):
+        (2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', '648297f591ccbf03725a7b947ba981d25efb7a51'),
 }
 
 
@@ -205,7 +230,7 @@ def workdir(tmp_path, monkeypatch):
 
 
 def test_the_corpus_is_complete():
-    assert len(corpus()) == 41 and set(GOLDEN) == set(corpus())
+    assert len(corpus()) == 44 and set(GOLDEN) == set(corpus())
 
 
 @pytest.mark.parametrize("command", corpus(), ids=" ".join)

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_normal_expr, random_raw_expr
+from conftest import problem_path, random_normal_expr, random_problem, random_raw_expr, ref_parse_expr
+from pdeseries import expr, series
 from pdeseries.errors import (
     DimensionMismatch,
     DomainError,
@@ -33,6 +34,7 @@ from pdeseries.expr import (
     normalize,
 )
 from pdeseries.parser import MAX_NESTING, _negated, parse_expr, parse_problem, print_expr
+from pdeseries.series import OperatorTerm, ProblemSpec, RationalMatrix, SpatialOperator
 
 
 class TestGrammar:
@@ -354,6 +356,68 @@ class TestParsingIsNormalizing:
         assert parse_expr(print_expr(e), 2, allow_time=True) == e
 
 
+def _outcome(parse, src, n, allow_time):
+    """The tree, or the error's class, message, offset and expectations."""
+    try:
+        return parse(src, n, allow_time=allow_time)
+    except ParseError as exc:
+        return type(exc), exc.message, exc.offset, exc.expected
+    except UnicodeEncodeError as exc:  # a lone surrogate
+        return type(exc), str(exc)
+
+
+def _error_table_texts() -> list[str]:
+    """Every source text in the parametrized tables of TestErrors."""
+    texts = []
+    for name in dir(TestErrors):
+        for mark in getattr(getattr(TestErrors, name), "pytestmark", []):
+            if mark.name == "parametrize" and mark.args[0].startswith("src"):
+                texts += [row[0] for row in mark.args[1]]
+    return texts
+
+
+_PARITY_TEXTS = _error_table_texts() + [
+    "(" * 151 + "x1" + ")" * 151, "sin(" * 151 + "x1" + ")" * 151, "-" * 3000 + "x1",
+    "1^" * 151 + "1", "x1 + " + "7" * 5000, "-0." + "0" * 4299 + "1", "x1 - 0." + "0" * 4299 + "1",
+    "x1*7^3000*7^3000", "x1 + é", "é", "x1 + \udcff", "2 + x1 @ \udcff", "x1 + 3.", "1.5.2",
+    " ", "x1\t+\r\nx2 ", "x1 , x2", "t^2 - -x2", "--2", "-(-2)", "-0", "x3 + t",
+    "*".join(["x1^(10^4299)"] * 10), " + ".join(f"1/{p}^200" for p in (3, 5, 7, 11, 13, 17, 19)),
+]
+
+
+class TestParityWithTheFirstParser:
+    """The lexer and the descent against ``conftest``'s copy of them as
+    first written, on the same kernel: the same tree, or the same error
+    class, message, byte offset and expectations."""
+
+    @pytest.mark.parametrize("src", _PARITY_TEXTS)
+    def test_tables_agree(self, src):
+        for n, allow_time in ((3, True), (2, False)):
+            want = _outcome(ref_parse_expr, src, n, allow_time)
+            assert _outcome(parse_expr, src, n, allow_time) == want
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=300)
+    def test_random_texts_agree(self, seed):
+        rng = random.Random(seed)
+        raw = random_raw_expr(rng, depth=4, n_vars=3, allow_time=True)
+        text = _parenthesised(raw)
+        # and the text with one character replaced, for the errors
+        i = rng.randrange(len(text))
+        broken = text[:i] + rng.choice("+-*/^()., 7xtπ") + text[i + 1:]
+        printed = print_expr(random_normal_expr(rng, depth=4, n_vars=3, allow_time=True))
+        for src in (text, broken, printed):
+            for n, allow_time in ((3, True), (2, False)):
+                want = _outcome(ref_parse_expr, src, n, allow_time)
+                assert _outcome(parse_expr, src, n, allow_time) == want
+
+    @given(st.one_of(_HUGE_SOUP, _HUGE_NESTED))
+    @settings(max_examples=300)
+    def test_constants_near_the_limit_agree(self, text):
+        want = _outcome(ref_parse_expr, text, 2, True)
+        assert _outcome(parse_expr, text, 2, True) == want
+
+
 class TestPrinting:
     @pytest.mark.parametrize("text", [
         "2*x1",
@@ -450,6 +514,11 @@ class TestProblemFiles:
         with pytest.raises(FormatError):
             parse_problem(json.dumps(doc))
 
+    def test_deeply_nested_json_is_a_format_error(self):
+        with pytest.raises(FormatError) as err:
+            parse_problem('{"m": ' + "[" * 100000 + "]" * 100000 + "}")
+        assert "nests deeper" in str(err.value)
+
     def test_not_json(self):
         with pytest.raises(FormatError):
             parse_problem("m = 1")
@@ -534,3 +603,56 @@ class TestProblemFiles:
         p = parse_problem(json.dumps(doc))
         assert p.rho.entries[0][0] == Fraction(-3, 2)
         assert p.rho_inv.entries[0][0] == Fraction(-2, 3)
+
+
+def _problem_text(p: ProblemSpec) -> str:
+    return json.dumps({
+        "m": p.m, "n": p.n, "order": p.order,
+        "rho": [[str(x) for x in row] for row in p.rho.entries],
+        "L": [{"row": t.row, "col": t.col, "coeff": print_expr(t.coeff), "derivs": list(t.orders)}
+              for t in p.L.terms],
+        **{key: [print_expr(e) for e in vec] for key, vec in
+           (("f", p.f_source), ("u0", p.u0), ("u1", p.u1))},
+    })
+
+
+def _create(text: str) -> ProblemSpec:
+    """ProblemSpec.create of the fields of a problem file, each parsed alone."""
+    doc = json.loads(text)
+    m, n = doc["m"], doc["n"]
+    rho = RationalMatrix.from_rows([[Fraction(x) for x in row] for row in doc["rho"]])
+    terms = tuple(OperatorTerm(t["row"], t["col"], parse_expr(t["coeff"], n), tuple(t["derivs"]))
+                  for t in doc["L"])
+    vectors = [[parse_expr(s, n, allow_time=key == "f") for s in doc[key]] for key in ("f", "u0", "u1")]
+    return ProblemSpec.create(m, n, rho, SpatialOperator(m, n, terms), *vectors, doc["order"])
+
+
+class TestProblemBuiltDirectly:
+    """parse_problem builds the ProblemSpec itself: the checks of
+    ProblemSpec.create are made field by field, and the parsed trees are
+    normal already."""
+
+    @pytest.mark.parametrize("name", ["wave_1d.prob", "forced_wave_2d.prob", "coupled_2x2.prob"])
+    def test_bundled_problems_equal_create(self, name):
+        with open(problem_path(name), encoding="utf-8") as handle:
+            text = handle.read()
+        assert parse_problem(text) == _create(text)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_problems_equal_create(self, seed):
+        p, _ = random_problem(seed)
+        text = _problem_text(p)
+        assert parse_problem(text) == _create(text) == p
+
+    def test_no_tree_is_normalized_again(self, monkeypatch):
+        texts = [_problem_text(random_problem(seed)[0]) for seed in range(10)]
+        for name in ("wave_1d.prob", "forced_wave_2d.prob", "coupled_2x2.prob"):
+            with open(problem_path(name), encoding="utf-8") as handle:
+                texts.append(handle.read())
+        calls = []
+        for module in (expr, series):
+            original = module.normalize
+            monkeypatch.setattr(module, "normalize", lambda e, f=original: calls.append(e) or f(e))
+        for text in texts:
+            parse_problem(text)
+        assert calls == []

@@ -79,12 +79,14 @@ class TestInvert:
         assert got == RationalMatrix.from_rows([[1, -1], [-1, 2]])
 
     def test_singular(self):
-        with pytest.raises(SingularRho):
+        with pytest.raises(SingularRho, match=r"^matrix is singular \(rank < 2\)$"):
             invert(RationalMatrix.from_rows([[1, 2], [2, 4]]))
 
     def test_zero(self):
-        with pytest.raises(SingularRho):
+        with pytest.raises(SingularRho, match=r"^matrix is singular \(rank < 1\)$"):
             invert(RationalMatrix.from_rows([[0]]))
+        with pytest.raises(SingularRho, match=r"^matrix is singular \(rank < 3\)$"):
+            invert(RationalMatrix.from_rows([[0, 0, 0]] * 3))
 
     @given(st.integers(min_value=0, max_value=10**6))
     def test_product_is_identity(self, seed):
@@ -511,7 +513,7 @@ class TestForcingExpandedOnce:
         self, monkeypatch, capsys, tmp_path, command
     ):
         spies = [_counting(monkeypatch, name)
-                 for name in ("differentiate", "substitute", "expand_in_time")]
+                 for name in ("_diff", "substitute", "expand_in_time")]
         path = tmp_path / "forced.prob"
         path.write_text("""{"m": 1, "n": 2, "rho": [["1"]],
             "L": [{"row": 0, "col": 0, "coeff": "1", "derivs": [2, 0]}],
@@ -522,12 +524,14 @@ class TestForcingExpandedOnce:
         capsys.readouterr()
 
     def test_differentiation_bounded_by_order_per_function(self, monkeypatch):
-        calls = _counting(monkeypatch, "differentiate")
+        calls = _counting(monkeypatch, "_diff")
         e = parse_expr("exp(sin(x1*t))*tanh(t+x2)", 2, allow_time=True)
         expand_in_time(e, 12)
         assert len(calls) <= 12 * 3  # three Func nodes
         # only f(t) and its derivatives, never a tree holding x1 or x2
-        assert all(variable_indices(d) <= {0} for d, _ in calls)
+        assert all(variable_indices(d) <= {0} for d, _, _ in calls)
+        # each function's derivatives share one memo: exp, sin and tanh
+        assert len({id(memo) for _, _, memo in calls}) == 3
 
     def test_expansion_is_kept_per_problem(self, monkeypatch):
         calls = _ring_expansions(monkeypatch)
