@@ -161,12 +161,18 @@ def _cmd_hpm(args) -> int:
     return EXIT_OK
 
 
-def _check_table(per_degree) -> list[str]:
-    lines = ["degree  status    max_deviation"]
-    for check in per_degree:
-        status = "ok" if check.passed else "MISMATCH"
-        lines.append(f"{check.degree:<7d} {status:<9s} {check.max_deviation:.3e}")
-    return lines
+def _print_check(report, output_format: str, passed: str, failed: str) -> int:
+    """Print a check's report: JSON, or a table per degree and an
+    ``overall:`` line of ``passed`` or ``failed``.  Return its exit code."""
+    if output_format == "json":
+        sys.stdout.write(_render_json(report.to_dict()))
+    else:
+        print("degree  status    max_deviation")
+        for check in report.per_degree:
+            status = "ok" if check.passed else "MISMATCH"
+            print(f"{check.degree:<7d} {status:<9s} {check.max_deviation:.3e}")
+        print(f"overall: {passed if report.overall else failed}")
+    return EXIT_OK if report.overall else EXIT_CHECK_FAILED
 
 
 def _cmd_compare(args) -> int:
@@ -175,13 +181,7 @@ def _cmd_compare(args) -> int:
         raise ValueError("--corrections must be >= 1")
     plan = SamplePlan(seed=args.seed, tolerance=args.tolerance)
     report = equivalence_check(problem, args.corrections, plan)
-    if args.output_format == "json":
-        sys.stdout.write(_render_json(report.to_dict()))
-    else:
-        for line in _check_table(report.per_degree):
-            print(line)
-        print(f"overall: {'equivalent' if report.overall else 'MISMATCH'}")
-    return EXIT_OK if report.overall else EXIT_CHECK_FAILED
+    return _print_check(report, args.output_format, "equivalent", "MISMATCH")
 
 
 def _cmd_residual(args) -> int:
@@ -190,13 +190,7 @@ def _cmd_residual(args) -> int:
         problem = problem.with_order(args.order)
     plan = SamplePlan(seed=args.seed, tolerance=args.tolerance)
     report = residual_check(problem, taylor_coefficients(problem), plan)
-    if args.output_format == "json":
-        sys.stdout.write(_render_json(report.to_dict()))
-    else:
-        for line in _check_table(report.per_degree):
-            print(line)
-        print(f"overall: {'pass' if report.overall else 'FAIL'}")
-    return EXIT_OK if report.overall else EXIT_CHECK_FAILED
+    return _print_check(report, args.output_format, "pass", "FAIL")
 
 
 def _cmd_expand(args) -> int:

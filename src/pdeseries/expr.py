@@ -264,23 +264,10 @@ def _factor_key(f: Expr):
     return (sort_key(f), 1)
 
 
-def _split_coeff(t: Expr) -> tuple[Fraction, Expr]:
-    """Write a normalized non-constant term as coefficient * remainder."""
-    if isinstance(t, Prod) and isinstance(t.factors[0], Const):
-        rest = t.factors[1:]
-        return t.factors[0].value, (rest[0] if len(rest) == 1 else Prod(rest))
-    return Fraction(1), t
-
-
-def _term_key(t: Expr):
-    coeff, rest = _split_coeff(t)
-    return (sort_key(rest), coeff)
-
-
 def _rest_key(part: tuple) -> tuple:
-    """``_term_key`` order of ``_add``'s (factors, term) pairs: the
-    factors after the coefficient differ from pair to pair, so their
-    key alone decides it, and it is read without building their node."""
+    """Order of ``_add``'s (factors, term) pairs: the ``sort_key`` of
+    the factors after the coefficient, which differ from pair to pair,
+    read without building their node."""
     rest = part[0]
     return sort_key(rest[0]) if len(rest) == 1 else (4, *map(sort_key, rest))
 

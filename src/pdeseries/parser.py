@@ -362,9 +362,9 @@ def print_poly(ring: Ring, p: Poly) -> str:
     sort key and text ``_monomial`` keeps in ``ring.printed``.  The
     constant comes first, the other terms follow in the order of their
     keys, and a negative term after the first is written with " - ".
-    Where a rational other than 1 times a sum atom to the first power
-    is a term, ``eprod`` spreads that product over the sum, so such a
-    polynomial is printed from its tree."""
+    Where a sum atom to the first power is a term next to others or
+    times a rational other than 1, ``esum`` and ``eprod`` spread it, so
+    such a polynomial is printed from its tree."""
     num = p.num
     if not num:
         return "0"
@@ -380,7 +380,7 @@ def print_poly(ring: Ring, p: Poly) -> str:
             out.append(f"{c}" if d == 1 else f"{c}/{d}")
             continue
         key, body, is_sum = printed.get(m) or _monomial(ring, m)
-        if is_sum and (c != 1 or d != 1):
+        if is_sum and (c != 1 or d != 1 or len(num) > 1):
             return print_expr(ring.to_tree(p))
         terms.append((key, c, d, body))
     terms.sort()  # no two terms have the same key

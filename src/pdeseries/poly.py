@@ -11,9 +11,9 @@ denominator and the numerators, so ``a == b`` decides ``a - b == 0``
 exactly, and a polynomial is never changed once made.
 
 ``Fraction`` is met only at the edges: constants of trees read and
-written (``Ring.from_tree``, ``Ring.to_tree``), the rational factors
-``scale`` applies (as numerator times n, denominator times d), and the
-content of a sum made an atom.
+written (``Ring.from_tree``, and ``Ring.to_tree``, which builds through
+``esum`` and ``eprod``), the rational factors ``scale`` applies (as
+numerator times n, denominator times d), and a sum atom's content.
 
 Atoms are variables, functions of a canonical argument, and multi-term
 sums, which are atoms only when raised to a negative power or to a
@@ -40,12 +40,9 @@ from .expr import (
     SamplePlan,
     Sum,
     Var,
-    ZERO as ZERO_TREE,
     _AT_ZERO,
-    _factor_key,
     _outer_derivative,
     _sum_content,
-    _term_key,
     eprod,
     esum,
     sampled_deviation,
@@ -217,27 +214,21 @@ class Ring:
         return p
 
     def to_tree(self, p: Poly) -> Expr:
-        """Canonical tree of ``p``: the tree ``esum`` and ``eprod`` make
-        of its terms, put together directly."""
-        trees, den, terms = self.trees, p.den, []
-        for m, c in p.num.items():
-            parts = [trees[i] if e == 1 else Pow(trees[i], e) for i, e in enumerate(m) if e]
-            parts.sort(key=_factor_key)
-            terms.append((Fraction(c, den), parts))
-        if any(c != 1 and len(f) == 1 and isinstance(f[0], Sum) for c, f in terms):
-            # a rational times a sum atom to the first power: eprod spreads it
-            return esum(eprod([Const(c), *f]) for c, f in terms)
-        constants = [Const(c) for c, f in terms if not f]
-        terms = sorted((
-            (f[0] if len(f) == 1 else Prod(tuple(f))) if c == 1 else Prod((Const(c), *f))
-            for c, f in terms if f
-        ), key=_term_key)
-        terms[:0] = constants
-        return Sum(tuple(terms)) if len(terms) > 1 else terms[0] if terms else ZERO_TREE
+        """Canonical tree of ``p``: the ``esum`` of its terms, each the
+        ``eprod`` of its rational and atom powers (DomainError from
+        ``eprod`` where a rational has too many digits to print)."""
+        trees, den = self.trees, p.den
+        return esum(
+            eprod([Const(Fraction(c, den)),
+                   *(trees[i] if e == 1 else Pow(trees[i], e) for i, e in enumerate(m) if e)])
+            for m, c in p.num.items()
+        )
 
     def power(self, p: Poly, k: int) -> Poly:
         if k == 0:
             return ONE
+        if k == 1:
+            return p
         if not p.num:
             if k < 0:
                 raise DomainError("zero raised to a negative power")

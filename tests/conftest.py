@@ -515,6 +515,33 @@ def tree_ref_add(terms) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# Reference of Ring.to_tree as first written: the nodes of the terms
+# sorted and assembled directly, esum and eprod called only where a
+# rational times a sum atom to the first power must be spread
+# ---------------------------------------------------------------------------
+
+def ref_to_tree(ring, p) -> Expr:
+    """Tree of the ``poly.Poly`` ``p`` of ``ring``.  Where a sum atom to
+    the first power with coefficient 1 stands next to other terms, the
+    sum is kept as one term, which ``normalize`` would flatten."""
+    trees, den, terms = ring.trees, p.den, []
+    for m, c in p.num.items():
+        parts = [trees[i] if e == 1 else Pow(trees[i], e) for i, e in enumerate(m) if e]
+        parts.sort(key=_factor_key)
+        terms.append((Fraction(c, den), parts))
+    if any(c != 1 and len(f) == 1 and isinstance(f[0], Sum) for c, f in terms):
+        # a rational times a sum atom to the first power: eprod spreads it
+        return esum(eprod([Const(c), *f]) for c, f in terms)
+    constants = [Const(c) for c, f in terms if not f]
+    terms = sorted((
+        (f[0] if len(f) == 1 else Prod(tuple(f))) if c == 1 else Prod((Const(c), *f))
+        for c, f in terms if f
+    ), key=_ref_term_key)
+    terms[:0] = constants
+    return Sum(tuple(terms)) if len(terms) > 1 else terms[0] if terms else ZERO
+
+
+# ---------------------------------------------------------------------------
 # Reference of the expression parser: the lexer of frozen-dataclass tokens
 # and the descent as first written, names prefixed; the kernel is the
 # package's

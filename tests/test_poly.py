@@ -3,6 +3,7 @@ derivatives, and both engines against values built on trees."""
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     HEAVY_2X2,
     PLAN,
+    PROBLEM_DIR,
     apply_by_differentiate,
     random_normal_expr,
     random_problem,
@@ -22,6 +24,7 @@ from conftest import (
     ref_mul,
     ref_of,
     ref_scale,
+    ref_to_tree,
     ref_tree,
     tree_forcing,
 )
@@ -44,9 +47,9 @@ from pdeseries.expr import (
     sampled_deviation,
 )
 from pdeseries.hpm import hpm_rows, partial_sum, solve_hpm
-from pdeseries.parser import parse_expr, parse_problem, print_expr, print_poly
+from pdeseries.parser import load_problem, parse_expr, parse_problem, print_expr, print_poly
 from pdeseries.poly import ONE, Ring, add, mul, scale, sub
-from pdeseries.series import problem_ring
+from pdeseries.series import forcing_rows, problem_ring
 from pdeseries.taylor import taylor_coefficients, taylor_rows
 from pdeseries.verify import equivalence_check
 
@@ -150,7 +153,53 @@ class TestAgainstReference:
             for rows, want in zip(got, [direct, *hpm]):
                 for row, ref_row in zip(rows, want, strict=True):
                     for c, r in zip(row, ref_row, strict=True):
-                        assert ring.to_tree(_normal(c)) == ref_tree(ring, r), seed
+                        assert _built_as_first_written(ring, _normal(c)) == ref_tree(ring, r), seed
+
+    @pytest.mark.parametrize("path", sorted(PROBLEM_DIR.glob("*.prob")) + sorted(
+        (PROBLEM_DIR.parent / "benchmarks" / "problems").glob("*.prob")), ids=lambda p: p.name)
+    def test_problem_rows_are_built_as_first_written(self, path):
+        p = load_problem(str(path))
+        ring = problem_ring(p)
+        for rows in (forcing_rows(p, p.order), taylor_rows(p)):
+            for row in rows:
+                for c in row:
+                    _built_as_first_written(ring, c)
+
+    def test_sum_atoms_and_constants_are_built_as_first_written(self):
+        ring = Ring()
+        x1 = ring.from_tree(Var(1))
+        big = ring.from_tree(parse_expr("(x1 + x2)^99999999", 2))
+        powers = [ring.from_tree(parse_expr(text, 2)) for text in
+                  ("(1 + x1)^(-2)", "(2*x1 - x2)^(-1)*x2^(-3)", "(x1 + x2)^99999999")]
+        # (x1 + x2)^99999999 * (x1 + x2)^-99999998: the sum atom to the power 1
+        first = mul(big, ring.from_tree(parse_expr("(x1 + x2)^(-99999998)", 2)))
+        assert list(first.num) == [(0, 0, 1)]
+        polys = [poly.ZERO, ONE, poly.const(Fraction(-5, 7)), first]
+        for q in (Fraction(-1), Fraction(3), Fraction(-5, 7), Fraction(1, 2)):
+            polys += [scale(first, q), add(scale(first, q), x1, poly.const(q))]
+            for s in powers:
+                polys += [scale(s, q), add(scale(s, q), s, x1, poly.const(q))]
+        for p in polys:
+            _built_as_first_written(ring, p)
+
+    def test_a_sum_atom_next_to_other_terms_is_flattened(self):
+        # the one place the first builder left a tree normalize changes
+        ring = Ring()
+        big = ring.from_tree(parse_expr("(x1 + x2)^99999999", 2))
+        s = mul(big, ring.from_tree(parse_expr("(x1 + x2)^(-99999998)", 2)))
+        p = add(s, ring.from_tree(Var(3)))
+        tree = ring.to_tree(p)
+        assert tree == normalize(ref_to_tree(ring, p)) == parse_expr("x1 + x2 + x3", 3)
+        assert ref_to_tree(ring, p) != tree
+        assert print_poly(ring, p) == print_expr(tree) == "x1 + x2 + x3"
+
+
+def _built_as_first_written(ring, p):
+    """``ring.to_tree(p)``, checked against the builder as first written:
+    the same tree, printed to the same bytes."""
+    tree, first = ring.to_tree(p), ref_to_tree(ring, p)
+    assert tree == first and print_expr(tree) == print_expr(first)
+    return tree
 
 
 class TestConversions:
@@ -192,6 +241,26 @@ class TestConversions:
         assert len(p) == 1 and len(ring.from_tree(parse_expr("(1 + x1)^3", 1))) == 4
         d = ring.diff(p, 1)
         assert ring.to_tree(d) == parse_expr("99999999*(1 + x1)^99999998", 1)
+
+    def test_first_power_is_the_polynomial_itself(self):
+        ring = Ring()
+        # more terms than EXPAND_LIMIT: a power other than 1 is a sum atom
+        p = ring.from_tree(parse_expr(" + ".join(f"x1^{k}" for k in range(1, 1002)), 1))
+        assert len(p) == 1001 and ring.power(p, 1) is p
+        inverse = ring.power(p, -1)
+        assert len(inverse) == 1 and ring.power(inverse, -1) == p
+        assert ring.power(scale(inverse, Fraction(3, 2)), -1) == scale(p, Fraction(2, 3))
+
+    def test_a_rational_past_the_digit_limit_is_refused(self):
+        ring = Ring()
+        p = scale(ring.from_tree(Var(1)), 7 ** 900)  # 761 digits
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(DomainError):
+                ring.to_tree(p)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_positive_powers_of_sums_are_multiplied_out(self):
         # (x1 * (1 + x1)^-1)^-2 = x1^-2 * (1 + x1)^2, with the square expanded

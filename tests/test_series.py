@@ -52,7 +52,7 @@ from pdeseries.expr import (
     uses_time,
 )
 from pdeseries.parser import load_problem, parse_expr, print_expr
-from pdeseries.poly import ZERO as POLY_ZERO, Ring, add, scale
+from pdeseries.poly import ONE as POLY_ONE, ZERO as POLY_ZERO, Ring, add, scale
 from pdeseries.taylor import taylor_coefficients, taylor_rows
 from pdeseries.series import (
     OperatorTerm,
@@ -487,6 +487,19 @@ class TestRingJets:
             assume(False)
         # one ring, so that equal polynomials have equal atom indices
         assert _ring_outcome(e, order, ring) == want
+
+    def test_first_power_of_a_long_sum_keeps_its_terms(self, tmp_path):
+        # (t + P)^2 = P^2 + 2*P*t + t^2 takes P^1 from the ring, and P has
+        # more terms than a power of a sum is multiplied out to
+        terms = " + ".join(f"x1^{k}" for k in range(1, 1002))
+        path = tmp_path / "long.prob"
+        path.write_text(f"""{{"m": 1, "n": 1, "rho": [["1"]],
+            "L": [{{"row": 0, "col": 0, "coeff": "1", "derivs": [2]}}],
+            "f": ["(t + {terms})^2"], "u0": ["0"], "u1": ["0"], "order": 2}}""")
+        p = load_problem(str(path))
+        rows = forcing_rows(p, 2)
+        assert rows[1][0] == scale(problem_ring(p).from_tree(parse_expr(terms, 1)), 2)
+        assert len(rows[0][0]) == 1 and rows[2][0] == POLY_ONE
 
 
 class TestForcingExpandedOnce:
