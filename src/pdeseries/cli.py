@@ -151,13 +151,12 @@ def _cmd_hpm(args) -> int:
             "working_order": working,
         }))
     else:
+        lines = []  # all of them before any is written
         for j, correction in enumerate(corrections):
-            print(f"correction {j}:")
-            for line in _series_lines(ring, correction, "u", indent="  "):
-                print(line)
-        print(f"partial sum (degrees 0..{working}):")
-        for line in _series_lines(ring, total, "u", indent="  "):
-            print(line)
+            lines += [f"correction {j}:", *_series_lines(ring, correction, "u", indent="  ")]
+        lines.append(f"partial sum (degrees 0..{working}):")
+        lines += _series_lines(ring, total, "u", indent="  ")
+        print("\n".join(lines))
     return EXIT_OK
 
 

@@ -317,7 +317,9 @@ def parse_expr(src: str, n: int, *, allow_time: bool = False) -> Expr:
 
 def print_expr(e: Expr) -> str:
     """Render in the input grammar; parse_expr(print_expr(e)) is
-    structurally e for normalized e."""
+    structurally e for normalized e.  A rational leads the product it
+    scales (``3/2*x1``, ``-x1``, ``x1``); in a sum, a term after the
+    first whose text starts with "-" is written " - " and the rest."""
     return _fmt(e)
 
 
@@ -331,45 +333,33 @@ def _fmt(e: Expr) -> str:
     if isinstance(e, Pow):
         return _fmt_power(_fmt(e.base), isinstance(e.base, (Sum, Prod, Const)), e.exponent)
     if isinstance(e, Prod):
-        factors = e.factors
-        prefix = ""
+        factors, c, d = e.factors, 1, 1
         if isinstance(factors[0], Const):
-            value = factors[0].value
+            c, d = factors[0].value.numerator, factors[0].value.denominator
             factors = factors[1:]
-            if value == -1:
-                prefix = "-"
-            else:
-                prefix = f"{value}*"
-        body = "*".join(_fmt_factor(f) for f in factors)
-        return prefix + body
+        return _scaled(c, d, "*".join(
+            f"({_fmt(f)})" if isinstance(f, Sum) else _fmt(f) for f in factors))
     if isinstance(e, Sum):
-        out = _fmt(e.terms[0])
-        for term in e.terms[1:]:
-            negated = _negated(term)
-            if negated is not None:
-                out += f" - {_fmt(negated)}"
-            else:
-                out += f" + {_fmt(term)}"
-        return out
+        return _joined([_fmt(t) for t in e.terms])
     raise TypeError(f"not an expression: {e!r}")
 
 
 def print_poly(ring: Ring, p: Poly) -> str:
-    """``print_expr(ring.to_tree(p))``, written from the terms of ``p``
-    without building the tree.
+    """``print_expr(ring.to_tree(p))``, and its DomainError, written
+    from the terms of ``p`` without building the tree.
 
     A term is its rational times the product its monomial names, whose
     sort key and text ``_monomial`` keeps in ``ring.printed``.  The
     constant comes first, the other terms follow in the order of their
-    keys, and a negative term after the first is written with " - ".
-    Where a sum atom to the first power is a term next to others or
-    times a rational other than 1, ``esum`` and ``eprod`` spread it, so
-    such a polynomial is printed from its tree."""
+    keys, with the signs of ``print_expr``.  Where a sum atom to the
+    first power is a term next to others or times a rational other
+    than 1, ``esum`` and ``eprod`` spread it, so such a polynomial is
+    printed from its tree."""
     num = p.num
     if not num:
         return "0"
     printed, den = ring.printed, p.den
-    out: list[str] = []  # the constant, if any
+    constant = []  # (numerator, denominator) of the constant, if any
     terms = []  # (key, numerator, denominator, text of the monomial)
     for m, c in num.items():
         d = den
@@ -377,27 +367,18 @@ def print_poly(ring: Ring, p: Poly) -> str:
             g = math.gcd(c, d)
             c, d = c // g, d // g
         if not m:
-            out.append(f"{c}" if d == 1 else f"{c}/{d}")
+            constant.append((c, d))
             continue
         key, body, is_sum = printed.get(m) or _monomial(ring, m)
         if is_sum and (c != 1 or d != 1 or len(num) > 1):
             return print_expr(ring.to_tree(p))
         terms.append((key, c, d, body))
     terms.sort()  # no two terms have the same key
-    for _, c, d, body in terms:
-        sign = ""
-        if out:
-            sign = " + "
-            if c < 0:
-                sign, c = " - ", -c
-        if d != 1:
-            body = f"{c}/{d}*{body}"
-        elif c == -1:
-            body = "-" + body
-        elif c != 1:
-            body = f"{c}*{body}"
-        out.append(sign + body)
-    return "".join(out)
+    try:
+        return _joined([f"{c}" if d == 1 else f"{c}/{d}" for c, d in constant]
+                       + [_scaled(c, d, body) for _, c, d, body in terms])
+    except ValueError as exc:  # a rational past the int-to-text limit
+        raise DomainError("product of constants too large to represent") from exc
 
 
 def _monomial(ring: Ring, m: tuple) -> tuple:
@@ -440,26 +421,22 @@ def _fmt_power(base: str, bracket: bool, e: int) -> str:
     return f"{base}^{e}" if e >= 0 else f"{base}^({e})"
 
 
-def _fmt_factor(f: Expr) -> str:
-    text = _fmt(f)
-    return f"({text})" if isinstance(f, Sum) else text
+def _scaled(c: int, d: int, body: str) -> str:
+    """The text of the rational c/d, in lowest terms with d > 0, times
+    the product whose text is ``body``."""
+    if d != 1:
+        return f"{c}/{d}*{body}"
+    if c == 1:
+        return body
+    if c == -1:
+        return "-" + body
+    return f"{c}*{body}"
 
 
-def _negated(term: Expr) -> Expr | None:
-    """The positive counterpart when the term has a negative leading
-    rational, else None."""
-    if isinstance(term, Const) and term.value < 0:
-        return Const(-term.value)
-    if (
-        isinstance(term, Prod)
-        and isinstance(term.factors[0], Const)
-        and term.factors[0].value < 0
-    ):
-        value, rest = -term.factors[0].value, term.factors[1:]
-        if value != 1:
-            return Prod((Const(value), *rest))
-        return rest[0] if len(rest) == 1 else Prod(rest)
-    return None
+def _joined(texts: list[str]) -> str:
+    """The text of the sum of the terms whose texts are ``texts``.  Only
+    this writes " + ", never before "-", so a " + -" joins a negative term."""
+    return " + ".join(texts).replace(" + -", " - ")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Shared test helpers: seeded expression/problem generators, reference
-copies of the kernel and the parser as first written, and the
+copies of the kernel, the parser and the printer as first written, and the
 correction-audit used by several suites."""
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from pdeseries.expr import (
     sort_key,
     too_large_power,
 )
-from pdeseries.parser import MAX_NESTING
+from pdeseries.parser import MAX_NESTING, _fmt_power
 from pdeseries.series import (
     OperatorTerm,
     ProblemSpec,
@@ -539,6 +539,67 @@ def ref_to_tree(ring, p) -> Expr:
     ), key=_ref_term_key)
     terms[:0] = constants
     return Sum(tuple(terms)) if len(terms) > 1 else terms[0] if terms else ZERO
+
+
+# ---------------------------------------------------------------------------
+# Reference of print_expr as first written: a later term of a sum with a
+# negative leading rational is printed as its negation after " - ",
+# names prefixed; the power text is the package's
+# ---------------------------------------------------------------------------
+
+def ref_fmt(e: Expr) -> str:
+    if isinstance(e, Const):
+        return str(e.value)
+    if isinstance(e, Var):
+        return "t" if e.index == TIME_INDEX else f"x{e.index}"
+    if isinstance(e, Func):
+        return f"{e.name}({ref_fmt(e.arg)})"
+    if isinstance(e, Pow):
+        return _fmt_power(ref_fmt(e.base), isinstance(e.base, (Sum, Prod, Const)), e.exponent)
+    if isinstance(e, Prod):
+        factors = e.factors
+        prefix = ""
+        if isinstance(factors[0], Const):
+            value = factors[0].value
+            factors = factors[1:]
+            if value == -1:
+                prefix = "-"
+            else:
+                prefix = f"{value}*"
+        body = "*".join(_ref_fmt_factor(f) for f in factors)
+        return prefix + body
+    if isinstance(e, Sum):
+        out = ref_fmt(e.terms[0])
+        for term in e.terms[1:]:
+            negated = _ref_negated(term)
+            if negated is not None:
+                out += f" - {ref_fmt(negated)}"
+            else:
+                out += f" + {ref_fmt(term)}"
+        return out
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _ref_fmt_factor(f: Expr) -> str:
+    text = ref_fmt(f)
+    return f"({text})" if isinstance(f, Sum) else text
+
+
+def _ref_negated(term: Expr) -> Expr | None:
+    """The positive counterpart when the term has a negative leading
+    rational, else None."""
+    if isinstance(term, Const) and term.value < 0:
+        return Const(-term.value)
+    if (
+        isinstance(term, Prod)
+        and isinstance(term.factors[0], Const)
+        and term.factors[0].value < 0
+    ):
+        value, rest = -term.factors[0].value, term.factors[1:]
+        if value != 1:
+            return Prod((Const(value), *rest))
+        return rest[0] if len(rest) == 1 else Prod(rest)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,18 @@ class TestExpand:
         assert code == 0
         assert out.strip() == "[x1^2, x1^2, 1/2*x1^2, 1/6*x1^2]"
 
+    def test_json_expansion(self, capsys):
+        assert run(capsys, "expand", "--expr", "sin(x1 + t)", "--order", "3",
+                   "--format", "json") == (0, """{
+  "coefficients": [
+    "sin(x1)",
+    "cos(x1)",
+    "-1/2*sin(x1)",
+    "-1/6*cos(x1)"
+  ]
+}
+""", "")
+
     def test_constant_expansion(self, capsys):
         code, out, _ = run(capsys, "expand", "--expr", "7", "--order", "2")
         assert code == 0
@@ -427,6 +439,34 @@ class TestErrorsAndExitCodes:
         extra = ("--corrections", "2") if command in ("hpm", "compare") else ()
         code, out, err = run(capsys, command, str(path), *extra)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (("hpm", WAVE, "--corrections", "-1"), "--corrections must be >= 0"),
+        (("compare", WAVE, "--corrections", "0"), "--corrections must be >= 1"),
+        (("expand", "--expr", "x1", "--order", "-1"), "--order must be >= 0"),
+        (("expand", "--expr", "x1", "--order", "1", "--dim", "0"), "--dim must be >= 1"),
+    ])
+    def test_counts_out_of_range(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("fmt", [(), ("--format", "json")])
+    def test_coefficient_past_the_digit_limit_prints_nothing(self, tmp_path, capsys, fmt):
+        # u0 parses, and so does u[2]; the numerator of u[4] has about
+        # 8800 digits.  No row is written before the one that fails
+        doc = {
+            "m": 1, "n": 1, "rho": [["1"]],
+            "L": [{"row": 0, "col": 0, "coeff": "1", "derivs": [2]}],
+            "f": ["0"], "u0": ["x1^(10^2200)"], "u1": ["0"], "order": 4,
+        }
+        path = tmp_path / "huge_power.prob"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            result = run(capsys, "hpm", str(path), "--corrections", "1", *fmt)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert result == (2, "", "error: product of constants too large to represent\n")
 
     def test_singular_mass_matrix(self, tmp_path, capsys):
         doc = {

@@ -4,7 +4,7 @@ stdout and of stderr, and the exit code, of each command.
 The corpus covers every command on the bundled problems in text and
 JSON, the heavy 2x2 problem (``solve`` and ``hpm`` also in JSON) and
 the transcendental forcing problem of the benchmark, the benchmark's
-four expansions, and six input errors.  A change to the arithmetic
+four expansions, and seven input errors.  A change to the arithmetic
 under the engines, or to how coefficients are printed, must leave all
 of them as they are.  To print the table for a deliberate change of
 output, run ``PYTHONPATH=src python tests/test_golden_corpus.py`` from
@@ -47,6 +47,13 @@ BAD_CHAR = """{"m": 1, "n": 1, "rho": [["1"]],
  "f": ["0"], "u0": ["sin(x1) + 2\u00b7x1"], "u1": ["0"], "order": 4}
 """
 
+# u[4] has a numerator of about 8800 digits, past the default limit
+# of 4300 that the interpreter converts to text
+HUGE_POWER = """{"m": 1, "n": 1, "rho": [["1"]],
+ "L": [{"row": 0, "col": 0, "coeff": "1", "derivs": [2]}],
+ "f": ["0"], "u0": ["x1^(10^2200)"], "u1": ["0"], "order": 4}
+"""
+
 # deeper than the JSON decoder recurses
 DEEP = '{"m": ' + "[" * 100000 + "]" * 100000 + "}"
 
@@ -58,6 +65,7 @@ FILES = {
     "bad_u0.prob": BAD_U0,
     "bad_char.prob": BAD_CHAR,
     "deep.prob": DEEP,
+    "huge_power.prob": HUGE_POWER,
 }
 
 BUNDLED = ("wave_1d.prob", "forced_wave_2d.prob", "coupled_2x2.prob")
@@ -70,7 +78,7 @@ BUNDLED_COMMANDS = (
 
 
 def corpus() -> list[tuple[str, ...]]:
-    """The 44 commands; a bundled problem is named by its file name."""
+    """The 45 commands; a bundled problem is named by its file name."""
     out = [
         (cmd[0], name, *cmd[1:], *fmt)
         for name in BUNDLED
@@ -99,6 +107,7 @@ def corpus() -> list[tuple[str, ...]]:
         # the fold of the chain fails at its third operand
         ("expand", "--expr", "x1*7^3000*7^3000", "--order", "2"),
         ("solve", "deep.prob"),
+        ("hpm", "huge_power.prob", "--corrections", "1"),
     ]
     return out
 
@@ -199,6 +208,12 @@ GOLDEN = {
     # exceeded while decoding a JSON array from a unicode string" before
     ('solve', 'deep.prob'):
         (2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', '648297f591ccbf03725a7b947ba981d25efb7a51'),
+    # recorded after the printer refused a rational past the int-to-text
+    # limit with the package's error and hpm wrote nothing before it; it
+    # wrote 2275 bytes of rows, then CPython's "Exceeds the limit (4300
+    # digits) for integer string conversion" message
+    ('hpm', 'huge_power.prob', '--corrections', '1'):
+        (2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', '8fe4a70edc0c39588a5c102be8f90eb0543b5b56'),
 }
 
 
@@ -230,7 +245,7 @@ def workdir(tmp_path, monkeypatch):
 
 
 def test_the_corpus_is_complete():
-    assert len(corpus()) == 44 and set(GOLDEN) == set(corpus())
+    assert len(corpus()) == 45 and set(GOLDEN) == set(corpus())
 
 
 @pytest.mark.parametrize("command", corpus(), ids=" ".join)

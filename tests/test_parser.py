@@ -10,11 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import problem_path, random_normal_expr, random_problem, random_raw_expr, ref_parse_expr
+from conftest import (
+    problem_path, random_normal_expr, random_problem, random_raw_expr, ref_fmt, ref_parse_expr,
+)
 from pdeseries import expr, series
 from pdeseries.errors import (
     DimensionMismatch,
     DomainError,
+    ExpansionSingular,
     FormatError,
     NonIntegerExponent,
     ParseError,
@@ -25,6 +28,7 @@ from pdeseries.errors import (
 from pdeseries.expr import (
     Const,
     Func,
+    MINUS_ONE,
     Pow,
     Prod,
     Sum,
@@ -33,7 +37,7 @@ from pdeseries.expr import (
     const,
     normalize,
 )
-from pdeseries.parser import MAX_NESTING, _negated, parse_expr, parse_problem, print_expr
+from pdeseries.parser import MAX_NESTING, parse_expr, parse_problem, print_expr
 from pdeseries.series import OperatorTerm, ProblemSpec, RationalMatrix, SpatialOperator
 
 
@@ -445,16 +449,57 @@ class TestPrinting:
             assert hash(again) == hash(e)
 
     @given(st.integers(min_value=0, max_value=10**6))
-    def test_negated_terms_match_normalizing_the_negation(self, seed):
+    def test_negative_terms_print_as_minus_their_negation(self, seed):
         e = random_normal_expr(random.Random(seed), depth=4, allow_time=True)
         for term in (e.terms if isinstance(e, Sum) else (e,)):
-            want = None
             negative = isinstance(term, Const) and term.value < 0
             if isinstance(term, Prod) and isinstance(term.factors[0], Const):
                 negative = term.factors[0].value < 0
+            text = print_expr(term)
+            assert text.startswith("-") == negative, text
             if negative:
-                want = normalize(Prod((Const(Fraction(-1)), term)))
-            assert _negated(term) == want
+                assert parse_expr(text[1:], 2, allow_time=True) == normalize(
+                    Prod((Const(Fraction(-1)), term)))
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_normalized_trees_print_as_first_written(self, seed):
+        rng = random.Random(seed)
+        for _ in range(4):
+            e = random_normal_expr(rng, depth=4, allow_time=True)
+            assert print_expr(e) == ref_fmt(e)
+        try:
+            coefficients = series.expand_in_time(random_normal_expr(rng, depth=3, allow_time=True), 3)
+        except ExpansionSingular:
+            coefficients = ()
+        for c in coefficients:
+            assert print_expr(c) == ref_fmt(c)
+
+    @pytest.mark.parametrize("tree,text", [
+        (Sum((Var(1), Prod((MINUS_ONE, Sum((Var(2), Var(3))))))), "x1 - (x2 + x3)"),
+        (Sum((Var(1), Prod((Const(Fraction(-2, 3)), Sum((Var(2), Var(3))))))),
+         "x1 - 2/3*(x2 + x3)"),
+        (Sum((Var(1), Prod((MINUS_ONE, Sum((Var(2), Prod((MINUS_ONE, Var(3))))))))),
+         "x1 - (x2 - x3)"),
+        (Sum((Var(1), Prod((MINUS_ONE, Sum((Var(2), Var(3))), Var(1))))), "x1 - (x2 + x3)*x1"),
+    ])
+    def test_a_negated_sum_in_a_sum_keeps_its_brackets(self, tree, text):
+        # the first printer wrote the first case "x1 - x2 + x3"
+        assert print_expr(tree) == text
+        assert parse_expr(text, 3) == normalize(tree)
+
+    def test_trees_not_normalized(self):
+        # besides a negated sum in a sum, the forms that print otherwise
+        # than as first written: a rational 1 that leads a product, and a
+        # later term whose text starts with "-" though no negative
+        # rational leads it
+        assert print_expr(Prod((Const(Fraction(1)), Var(1)))) == "x1"
+        assert ref_fmt(Prod((Const(Fraction(1)), Var(1)))) == "1*x1"
+        nested = Sum((Var(1), Sum((Prod((MINUS_ONE, Var(2))), Var(3)))))
+        assert print_expr(nested) == "x1 - x2 + x3"
+        assert ref_fmt(nested) == "x1 + -x2 + x3"
+        nested = Sum((Var(1), Prod((Prod((MINUS_ONE, Var(2))), Var(3)))))
+        assert print_expr(nested) == "x1 - x2*x3"
+        assert ref_fmt(nested) == "x1 + -x2*x3"
 
 
 def _base_doc():
@@ -499,29 +544,56 @@ class TestProblemFiles:
         with pytest.raises(DimensionMismatch):
             parse_problem(json.dumps(doc))
 
-    @pytest.mark.parametrize("mutate", [
-        lambda d: d.pop("rho"),
-        lambda d: d.pop("order"),
-        lambda d: d.update(order=0),
-        lambda d: d.update(m="1"),
-        lambda d: d.update(rho=[[1]]),
-        lambda d: d["L"][0].update(derivs=[2, -1]),
-        lambda d: d.update(u0=[3]),
+    @pytest.mark.parametrize("mutate,error,message", [
+        (lambda d: d.pop("rho"), FormatError, "missing field 'rho'"),
+        (lambda d: d.pop("order"), FormatError, "missing field 'order'"),
+        (lambda d: d.update(order=0), FormatError, "field 'order' must be >= 1"),
+        (lambda d: d.update(m="1"), FormatError, "field 'm' must be an integer"),
+        (lambda d: d.update(rho=[[1]]), FormatError,
+         'rho[0][0] must be a rational string like "-3/2"'),
+        (lambda d: d["L"][0].update(derivs=[2, -1]), FormatError,
+         "L[0].derivs entries must be nonnegative"),
+        (lambda d: d.update(u0=[3]), FormatError, "u0[0] must be an expression string"),
+        (lambda d: d.update(rho=[["1", "0"], ["0", "1"]]), DimensionMismatch,
+         "field 'rho' must be an 1x1 array"),
+        (lambda d: d.update(rho=["1"]), DimensionMismatch, "field 'rho' must be an 1x1 array"),
+        (lambda d: d.update(rho=[["1/0"]]), FormatError,
+         "rho[0][0] is not a valid rational: Fraction(1, 0)"),
+        (lambda d: d.update(L={}), FormatError, "field 'L' must be a list of operator terms"),
+        (lambda d: d["L"].__setitem__(0, [0, 0, 1, [2, 0]]), FormatError,
+         "L[0] must be an object"),
+        (lambda d: d["L"][0].update(row="0"), FormatError, "L[0] row/col must be integers"),
+        (lambda d: d["L"][0].update(row=True), FormatError, "L[0] row/col must be integers"),
+        (lambda d: d["L"][0].update(col=0.0), FormatError, "L[0] row/col must be integers"),
+        (lambda d: d["L"][0].update(col=True), FormatError, "L[0] row/col must be integers"),
+        (lambda d: d["L"][0].update(derivs="20"), FormatError,
+         "L[0].derivs must be a list of integers"),
+        (lambda d: d["L"][0].update(derivs=[2, 0.5]), FormatError,
+         "L[0].derivs must be a list of integers"),
+        (lambda d: d["L"][0].update(derivs=[True, 0]), FormatError,
+         "L[0].derivs must be a list of integers"),
     ])
-    def test_format_errors(self, mutate):
+    def test_format_errors(self, mutate, error, message):
         doc = _base_doc()
         mutate(doc)
-        with pytest.raises(FormatError):
+        with pytest.raises(error) as err:
             parse_problem(json.dumps(doc))
+        assert str(err.value) == message
 
     def test_deeply_nested_json_is_a_format_error(self):
         with pytest.raises(FormatError) as err:
             parse_problem('{"m": ' + "[" * 100000 + "]" * 100000 + "}")
         assert "nests deeper" in str(err.value)
 
-    def test_not_json(self):
-        with pytest.raises(FormatError):
-            parse_problem("m = 1")
+    @pytest.mark.parametrize("text,message", [
+        ("m = 1", "problem file is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("[]", "problem file must be a JSON object"),
+        ('"m"', "problem file must be a JSON object"),
+    ])
+    def test_not_a_json_object(self, text, message):
+        with pytest.raises(FormatError) as err:
+            parse_problem(text)
+        assert str(err.value) == message
 
     def test_time_rejected_in_initial_data(self):
         doc = _base_doc()

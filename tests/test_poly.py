@@ -20,6 +20,7 @@ from conftest import (
     random_raw_expr,
     ref_diff,
     ref_engines,
+    ref_fmt,
     ref_iadd,
     ref_mul,
     ref_of,
@@ -318,6 +319,31 @@ class TestPrinter:
         assert print_poly(ring, p) == print_expr(ring.to_tree(p)) == "4*x1 + 3*x2"
         assert print_poly(ring, s) == "x1 + x2"
         assert print_poly(ring, poly.ZERO) == "0"
+
+    def test_engine_rows_print_as_first_written(self):
+        for seed in range(3000, 3020):
+            p, corrections = random_problem(seed)
+            ring = problem_ring(p)
+            for rows in (taylor_rows(p), *hpm_rows(p, corrections, p.order)):
+                for row in rows:
+                    for c in row:
+                        assert print_poly(ring, c) == ref_fmt(ring.to_tree(c)), seed
+
+    def test_a_rational_past_the_digit_limit_is_refused_as_by_to_tree(self):
+        ring = Ring()
+        x1 = ring.from_tree(Var(1))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for p in (scale(x1, 7 ** 900), scale(x1, Fraction(1, 7 ** 900)),
+                      add(x1, poly.const(7 ** 900)), add(poly.const(1), scale(x1, -7 ** 900))):
+                with pytest.raises(DomainError) as tree_error:
+                    ring.to_tree(p)
+                with pytest.raises(DomainError) as text_error:
+                    print_poly(ring, p)
+                assert str(text_error.value) == str(tree_error.value)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestDerivatives:
