@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import ZERO, add, scale
+from .poly import ZERO, add
 from .series import (
     ProblemSpec,
     Rows,
@@ -44,16 +44,6 @@ class HpmExpansion:
     working_order: int
 
 
-def _double_time_integral(source: Rows, m: int, order: int) -> Rows:
-    """Map degree-k coefficients to degree k+2 divided by (k+1)(k+2);
-    integration constants are zero, degrees beyond the order are cut."""
-    rows: Rows = [[ZERO] * m, [ZERO] * m]
-    for k in range(order - 1):
-        q = Fraction(1, (k + 1) * (k + 2))
-        rows.append([scale(c, q) for c in source[k]])
-    return rows
-
-
 def hpm_rows(p: ProblemSpec, corrections: int, working: int) -> list[Rows]:
     """Corrections u^(0)..u^(corrections) to degree ``working``, on
     polynomials of ``problem_ring(p)``."""
@@ -62,15 +52,14 @@ def hpm_rows(p: ProblemSpec, corrections: int, working: int) -> list[Rows]:
     zero = [ZERO] * p.m
     first = [list(map(ring.from_tree, p.u0)), list(map(ring.from_tree, p.u1))]
     out = [first + [zero] * (working - 1)]
+    # double time integral of rho^-1 (L u^(j-1) + f delta_j1), constants
+    # zero: degree k over (k+1)(k+2) is degree k+2, cut at the working order
+    shift = [p.rho_inv.scaled(Fraction(1, (k + 1) * (k + 2))) for k in range(working - 1)]
     for j in range(1, corrections + 1):
-        source = []
-        # the double time integral reads degrees 0..working-2
-        for k, row in enumerate(out[-1][:working - 1]):
-            s = apply_rows(ring, p.L, row)
-            if j == 1:
-                s = [add(a, b) for a, b in zip(s, f[k])]
-            source.append(scale_rows(p.rho_inv, s))
-        out.append(_double_time_integral(source, p.m, working))
+        out.append([zero, zero] + [
+            scale_rows(shift[k], apply_rows(ring, p.L, row, f[k] if j == 1 else zero))
+            for k, row in enumerate(out[-1][:working - 1])
+        ])
     return out
 
 

@@ -467,7 +467,9 @@ def _rational(text, where: str) -> Fraction:
         pass
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
+        raise FormatError(f"{where} has a zero denominator") from exc
+    except ValueError as exc:
         raise FormatError(f"{where} is not a valid rational: {exc}") from exc
 
 
@@ -511,7 +513,7 @@ def parse_problem(src: str) -> ProblemSpec:
     if not isinstance(rho_raw, list) or len(rho_raw) != m or any(
         not isinstance(row, list) or len(row) != m for row in rho_raw
     ):
-        raise DimensionMismatch(f"field 'rho' must be an {m}x{m} array")
+        raise DimensionMismatch(f"field 'rho' must be an array of shape {m}x{m}")
     rho = RationalMatrix(tuple(
         tuple(_rational(cell, f"rho[{i}][{j}]") for j, cell in enumerate(row))
         for i, row in enumerate(rho_raw)

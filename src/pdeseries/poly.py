@@ -7,8 +7,8 @@ FLINT's ``fmpq_poly`` and ``sympy.polys.rings.PolyElement.clear_denoms``.
 It is kept in normal form: the denominator is coprime to the content of
 the numerators, no tuple ends in a zero, and zero is no terms over 1.
 Each operation makes its result with one ``math.gcd`` over the
-denominator and the numerators, so ``a == b`` decides ``a - b == 0``
-exactly, and a polynomial is never changed once made.
+denominator and the numerators, and a polynomial is never changed once
+made.  Equal normal forms are equal values; unequal ones are sampled.
 
 ``Fraction`` is met only at the edges: constants of trees read and
 written (``Ring.from_tree``, and ``Ring.to_tree``, which builds through
@@ -20,8 +20,8 @@ sums, which are atoms only when raised to a negative power or to a
 positive one too large to multiply out.  Products follow
 ``sympy.polys.rings.PolyElement.__mul__``; a derivative is the
 derivation ``D_v p = sum over atoms g of dp/dg * D_v(g)``.  No identity
-between atoms (``sin^2 + cos^2 = 1``) is applied, so a nonzero
-polynomial may still vanish in value; checks sample those.
+between atoms (``sin^2 + cos^2 = 1``, a sum atom = its terms) is applied,
+so a nonzero polynomial may still vanish in value; checks sample those.
 """
 
 from __future__ import annotations

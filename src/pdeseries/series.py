@@ -155,16 +155,18 @@ class SpatialOperator:
                 raise TimeNotAllowed("operator coefficients must be time-free", 0)
 
 
-def apply_rows(ring: Ring, op: SpatialOperator, vec: Sequence[Poly]) -> list[Poly]:
-    """Apply the operator to a vector of polynomials of ``ring``.
+def apply_rows(
+    ring: Ring, op: SpatialOperator, vec: Sequence[Poly], forcing: Sequence[Poly]
+) -> list[Poly]:
+    """``L vec + forcing`` on polynomials of ``ring``, one sum per component.
 
     A partial derivative that several terms need (the d/dx1 of u under
     both d2/dx1^2 and d/dx1) is taken once per call, and the ring takes
     the derivative of each atom once per variable."""
-    if len(vec) != op.m:
-        raise DimensionMismatch(f"vector length {len(vec)} != {op.m}")
+    if len(vec) != op.m or len(forcing) != op.m:
+        raise DimensionMismatch(f"vector lengths {len(vec)}, {len(forcing)} != {op.m}")
     partials: dict[tuple, Poly] = {}
-    rows: list[list[Poly]] = [[] for _ in range(op.m)]
+    rows = [[c] for c in forcing]
     for term in op.terms:
         key: tuple = (term.col,)
         d = vec[term.col]

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch
 from .expr import DEFAULT_PLAN, SamplePlan
-from .poly import ZERO, add
+from .poly import ZERO
 from .series import (
     ProblemSpec,
     Rows,
@@ -47,7 +47,7 @@ def taylor_rows(p: ProblemSpec) -> Rows:
     f = forcing_rows(p, p.order)
     rows = [list(map(ring.from_tree, p.u0)), list(map(ring.from_tree, p.u1))]
     for j in range(p.order - 1):
-        w = [add(a, b) for a, b in zip(apply_rows(ring, p.L, rows[j]), f[j])]
+        w = apply_rows(ring, p.L, rows[j], f[j])
         rows.append(scale_rows(p.rho_inv.scaled(Fraction(1, (j + 1) * (j + 2))), w))
     return rows
 
@@ -88,7 +88,7 @@ def detect_exact(
     linear = (
         vanishes(map(ring.from_tree, p.u0))
         and vanishes(f[0])
-        and vanishes([add(a, b) for a, b in zip(apply_rows(ring, p.L, u1), f[1])])
+        and vanishes(apply_rows(ring, p.L, u1, f[1]))
         and all(vanishes(f[j]) for j in range(2, order + 1))
     )
     if linear and not vanishes(u1):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .errors import DimensionMismatch
 from .expr import DEFAULT_PLAN, SamplePlan
 from .hpm import hpm_rows, sum_rows
-from .poly import ZERO, add, scale, sub
+from .poly import ZERO, sub
 from .series import (
     ProblemSpec,
     TimeSeriesVec,
@@ -96,9 +96,8 @@ def residual_check(
     f = forcing_rows(p, order)
     checks = []
     for k in range(order - 1):
-        second = [scale(c, (k + 1) * (k + 2)) for c in rows[k + 2]]
-        lhs = scale_rows(p.rho, second)
-        rhs = [add(a, b) for a, b in zip(apply_rows(ring, p.L, rows[k]), f[k])]
+        lhs = scale_rows(p.rho.scaled((k + 1) * (k + 2)), rows[k + 2])
+        rhs = apply_rows(ring, p.L, rows[k], f[k])
         deviation = max(ring.deviation(sub(a, b), ZERO, plan) for a, b in zip(lhs, rhs))
         checks.append(DegreeCheck(k, deviation <= plan.tolerance, deviation))
     return ResidualReport(tuple(checks), all(c.passed for c in checks))

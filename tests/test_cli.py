@@ -440,6 +440,21 @@ class TestErrorsAndExitCodes:
         code, out, err = run(capsys, command, str(path), *extra)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("forcing", [
+        "(7^500*x1 + t)^99999",  # a one-term constant to the power
+        "(7^500*x1 + 7^500*x1^2 + t)^(-99999)",  # a sum's content to the power
+    ])
+    def test_power_of_a_large_constant_term_is_input_error(self, tmp_path, capsys, forcing):
+        doc = {
+            "m": 1, "n": 1, "rho": [["1"]],
+            "L": [{"row": 0, "col": 0, "coeff": "1", "derivs": [2]}],
+            "f": [forcing], "u0": ["0"], "u1": ["0"], "order": 3,
+        }
+        path = tmp_path / "large_power.prob"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(capsys, "solve", str(path)) == (
+            2, "", "error: power of a constant too large to represent\n")
+
     @pytest.mark.parametrize("argv,message", [
         (("hpm", WAVE, "--corrections", "-1"), "--corrections must be >= 0"),
         (("compare", WAVE, "--corrections", "0"), "--corrections must be >= 1"),

@@ -147,6 +147,16 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(Pow(Var(1), -1), (0.0,))
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda: evaluate(parse_expr("t*x1", 1, allow_time=True), (0.5,)),
+         "expression uses the time symbol but no time value was given"),
+        (lambda: parse_expr("x1", -1), "spatial dimension must be nonnegative"),
+    ])
+    def test_argument_errors(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
 
 class TestDifferentiate:
     def test_chain_rule_square(self):

@@ -181,8 +181,8 @@ class TestStructuralLaws:
         # polynomial operator that the engine uses cannot cancel out
         apply_rows = series.apply_rows
 
-        def doubled(ring, op, vec):
-            return [scale(p, 2) for p in apply_rows(ring, op, vec)]
+        def doubled(ring, op, vec, forcing):
+            return [scale(p, 2) for p in apply_rows(ring, op, vec, forcing)]
 
         monkeypatch.setattr(series, "apply_rows", doubled)
         monkeypatch.setattr(hpm, "apply_rows", doubled)

@@ -555,10 +555,12 @@ class TestProblemFiles:
          "L[0].derivs entries must be nonnegative"),
         (lambda d: d.update(u0=[3]), FormatError, "u0[0] must be an expression string"),
         (lambda d: d.update(rho=[["1", "0"], ["0", "1"]]), DimensionMismatch,
-         "field 'rho' must be an 1x1 array"),
-        (lambda d: d.update(rho=["1"]), DimensionMismatch, "field 'rho' must be an 1x1 array"),
-        (lambda d: d.update(rho=[["1/0"]]), FormatError,
-         "rho[0][0] is not a valid rational: Fraction(1, 0)"),
+         "field 'rho' must be an array of shape 1x1"),
+        (lambda d: d.update(rho=["1"]), DimensionMismatch,
+         "field 'rho' must be an array of shape 1x1"),
+        (lambda d: d.update(rho=[["1/0"]]), FormatError, "rho[0][0] has a zero denominator"),
+        (lambda d: d.update(rho=[["1/x"]]), FormatError,
+         "rho[0][0] is not a valid rational: Invalid literal for Fraction: '1/x'"),
         (lambda d: d.update(L={}), FormatError, "field 'L' must be a list of operator terms"),
         (lambda d: d["L"].__setitem__(0, [0, 0, 1, [2, 0]]), FormatError,
          "L[0] must be an object"),

@@ -55,6 +55,9 @@ from pdeseries.taylor import taylor_coefficients, taylor_rows
 from pdeseries.verify import equivalence_check
 
 SEEDS = st.integers(min_value=0, max_value=10**6)
+# the bundled problems and the benchmark's
+_PROBLEM_FILES = sorted(PROBLEM_DIR.glob("*.prob")) + sorted(
+    (PROBLEM_DIR.parent / "benchmarks" / "problems").glob("*.prob"))
 
 def _random_polys(seed: int, count: int):
     """``count`` polynomials of one ring, with functions, ln and
@@ -146,18 +149,20 @@ class TestAgainstReference:
             assert ref_of(_normal(ring.diff(p, v))) == ref_diff(ring, ref_of(p), v)
 
     def test_engines_equal_the_reference_trees(self):
-        for seed in range(2000, 2030):
-            p, corrections = random_problem(seed)
+        problems = [(seed, *random_problem(seed)) for seed in range(2000, 2030)]
+        for path in _PROBLEM_FILES:
+            p = load_problem(str(path))
+            problems.append((path.name, p, (p.order - 1) // 2))
+        for case, p, corrections in problems:
             direct, hpm = ref_engines(p, corrections)
             ring = problem_ring(p)
             got = [taylor_rows(p), *hpm_rows(p, corrections, p.order)]
             for rows, want in zip(got, [direct, *hpm]):
                 for row, ref_row in zip(rows, want, strict=True):
                     for c, r in zip(row, ref_row, strict=True):
-                        assert _built_as_first_written(ring, _normal(c)) == ref_tree(ring, r), seed
+                        assert _built_as_first_written(ring, _normal(c)) == ref_tree(ring, r), case
 
-    @pytest.mark.parametrize("path", sorted(PROBLEM_DIR.glob("*.prob")) + sorted(
-        (PROBLEM_DIR.parent / "benchmarks" / "problems").glob("*.prob")), ids=lambda p: p.name)
+    @pytest.mark.parametrize("path", _PROBLEM_FILES, ids=lambda p: p.name)
     def test_problem_rows_are_built_as_first_written(self, path):
         p = load_problem(str(path))
         ring = problem_ring(p)
@@ -263,6 +268,16 @@ class TestConversions:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    @pytest.mark.parametrize("text,k", [
+        ("7^500*x1", 99999),  # one term: its rational to the power
+        ("7^500*x1 + 7^500*x1^2", -99999),  # a sum atom: its content to the power
+    ])
+    def test_a_power_of_a_large_constant_is_refused(self, text, k):
+        ring = Ring()
+        with pytest.raises(DomainError) as err:
+            ring.power(ring.from_tree(parse_expr(text, 1)), k)
+        assert str(err.value) == "power of a constant too large to represent"
+
     def test_positive_powers_of_sums_are_multiplied_out(self):
         # (x1 * (1 + x1)^-1)^-2 = x1^-2 * (1 + x1)^2, with the square expanded
         ring = Ring()
@@ -270,6 +285,17 @@ class TestConversions:
         raw = Pow(Prod((Var(1), s_inv)), -2)
         assert ring.from_tree(raw) == ring.from_tree(normalize(raw))
         assert ring.to_tree(ring.from_tree(raw)) == parse_expr("1 + 2*x1^(-1) + x1^(-2)", 1)
+
+    def test_a_sum_atom_to_the_first_power_is_equal_in_value_only(self):
+        # the normal form is not unique here: == tells the two apart, and
+        # only the sampled deviation sees that they agree
+        ring = Ring()
+        first = mul(ring.from_tree(parse_expr("(x1 + x2)^99999999", 2)),
+                    ring.from_tree(parse_expr("(x1 + x2)^(-99999998)", 2)))
+        expanded = ring.from_tree(parse_expr("x1 + x2", 2))
+        assert list(first.num) == [(0, 0, 1)] and list(expanded.num) == [(1,), (0, 1)]
+        assert first != expanded and len(sub(first, expanded)) == 3
+        assert ring.deviation(first, expanded, PLAN) == 0.0
 
     def test_special_values_fold(self):
         ring = Ring()

@@ -18,6 +18,7 @@ from conftest import (
     problem_path,
     random_normal_expr,
     random_numeric_expr,
+    random_problem,
     random_raw_expr,
     variable_indices,
 )
@@ -29,6 +30,7 @@ from pdeseries.errors import (
     ExpansionSingular,
     SamplingExhausted,
     SingularRho,
+    TimeNotAllowed,
 )
 from pdeseries.expr import (
     FUNCTIONS,
@@ -56,6 +58,7 @@ from pdeseries.poly import ONE as POLY_ONE, ZERO as POLY_ZERO, Ring, add, scale
 from pdeseries.taylor import taylor_coefficients, taylor_rows
 from pdeseries.series import (
     OperatorTerm,
+    ProblemSpec,
     RationalMatrix,
     SpatialOperator,
     TimeSeriesVec,
@@ -115,8 +118,10 @@ def _laplacian_2d() -> SpatialOperator:
 
 
 def _apply_trees(ring: Ring, op: SpatialOperator, vec) -> list[Expr]:
-    """``apply_rows`` on the polynomials of the trees ``vec``, as trees."""
-    return [ring.to_tree(c) for c in apply_rows(ring, op, [ring.from_tree(e) for e in vec])]
+    """``apply_rows`` on the polynomials of the trees ``vec``, with no
+    forcing, as trees."""
+    vec = [ring.from_tree(e) for e in vec]
+    return [ring.to_tree(c) for c in apply_rows(ring, op, vec, [POLY_ZERO] * op.m)]
 
 
 class TestApplyRows:
@@ -126,7 +131,7 @@ class TestApplyRows:
         assert equal_sampled(got[0], want, PLAN)
 
     def test_zero_vector(self):
-        assert apply_rows(Ring(), _laplacian_2d(), [POLY_ZERO]) == [POLY_ZERO]
+        assert apply_rows(Ring(), _laplacian_2d(), [POLY_ZERO], [POLY_ZERO]) == [POLY_ZERO]
 
     def test_second_derivative_of_sine(self):
         op = SpatialOperator(1, 1, (OperatorTerm(0, 0, const(1), (2,)),))
@@ -149,13 +154,27 @@ class TestApplyRows:
         a = random_numeric_expr(rng, depth=2)
         b = random_numeric_expr(rng, depth=2)
         q = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        left = apply_rows(ring, op, [ring.from_tree(const(q) * a + b)])
-        pa, pb = (apply_rows(ring, op, [ring.from_tree(e)])[0] for e in (a, b))
+        left = apply_rows(ring, op, [ring.from_tree(const(q) * a + b)], [POLY_ZERO])
+        pa, pb = (apply_rows(ring, op, [ring.from_tree(e)], [POLY_ZERO])[0] for e in (a, b))
         assert left == [add(scale(pa, q), pb)]
 
     def test_rejects_wrong_length(self):
         with pytest.raises(DimensionMismatch):
-            apply_rows(Ring(), _laplacian_2d(), [POLY_ZERO, POLY_ZERO])
+            apply_rows(Ring(), _laplacian_2d(), [POLY_ZERO, POLY_ZERO], [POLY_ZERO])
+        with pytest.raises(DimensionMismatch):
+            apply_rows(Ring(), _laplacian_2d(), [POLY_ZERO], [POLY_ZERO, POLY_ZERO])
+
+    @pytest.mark.parametrize("seed", range(2000, 2030))
+    def test_forcing_is_added_in_the_same_sum(self, seed):
+        # the forcing joins the operator's sum, with the value of adding
+        # it to the unforced image afterwards
+        p, _ = random_problem(seed)
+        ring = problem_ring(p)
+        zero = [POLY_ZERO] * p.m
+        f = forcing_rows(p, p.order)
+        for u, fj in zip(taylor_rows(p), f):
+            want = [add(a, b) for a, b in zip(apply_rows(ring, p.L, u, zero), fj)]
+            assert apply_rows(ring, p.L, u, fj) == want
 
 
 def _random_operator(rng, m, n):
@@ -229,7 +248,7 @@ class TestOperatorDifferentiatesOnce:
             OperatorTerm(1, 0, const(1), (1, 1)),
             OperatorTerm(0, 1, const(1), (0, 2)),
         ))
-        apply_rows(ring, op, [u, u])
+        apply_rows(ring, op, [u, u], [POLY_ZERO] * 2)
         # column 0: d/dx1, d2/dx1^2, d2/dx1dx2; column 1: d/dx2, d2/dx2^2
         assert sorted(calls) == [1, 1, 2, 2, 2]
 
@@ -253,7 +272,7 @@ class TestOperatorDifferentiatesOnce:
         for _ in range(2):
             derived.clear()
             ring = Ring()  # the derivatives an earlier call took are kept
-            apply_rows(ring, op, [ring.from_tree(u)] * 2)
+            apply_rows(ring, op, [ring.from_tree(u)] * 2, [POLY_ZERO] * 2)
             # d/dx1 of u serves three terms, and cos(x1*x2) is derived
             # once per variable although it occurs in two atoms of u
             assert len(derived) == len(set(derived))
@@ -648,3 +667,52 @@ class TestTimeSeriesVec:
         for copied in (pickle.loads(pickle.dumps(taylor_coefficients(p))),
                        copy.copy(taylor_coefficients(p))):
             assert vars(copied).keys() == {"m", "order", "coeffs"}
+
+
+_D2 = SpatialOperator(1, 1, (OperatorTerm(0, 0, const(1), (2,)),))
+_I1 = RationalMatrix.identity(1)
+
+
+def _problem(m=1, n=1, rho=_I1, f=(ZERO,), u0=(ZERO,), u1=(ZERO,), order=1):
+    """``ProblemSpec.create`` on u_tt = u_x1x1 with zero data, one argument changed."""
+    return ProblemSpec.create(m, n, rho, _D2, f, u0, u1, order)
+
+
+class TestErrorPaths:
+    """Each check of the containers, with its error class and message."""
+
+    @pytest.mark.parametrize("build,error,message", [
+        (lambda: RationalMatrix.from_rows([[1, 2]]), DimensionMismatch,
+         "matrix must be square and non-empty"),
+        (lambda: RationalMatrix.from_rows([]), DimensionMismatch,
+         "matrix must be square and non-empty"),
+        (lambda: RationalMatrix.identity(2).matmul(_I1), DimensionMismatch,
+         "matrix sizes differ"),
+        (lambda: SpatialOperator(1, 1, (OperatorTerm(1, 0, const(1), (2,)),)),
+         DimensionMismatch, "operator term row/col (1,0) outside 0..0"),
+        (lambda: SpatialOperator(2, 1, (OperatorTerm(0, -1, const(1), (2,)),)),
+         DimensionMismatch, "operator term row/col (0,-1) outside 0..1"),
+        (lambda: SpatialOperator(1, 1, (OperatorTerm(0, 0, const(1), (2, 0)),)),
+         DimensionMismatch, "derivative multi-index length 2 != 1"),
+        (lambda: SpatialOperator(1, 2, (OperatorTerm(0, 0, const(1), (2, -1)),)),
+         DimensionMismatch, "derivative orders must be nonnegative"),
+        (lambda: SpatialOperator(1, 1, (OperatorTerm(0, 0, Var(TIME_INDEX), (2,)),)),
+         TimeNotAllowed, "operator coefficients must be time-free at offset 0"),
+        (lambda: expand_in_time(Var(1), -1), ValueError, "expansion order must be nonnegative"),
+        (lambda: TimeSeriesVec(1, -1, ()), ValueError, "series order must be nonnegative"),
+        (lambda: TimeSeriesVec(1, 0, ((ZERO, ZERO),)), DimensionMismatch,
+         "coefficient vector length 2 != 1"),
+        (lambda: _problem(order=0), ValueError, "truncation order must be at least 1"),
+        (lambda: _problem(m=2, f=(ZERO,) * 2, u0=(ZERO,) * 2, u1=(ZERO,) * 2),
+         DimensionMismatch, "rho is 1x1, expected 2x2"),
+        (lambda: _problem(n=2), DimensionMismatch,
+         "operator dimensions disagree with the problem"),
+        (lambda: _problem(u0=(ZERO, ZERO)), DimensionMismatch, "u0 has length 2, expected 1"),
+        (lambda: _problem(u1=(Var(TIME_INDEX),)), TimeNotAllowed,
+         "u1 must be time-free at offset 0"),
+        (lambda: _problem().with_order(0), ValueError, "truncation order must be at least 1"),
+    ])
+    def test_rejects(self, build, error, message):
+        with pytest.raises(error) as err:
+            build()
+        assert str(err.value) == message

@@ -13,7 +13,7 @@ from conftest import PLAN, problem_path, random_problem, tree_forcing
 from pdeseries.errors import DimensionMismatch
 from pdeseries.expr import ZERO, Var, const, equal_sampled
 from pdeseries.parser import load_problem, parse_expr
-from pdeseries.poly import Ring, add
+from pdeseries.poly import ZERO as POLY_ZERO, Ring, add
 from pdeseries.series import (
     OperatorTerm,
     ProblemSpec,
@@ -151,7 +151,8 @@ class TestRecursionProperties:
         ring = Ring()  # apart from the ring the engine computed in
         for j in range(p.order - 1):
             u = [ring.from_tree(c) for c in series.coefficient(j)]
-            w = [add(a, ring.from_tree(b)) for a, b in zip(apply_rows(ring, p.L, u), f[j])]
+            lu = apply_rows(ring, p.L, u, [POLY_ZERO] * p.m)
+            w = [add(a, ring.from_tree(b)) for a, b in zip(lu, f[j])]
             recomputed = tuple(map(ring.to_tree, scale_rows(p.rho_inv, w)))
             scaled_back = tuple(
                 c * const(Fraction((j + 1) * (j + 2))) for c in series.coefficient(j + 2)
