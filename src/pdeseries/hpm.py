@@ -54,10 +54,10 @@ def hpm_rows(p: ProblemSpec, corrections: int, working: int) -> list[Rows]:
     out = [first + [zero] * (working - 1)]
     # double time integral of rho^-1 (L u^(j-1) + f delta_j1), constants
     # zero: degree k over (k+1)(k+2) is degree k+2, cut at the working order
-    shift = [p.rho_inv.scaled(Fraction(1, (k + 1) * (k + 2))) for k in range(working - 1)]
+    shift = [Fraction(1, (k + 1) * (k + 2)) for k in range(working - 1)]
     for j in range(1, corrections + 1):
         out.append([zero, zero] + [
-            scale_rows(shift[k], apply_rows(ring, p.L, row, f[k] if j == 1 else zero))
+            scale_rows(p.rho_inv, apply_rows(ring, p.L, row, f[k] if j == 1 else zero), shift[k])
             for k, row in enumerate(out[-1][:working - 1])
         ])
     return out

@@ -65,7 +65,7 @@ from .expr import (
     esum,
     sort_key,
 )
-from .poly import Poly, Ring, _unit
+from .poly import Poly, Ring
 from .series import (
     OperatorTerm, ProblemSpec, RationalMatrix, SpatialOperator, invert, problem_ring,
 )
@@ -381,16 +381,16 @@ def print_poly(ring: Ring, p: Poly) -> str:
         raise DomainError("product of constants too large to represent") from exc
 
 
-def _monomial(ring: Ring, m: tuple) -> tuple:
-    """The ``sort_key`` and the text of the tree of the monomial ``m``,
-    and whether it is a sum atom alone, kept in ``ring.printed``.  Its
-    factors sort by atom key: the atom's key for a, (3, key, e) for a^e,
-    (4, *factor keys) for a product."""
+def _monomial(ring: Ring, m: int) -> tuple:
+    """The ``sort_key`` and the text of the tree of the packed monomial
+    ``m``, and whether it is a sum atom alone, kept in ``ring.printed``.
+    Its factors sort by atom key: the atom's key for a, (3, key, e) for
+    a^e, (4, *factor keys) for a product."""
     printed = ring.printed
     factors = []
-    for i, e in enumerate(m):
+    for i, e in enumerate(ring.exponents(m)):
         if e:
-            unit = _unit(i)
+            unit = 1 << ring.width * i
             atom = printed.get(unit)
             if atom is None:
                 tree = ring.trees[i]

@@ -1,14 +1,14 @@
 """Sparse distributed polynomials over an interned table of atoms.
 
 Both engines compute in this form.  A polynomial is a ``Poly``: a
-``dict`` from an exponent tuple (entry i: the exponent of atom i) to a
+``dict`` from a key, the sum of e_i * 2^(W*i) over the exponents e_i
+of atoms i in signed W-bit fields (Monagan & Pearce, CASC 2007), to a
 nonzero ``int`` numerator, over one positive ``int`` denominator, as in
-FLINT's ``fmpq_poly`` and ``sympy.polys.rings.PolyElement.clear_denoms``.
-It is kept in normal form: the denominator is coprime to the content of
-the numerators, no tuple ends in a zero, and zero is no terms over 1.
-Each operation makes its result with one ``math.gcd`` over the
-denominator and the numerators, and a polynomial is never changed once
-made.  Equal normal forms are equal values; unequal ones are sampled.
+FLINT's ``fmpq_poly``.  Keys add as monomials multiply; the constant's
+is 0.  A ring refuses a result whose ``top``, a bound on its |e_i|,
+reaches 2^(W-1).  In normal form the denominator is coprime to the
+numerators' content and zero is no terms over 1.  Equal normal forms
+are equal values; unequal ones are sampled.
 
 ``Fraction`` is met only at the edges: constants of trees read and
 written (``Ring.from_tree``, and ``Ring.to_tree``, which builds through
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add as _plus
 
 from .errors import DomainError
 from .expr import (
@@ -52,18 +51,18 @@ from .expr import (
 
 class Poly:
     """``num`` over ``den`` in normal form; the constructor normalises.
-    ``num`` must hold nonzero ints under trimmed tuples, and neither
-    field is changed afterwards.  Falsy exactly when zero."""
+    ``num`` must hold nonzero ints under keys whose |exponents| ``top``
+    bounds, and no field is changed afterwards.  Falsy exactly when zero."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "top")
 
-    def __init__(self, num: dict, den: int = 1):
+    def __init__(self, num: dict, den: int = 1, top: int = 0):
         if den != 1:
             g = math.gcd(den, *num.values())
             if g != 1:
                 den //= g
                 num = {m: c // g for m, c in num.items()}
-        self.num, self.den = num, den
+        self.num, self.den, self.top = num, den, top
 
     def __len__(self) -> int:
         return len(self.num)
@@ -76,28 +75,17 @@ class Poly:
 
 
 ZERO = Poly({})
-ONE = Poly({(): 1})
+ONE = Poly({0: 1})
 
 
 def const(q) -> Poly:
     """The constant polynomial of the rational or int ``q``."""
-    return Poly({(): q.numerator}, q.denominator) if q else ZERO
+    return Poly({0: q.numerator}, q.denominator) if q else ZERO
 
 
 # A positive power of a sum is multiplied out when it has at most this
 # many terms; a larger one, such as (1 + x1)^99999999, stays one atom.
 EXPAND_LIMIT = 1000
-
-
-def _trim(m: tuple) -> tuple:
-    n = len(m)
-    while n and not m[n - 1]:
-        n -= 1
-    return m[:n]
-
-
-def _unit(i: int, e: int = 1) -> tuple:
-    return (0,) * i + (e,)
 
 
 def _nonzero(num: dict) -> dict:
@@ -118,7 +106,7 @@ def add(*parts: Poly) -> Poly:
         for m, c in p.num.items():
             s = get(m)
             out[m] = c * f if s is None else s + c * f
-    return Poly(_nonzero(out), den)
+    return Poly(_nonzero(out), den, max([p.top for p in parts]))
 
 
 def sub(a: Poly, b: Poly) -> Poly:
@@ -132,10 +120,11 @@ def scale(p: Poly, q) -> Poly:
     n, d = q.numerator, q.denominator
     if n == 1 and d == 1:
         return p
-    return Poly({m: c * n for m, c in p.num.items()}, p.den * d)
+    return Poly({m: c * n for m, c in p.num.items()}, p.den * d, p.top)
 
 
 def mul(a: Poly, b: Poly) -> Poly:
+    """One key sum per pair of terms; ``Ring.checked`` bounds the ``top``."""
     na, nb = a.num, b.num
     if len(na) < len(nb):
         na, nb = nb, na
@@ -143,19 +132,20 @@ def mul(a: Poly, b: Poly) -> Poly:
     get = out.get
     terms_b = list(nb.items())
     for ma, ca in na.items():
-        la = len(ma)
         for mb, cb in terms_b:
-            lb = len(mb)
-            m = tuple(map(_plus, ma, mb))
-            if la > lb:
-                m += ma[lb:]
-            elif lb > la:
-                m += mb[la:]
-            elif m and not m[-1]:
-                m = _trim(m)  # a negative exponent cancelled the last one
+            m = ma + mb
             c = get(m)
             out[m] = ca * cb if c is None else c + ca * cb
-    return Poly(_nonzero(out), a.den * b.den)
+    return Poly(_nonzero(out), a.den * b.den, a.top + b.top)
+
+
+def _reach(e: Expr) -> int:
+    """A bound on the exponents ``Ring.from_tree`` makes of ``e``."""
+    if isinstance(e, (Const, Var)):
+        return int(isinstance(e, Var))
+    if isinstance(e, (Pow, Func)):
+        return abs(e.exponent) * _reach(e.base) if isinstance(e, Pow) else max(1, _reach(e.arg))
+    return max(map(_reach, e.terms)) if isinstance(e, Sum) else sum(map(_reach, e.factors))
 
 
 class Ring:
@@ -164,35 +154,54 @@ class Ring:
     ``trees[i]`` is atom i as a canonical tree: a ``Var``, a ``Func`` or
     a primitive ``Sum``.  ``polys[i]`` is what its derivative reads: the
     function's argument, the sum itself, or None.  ``known`` maps every
-    tree converted here to its polynomial.  ``printed`` maps a monomial
-    to what ``parser.print_poly`` writes it from, and is filled there.
-    Polynomials of different rings must not meet."""
+    tree converted here to its polynomial; ``printed``, which the parser
+    fills, a key to what ``print_poly`` writes it from.  Key fields are
+    ``width`` bits, 32 over the exponents ``from_tree`` makes of ``trees``
+    and at least 64.  Polynomials of different rings must not meet."""
 
-    def __init__(self):
+    def __init__(self, *trees: Expr):
+        width = max(64, max(map(_reach, trees), default=0).bit_length() + 32)
+        self.width, self.half, self.mask, self.bias = width, 1 << (width - 1), (1 << width) - 1, 0
         self.trees: list[Expr] = []
         self.polys: list[Poly | None] = []
         self.index: dict[Expr, int] = {}
         self.known: dict[Expr, Poly] = {}
         self.derivatives: dict[tuple[int, int], Poly] = {}
-        self.printed: dict[tuple, tuple] = {}
+        self.printed: dict[int, tuple] = {}
+
+    def exponents(self, key: int) -> tuple[int, ...]:
+        """The exponents packed in ``key``, without trailing zeros."""
+        out = []
+        while key:  # field 0 is the residue of the key in [-half, half)
+            out.append(((key + self.half) & self.mask) - self.half)
+            key = (key - out[-1]) >> self.width
+        return tuple(out)
+
+    def checked(self, p: Poly) -> Poly:
+        """``p``, refused where a field may not hold its exponents."""
+        if p.top >= self.half:
+            raise DomainError("exponent too large to represent")
+        return p
 
     def atom(self, tree: Expr, poly: Poly | None = None) -> int:
+        """The key of the atom ``tree``, added to the table if new."""
         i = self.index.get(tree)
         if i is None:
             i = self.index[tree] = len(self.trees)
             self.trees.append(tree)
             self.polys.append(poly)
-        return i
+            self.bias += self.half << self.width * i  # 2^(W-1) in each atom's field
+        return 1 << self.width * i
 
     def from_tree(self, e: Expr) -> Poly:
         """The polynomial of a tree, each compound subtree converted once
         per ring and kept in ``known``.  Raises DomainError where the tree
         raises a zero polynomial to a negative power, or a constant past
-        the digit limit."""
+        the digit limit or an exponent past the fields."""
         if isinstance(e, Const):
             return const(e.value)
         if isinstance(e, Var):
-            return Poly({_unit(self.atom(e)): 1})
+            return Poly({self.atom(e): 1}, 1, 1)
         p = self.known.get(e)
         if p is not None:
             return p
@@ -201,13 +210,13 @@ class Ring:
         elif isinstance(e, Prod):
             p = ONE
             for f in e.factors:
-                p = mul(p, self.from_tree(f))
+                p = self.checked(mul(p, self.from_tree(f)))
         elif isinstance(e, Pow):
             p = self.power(self.from_tree(e.base), e.exponent)
         elif isinstance(e, Func):
             a = self.from_tree(e.arg)
             # a function of a variable is its own atom
-            p = Poly({_unit(self.atom(e, a)): 1}) if isinstance(e.arg, Var) else self.func(e.name, a)
+            p = Poly({self.atom(e, a): 1}, 1, 1) if isinstance(e.arg, Var) else self.func(e.name, a)
         else:
             raise TypeError(f"not an expression: {e!r}")
         self.known[e] = p
@@ -219,8 +228,8 @@ class Ring:
         ``eprod`` where a rational has too many digits to print)."""
         trees, den = self.trees, p.den
         return esum(
-            eprod([Const(Fraction(c, den)),
-                   *(trees[i] if e == 1 else Pow(trees[i], e) for i, e in enumerate(m) if e)])
+            eprod([Const(Fraction(c, den)), *(trees[i] if e == 1 else Pow(trees[i], e)
+                                              for i, e in enumerate(self.exponents(m)) if e)])
             for m, c in p.num.items()
         )
 
@@ -242,58 +251,58 @@ class Ring:
             c, d = (c ** k, d ** k) if k > 0 else (d ** -k, c ** -k)
             if d < 0:
                 c, d = -c, -d
-            mono = [e * k for e in m]
-            out = ONE
-            for i, e in enumerate(mono):
-                if e > 0 and isinstance(self.trees[i], Sum):
+            out, key = ONE, m * k
+            for i, e in enumerate(self.exponents(m)):
+                if e * k > 0 and isinstance(self.trees[i], Sum):
                     # (S^-j)^-k: a positive power of a sum, multiplied out
-                    mono[i] = 0
-                    out = mul(out, self.power(self.polys[i], e))
-            return mul(out, Poly({_trim(tuple(mono)): c}, d))
+                    key -= e * k << self.width * i
+                    out = self.checked(mul(out, self.power(self.polys[i], e * k)))
+            return self.checked(mul(out, Poly({key: c}, d, abs(k) * p.top)))
         if k > 0 and math.comb(len(p.num) + k - 1, k) <= EXPAND_LIMIT:
             out = p
             for _ in range(k - 1):
-                out = mul(out, p)
+                out = self.checked(mul(out, p))
             return out
         content, primitive = _sum_content(self.to_tree(p))
         if too_large_power(content, k):
             raise DomainError("power of a constant too large to represent")
         q = content ** k
-        return Poly({_unit(self.atom(primitive, scale(p, 1 / content)), k): q.numerator},
-                    q.denominator)
+        key = k * self.atom(primitive, scale(p, 1 / content))
+        return self.checked(Poly({key: q.numerator}, q.denominator, abs(k)))
 
     def func(self, name: str, a: Poly) -> Poly:
         if not a and name in _AT_ZERO:
             return self.from_tree(_AT_ZERO[name])
         if name == "ln" and a == ONE:
             return ZERO
-        return Poly({_unit(self.atom(Func(name, self.to_tree(a)), a)): 1})
+        return Poly({self.atom(Func(name, self.to_tree(a)), a): 1}, 1, 1)
 
     def diff(self, p: Poly, v: int) -> Poly:
-        """Partial derivative in variable ``v``.  One pass over the terms
-        builds dp/d(atom i) for every atom i whose derivative is nonzero."""
-        partials: dict = {}  # atom i -> numerators of dp/d(atom i)
-        constant = set()  # atoms whose derivative is zero
-        for m, c in p.num.items():
-            last = len(m) - 1
-            for i, e in enumerate(m):
-                if not e or i in constant:
-                    continue
-                partial = partials.get(i)
-                if partial is None:
-                    if not self._atom_derivative(i, v):
-                        constant.add(i)
-                        continue
-                    partial = partials[i] = {}
-                if i < last:
-                    partial[m[:i] + (e - 1,) + m[i + 1:]] = c * e
+        """Partial derivative in variable ``v``: for each atom i that a key
+        holds (read with 2^(W-1) added to each field), dp/d(atom i) * D_v."""
+        if not p.num:
+            return ZERO
+        width, half, mask, bias = self.width, self.half, self.mask, self.bias
+        terms = [(m + bias, m, c) for m, c in p.num.items()]
+        held = 0
+        for b, _, _ in terms:
+            held |= b ^ bias
+        parts, i, shift = [], 0, 0
+        while held:  # field i of held is nonzero where a term holds atom i
+            if held & mask and (d := self._atom_derivative(i, v)):
+                unit, partial = 1 << shift, {}
+                for b, m, c in terms:
+                    e = (b >> shift & mask) - half
+                    if e:
+                        partial[m - unit] = c * e
+                if len(d.num) == 1:
+                    ((key, k),) = d.num.items()
+                    parts.append(Poly({m + key: c * k for m, c in partial.items()},
+                                      p.den * d.den, p.top + 1 + d.top))
                 else:
-                    partial[_trim(m[:i]) if e == 1 else m[:i] + (e - 1,)] = c * e
-        parts = []
-        for i, partial in partials.items():
-            d, partial = self.derivatives[i, v], Poly(partial, p.den)
-            parts.append(partial if d == ONE else mul(partial, d))
-        return add(*parts)
+                    parts.append(mul(Poly(partial, p.den, p.top + 1), d))
+            held, i, shift = held >> width, i + 1, shift + width
+        return self.checked(add(*parts))
 
     def _atom_derivative(self, i: int, v: int) -> Poly:
         """D_v of atom i, taken once per ring."""
@@ -306,7 +315,8 @@ class Ring:
                 d = self.diff(poly, v)
             else:
                 inner = self.diff(poly, v)
-                d = mul(self.from_tree(_outer_derivative(tree)), inner) if inner else ZERO
+                d = ZERO if not inner else self.checked(
+                    mul(self.from_tree(_outer_derivative(tree)), inner))
             self.derivatives[i, v] = d
         return d
 

@@ -84,12 +84,6 @@ class RationalMatrix:
             for i in range(m)
         ))
 
-    def scaled(self, factor: Fraction) -> "RationalMatrix":
-        q = Fraction(factor)
-        return RationalMatrix(tuple(
-            tuple(q * x for x in row) for row in self.entries
-        ))
-
 
 def invert(matrix: RationalMatrix) -> RationalMatrix:
     """Exact inverse by rational Gauss-Jordan elimination.
@@ -178,7 +172,7 @@ def apply_rows(
                     got = partials[key] = ring.diff(d, variable)
                 d = got
         if d.num:
-            rows[term.row].append(mul(ring.from_tree(term.coeff), d))
+            rows[term.row].append(ring.checked(mul(ring.from_tree(term.coeff), d)))
     return [add(*parts) for parts in rows]
 
 
@@ -401,29 +395,24 @@ class _RingJets(_Jets):
     mapping t to a0 and each g(t) there to g(a0), monomial by monomial."""
 
     _terms = staticmethod(lambda c: (c,))
+    _add = staticmethod(lambda parts: add(*parts))
 
     def __init__(self, ring: Ring, order: int):
         super().__init__(order)
         self.ring, self._power, self._leaf = ring, ring.power, ring.from_tree
 
-    @staticmethod
-    def _add(parts: list) -> Poly:
-        return add(*parts)
-
-    @staticmethod
-    def _mul(factors: list) -> Poly:
+    def _mul(self, factors: list) -> Poly:
         out = POLY_ONE
         for f in factors:
-            out = f if out is POLY_ONE else mul(out, f)
+            out = f if out is POLY_ONE else self.ring.checked(mul(out, f))
         return out
 
     @staticmethod
     def _constant(c: Poly) -> Fraction | None:
         num = c.num
-        if not num:
-            return Fraction(0)
-        n = num.get(()) if len(num) == 1 else None
-        return None if n is None else Fraction(n, c.den)
+        if len(num) == 1 and 0 in num:
+            return Fraction(num[0], c.den)
+        return None if num else 0
 
     def _taylor(self, name: str, a0: Poly, count: int) -> list:
         if name not in self.derivatives:
@@ -434,8 +423,8 @@ class _RingJets(_Jets):
             derivatives.append(small.diff(derivatives[-1], TIME_INDEX))
         images = [a0 if isinstance(g, Var) else self.ring.func(g.name, a0) for g in small.trees]
         return [self._add([
-            self._mul([Poly({(): c}, derivatives[k].den * math.factorial(k)),
-                       *(self.ring.power(images[i], e) for i, e in enumerate(m) if e)])
+            self._mul([Poly({0: c}, derivatives[k].den * math.factorial(k)),
+                       *(self.ring.power(images[i], e) for i, e in enumerate(small.exponents(m)) if e)])
             for m, c in derivatives[k].num.items()
         ]) for k in range(count)]
 
@@ -444,9 +433,9 @@ class _RingJets(_Jets):
 # Vectors of polynomials
 # ---------------------------------------------------------------------------
 
-def scale_rows(matrix: RationalMatrix, v: Sequence[Poly]) -> list[Poly]:
-    """Exact matrix-vector product on polynomials."""
-    return [add(*(scale(p, q) for q, p in zip(row, v))) for row in matrix.entries]
+def scale_rows(matrix: RationalMatrix, v: Sequence[Poly], factor=1) -> list[Poly]:
+    """``factor`` times the exact matrix-vector product on polynomials."""
+    return [add(*(scale(p, q * factor) for q, p in zip(row, v))) for row in matrix.entries]
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +498,8 @@ def series_rows(ring: Ring, s: TimeSeriesVec) -> Rows:
 
 
 def series_ring(s: TimeSeriesVec) -> Ring:
-    """The ring of the rows ``s`` keeps, or a new one for a series of trees."""
-    return vars(s).get("_ring") or Ring()
+    """The ring of the rows ``s`` keeps, or a new one sized for its trees."""
+    return vars(s).get("_ring") or Ring(*(c for row in s.coeffs for c in row))
 
 
 def rows_series(ring: Ring, rows: Rows) -> TimeSeriesVec:
@@ -595,15 +584,16 @@ class ProblemSpec:
 
 # Per-problem caches, kept as attributes rather than fields so that
 # equality, hashing and repr ignore them: the forcing expansion per
-# component, and the ring both engines compute in.
-_HIDDEN = {"_forcing": list, "_ring": Ring}
+# component, and the ring both engines compute in, sized for its trees.
+_HIDDEN = {"_forcing": lambda p: [], "_ring": lambda p: Ring(
+    *p.u0, *p.u1, *p.f_source, *(t.coeff for t in p.L.terms))}
 
 
 def _hidden(p: ProblemSpec, name: str):
     try:
         return getattr(p, name)
     except AttributeError:
-        value = _HIDDEN[name]()
+        value = _HIDDEN[name](p)
         object.__setattr__(p, name, value)
         return value
 

@@ -48,7 +48,7 @@ def taylor_rows(p: ProblemSpec) -> Rows:
     rows = [list(map(ring.from_tree, p.u0)), list(map(ring.from_tree, p.u1))]
     for j in range(p.order - 1):
         w = apply_rows(ring, p.L, rows[j], f[j])
-        rows.append(scale_rows(p.rho_inv.scaled(Fraction(1, (j + 1) * (j + 2))), w))
+        rows.append(scale_rows(p.rho_inv, w, Fraction(1, (j + 1) * (j + 2))))
     return rows
 
 

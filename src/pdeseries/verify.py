@@ -96,7 +96,7 @@ def residual_check(
     f = forcing_rows(p, order)
     checks = []
     for k in range(order - 1):
-        lhs = scale_rows(p.rho.scaled((k + 1) * (k + 2)), rows[k + 2])
+        lhs = scale_rows(p.rho, rows[k + 2], (k + 1) * (k + 2))
         rhs = apply_rows(ring, p.L, rows[k], f[k])
         deviation = max(ring.deviation(sub(a, b), ZERO, plan) for a, b in zip(lhs, rhs))
         checks.append(DegreeCheck(k, deviation <= plan.tolerance, deviation))

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import random
 import re
+from operator import add as _plus
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -49,6 +50,7 @@ from pdeseries.expr import (
     too_large_power,
 )
 from pdeseries.parser import MAX_NESTING, _fmt_power
+from pdeseries.poly import ZERO as POLY_ZERO, Poly, _nonzero, scale
 from pdeseries.series import (
     OperatorTerm,
     ProblemSpec,
@@ -248,9 +250,9 @@ def tree_forcing(p, order: int) -> list[tuple[Expr, ...]]:
 # from exponent tuple to nonzero Fraction, as the kernel was first written
 # ---------------------------------------------------------------------------
 
-def ref_of(p) -> dict:
-    """The reference form of a ``poly.Poly``."""
-    return {m: Fraction(c, p.den) for m, c in p.num.items()}
+def ref_of(ring, p) -> dict:
+    """The reference form of a ``poly.Poly`` of ``ring``, its keys decoded."""
+    return {ring.exponents(m): Fraction(c, p.den) for m, c in p.num.items()}
 
 
 def ref_iadd(out: dict, p: dict) -> None:
@@ -287,11 +289,11 @@ def ref_diff(ring, p: dict, v: int) -> dict:
         if isinstance(tree, Var):
             d = {(): Fraction(1)} if tree.index == v else {}
         elif isinstance(tree, Sum):
-            d = ref_diff(ring, ref_of(inner), v)
+            d = ref_diff(ring, ref_of(ring, inner), v)
         else:
-            d = ref_diff(ring, ref_of(inner), v)
+            d = ref_diff(ring, ref_of(ring, inner), v)
             if d:  # the outer derivative may be singular where unused
-                d = ref_mul(ref_of(ring.from_tree(_outer_derivative(tree))), d)
+                d = ref_mul(ref_of(ring, ring.from_tree(_outer_derivative(tree))), d)
         for m, c in p.items():
             if len(m) > i and m[i]:
                 partial = list(m[:i]) + [m[i] - 1] + list(m[i + 1:])
@@ -308,7 +310,7 @@ def ref_apply(ring, op, vec: list[dict]) -> list[dict]:
         for variable, order in enumerate(term.orders, start=1):
             for _ in range(order):
                 d = ref_diff(ring, d, variable)
-        ref_iadd(rows[term.row], ref_mul(ref_of(ring.from_tree(term.coeff)), d))
+        ref_iadd(rows[term.row], ref_mul(ref_of(ring, ring.from_tree(term.coeff)), d))
     return rows
 
 
@@ -329,14 +331,15 @@ def ref_engines(p, corrections: int) -> tuple[list, list]:
     from pdeseries.series import problem_ring
 
     ring, order = problem_ring(p), p.order
-    f = [[ref_of(ring.from_tree(c)) for c in row] for row in tree_forcing(p, order)]
-    first = [[ref_of(ring.from_tree(c)) for c in vec] for vec in (p.u0, p.u1)]
+    f = [[ref_of(ring, ring.from_tree(c)) for c in row] for row in tree_forcing(p, order)]
+    first = [[ref_of(ring, ring.from_tree(c)) for c in vec] for vec in (p.u0, p.u1)]
     direct = list(first)
     for j in range(order - 1):
         w = ref_apply(ring, p.L, direct[j])
         for a, b in zip(w, f[j]):
             ref_iadd(a, b)
-        direct.append(ref_scale_rows(p.rho_inv.scaled(Fraction(1, (j + 1) * (j + 2))), w))
+        q = Fraction(1, (j + 1) * (j + 2))
+        direct.append([ref_scale(c, q) for c in ref_scale_rows(p.rho_inv, w)])
     hpm = [first + [[{}] * p.m] * (order - 1)]
     for j in range(1, corrections + 1):
         rows = [[{}] * p.m, [{}] * p.m]
@@ -348,6 +351,156 @@ def ref_engines(p, corrections: int) -> tuple[list, list]:
             q = Fraction(1, (k + 1) * (k + 2))
             rows.append([ref_scale(c, q) for c in ref_scale_rows(p.rho_inv, s)])
         hpm.append(rows)
+    return direct, hpm
+
+
+# ---------------------------------------------------------------------------
+# The polynomial kernel with tuple keys (entry i: the exponent of atom i,
+# no trailing zero), verbatim but for the names; the engines' recursion
+# over it reads its data, forcing and atoms from a packed ring
+# ---------------------------------------------------------------------------
+
+def _tuple_trim(m: tuple) -> tuple:
+    n = len(m)
+    while n and not m[n - 1]:
+        n -= 1
+    return m[:n]
+
+
+def _tuple_unit(i: int, e: int = 1) -> tuple:
+    return (0,) * i + (e,)
+
+
+def tuple_add(*parts: Poly) -> Poly:
+    """The sum of ``parts``: the lcm of their denominators, then one
+    integer sum per monomial."""
+    parts = [p for p in parts if p.num]
+    if len(parts) < 2:
+        return parts[0] if parts else POLY_ZERO
+    den = math.lcm(*[p.den for p in parts])
+    out: dict = {}
+    get = out.get
+    for p in parts:
+        f = den // p.den
+        for m, c in p.num.items():
+            s = get(m)
+            out[m] = c * f if s is None else s + c * f
+    return Poly(_nonzero(out), den)
+
+
+def tuple_mul(a: Poly, b: Poly) -> Poly:
+    na, nb = a.num, b.num
+    if len(na) < len(nb):
+        na, nb = nb, na
+    out: dict = {}
+    get = out.get
+    terms_b = list(nb.items())
+    for ma, ca in na.items():
+        la = len(ma)
+        for mb, cb in terms_b:
+            lb = len(mb)
+            m = tuple(map(_plus, ma, mb))
+            if la > lb:
+                m += ma[lb:]
+            elif lb > la:
+                m += mb[la:]
+            elif m and not m[-1]:
+                m = _tuple_trim(m)  # a negative exponent cancelled the last one
+            c = get(m)
+            out[m] = ca * cb if c is None else c + ca * cb
+    return Poly(_nonzero(out), a.den * b.den)
+
+
+TUPLE_ONE = Poly({(): 1})
+
+
+class TupleRing:
+    """The atoms of a packed ``ring`` under the tuple kernel: ``of``
+    decodes a polynomial of ``ring``, and an atom's derivative is taken
+    here, from its decoded polynomial and outer derivative."""
+
+    def __init__(self, ring):
+        self.ring, self.derivatives = ring, {}
+
+    def of(self, p: Poly) -> Poly:
+        return Poly({self.ring.exponents(m): c for m, c in p.num.items()}, p.den)
+
+    def diff(self, p: Poly, v: int) -> Poly:
+        """Partial derivative in variable ``v``.  One pass over the terms
+        builds dp/d(atom i) for every atom i whose derivative is nonzero."""
+        partials: dict = {}  # atom i -> numerators of dp/d(atom i)
+        constant = set()  # atoms whose derivative is zero
+        for m, c in p.num.items():
+            last = len(m) - 1
+            for i, e in enumerate(m):
+                if not e or i in constant:
+                    continue
+                partial = partials.get(i)
+                if partial is None:
+                    if not self._atom_derivative(i, v):
+                        constant.add(i)
+                        continue
+                    partial = partials[i] = {}
+                if i < last:
+                    partial[m[:i] + (e - 1,) + m[i + 1:]] = c * e
+                else:
+                    partial[_tuple_trim(m[:i]) if e == 1 else m[:i] + (e - 1,)] = c * e
+        parts = []
+        for i, partial in partials.items():
+            d, partial = self.derivatives[i, v], Poly(partial, p.den)
+            parts.append(partial if d == TUPLE_ONE else tuple_mul(partial, d))
+        return tuple_add(*parts)
+
+    def _atom_derivative(self, i: int, v: int) -> Poly:
+        d = self.derivatives.get((i, v))
+        if d is None:
+            tree, inner = self.ring.trees[i], self.ring.polys[i]
+            if isinstance(tree, Var):
+                d = TUPLE_ONE if tree.index == v else POLY_ZERO
+            else:
+                d = self.diff(self.of(inner), v)
+                if d and not isinstance(tree, Sum):
+                    outer = self.of(self.ring.from_tree(_outer_derivative(tree)))
+                    d = tuple_mul(outer, d)
+            self.derivatives[i, v] = d
+        return d
+
+    def apply(self, op, vec: list, forcing: list) -> list:
+        rows = [[c] for c in forcing]
+        for term in op.terms:
+            d = vec[term.col]
+            for variable, order in enumerate(term.orders, start=1):
+                for _ in range(order):
+                    d = self.diff(d, variable)
+            if d.num:
+                coeff = self.of(self.ring.from_tree(term.coeff))
+                rows[term.row].append(tuple_mul(coeff, d))
+        return [tuple_add(*parts) for parts in rows]
+
+
+def tuple_engines(p, corrections: int) -> tuple[list, list]:
+    """``taylor_rows(p)`` and ``hpm_rows(p, corrections, p.order)`` over
+    the tuple kernel, from the data and forcing of ``problem_ring(p)``
+    decoded."""
+    from pdeseries.series import forcing_rows, problem_ring
+
+    ring = TupleRing(problem_ring(p))
+    f = [list(map(ring.of, row)) for row in forcing_rows(p, p.order)]
+    first = [[ring.of(ring.ring.from_tree(c)) for c in vec] for vec in (p.u0, p.u1)]
+
+    def step(row, forcing, k):
+        w = ring.apply(p.L, row, forcing)
+        q = Fraction(1, (k + 1) * (k + 2))
+        return [tuple_add(*(scale(c, x * q) for x, c in zip(r, w))) for r in p.rho_inv.entries]
+
+    direct = list(first)
+    for j in range(p.order - 1):
+        direct.append(step(direct[j], f[j], j))
+    zero = [POLY_ZERO] * p.m
+    hpm = [first + [zero] * (p.order - 1)]
+    for j in range(1, corrections + 1):
+        hpm.append([zero, zero] + [step(row, f[k] if j == 1 else zero, k)
+                                   for k, row in enumerate(hpm[-1][:p.order - 1])])
     return direct, hpm
 
 
@@ -526,7 +679,8 @@ def ref_to_tree(ring, p) -> Expr:
     sum is kept as one term, which ``normalize`` would flatten."""
     trees, den, terms = ring.trees, p.den, []
     for m, c in p.num.items():
-        parts = [trees[i] if e == 1 else Pow(trees[i], e) for i, e in enumerate(m) if e]
+        parts = [trees[i] if e == 1 else Pow(trees[i], e)
+                 for i, e in enumerate(ring.exponents(m)) if e]
         parts.sort(key=_factor_key)
         terms.append((Fraction(c, den), parts))
     if any(c != 1 and len(f) == 1 and isinstance(f[0], Sum) for c, f in terms):

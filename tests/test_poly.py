@@ -1,8 +1,10 @@
 """Sparse distributed polynomials: ring laws, tree conversions,
 derivatives, and both engines against values built on trees."""
 
+import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -28,6 +30,8 @@ from conftest import (
     ref_to_tree,
     ref_tree,
     tree_forcing,
+    tuple_engines,
+    _tuple_unit,
 )
 from pdeseries import poly
 from pdeseries.cli import main
@@ -47,10 +51,10 @@ from pdeseries.expr import (
     normalize,
     sampled_deviation,
 )
-from pdeseries.hpm import hpm_rows, partial_sum, solve_hpm
+from pdeseries.hpm import HpmExpansion, hpm_rows, partial_sum, solve_hpm
 from pdeseries.parser import load_problem, parse_expr, parse_problem, print_expr, print_poly
 from pdeseries.poly import ONE, Ring, add, mul, scale, sub
-from pdeseries.series import forcing_rows, problem_ring
+from pdeseries.series import TimeSeriesVec, forcing_rows, problem_ring
 from pdeseries.taylor import taylor_coefficients, taylor_rows
 from pdeseries.verify import equivalence_check
 
@@ -109,19 +113,23 @@ class TestRingLaws:
         ring = Ring()
         x = ring.from_tree(Var(1))
         inverse = ring.from_tree(Pow(Var(1), -1))
-        assert mul(x, inverse) == ONE and list(mul(x, inverse).num) == [()]
+        assert mul(x, inverse) == ONE and list(map(ring.exponents, mul(x, inverse).num)) == [()]
         s = ring.from_tree(parse_expr("1 + x1", 1))
         s_inv = ring.from_tree(parse_expr("(2 + 2*x1)^(-1)", 1))
         assert mul(s_inv, s_inv) == scale(ring.power(s, -2), Fraction(1, 4))
         assert mul(s_inv, s_inv) == ring.from_tree(parse_expr("1/4*(1 + x1)^(-2)", 1))
 
 
-def _normal(p):
+def _normal(ring, p):
     """``p`` in normal form: int numerators over a positive int
-    denominator coprime to them, trimmed keys, zero as no terms over 1."""
+    denominator coprime to them, keys that decode to vectors within the
+    fields and within ``top``, zero as no terms over 1."""
     assert isinstance(p, poly.Poly) and type(p.den) is int and p.den > 0
     assert all(type(c) is int and c for c in p.num.values())
-    assert all(not m or m[-1] for m in p.num)
+    for m in p.num:
+        e = ring.exponents(m)
+        assert not e or e[-1]
+        assert max(map(abs, e), default=0) <= p.top < ring.half
     assert math.gcd(p.den, *p.num.values()) == 1
     return p
 
@@ -132,21 +140,21 @@ class TestAgainstReference:
     @given(SEEDS, st.sampled_from((1, 2)))
     def test_kernel_equals_the_reference(self, seed, v):
         ring, (a, b, c) = _random_polys(seed, 3)
-        ra, rb, rc = map(ref_of, (a, b, c))
-        product = _normal(mul(a, b))
-        assert ref_of(product) == ref_mul(ra, rb)
+        ra, rb, rc = (ref_of(ring, x) for x in (a, b, c))
+        product = _normal(ring, mul(a, b))
+        assert ref_of(ring, product) == ref_mul(ra, rb)
         # (a + b)(a - b): the cross terms cancel inside the product
-        assert ref_of(_normal(mul(add(a, b), sub(a, b)))) == ref_mul(
-            ref_of(add(a, b)), ref_of(sub(a, b)))
+        assert ref_of(ring, _normal(ring, mul(add(a, b), sub(a, b)))) == ref_mul(
+            ref_of(ring, add(a, b)), ref_of(ring, sub(a, b)))
         total = {}
         for r in (ra, rb, rc, ref_scale(ra, -1)):
             ref_iadd(total, r)
-        assert ref_of(_normal(add(a, b, c, scale(a, -1)))) == total
-        assert _normal(add(a, scale(a, -1))) == poly.ZERO and poly.ZERO.den == 1
+        assert ref_of(ring, _normal(ring, add(a, b, c, scale(a, -1)))) == total
+        assert _normal(ring, add(a, scale(a, -1))) == poly.ZERO and poly.ZERO.den == 1
         for q in (Fraction(-3, 7), Fraction(6), Fraction(5, 2), 0):
-            assert ref_of(_normal(scale(product, q))) == ref_scale(ref_mul(ra, rb), q)
+            assert ref_of(ring, _normal(ring, scale(product, q))) == ref_scale(ref_mul(ra, rb), q)
         for p in (a, product):
-            assert ref_of(_normal(ring.diff(p, v))) == ref_diff(ring, ref_of(p), v)
+            assert ref_of(ring, _normal(ring, ring.diff(p, v))) == ref_diff(ring, ref_of(ring, p), v)
 
     def test_engines_equal_the_reference_trees(self):
         problems = [(seed, *random_problem(seed)) for seed in range(2000, 2030)]
@@ -160,7 +168,24 @@ class TestAgainstReference:
             for rows, want in zip(got, [direct, *hpm]):
                 for row, ref_row in zip(rows, want, strict=True):
                     for c, r in zip(row, ref_row, strict=True):
-                        assert _built_as_first_written(ring, _normal(c)) == ref_tree(ring, r), case
+                        assert _built_as_first_written(ring, _normal(ring, c)) == ref_tree(ring, r), case
+
+    def test_engines_equal_the_tuple_kernel(self):
+        # every row of both engines, its keys decoded, against the same
+        # recursion over the kernel with exponent tuples
+        problems = [(seed, *random_problem(seed)) for seed in range(4000, 4030)]
+        for path in _PROBLEM_FILES:
+            p = load_problem(str(path))
+            problems.append((path.name, p, (p.order - 1) // 2))
+        for case, p, corrections in problems:
+            ring = problem_ring(p)
+            direct, hpm = tuple_engines(p, corrections)
+            got = [taylor_rows(p), *hpm_rows(p, corrections, p.order)]
+            for rows, want in zip(got, [direct, *hpm], strict=True):
+                for row, tuple_row in zip(rows, want, strict=True):
+                    for c, t in zip(row, tuple_row, strict=True):
+                        decoded = {ring.exponents(m): n for m, n in _normal(ring, c).num.items()}
+                        assert (decoded, c.den) == (t.num, t.den), case
 
     @pytest.mark.parametrize("path", _PROBLEM_FILES, ids=lambda p: p.name)
     def test_problem_rows_are_built_as_first_written(self, path):
@@ -179,7 +204,7 @@ class TestAgainstReference:
                   ("(1 + x1)^(-2)", "(2*x1 - x2)^(-1)*x2^(-3)", "(x1 + x2)^99999999")]
         # (x1 + x2)^99999999 * (x1 + x2)^-99999998: the sum atom to the power 1
         first = mul(big, ring.from_tree(parse_expr("(x1 + x2)^(-99999998)", 2)))
-        assert list(first.num) == [(0, 0, 1)]
+        assert list(map(ring.exponents, first.num)) == [(0, 0, 1)]
         polys = [poly.ZERO, ONE, poly.const(Fraction(-5, 7)), first]
         for q in (Fraction(-1), Fraction(3), Fraction(-5, 7), Fraction(1, 2)):
             polys += [scale(first, q), add(scale(first, q), x1, poly.const(q))]
@@ -219,7 +244,7 @@ class TestConversions:
             assert normalize(tree) == tree
             assert tree == esum(
                 eprod([Const(Fraction(c, p.den)),
-                       *(Pow(ring.trees[i], e) for i, e in enumerate(m) if e)])
+                       *(Pow(ring.trees[i], e) for i, e in enumerate(ring.exponents(m)) if e)])
                 for m, c in p.num.items()
             )
 
@@ -293,7 +318,8 @@ class TestConversions:
         first = mul(ring.from_tree(parse_expr("(x1 + x2)^99999999", 2)),
                     ring.from_tree(parse_expr("(x1 + x2)^(-99999998)", 2)))
         expanded = ring.from_tree(parse_expr("x1 + x2", 2))
-        assert list(first.num) == [(0, 0, 1)] and list(expanded.num) == [(1,), (0, 1)]
+        assert list(map(ring.exponents, first.num)) == [(0, 0, 1)]
+        assert list(map(ring.exponents, expanded.num)) == [(1,), (0, 1)]
         assert first != expanded and len(sub(first, expanded)) == 3
         assert ring.deviation(first, expanded, PLAN) == 0.0
 
@@ -339,7 +365,7 @@ class TestPrinter:
         ring = Ring()
         big = ring.from_tree(parse_expr("(x1 + x2)^99999999", 2))
         s = mul(big, ring.from_tree(parse_expr("(x1 + x2)^(-99999998)", 2)))
-        assert list(s.num) == [(0, 0, 1)]  # the atom x1 + x2, to the power 1
+        assert list(map(ring.exponents, s.num)) == [(0, 0, 1)]  # the atom x1 + x2, to the power 1
         p = add(scale(s, 3), ring.from_tree(Var(1)))
         # eprod spreads 3 over the sum, and the x1 terms collect
         assert print_poly(ring, p) == print_expr(ring.to_tree(p)) == "4*x1 + 3*x2"
@@ -372,6 +398,113 @@ class TestPrinter:
             sys.set_int_max_str_digits(limit)
 
 
+# exponents at and past the edge of a 64-bit field; as a problem, the
+# case is u0 and its inverse power u1, so that one ring holds both
+RANGE_CASES = ("x1^(2^40)", "x1^(2^62)*x1^(2^62)", "x1^(2^63)", "(1 + x1)^99999999",
+               "x1^(10^2200)")
+RANGE_COMMANDS = (("solve",), ("hpm", "--corrections", "1"), ("compare", "--corrections", "1"),
+                  ("residual",))
+
+
+def _raw(text: str):
+    """The tree of ``text`` before normalizing: a product stays a product."""
+    if "*" in text:
+        return Prod(tuple(_raw(f) for f in text.split("*")))
+    return parse_expr(text, 1)
+
+
+def _taylor_text(u0, u1, order: int) -> list[str]:
+    """u[j] of the wave equation u_tt = u_x1x1 from u0 and u1, on trees."""
+    out, d = [], [normalize(u0), normalize(u1)]
+    for j in range(order + 1):
+        out.append(print_expr(eprod([Const(Fraction(1, math.factorial(j))), d[j % 2]])))
+        if j % 2:
+            d = [differentiate(differentiate(x, 1), 1) for x in d]
+    return out
+
+
+class TestExponentRange:
+    def test_keys_decode_to_the_exponent_tuples(self):
+        for ring in (Ring(), Ring(parse_expr("x1^(10^2200)", 1))):
+            w, half = ring.width, ring.half
+            for i, e in ((0, 1), (1, 1), (3, -7), (2, half - 1), (5, -half)):
+                assert ring.exponents(e << w * i) == _tuple_unit(i, e)
+            for vector in ((5, -3, 0, 7), (-half, half - 1), (half - 1, -half, -1), (0, 0, -1)):
+                key = sum(e << w * i for i, e in enumerate(vector))
+                assert ring.exponents(key) == vector
+
+    @pytest.mark.parametrize("text", RANGE_CASES)
+    def test_kernel_is_right_or_refuses(self, text):
+        tree = _raw(text)
+        for ring in (Ring(), Ring(tree)):
+            try:
+                p = ring.from_tree(tree)
+                inverse = ring.power(p, -1)
+                d = ring.diff(mul(p, mul(inverse, inverse)), 1)  # D p^-1
+            except DomainError as exc:
+                # only the 64-bit field, for an exponent of 2^63 or more
+                assert str(exc) == "exponent too large to represent"
+                assert ring.width == 64 and "2^40" not in text and "99999999" not in text
+                continue
+            assert mul(p, inverse) == ONE
+            assert ring.to_tree(p) == normalize(tree)
+            assert ring.to_tree(inverse) == normalize(Pow(tree, -1))
+            assert ring.to_tree(d) == differentiate(normalize(Pow(tree, -1)), 1)
+            assert all(max(map(abs, ring.exponents(m))) <= q.top < ring.half
+                       for q in (p, inverse, d) for m in q.num)
+
+    def test_a_power_past_the_field_is_refused(self):
+        ring = Ring()
+        p = ring.from_tree(parse_expr("x1^(2^40)", 1))
+        assert ring.exponents(next(iter(ring.power(p, 2 ** 22).num))) == (2 ** 62,)
+        for k in (2 ** 23, -(2 ** 23)):
+            with pytest.raises(DomainError, match="exponent too large to represent"):
+                ring.power(p, k)
+        with pytest.raises(DomainError, match="exponent too large to represent"):
+            ring.from_tree(parse_expr("(1 + x1)^(2^63)", 1))
+
+    def test_a_series_of_trees_gets_a_ring_sized_for_them(self):
+        e = parse_expr("x1^(2^63) + x1^(-(2^63))", 1)
+        h = HpmExpansion((TimeSeriesVec(1, 1, ((e,), (e,))),), 0, 1)
+        assert partial_sum(h, 1).coeffs == ((e,), (e,))
+
+    @pytest.mark.parametrize("argv", RANGE_COMMANDS, ids=lambda a: a[0])
+    @pytest.mark.parametrize("text", RANGE_CASES)
+    def test_commands_give_the_right_rows_or_a_named_error(self, tmp_path, capsys, text, argv):
+        doc = {
+            "m": 1, "n": 1, "rho": [["1"]],
+            "L": [{"row": 0, "col": 0, "coeff": "1", "derivs": [2]}],
+            "f": ["0"], "u0": [text], "u1": [f"({text})^(-1)"], "order": 4,
+        }
+        path = tmp_path / "range.prob"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main([argv[0], str(path), *argv[1:]])
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert out == "" and re.fullmatch(r"error: [a-z][^\n]*\n", err)
+            assert "internal" not in err
+            return
+        assert code == 0 and err == ""
+        if argv[0] == "compare":
+            assert out.endswith("overall: equivalent\n")
+        elif argv[0] == "residual":
+            assert out.endswith("overall: pass\n")
+        else:
+            if argv[0] == "hpm":  # the partial sum, through degree 3
+                out = out.split("partial sum")[1]
+            rows = re.findall(r"^ *u\[(\d+)\] = (.*)$", out, re.M)
+            want = _taylor_text(parse_expr(text, 1), parse_expr(f"({text})^(-1)", 1), len(rows) - 1)
+            assert [r for _, r in rows] == want
+
+    @pytest.mark.parametrize("text", RANGE_CASES)
+    def test_expand_is_right_or_a_named_error(self, capsys, text):
+        code = main(["expand", "--expr", f"{text}*exp(t)", "--order", "2"])
+        out, err = capsys.readouterr()
+        e = parse_expr(text, 1)
+        assert (code, err) == (0, "")
+        assert out == f"[{print_expr(e)}, {print_expr(e)}, {print_expr(esum([eprod([Const(Fraction(1, 2)), e])]))}]\n"
+
+
 class TestDerivatives:
     @given(SEEDS, st.sampled_from((1, 2)))
     def test_same_values_as_differentiate(self, seed, v):
@@ -398,6 +531,26 @@ class TestDerivatives:
             e = normalize(Func(name, parse_expr(arg, 1)))
             ring = Ring()
             assert ring.diff(ring.from_tree(e), 1) == ring.from_tree(differentiate(e, 1))
+
+    def test_only_the_atoms_a_polynomial_holds_are_differentiated(self, tmp_path, capsys):
+        ring = Ring()
+        ring.from_tree(parse_expr("cos(x2) + exp(7)*x3", 3))  # atoms p does not hold
+        e = parse_expr("exp(400)*exp(401)*sin(x1)", 1)
+        p = ring.from_tree(e)
+        held = {i for m in p.num for i, k in enumerate(ring.exponents(m)) if k}
+        assert ring.to_tree(ring.diff(p, 1)) == differentiate(e, 1)
+        # the atoms of p, and x1 inside sin(x1); none of the others
+        assert {i for i, _ in ring.derivatives} == held | {ring.index[Var(1)]}
+        doc = {
+            "m": 1, "n": 1, "rho": [["1"]],
+            "L": [{"row": 0, "col": 0, "coeff": "1", "derivs": [2]}],
+            "f": ["0"], "u0": [print_expr(e)], "u1": ["0"], "order": 4,
+        }
+        path = tmp_path / "constants.prob"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["hpm", str(path), "--corrections", "1"]) == 0
+        rows = re.findall(r"^ *u\[\d+\] = (.*)$", capsys.readouterr().out.split("partial sum")[1], re.M)
+        assert rows == _taylor_text(e, ZERO, 3)
 
     def test_each_atom_derivative_is_kept(self):
         ring = Ring()

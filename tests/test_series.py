@@ -610,6 +610,15 @@ class TestScaleRows:
         assert ring.to_tree(got[1]) == parse_expr("-x1 + 2*x2", 2)
 
 
+    @pytest.mark.parametrize("factor", [Fraction(1, 12), 20, Fraction(-7, 3), 1, 0])
+    def test_factor_scales_the_product(self, factor):
+        # as if each entry of the matrix were multiplied by the factor
+        ring = Ring()
+        matrix = RationalMatrix.from_rows([["1/2", -1], [3, "2/5"]])
+        v = [ring.from_tree(parse_expr("x1 + sin(x2)/3", 2)), ring.from_tree(Var(2))]
+        scaled = RationalMatrix.from_rows([[factor * x for x in row] for row in matrix.entries])
+        assert scale_rows(matrix, v, factor) == scale_rows(scaled, v)
+
 class TestTimeSeriesVec:
     def test_length_invariant(self):
         s = TimeSeriesVec(2, 3, ((ZERO, ZERO),) * 4)

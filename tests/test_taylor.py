@@ -17,6 +17,7 @@ from pdeseries.poly import ZERO as POLY_ZERO, Ring, add
 from pdeseries.series import (
     OperatorTerm,
     ProblemSpec,
+    RationalMatrix,
     SpatialOperator,
     TimeSeriesVec,
     apply_rows,
@@ -131,7 +132,8 @@ class TestRecursionProperties:
             for t in p1.L.terms
         ))
         p2 = ProblemSpec.create(
-            p1.m, p1.n, p1.rho.scaled(c), scaled_L,
+            p1.m, p1.n, RationalMatrix.from_rows([[c * x for x in row] for row in p1.rho.entries]),
+            scaled_L,
             tuple(x * const(c) for x in p1.f_source),
             p1.u0, p1.u1, p1.order,
         )
