@@ -279,7 +279,10 @@ class Ring:
 
     def diff(self, p: Poly, v: int) -> Poly:
         """Partial derivative in variable ``v``: for each atom i that a key
-        holds (read with 2^(W-1) added to each field), dp/d(atom i) * D_v."""
+        holds (read with 2^(W-1) added to each field), dp/d(atom i) * D_v.
+        Where D_v is one term k*key over 1 (a variable, exp, sin, cos, sinh,
+        cosh), c*atom^e*rest moves to c*e*k*atom^(e-1)*key*rest in one dict
+        shared by all such atoms; the other dp/d(atom i) multiply by D_v."""
         if not p.num:
             return ZERO
         width, half, mask, bias = self.width, self.half, self.mask, self.bias
@@ -287,21 +290,25 @@ class Ring:
         held = 0
         for b, _, _ in terms:
             held |= b ^ bias
-        parts, i, shift = [], 0, 0
+        out, top, parts, i, shift = {}, 0, [], 0, 0
         while held:  # field i of held is nonzero where a term holds atom i
             if held & mask and (d := self._atom_derivative(i, v)):
-                unit, partial = 1 << shift, {}
+                if len(d.num) == 1 and d.den == 1:
+                    ((key, k),) = d.num.items()
+                    target, top = out, max(top, d.top)
+                else:
+                    key, k, target = 0, 1, {}
+                step, get = key - (1 << shift), target.get
                 for b, m, c in terms:
                     e = (b >> shift & mask) - half
                     if e:
-                        partial[m - unit] = c * e
-                if len(d.num) == 1:
-                    ((key, k),) = d.num.items()
-                    parts.append(Poly({m + key: c * k for m, c in partial.items()},
-                                      p.den * d.den, p.top + 1 + d.top))
-                else:
-                    parts.append(mul(Poly(partial, p.den, p.top + 1), d))
+                        s = get(m + step)
+                        target[m + step] = c * e * k if s is None else s + c * e * k
+                if target is not out:
+                    parts.append(mul(Poly(target, p.den, p.top + 1), d))
             held, i, shift = held >> width, i + 1, shift + width
+        if out:
+            parts.append(self.checked(Poly(_nonzero(out), p.den, p.top + 1 + top)))
         return self.checked(add(*parts))
 
     def _atom_derivative(self, i: int, v: int) -> Poly:

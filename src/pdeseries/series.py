@@ -219,8 +219,10 @@ class _Jets:
     is written once over hooks: ``_add``, ``_mul``, ``_power``,
     ``_terms`` (what a product spreads over), ``_leaf`` (a time-free
     subtree as a value), ``_constant`` (the rational a value is, or
-    None) and ``_taylor`` (the f^(k)(a_0)/k!).  This class computes on
-    normalized trees; ``_RingJets`` on polynomials."""
+    None), ``_taylor`` (the f^(k)(a_0)/k!) and ``_func`` (a function's
+    jet).  This class computes on normalized trees and composes every
+    function, so ``expand`` prints what composition makes; ``_RingJets``
+    computes on polynomials, where most functions take recurrences."""
 
     _add, _mul, _power = staticmethod(esum), staticmethod(eprod), staticmethod(Expr.__pow__)
 
@@ -389,10 +391,17 @@ class _Jets:
         return self._compose(taylor, h)
 
 
+# f' of the functions whose ring jets come by recurrence: the partner, negated for cos
+_PARTNERS = {"exp": "exp", "sin": "cos", "cos": "sin", "sinh": "cosh", "cosh": "sinh"}
+
+
 class _RingJets(_Jets):
-    """The same recursion on polynomials of ``ring``.  f^(k)(a0)/k!
-    comes from differentiating f(t) in a small ring of its own, then
-    mapping t to a0 and each g(t) there to g(a0), monomial by monomial."""
+    """The same recursion on polynomials of ``ring``, but exp, sin, cos,
+    sinh, cosh and tanh of a series a take the Taylor-mode recurrence of
+    b = f(a), b' = a' f'(a): b_k = (1/k) sum_j j a_j d_(k-j), with d the
+    jet of f'(a) (b, the partner's jet with its sign, or 1 - b^2).  ln
+    and powers compose: their coefficients are powers of a_0, which
+    ``Ring.power`` keeps as atoms where products would multiply them out."""
 
     _terms = staticmethod(lambda c: (c,))
     _add = staticmethod(lambda parts: add(*parts))
@@ -414,19 +423,35 @@ class _RingJets(_Jets):
             return Fraction(num[0], c.den)
         return None if num else 0
 
-    def _taylor(self, name: str, a0: Poly, count: int) -> list:
-        if name not in self.derivatives:
-            small = Ring()
-            self.derivatives[name] = small, [small.from_tree(Func(name, Var(TIME_INDEX)))]
-        small, derivatives = self.derivatives[name]
-        while len(derivatives) < count:
-            derivatives.append(small.diff(derivatives[-1], TIME_INDEX))
-        images = [a0 if isinstance(g, Var) else self.ring.func(g.name, a0) for g in small.trees]
-        return [self._add([
-            self._mul([Poly({0: c}, derivatives[k].den * math.factorial(k)),
-                       *(self.ring.power(images[i], e) for i, e in enumerate(small.exponents(m)) if e)])
-            for m, c in derivatives[k].num.items()
-        ]) for k in range(count)]
+    def _taylor(self, name: str, a0: Poly, count: int) -> list:  # ln's, the one function composed
+        return [self.ring.func(name, a0), *(
+            scale(self.ring.power(a0, -k), Fraction((-1) ** (k + 1), k)) for k in range(1, count))]
+
+    def _func(self, e: Func) -> list | None:
+        if e.name == "ln":
+            return super()._func(e)
+        a = self.of(e.arg)
+        if a is None:
+            return None
+        ring, name, n = self.ring, e.name, self.order
+        slopes = [(j, scale(c, j)) for j, c in enumerate(a) if j and c.num]
+
+        def conv(pairs, q) -> Poly:  # q times the sum of the products of the nonzero pairs
+            return scale(add(*(ring.checked(mul(x, y)) for x, y in pairs if x.num and y.num)), q)
+
+        def step(d: list, k: int, sign: int) -> Poly:  # (sign/k) sum_j j*a_j*d_(k-j)
+            return conv(((s, d[k - j]) for j, s in slopes if j <= k), Fraction(sign, k))
+
+        partner = _PARTNERS.get(name)
+        b = [ring.func(name, a[0])]
+        d = b if partner == name else [ring.func(partner, a[0])] if partner else [
+            add(POLY_ONE, conv([(b[0], b[0])], -1))]
+        for k in range(1, n + 1):
+            b.append(step(d, k, -1 if name == "cos" else 1))
+            if d is not b and k < n:  # d_k; tanh forms each b_i*b_(k-i) once
+                d.append(step(b, k, -1 if partner == "cos" else 1) if partner else conv(
+                    ((b[i], scale(b[k - i], 1 if 2 * i == k else 2)) for i in range(k // 2 + 1)), -1))
+        return b
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, settings
 
 from pdeseries.errors import (
     DomainError,
+    ExpansionSingular,
     NonIntegerExponent,
     ParseError,
     SingularRho,
@@ -50,12 +51,13 @@ from pdeseries.expr import (
     too_large_power,
 )
 from pdeseries.parser import MAX_NESTING, _fmt_power
-from pdeseries.poly import ZERO as POLY_ZERO, Poly, _nonzero, scale
+from pdeseries.poly import ONE as POLY_ONE, ZERO as POLY_ZERO, Poly, Ring, _nonzero, add, mul, scale
 from pdeseries.series import (
     OperatorTerm,
     ProblemSpec,
     RationalMatrix,
     SpatialOperator,
+    _Jets,
     expand_in_time,
     invert,
 )
@@ -352,6 +354,112 @@ def ref_engines(p, corrections: int) -> tuple[list, list]:
             rows.append([ref_scale(c, q) for c in ref_scale_rows(p.rho_inv, s)])
         hpm.append(rows)
     return direct, hpm
+
+
+# ---------------------------------------------------------------------------
+# The ring jets as first written: every function, ln and powers alike,
+# composes its Taylor series about a_0 with the rest of the argument's jet
+# ---------------------------------------------------------------------------
+
+class RefRingJets(_Jets):
+    """The same recursion on polynomials of ``ring``.  f^(k)(a0)/k!
+    comes from differentiating f(t) in a small ring of its own, then
+    mapping t to a0 and each g(t) there to g(a0), monomial by monomial."""
+
+    _terms = staticmethod(lambda c: (c,))
+    _add = staticmethod(lambda parts: add(*parts))
+
+    def __init__(self, ring: Ring, order: int):
+        super().__init__(order)
+        self.ring, self._power, self._leaf = ring, ring.power, ring.from_tree
+
+    def _mul(self, factors: list) -> Poly:
+        out = POLY_ONE
+        for f in factors:
+            out = f if out is POLY_ONE else self.ring.checked(mul(out, f))
+        return out
+
+    @staticmethod
+    def _constant(c: Poly) -> Fraction | None:
+        num = c.num
+        if len(num) == 1 and 0 in num:
+            return Fraction(num[0], c.den)
+        return None if num else 0
+
+    def _taylor(self, name: str, a0: Poly, count: int) -> list:
+        if name not in self.derivatives:
+            small = Ring()
+            self.derivatives[name] = small, [small.from_tree(Func(name, Var(TIME_INDEX)))]
+        small, derivatives = self.derivatives[name]
+        while len(derivatives) < count:
+            derivatives.append(small.diff(derivatives[-1], TIME_INDEX))
+        images = [a0 if isinstance(g, Var) else self.ring.func(g.name, a0) for g in small.trees]
+        return [self._add([
+            self._mul([Poly({0: c}, derivatives[k].den * math.factorial(k)),
+                       *(self.ring.power(images[i], e) for i, e in enumerate(small.exponents(m)) if e)])
+            for m, c in derivatives[k].num.items()
+        ]) for k in range(count)]
+
+    # _Jets's composition, which the class above runs for every function
+
+    def _cauchy(self, a: list, b: list, spread: bool = True) -> list:
+        """Truncated product of two jets.  Degree 0 is the plain product
+        of the constant terms.  Above it, with ``spread`` every a_i*b_j
+        is spread over the top-level terms of both sides, so like terms
+        collect as after the product rule; without, it is formed whole."""
+        n, mul = self.order, self._mul
+        terms = self._terms if spread else (lambda c: (c,))
+        live_a = [(i, terms(c)) for i, c in enumerate(a) if self._constant(c) != 0]
+        live_b = [(i, terms(c)) for i, c in enumerate(b) if self._constant(c) != 0]
+        parts: list[list] = [[] for _ in range(n + 1)]
+        for i, terms_a in live_a:
+            for j, terms_b in live_b:
+                if i + j > n:
+                    break
+                if i + j == 0:
+                    parts[0].append(mul([a[0], b[0]]))
+                    continue
+                target = parts[i + j]
+                for x in terms_a:
+                    for y in terms_b:
+                        target.append(mul([x, y]))
+        return [self._add(p) for p in parts]
+
+    def _span(self, h: list) -> int:
+        """Highest k for which h^k reaches the order, h with a zero
+        constant term."""
+        valuation = next((i for i, c in enumerate(h) if self._constant(c) != 0), None)
+        return 0 if valuation is None else self.order // valuation
+
+    def _compose(self, taylor: list, h: list) -> list:
+        """g(a_0 + h) = sum over k of taylor[k] * h^k, truncated, for g
+        with Taylor coefficients ``taylor`` about a_0 (at most
+        ``_span(h)`` + 1 of them) and h with a zero constant term.  The
+        powers h^k and the products taylor[k] * (h^k)_j are formed whole:
+        spreading them over their terms made nested compositions such as
+        tanh(tanh(tanh(cosh(t)))) print two to three times longer."""
+        parts: list[list] = [[taylor[0]]] + [[] for _ in range(self.order)]
+        last = max(k for k, c in enumerate(taylor) if k == 0 or self._constant(c) != 0)
+        power = h
+        for k in range(1, last + 1):
+            if k > 1:
+                power = self._cauchy(power, h, spread=False)
+            if self._constant(taylor[k]) == 0:
+                continue
+            for j, c in enumerate(power):
+                if self._constant(c) != 0:
+                    parts[j].append(self._mul([taylor[k], c]))
+        return [self._add(p) for p in parts]
+
+    def _func(self, e: Func) -> list | None:
+        a = self.of(e.arg)
+        a0 = self._leaf(e.arg) if a is None else a[0]
+        if e.name == "ln" and (c := self._constant(a0)) is not None and c <= 0:
+            raise ExpansionSingular("ln argument vanishes or is negative at time zero")
+        if a is None:
+            return None
+        h = [self._leaf(ZERO), *a[1:]]
+        return self._compose(self._taylor(e.name, a0, self._span(h) + 1), h)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ stdout and of stderr, and the exit code, of each command.
 
 The corpus covers every command on the bundled problems in text and
 JSON, the heavy 2x2 problem (``solve`` and ``hpm`` also in JSON) and
-the transcendental forcing problem of the benchmark, the benchmark's
-four expansions, and seven input errors.  A change to the arithmetic
+the transcendental forcing problem of the benchmark, two forcings that
+meet every function the ring jets expand, the benchmark's four
+expansions, and seven input errors.  A change to the arithmetic
 under the engines, or to how coefficients are printed, must leave all
 of them as they are.  To print the table for a deliberate change of
 output, run ``PYTHONPATH=src python tests/test_golden_corpus.py`` from
@@ -30,6 +31,23 @@ FORCING_1X1 = """{"m": 1, "n": 2, "rho": [["1"]],
  "L": [{"row": 0, "col": 0, "coeff": "1", "derivs": [2, 0]},
        {"row": 0, "col": 0, "coeff": "1", "derivs": [0, 2]}],
  "f": ["exp(sin(x1*t))*tanh(t+x2)"],
+ "u0": ["0"], "u1": ["0"], "order": 10}
+"""
+
+# every function the ring jets expand by recurrence, tanh of a nonzero
+# constant among them, and a function of a function
+TRANSCENDENTAL = """{"m": 1, "n": 2, "rho": [["1"]],
+ "L": [{"row": 0, "col": 0, "coeff": "1", "derivs": [2, 0]},
+       {"row": 0, "col": 0, "coeff": "1", "derivs": [0, 2]}],
+ "f": ["sinh(x2*t)*cosh(x1 + t) + tanh(1 + t*x1) + exp(t/(1 + x1^2)) + sin(cos(x1*t))"],
+ "u0": ["0"], "u1": ["0"], "order": 10}
+"""
+
+# the two expansions the ring jets compose: ln and a negative power
+LN_POWER = """{"m": 1, "n": 2, "rho": [["1"]],
+ "L": [{"row": 0, "col": 0, "coeff": "1", "derivs": [2, 0]},
+       {"row": 0, "col": 0, "coeff": "1", "derivs": [0, 2]}],
+ "f": ["ln(2 + x1*t) + (1 + x2*t)^(-3)"],
  "u0": ["0"], "u1": ["0"], "order": 10}
 """
 
@@ -61,6 +79,8 @@ DEEP = '{"m": ' + "[" * 100000 + "]" * 100000 + "}"
 FILES = {
     "heavy_2x2.prob": HEAVY_2X2,
     "forcing_1x1.prob": FORCING_1X1,
+    "transcendental.prob": TRANSCENDENTAL,
+    "ln_power.prob": LN_POWER,
     "malformed.prob": MALFORMED,
     "bad_u0.prob": BAD_U0,
     "bad_char.prob": BAD_CHAR,
@@ -78,7 +98,7 @@ BUNDLED_COMMANDS = (
 
 
 def corpus() -> list[tuple[str, ...]]:
-    """The 45 commands; a bundled problem is named by its file name."""
+    """The 51 commands; a bundled problem is named by its file name."""
     out = [
         (cmd[0], name, *cmd[1:], *fmt)
         for name in BUNDLED
@@ -96,6 +116,12 @@ def corpus() -> list[tuple[str, ...]]:
         ("residual", "forcing_1x1.prob", "--order", "10"),
         ("hpm", "forcing_1x1.prob", "--corrections", "2"),
         ("compare", "forcing_1x1.prob", "--corrections", "2"),
+        ("solve", "transcendental.prob", "--order", "12"),
+        ("hpm", "transcendental.prob", "--corrections", "4"),
+        ("compare", "transcendental.prob", "--corrections", "5"),
+        ("solve", "ln_power.prob", "--order", "12"),
+        ("hpm", "ln_power.prob", "--corrections", "4"),
+        ("compare", "ln_power.prob", "--corrections", "5"),
         ("expand", "--expr", "exp(t)*sin(x1+t)*cos(x2)", "--order", "18"),
         ("expand", "--expr", "exp(sin(x1*t))*tanh(t+x2)", "--order", "12"),
         ("expand", "--expr", "sinh(x1+t^2)*exp(-t*x2)", "--order", "14"),
@@ -185,6 +211,21 @@ GOLDEN = {
         (0, 'a629e7bd220798c684a305cffe0aaeba5256963c', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
     ('compare', 'forcing_1x1.prob', '--corrections', '2'):
         (0, '7aa390d0b6ed1ed7a1c8c1fa715517b28dda64b6', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    # recorded while the ring jets composed every function's Taylor
+    # series with the argument's, before exp, sin, cos, sinh, cosh and
+    # tanh took recurrences
+    ('solve', 'transcendental.prob', '--order', '12'):
+        (0, '02d28b2c9cabd5b35daab4b007af330942e1b36f', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    ('hpm', 'transcendental.prob', '--corrections', '4'):
+        (0, '901fcf9330b5659f496868bf0766ce75a7eb6c6f', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    ('compare', 'transcendental.prob', '--corrections', '5'):
+        (0, 'ea637a3c418b8b7d7ab1dde457c4df9191cde347', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    ('solve', 'ln_power.prob', '--order', '12'):
+        (0, '0e519a2a20368474ef2ea2e630bb8a9f8ed1c0e0', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    ('hpm', 'ln_power.prob', '--corrections', '4'):
+        (0, '5d4ccaeed8d4ddb6fbfec56d283154cd6673760e', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    ('compare', 'ln_power.prob', '--corrections', '5'):
+        (0, 'ea637a3c418b8b7d7ab1dde457c4df9191cde347', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
     ('expand', '--expr', 'exp(t)*sin(x1+t)*cos(x2)', '--order', '18'):
         (0, '8a1fdcdec9e536c17e877f1c0aca1888f63c926d', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
     ('expand', '--expr', 'exp(sin(x1*t))*tanh(t+x2)', '--order', '12'):
@@ -245,7 +286,7 @@ def workdir(tmp_path, monkeypatch):
 
 
 def test_the_corpus_is_complete():
-    assert len(corpus()) == 45 and set(GOLDEN) == set(corpus())
+    assert len(corpus()) == 51 and set(GOLDEN) == set(corpus())
 
 
 @pytest.mark.parametrize("command", corpus(), ids=" ".join)

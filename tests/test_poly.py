@@ -31,6 +31,7 @@ from conftest import (
     ref_tree,
     tree_forcing,
     tuple_engines,
+    TupleRing,
     _tuple_unit,
 )
 from pdeseries import poly
@@ -134,6 +135,10 @@ def _normal(ring, p):
     return p
 
 
+_MIXED_ATOMS = ("x1", "x2", "sin(x1)", "exp(x2)", "cosh(x1*x2)", "sin(x1/3)", "exp(x2/2)",
+                "(x1/3 + x2)^(-1)", "(sin(x1/3) + x2)^(-1)", "tanh(x1*x2)", "ln(1 + x1^2 + x1*x2)")
+
+
 class TestAgainstReference:
     """The kernel against the Fraction-dict reference in conftest."""
 
@@ -155,6 +160,26 @@ class TestAgainstReference:
             assert ref_of(ring, _normal(ring, scale(product, q))) == ref_scale(ref_mul(ra, rb), q)
         for p in (a, product):
             assert ref_of(ring, _normal(ring, ring.diff(p, v))) == ref_diff(ring, ref_of(ring, p), v)
+
+    @given(SEEDS, st.sampled_from((1, 2)))
+    def test_one_diff_meets_every_kind_of_atom_derivative(self, seed, v):
+        # atoms whose D_v is one term (x1, sin, exp, cosh), one term over
+        # a denominator (sin(x1/3), exp(x2/2), a sum atom of sin(x1/3)),
+        # or several terms (tanh, ln of a sum), in the terms of one p
+        rng = random.Random(seed)
+        ring = Ring()
+        atoms = [ring.from_tree(parse_expr(text, 2)) for text in _MIXED_ATOMS]
+        terms = []
+        for _ in range(rng.randint(1, 5)):
+            term = poly.const(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4)))
+            for a in rng.sample(atoms, rng.randint(1, 4)):
+                term = mul(term, ring.power(a, rng.choice((-2, -1, 1, 2, 3))))
+            terms.append(term)
+        p = add(*terms)
+        d = _normal(ring, ring.diff(p, v))
+        tuples = TupleRing(ring)
+        assert tuples.of(d) == tuples.diff(tuples.of(p), v)
+        assert ref_of(ring, d) == ref_diff(ring, ref_of(ring, p), v)
 
     def test_engines_equal_the_reference_trees(self):
         problems = [(seed, *random_problem(seed)) for seed in range(2000, 2030)]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     PLAN,
+    RefRingJets,
     apply_by_differentiate,
     problem_path,
     random_normal_expr,
@@ -487,6 +488,21 @@ def _ring_outcome(e: Expr, order: int, ring: Ring | None = None):
         return type(exc)
 
 
+def _jets_outcome(jets, e: Expr):
+    try:
+        return jets.expansion(e)
+    except (DomainError, ExpansionSingular) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_jets_as_composed(ring: Ring, e: Expr, order: int):
+    """The ring jets of ``e`` are the polynomials, numerators and
+    denominator, that composing every function's Taylor series made, or
+    raise its error."""
+    want = _jets_outcome(RefRingJets(ring, order), e)
+    assert _jets_outcome(series._RingJets(ring, order), e) == want
+
+
 class TestRingJets:
     @settings(max_examples=200)
     @given(_time_exprs(), st.integers(0, 6))
@@ -506,6 +522,37 @@ class TestRingJets:
             assume(False)
         # one ring, so that equal polynomials have equal atom indices
         assert _ring_outcome(e, order, ring) == want
+
+    @settings(max_examples=300)
+    @given(_time_exprs(), st.integers(0, 14))
+    def test_recurrences_equal_the_composition(self, e, order):
+        try:
+            e = normalize(e)
+        except DomainError:
+            assume(False)
+        _assert_jets_as_composed(Ring(), e, order)
+
+    @pytest.mark.parametrize("text", [
+        "exp(t)*sin(x1+t)*cos(x2)", "t^2*x1", "exp(sin(x1*t))*tanh(t+x2)",
+        # arguments holding sum atoms at negative exponents
+        "sin(t/(1 + x1))*cosh((x1 - x2)^(-3) + t)", "exp(t*(x1 + x2)^(-2) + (1 + x1)^(-1))",
+        "tanh(t^2/(1 + x1^2) + (2 + x2)^(-1))^2", "sinh(t*(3*x1 - x2)^(-1))*cos(t + (1 + x1^2)^(-2))",
+        "ln(2 + t/(1 + x1)) + (1 + x2*t)^(-3)", "tanh(1 + t*x1) + sin(cos(x1*t))",
+    ])
+    def test_recurrences_equal_the_composition_on_named_forcings(self, text):
+        e = parse_expr(text, 2, allow_time=True)
+        for order in range(15):
+            _assert_jets_as_composed(Ring(), e, order)
+
+    @pytest.mark.parametrize("text", [
+        "sin(x1^(2^62)*t)", "tanh(x1^(2^40) + t)", "exp(t*x1^(2^62))^2",
+        "cos(x1^(2^61)*t + x1^(2^61))", "sinh(x1^(2^62) + t)*cosh(t*x1^(-(2^62)))",
+    ])
+    def test_recurrences_equal_the_composition_at_the_edge_of_the_fields(self, text):
+        e = parse_expr(text, 1, allow_time=True)
+        for ring in (Ring(), Ring(e)):
+            for order in range(6):
+                _assert_jets_as_composed(ring, e, order)
 
     def test_first_power_of_a_long_sum_keeps_its_terms(self, tmp_path):
         # (t + P)^2 = P^2 + 2*P*t + t^2 takes P^1 from the ring, and P has
