@@ -39,7 +39,7 @@ from .expr import (
     SamplePlan,
     Sum,
     Var,
-    _AT_ZERO,
+    _func,
     _outer_derivative,
     _sum_content,
     eprod,
@@ -271,11 +271,11 @@ class Ring:
         return self.checked(Poly({key: q.numerator}, q.denominator, abs(k)))
 
     def func(self, name: str, a: Poly) -> Poly:
-        if not a and name in _AT_ZERO:
-            return self.from_tree(_AT_ZERO[name])
-        if name == "ln" and a == ONE:
-            return ZERO
-        return Poly({self.atom(Func(name, self.to_tree(a)), a): 1}, 1, 1)
+        """The atom of ``expr._func(name, a)``, or the value it folds to."""
+        tree = _func(name, self.to_tree(a))
+        if isinstance(tree, Func):
+            return Poly({self.atom(tree, a): 1}, 1, 1)
+        return self.from_tree(tree)
 
     def diff(self, p: Poly, v: int) -> Poly:
         """Partial derivative in variable ``v``: for each atom i that a key

@@ -90,10 +90,7 @@ def invert(matrix: RationalMatrix) -> RationalMatrix:
 
     Raises SingularRho when the matrix has no inverse."""
     m = matrix.size
-    aug = [
-        list(matrix.entries[i]) + [Fraction(1 if i == j else 0) for j in range(m)]
-        for i in range(m)
-    ]
+    aug = [[*row, *unit] for row, unit in zip(matrix.entries, RationalMatrix.identity(m).entries)]
     for col in range(m):
         pivot_row = next((r for r in range(col, m) if aug[r][col] != 0), None)
         if pivot_row is None:
@@ -598,34 +595,21 @@ class ProblemSpec:
         if order < 1:
             raise ValueError("truncation order must be at least 1")
         other = dataclasses.replace(self, order=order)
-        for name in _HIDDEN:
-            object.__setattr__(other, name, _hidden(self, name))
+        vars(other).update(_ring=problem_ring(self), _forcing=vars(self).setdefault("_forcing", []))
         return other
 
     def __getstate__(self) -> dict:
         # pickles and copies carry the problem, not its caches
-        return {k: v for k, v in self.__dict__.items() if k not in _HIDDEN}
-
-
-# Per-problem caches, kept as attributes rather than fields so that
-# equality, hashing and repr ignore them: the forcing expansion per
-# component, and the ring both engines compute in, sized for its trees.
-_HIDDEN = {"_forcing": lambda p: [], "_ring": lambda p: Ring(
-    *p.u0, *p.u1, *p.f_source, *(t.coeff for t in p.L.terms))}
-
-
-def _hidden(p: ProblemSpec, name: str):
-    try:
-        return getattr(p, name)
-    except AttributeError:
-        value = _HIDDEN[name](p)
-        object.__setattr__(p, name, value)
-        return value
+        return {k: v for k, v in vars(self).items() if k not in ("_ring", "_forcing")}
 
 
 def problem_ring(p: ProblemSpec) -> Ring:
-    """The polynomial ring of ``p``, made on first use."""
-    return _hidden(p, "_ring")
+    """The ring both engines use for ``p``, sized for its trees and made
+    on first use.  It and the forcing expansion per component live in
+    ``vars(p)``, not in fields, so equality, hashing and repr ignore them."""
+    if "_ring" not in vars(p):
+        vars(p)["_ring"] = Ring(*p.u0, *p.u1, *p.f_source, *(t.coeff for t in p.L.terms))
+    return p._ring
 
 
 def forcing_rows(p: ProblemSpec, order: int) -> Rows:
@@ -636,7 +620,7 @@ def forcing_rows(p: ProblemSpec, order: int) -> Rows:
     problem: coefficients do not depend on the order they were expanded
     to, so a later call with an order no larger reads a prefix of the
     stored ones, and only a larger order expands again."""
-    per_component = _hidden(p, "_forcing")
+    per_component = vars(p).setdefault("_forcing", [])
     if not per_component or len(per_component[0]) <= order:
         jets = _RingJets(problem_ring(p), order)
         per_component[:] = [jets.expansion(c) for c in p.f_source]

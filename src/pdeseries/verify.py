@@ -4,12 +4,12 @@ engine equivalence."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import DimensionMismatch
 from .expr import DEFAULT_PLAN, SamplePlan
 from .hpm import hpm_rows, sum_rows
-from .poly import ZERO, sub
+from .poly import ZERO, Ring, sub
 from .series import (
     ProblemSpec,
     TimeSeriesVec,
@@ -29,17 +29,18 @@ class DegreeCheck:
     max_deviation: float
 
 
-def _per_degree_dicts(checks: tuple[DegreeCheck, ...]) -> list[dict]:
-    return [
-        {"degree": c.degree, "passed": c.passed, "max_deviation": c.max_deviation}
-        for c in checks
-    ]
+def _degree_check(ring: Ring, degree: int, pairs, plan: SamplePlan) -> DegreeCheck:
+    """The check of one degree: the largest ``ring.deviation`` over the
+    ``pairs`` of polynomials, against the plan's tolerance."""
+    deviation = max(ring.deviation(a, b, plan) for a, b in pairs)
+    return DegreeCheck(degree, deviation <= plan.tolerance, deviation)
 
 
 @dataclass(frozen=True)
 class ResidualReport:
     """Outcome of checking mass*u_tt - L u - f degree by degree.
-    Degrees above order-2 are truncation artifacts and are excluded."""
+    Degrees above order-2 are truncation artifacts and are excluded.
+    ``to_dict`` writes each ``DegreeCheck`` with ``dataclasses.asdict``."""
 
     per_degree: tuple[DegreeCheck, ...]
     overall: bool
@@ -55,14 +56,14 @@ class ResidualReport:
         return {
             "overall": self.overall,
             "checked_degrees": list(self.checked_orders),
-            "per_degree": _per_degree_dicts(self.per_degree),
+            "per_degree": [asdict(c) for c in self.per_degree],
         }
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Coefficient-wise comparison of the two engines up to the
-    finalized degree 2J+1."""
+    """Coefficient-wise comparison of the two engines up to the finalized
+    degree 2J+1; ``to_dict`` writes each check as ``ResidualReport``'s does."""
 
     corrections: int
     per_degree: tuple[DegreeCheck, ...]
@@ -75,7 +76,7 @@ class EquivalenceReport:
         return {
             "overall": self.overall,
             "corrections": self.corrections,
-            "per_degree": _per_degree_dicts(self.per_degree),
+            "per_degree": [asdict(c) for c in self.per_degree],
         }
 
 
@@ -98,8 +99,7 @@ def residual_check(
     for k in range(order - 1):
         lhs = scale_rows(p.rho, rows[k + 2], (k + 1) * (k + 2))
         rhs = apply_rows(ring, p.L, rows[k], f[k])
-        deviation = max(ring.deviation(sub(a, b), ZERO, plan) for a, b in zip(lhs, rhs))
-        checks.append(DegreeCheck(k, deviation <= plan.tolerance, deviation))
+        checks.append(_degree_check(ring, k, [(sub(a, b), ZERO) for a, b in zip(lhs, rhs)], plan))
     return ResidualReport(tuple(checks), all(c.passed for c in checks))
 
 
@@ -121,10 +121,6 @@ def equivalence_check(
     ring = problem_ring(p)
     direct = taylor_rows(p.with_order(final_degree))
     summed = sum_rows(hpm_rows(p, corrections, final_degree), final_degree)
-    checks = []
-    for d in range(final_degree + 1):
-        deviation = max(
-            ring.deviation(a, b, plan) for a, b in zip(direct[d], summed[d])
-        )
-        checks.append(DegreeCheck(d, deviation <= plan.tolerance, deviation))
+    checks = [_degree_check(ring, d, zip(direct[d], summed[d]), plan)
+              for d in range(final_degree + 1)]
     return EquivalenceReport(corrections, tuple(checks), all(c.passed for c in checks))

@@ -10,7 +10,6 @@ import re
 from operator import add as _plus
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from hypothesis import HealthCheck, settings
 
@@ -62,6 +61,8 @@ from pdeseries.series import (
     invert,
 )
 
+from golden import HEAVY_2X2, PROBLEM_DIR, problem_path
+
 settings.register_profile(
     "pdeseries",
     deadline=None,
@@ -71,24 +72,6 @@ settings.register_profile(
 settings.load_profile("pdeseries")
 
 PLAN = SamplePlan()
-
-PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
-
-
-def problem_path(name: str) -> str:
-    return str(PROBLEM_DIR / name)
-
-
-# the heavy 2x2 problem of the benchmark: variable coefficients, a
-# transcendental forcing, coupled components
-HEAVY_2X2 = """{"m": 2, "n": 2, "rho": [["2","1"],["1","1"]],
- "L": [{"row":0,"col":0,"coeff":"1+x1^2","derivs":[2,0]},
-       {"row":0,"col":1,"coeff":"x2","derivs":[0,1]},
-       {"row":1,"col":0,"coeff":"sin(x1)","derivs":[1,0]},
-       {"row":1,"col":1,"coeff":"1","derivs":[0,2]}],
- "f": ["exp(t)*sin(x1+t)*cos(x2)", "t^2*x1"],
- "u0": ["sin(x1)*exp(x2)", "x1^2"], "u1": ["cos(x2)", "0"], "order": 8}
-"""
 
 
 # ---------------------------------------------------------------------------

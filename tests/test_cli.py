@@ -508,6 +508,14 @@ class TestErrorsAndExitCodes:
         assert code == 3
         assert "MISMATCH" in out
 
+    def test_unexpected_exception_exits_four(self, capsys, monkeypatch):
+        # no known input reaches this branch, so a command raises instead
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._DISPATCH, "solve", boom)
+        assert run(capsys, "solve", WAVE) == (4, "", "internal error: boom\n")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [

@@ -49,7 +49,8 @@ from pdeseries.expr import (
     substitute,
     var,
 )
-from pdeseries.parser import parse_expr
+from pdeseries.parser import parse_expr, print_expr
+from pdeseries.poly import Poly, Ring
 from pdeseries.series import expand_in_time
 
 
@@ -810,3 +811,46 @@ class TestOperators:
         assert x ** 2 / x == x
         with pytest.raises(TypeError):
             x ** 0.5
+
+
+X1 = Var(1)
+# what each function's helper gives at 0: the exact special values fold
+AT_ZERO = {"sin": ZERO, "cos": ONE, "exp": ONE, "ln": Func("ln", ZERO),
+           "sinh": ZERO, "cosh": ONE, "tanh": ZERO}
+
+
+class TestRarePaths:
+    """Statements that no other test runs: the operators and helpers
+    written for callers outside the package, and the guards against
+    values that are not trees."""
+
+    @pytest.mark.parametrize("call,want", [
+        (lambda: 1 - X1, Sum((ONE, Prod((MINUS_ONE, X1))))),
+        (lambda: -X1, Prod((MINUS_ONE, X1))),
+        (lambda: 1 / X1, Pow(X1, -1)),
+        (lambda: type(Const(3).value), Fraction),
+        (lambda: repr(Poly({0: 1}, 2)), "Poly({0: 1}, 2)"),
+        *[(lambda name=name: getattr(expr, name)(X1), Func(name, X1)) for name in AT_ZERO],
+        *[(lambda name=name: getattr(expr, name)(0), value) for name, value in AT_ZERO.items()],
+    ])
+    def test_result(self, call, want):
+        assert call() == want
+
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda: Const(0.5), TypeError, "floats are not allowed in the symbolic layer"),
+        (lambda: Var(-1), ValueError, "variable index must be nonnegative"),
+        (lambda: Pow(X1, 0.5), TypeError, "power exponent must be a Python int"),
+        (lambda: Func("sec", X1), ValueError, "unsupported function 'sec'"),
+        (lambda: expr.as_expr("x"), TypeError, "cannot use str as an expression"),
+        (lambda: normalize("x1"), TypeError, "not an expression: 'x1'"),
+        (lambda: evaluate("x1", (0.5,)), TypeError, "not an expression: 'x1'"),
+        (lambda: print_expr("x1"), TypeError, "not an expression: 'x1'"),
+        (lambda: Ring().from_tree("x1"), TypeError, "not an expression: 'x1'"),
+        # a rational times a sum's content: _mul refuses the product
+        (lambda: parse_expr("2^14000*x1*(2^14000*x2 + 2^14000*x3)", 3), ParseError,
+         "product of constants too large to represent at offset 11"),
+    ])
+    def test_error(self, call, error, message):
+        with pytest.raises(error) as err:
+            call()
+        assert type(err.value) is error and str(err.value) == message

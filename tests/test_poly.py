@@ -34,7 +34,7 @@ from conftest import (
     TupleRing,
     _tuple_unit,
 )
-from pdeseries import poly
+from pdeseries import expr, poly
 from pdeseries.cli import main
 from pdeseries.errors import DomainError, SamplingExhausted
 from pdeseries.expr import (
@@ -552,6 +552,9 @@ class TestDerivatives:
     def test_function_rules_are_those_of_expr(self, name):
         # special values and derivatives come from expr's one table
         assert Ring().func(name, poly.ZERO) == Ring().from_tree(normalize(Func(name, ZERO)))
+        for arg in ("0", "1", "x1"):
+            ring, a = Ring(), parse_expr(arg, 1)
+            assert ring.func(name, ring.from_tree(a)) == ring.from_tree(expr._func(name, a))
         for arg in ("x1", "1 + x1^2"):
             e = normalize(Func(name, parse_expr(arg, 1)))
             ring = Ring()
