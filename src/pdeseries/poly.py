@@ -10,10 +10,15 @@ reaches 2^(W-1).  In normal form the denominator is coprime to the
 numerators' content and zero is no terms over 1.  Equal normal forms
 are equal values; unequal ones are sampled.
 
+``mul`` forms one product, ``scale`` one rational multiple, and any sum
+of them is one pass of ``dot(pairs, start)``: ``start`` plus each a*b,
+``a`` a ``Poly`` or a rational weight, one integer sum per monomial and
+no product built on its own; ``add`` and ``sub`` are ``dot`` too.
+
 ``Fraction`` is met only at the edges: constants of trees read and
 written (``Ring.from_tree``, and ``Ring.to_tree``, which builds through
-``esum`` and ``eprod``), the rational factors ``scale`` applies (as
-numerator times n, denominator times d), and a sum atom's content.
+``esum`` and ``eprod``), the rational weights of ``scale`` and ``dot``
+(numerator times n, denominator times d), and a sum atom's content.
 
 Atoms are variables, functions of a canonical argument, and multi-term
 sums, which are atoms only when raised to a negative power or to a
@@ -92,25 +97,52 @@ def _nonzero(num: dict) -> dict:
     return {m: c for m, c in num.items() if c} if 0 in num.values() else num
 
 
-def add(*parts: Poly) -> Poly:
-    """The sum of ``parts``: the lcm of their denominators, then one
-    integer sum per monomial."""
-    parts = [p for p in parts if p.num]
-    if len(parts) < 2:
-        return parts[0] if parts else ZERO
-    den = math.lcm(*[p.den for p in parts])
-    out: dict = {}
+def dot(pairs, start: Poly = ZERO) -> Poly:
+    """``start`` plus the sum of a*b over ``pairs``, each ``a`` a ``Poly``
+    or a rational weight and each ``b`` a ``Poly``: the lcm of the
+    denominators, then one integer sum per monomial, with no product or
+    scaled copy built on its own.  The ``top`` is the largest over the
+    nonzero parts (a.top + b.top, b.top for a weight), so ``Ring.checked``
+    refuses the sum where it would refuse a product, cancelled or not."""
+    live = [(a, b) for a, b in [(1, start), *pairs] if a and b.num]
+    if len(live) < 2:  # no sum to take
+        a, b = live[0] if live else (1, ZERO)
+        return mul(a, b) if type(a) is Poly else scale(b, a)
+    den = math.lcm(*[b.den * (a.den if type(a) is Poly else a.denominator) for a, b in live])
+    out, tops = {}, []
     get = out.get
-    for p in parts:
-        f = den // p.den
-        for m, c in p.num.items():
-            s = get(m)
-            out[m] = c * f if s is None else s + c * f
-    return Poly(_nonzero(out), den, max([p.top for p in parts]))
+    for a, b in live:
+        if type(a) is not Poly:  # a weight: one pass over b
+            f = den // (b.den * a.denominator) * a.numerator
+            for m, c in b.num.items():
+                s = get(m)
+                out[m] = c * f if s is None else s + c * f
+            tops.append(b.top)
+            continue
+        f, na, nb = den // (a.den * b.den), a.num, b.num
+        if len(na) < len(nb):
+            na, nb = nb, na
+        terms_b = list(nb.items())
+        for ma, ca in na.items():
+            ca *= f
+            for mb, cb in terms_b:
+                m = ma + mb
+                s = get(m)
+                out[m] = ca * cb if s is None else s + ca * cb
+        tops.append(a.top + b.top)
+    return Poly(_nonzero(out), den, max(tops))
+
+
+def add(*parts: Poly) -> Poly:
+    """The sum of ``parts``: ``dot`` with unit weights."""
+    parts = [p for p in parts if p.num]
+    if len(parts) < 2:  # no sum to take
+        return parts[0] if parts else ZERO
+    return dot([(1, p) for p in parts])
 
 
 def sub(a: Poly, b: Poly) -> Poly:
-    return add(a, scale(b, -1))
+    return dot([(-1, b)], a)
 
 
 def scale(p: Poly, q) -> Poly:
@@ -290,7 +322,7 @@ class Ring:
         held = 0
         for b, _, _ in terms:
             held |= b ^ bias
-        out, top, parts, i, shift = {}, 0, [], 0, 0
+        out, top, pairs, i, shift = {}, 0, [], 0, 0
         while held:  # field i of held is nonzero where a term holds atom i
             if held & mask and (d := self._atom_derivative(i, v)):
                 if len(d.num) == 1 and d.den == 1:
@@ -305,11 +337,10 @@ class Ring:
                         s = get(m + step)
                         target[m + step] = c * e * k if s is None else s + c * e * k
                 if target is not out:
-                    parts.append(mul(Poly(target, p.den, p.top + 1), d))
+                    pairs.append((Poly(target, p.den, p.top + 1), d))
             held, i, shift = held >> width, i + 1, shift + width
-        if out:
-            parts.append(self.checked(Poly(_nonzero(out), p.den, p.top + 1 + top)))
-        return self.checked(add(*parts))
+        start = self.checked(Poly(_nonzero(out), p.den, p.top + 1 + top)) if out else ZERO
+        return self.checked(dot(pairs, start)) if pairs else start
 
     def _atom_derivative(self, i: int, v: int) -> Poly:
         """D_v of atom i, taken once per ring."""

@@ -39,7 +39,7 @@ from .expr import (
     too_large_power,
     uses_time,
 )
-from .poly import ONE as POLY_ONE, Poly, Ring, add, mul, scale
+from .poly import ONE as POLY_ONE, Poly, Ring, add, dot, mul, scale
 
 ExprVec = tuple[Expr, ...]
 
@@ -71,16 +71,6 @@ class RationalMatrix:
     def identity(cls, m: int) -> "RationalMatrix":
         return cls(tuple(
             tuple(Fraction(1 if i == j else 0) for j in range(m))
-            for i in range(m)
-        ))
-
-    def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        m = self.size
-        if other.size != m:
-            raise DimensionMismatch("matrix sizes differ")
-        return RationalMatrix(tuple(
-            tuple(sum(self.entries[i][k] * other.entries[k][j] for k in range(m))
-                  for j in range(m))
             for i in range(m)
         ))
 
@@ -149,7 +139,9 @@ class SpatialOperator:
 def apply_rows(
     ring: Ring, op: SpatialOperator, vec: Sequence[Poly], forcing: Sequence[Poly]
 ) -> list[Poly]:
-    """``L vec + forcing`` on polynomials of ``ring``, one sum per component.
+    """``L vec + forcing`` on polynomials of ``ring``: per component, one
+    ``dot`` pass from the forcing over each coefficient times its partial
+    derivative, checked once.
 
     A partial derivative that several terms need (the d/dx1 of u under
     both d2/dx1^2 and d/dx1) is taken once per call, and the ring takes
@@ -157,7 +149,7 @@ def apply_rows(
     if len(vec) != op.m or len(forcing) != op.m:
         raise DimensionMismatch(f"vector lengths {len(vec)}, {len(forcing)} != {op.m}")
     partials: dict[tuple, Poly] = {}
-    rows = [[c] for c in forcing]
+    rows: list[list] = [[] for _ in forcing]
     for term in op.terms:
         key: tuple = (term.col,)
         d = vec[term.col]
@@ -169,8 +161,8 @@ def apply_rows(
                     got = partials[key] = ring.diff(d, variable)
                 d = got
         if d.num:
-            rows[term.row].append(ring.checked(mul(ring.from_tree(term.coeff), d)))
-    return [add(*parts) for parts in rows]
+            rows[term.row].append((ring.from_tree(term.coeff), d))
+    return [ring.checked(dot(pairs, c)) for pairs, c in zip(rows, forcing)]
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +425,8 @@ class _RingJets(_Jets):
         ring, name, n = self.ring, e.name, self.order
         slopes = [(j, scale(c, j)) for j, c in enumerate(a) if j and c.num]
 
-        def conv(pairs, q) -> Poly:  # q times the sum of the products of the nonzero pairs
-            return scale(add(*(ring.checked(mul(x, y)) for x, y in pairs if x.num and y.num)), q)
+        def conv(pairs, q) -> Poly:  # q times the sum of the products of the pairs
+            return scale(ring.checked(dot(pairs)), q)
 
         def step(d: list, k: int, sign: int) -> Poly:  # (sign/k) sum_j j*a_j*d_(k-j)
             return conv(((s, d[k - j]) for j, s in slopes if j <= k), Fraction(sign, k))
@@ -456,8 +448,9 @@ class _RingJets(_Jets):
 # ---------------------------------------------------------------------------
 
 def scale_rows(matrix: RationalMatrix, v: Sequence[Poly], factor=1) -> list[Poly]:
-    """``factor`` times the exact matrix-vector product on polynomials."""
-    return [add(*(scale(p, q * factor) for q, p in zip(row, v))) for row in matrix.entries]
+    """``factor`` times the exact matrix-vector product on polynomials,
+    one ``dot`` pass per row with the weights q*factor."""
+    return [dot((q * factor, p) for q, p in zip(row, v)) for row in matrix.entries]
 
 
 # ---------------------------------------------------------------------------

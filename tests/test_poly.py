@@ -55,7 +55,14 @@ from pdeseries.expr import (
 from pdeseries.hpm import HpmExpansion, hpm_rows, partial_sum, solve_hpm
 from pdeseries.parser import load_problem, parse_expr, parse_problem, print_expr, print_poly
 from pdeseries.poly import ONE, Ring, add, mul, scale, sub
-from pdeseries.series import TimeSeriesVec, forcing_rows, problem_ring
+from pdeseries.series import (
+    OperatorTerm,
+    SpatialOperator,
+    TimeSeriesVec,
+    apply_rows,
+    forcing_rows,
+    problem_ring,
+)
 from pdeseries.taylor import taylor_coefficients, taylor_rows
 from pdeseries.verify import equivalence_check
 
@@ -119,6 +126,72 @@ class TestRingLaws:
         s_inv = ring.from_tree(parse_expr("(2 + 2*x1)^(-1)", 1))
         assert mul(s_inv, s_inv) == scale(ring.power(s, -2), Fraction(1, 4))
         assert mul(s_inv, s_inv) == ring.from_tree(parse_expr("1/4*(1 + x1)^(-2)", 1))
+
+
+def _sum_of_parts(pairs, start) -> tuple[dict, int, int]:
+    """``start`` plus each product built on its own (``mul``, or ``scale``
+    for a weight), summed over Fractions per monomial: the ``num``, ``den``
+    and ``top`` that ``dot`` must give."""
+    parts = [start] + [mul(a, b) if isinstance(a, poly.Poly) else scale(b, a) for a, b in pairs]
+    total: dict = {}
+    for p in parts:
+        for m, c in p.num.items():
+            total[m] = total.get(m, 0) + Fraction(c, p.den)
+    total = {m: c for m, c in total.items() if c}
+    den = math.lcm(*(c.denominator for c in total.values()))
+    return {m: int(c * den) for m, c in total.items()}, den, max((p.top for p in parts if p.num), default=0)
+
+
+_WEIGHTS = (Fraction(-3, 7), 0, 1, -1, Fraction(5, 2), 2, Fraction(1, 6))
+
+
+class TestDot:
+    """``dot`` against its parts built one by one."""
+
+    @staticmethod
+    def _check(ring, pairs, start=poly.ZERO):
+        got = _normal(ring, poly.dot(pairs, start))
+        assert (got.num, got.den, got.top) == _sum_of_parts(pairs, start)
+        return got
+
+    @given(SEEDS)
+    def test_products_weights_and_a_start_with_mixed_denominators(self, seed):
+        ring, polys = _random_polys(seed, 4)
+        rng = random.Random(seed)
+        # mixed denominators: each polynomial over its own rational
+        polys = [scale(p, Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 12))) for p in polys]
+        pairs = [(rng.choice(polys), rng.choice(polys)) for _ in range(rng.randint(1, 4))]
+        pairs += [(rng.choice(_WEIGHTS), rng.choice(polys)) for _ in range(rng.randint(1, 4))]
+        rng.shuffle(pairs)
+        for start in (poly.ZERO, polys[0]):
+            self._check(ring, pairs, start)
+            self._check(ring, [pq for pq in pairs if isinstance(pq[0], poly.Poly)], start)
+            self._check(ring, [pq for pq in pairs if not isinstance(pq[0], poly.Poly)], start)
+
+    @given(SEEDS)
+    def test_each_weight_alone_is_scale(self, seed):
+        ring, (a,) = _random_polys(seed, 1)
+        for q in _WEIGHTS:
+            assert self._check(ring, [(q, a)]) == scale(a, q)
+        assert poly.dot([(1, a)]) is a
+
+    @given(SEEDS)
+    def test_products_that_cancel_give_zero_with_their_top(self, seed):
+        ring, (a, b, c) = _random_polys(seed, 3)
+        assume(a and b)
+        for start in (poly.ZERO, c):
+            got = self._check(ring, [(a, b), (scale(b, Fraction(-2, 3)), scale(a, Fraction(3, 2)))], start)
+            assert got == start and got.top == max(a.top + b.top, c.top if start else 0)
+        got = self._check(ring, [(a, b), (-1, mul(a, b))])
+        assert (got.num, got.den) == ({}, 1)
+
+    @given(SEEDS)
+    def test_empty_single_and_start_only(self, seed):
+        ring, (a, b) = _random_polys(seed, 2)
+        assert poly.dot([]) is poly.ZERO and poly.dot([], a) is (a if a else poly.ZERO)
+        assert poly.dot([(0, a), (poly.ZERO, b), (b, poly.ZERO)], a) is (a if a else poly.ZERO)
+        assert self._check(ring, [(a, b)]) == mul(a, b)
+        assert self._check(ring, [], a) == a
 
 
 def _normal(ring, p):
@@ -487,6 +560,37 @@ class TestExponentRange:
                 ring.power(p, k)
         with pytest.raises(DomainError, match="exponent too large to represent"):
             ring.from_tree(parse_expr("(1 + x1)^(2^63)", 1))
+
+    # one operator term whose product with D u reaches 2^63 on a 64-bit
+    # field, alone and with a second term that cancels it term by term
+    _PAST_THE_FIELD = ("x1^(2^62)", "-x1^(2^62)")
+
+    @pytest.mark.parametrize("count", (1, 2))
+    def test_an_operator_product_past_the_field_is_refused(self, count):
+        ring = Ring()
+        assert ring.width == 64
+        op = SpatialOperator(1, 1, tuple(OperatorTerm(0, 0, parse_expr(c, 1), (1,))
+                                         for c in self._PAST_THE_FIELD[:count]))
+        u = ring.from_tree(parse_expr("x1^(2^62)", 1))
+        with pytest.raises(DomainError) as err:
+            apply_rows(ring, op, [u], [ONE])
+        assert str(err.value) == "exponent too large to represent"
+
+    @pytest.mark.parametrize("argv", RANGE_COMMANDS, ids=lambda a: a[0])
+    def test_the_refusal_is_exit_two(self, monkeypatch, tmp_path, capsys, argv):
+        doc = {
+            "m": 1, "n": 1, "rho": [["1"]],
+            "L": [{"row": 0, "col": 0, "coeff": c, "derivs": [1]} for c in self._PAST_THE_FIELD],
+            "f": ["0"], "u0": ["x1^(2^62)"], "u1": ["0"], "order": 4,
+        }
+        path = tmp_path / "past.prob"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        # a ring sized for the problem holds the product
+        assert main([argv[0], str(path), *argv[1:]]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(poly, "_reach", lambda e: 0)  # every ring 64 bits wide
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        assert capsys.readouterr() == ("", "error: exponent too large to represent\n")
 
     def test_a_series_of_trees_gets_a_ring_sized_for_them(self):
         e = parse_expr("x1^(2^63) + x1^(-(2^63))", 1)

@@ -107,8 +107,13 @@ class TestInvert:
             except SingularRho:
                 continue
             break
-        assert matrix.matmul(inverse) == RationalMatrix.identity(m)
-        assert inverse.matmul(matrix) == RationalMatrix.identity(m)
+
+        def product(a, b):
+            return RationalMatrix(tuple(tuple(sum(x * y for x, y in zip(row, col))
+                                              for col in zip(*b.entries)) for row in a.entries))
+
+        assert product(matrix, inverse) == RationalMatrix.identity(m)
+        assert product(inverse, matrix) == RationalMatrix.identity(m)
 
 
 def _laplacian_2d() -> SpatialOperator:
@@ -742,8 +747,6 @@ class TestErrorPaths:
          "matrix must be square and non-empty"),
         (lambda: RationalMatrix.from_rows([]), DimensionMismatch,
          "matrix must be square and non-empty"),
-        (lambda: RationalMatrix.identity(2).matmul(_I1), DimensionMismatch,
-         "matrix sizes differ"),
         (lambda: SpatialOperator(1, 1, (OperatorTerm(1, 0, const(1), (2,)),)),
          DimensionMismatch, "operator term row/col (1,0) outside 0..0"),
         (lambda: SpatialOperator(2, 1, (OperatorTerm(0, -1, const(1), (2,)),)),
