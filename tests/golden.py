@@ -1,11 +1,16 @@
-"""The golden corpus: 51 commands, their problem texts, and the exit
+"""The golden corpus: 63 commands, their problem texts, and the exit
 code and sha1 of stdout and of stderr that each printed when recorded.
 
 The corpus covers every command on the bundled problems in text and
 JSON, the heavy 2x2 problem (``solve`` and ``hpm`` also in JSON) and
 the transcendental forcing problem of the benchmark, two forcings that
 meet every function the ring jets expand, the benchmark's four
-expansions, and seven input errors.  A change to the arithmetic
+expansions, and seven input errors.  The benchmark's four expansions
+come again multiplied by 7 and by -3/5, and ``solve`` and ``compare``
+on its two problems again with ``u0``, ``u1`` and ``f`` multiplied by
+7, as the benchmark scales them after its first round: a rational
+times a product takes other paths through the kernel than the
+unscaled inputs do.  A change to the arithmetic
 under the engines, or to how coefficients are printed, must leave all
 of them as they are.
 
@@ -25,6 +30,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -99,6 +105,25 @@ HUGE_POWER = """{"m": 1, "n": 1, "rho": [["1"]],
 # deeper than the JSON decoder recurses
 DEEP = '{"m": ' + "[" * 100000 + "]" * 100000 + "}"
 
+
+
+def scaled(text: str, c: int) -> str:
+    """The problem with u0, u1 and f multiplied by c, written as
+    ``benchmarks/workloads.py::scaled_problem_text`` writes it."""
+    doc = json.loads(text)
+    for key in ("u0", "u1", "f"):
+        doc[key] = [f"{c}*({s})" for s in doc[key]]
+    return json.dumps(doc)
+
+
+# the benchmark's four expansions: expression and order
+EXPANSIONS = (
+    ("exp(t)*sin(x1+t)*cos(x2)", "18"),
+    ("exp(sin(x1*t))*tanh(t+x2)", "12"),
+    ("sinh(x1+t^2)*exp(-t*x2)", "14"),
+    ("cosh(x1*t)*sin(t^2+x2)*exp(t)", "10"),
+)
+
 # written to the working directory of each test, named by relative path
 FILES = {
     "heavy_2x2.prob": HEAVY_2X2,
@@ -110,6 +135,8 @@ FILES = {
     "bad_char.prob": BAD_CHAR,
     "deep.prob": DEEP,
     "huge_power.prob": HUGE_POWER,
+    "heavy_2x2_x7.prob": scaled(HEAVY_2X2, 7),
+    "forcing_1x1_x7.prob": scaled(FORCING_1X1, 7),
 }
 
 BUNDLED = ("wave_1d.prob", "forced_wave_2d.prob", "coupled_2x2.prob")
@@ -122,7 +149,7 @@ BUNDLED_COMMANDS = (
 
 
 def corpus() -> list[tuple[str, ...]]:
-    """The 51 commands; a bundled problem is named by its file name."""
+    """The 63 commands; a bundled problem is named by its file name."""
     out = [
         (cmd[0], name, *cmd[1:], *fmt)
         for name in BUNDLED
@@ -146,10 +173,7 @@ def corpus() -> list[tuple[str, ...]]:
         ("solve", "ln_power.prob", "--order", "12"),
         ("hpm", "ln_power.prob", "--corrections", "4"),
         ("compare", "ln_power.prob", "--corrections", "5"),
-        ("expand", "--expr", "exp(t)*sin(x1+t)*cos(x2)", "--order", "18"),
-        ("expand", "--expr", "exp(sin(x1*t))*tanh(t+x2)", "--order", "12"),
-        ("expand", "--expr", "sinh(x1+t^2)*exp(-t*x2)", "--order", "14"),
-        ("expand", "--expr", "cosh(x1*t)*sin(t^2+x2)*exp(t)", "--order", "10"),
+        *(("expand", "--expr", e, "--order", order) for e, order in EXPANSIONS),
         ("solve", "malformed.prob"),
         ("solve", "bad_u0.prob"),
         ("solve", "missing.prob"),
@@ -158,6 +182,15 @@ def corpus() -> list[tuple[str, ...]]:
         ("expand", "--expr", "x1*7^3000*7^3000", "--order", "2"),
         ("solve", "deep.prob"),
         ("hpm", "huge_power.prob", "--corrections", "1"),
+    ]
+    # "--expr=" keeps a leading minus sign from reading as an option
+    out += [("expand", f"--expr={c}*({e})", "--order", order)
+            for c in ("7", "-3/5") for e, order in EXPANSIONS]
+    out += [
+        ("solve", "heavy_2x2_x7.prob", "--order", "8"),
+        ("compare", "heavy_2x2_x7.prob", "--corrections", "4"),
+        ("solve", "forcing_1x1_x7.prob", "--order", "10"),
+        ("compare", "forcing_1x1_x7.prob", "--corrections", "2"),
     ]
     return out
 
@@ -279,6 +312,32 @@ GOLDEN = {
     # digits) for integer string conversion" message
     ('hpm', 'huge_power.prob', '--corrections', '1'):
         (2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', '8fe4a70edc0c39588a5c102be8f90eb0543b5b56'),
+    # the scaled inputs, recorded before a rational times a product
+    # rescaled the product's rational instead of rebuilding it
+    ('expand', '--expr=7*(exp(t)*sin(x1+t)*cos(x2))', '--order', '18'):
+        (0, '948e0939a861512ff21f8b7354fe5e06db5ff0bb', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    ('expand', '--expr=7*(exp(sin(x1*t))*tanh(t+x2))', '--order', '12'):
+        (0, '6d4bba52640e514996c68a13d62d2c91a454841f', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    ('expand', '--expr=7*(sinh(x1+t^2)*exp(-t*x2))', '--order', '14'):
+        (0, 'b046bd3a487fe0b4562a2782a963609439804cc2', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    ('expand', '--expr=7*(cosh(x1*t)*sin(t^2+x2)*exp(t))', '--order', '10'):
+        (0, '80b20bbe9666d8ea79da301fb12a1d4d6dda4d90', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    ('expand', '--expr=-3/5*(exp(t)*sin(x1+t)*cos(x2))', '--order', '18'):
+        (0, '419d438d16ca1960c091006e8306090b0b176156', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    ('expand', '--expr=-3/5*(exp(sin(x1*t))*tanh(t+x2))', '--order', '12'):
+        (0, 'ceede88857adfd44a0a526de136ba1ad17985883', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    ('expand', '--expr=-3/5*(sinh(x1+t^2)*exp(-t*x2))', '--order', '14'):
+        (0, '6ab7b5aa45d5ae43a5f08e4299193c79d607a398', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    ('expand', '--expr=-3/5*(cosh(x1*t)*sin(t^2+x2)*exp(t))', '--order', '10'):
+        (0, '194da123ae45917d95ff70ec3a661394f97d9203', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    ('solve', 'heavy_2x2_x7.prob', '--order', '8'):
+        (0, 'ac8985c2767355620baa40f62450dc253aa197d9', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    ('compare', 'heavy_2x2_x7.prob', '--corrections', '4'):
+        (0, 'efd2867514d3bb49e71b945db438699bef02793a', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    ('solve', 'forcing_1x1_x7.prob', '--order', '10'):
+        (0, '3123998997226920f1401e1b927a1149fd46fa11', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    ('compare', 'forcing_1x1_x7.prob', '--corrections', '2'):
+        (0, '7aa390d0b6ed1ed7a1c8c1fa715517b28dda64b6', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
 }
 
 
@@ -317,7 +376,7 @@ def _check() -> int:
     """Runs the corpus; prints each command whose result differs from
     ``GOLDEN`` and returns how many do."""
     commands = corpus()
-    if len(commands) != 51 or set(GOLDEN) != set(commands):
+    if len(commands) != 63 or set(GOLDEN) != set(commands):
         print("the corpus and the table name different commands")
         return 1
     bad = 0

@@ -628,6 +628,31 @@ class TestKernelParity:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    @pytest.mark.parametrize("product", [
+        # normalized: with a rational head and without, holding a sum or
+        # a power of a sum, and with a head near the digit limit
+        parse_expr("3/2*x1*sin(x2)", 2),
+        parse_expr("x1*sin(x2)", 2),
+        parse_expr("-2/3*x1*(x1 + x2)", 2),
+        parse_expr("x1*(x1 - 2*x2)^2", 2),
+        parse_expr("5*sin(x1)*(x1 + x2)^-1", 2),
+        parse_expr("(x1 + x2)^2*(x1 - x2)^-3", 2),
+        parse_expr("10^4000/3*x1*x2", 2),
+        # hand-built, as Expr's operators can pass them
+        Prod((Const(Fraction(2)), Sum((Var(1), Var(2))))),
+        Prod((Var(2), Var(1))),
+    ], ids=["head", "no-head", "sum", "power-of-sum", "inverse-sum", "two-sums", "large-head",
+            "hand-built-sum", "hand-built-unsorted"])
+    def test_a_rational_times_a_product_agrees_with_the_reference(self, product):
+        head = product.factors[0].value if isinstance(product.factors[0], Const) else Fraction(1)
+        # the last one takes the product with the head past the digit
+        # limit where the head is near it
+        rationals = (0, 1, -1, 1 / head, Fraction(10**400, 7))
+        for _ in range(2):
+            for q in rationals:
+                args = [Const(Fraction(q)), product]
+                assert _kernel_outcome(expr._mul, args) == _kernel_outcome(tree_ref_mul, args)
+
     def test_a_term_kept_whole_is_still_checked(self):
         # no kernel makes this term, but one given to _add is refused as
         # rebuilding it, coefficient first, refused it
