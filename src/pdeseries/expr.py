@@ -61,7 +61,7 @@ class Expr:
         return _mul([MINUS_ONE, self])
 
     def __pow__(self, exponent: int) -> "Expr":
-        if not isinstance(exponent, int):
+        if not isinstance(exponent, int) or isinstance(exponent, bool):
             raise TypeError("exponents must be Python ints")
         return _pow(self, exponent)
 
@@ -74,7 +74,8 @@ class Expr:
 
 @dataclass(frozen=True, slots=True)
 class Const(Expr):
-    """Exact rational constant."""
+    """Exact rational constant.  Its hash is the dataclass's, of ``(value,)``,
+    taken through the int for an integer, which skips ``Fraction.__hash__``."""
 
     value: Fraction
 
@@ -83,6 +84,10 @@ class Const(Expr):
             raise TypeError("floats are not allowed in the symbolic layer")
         if not isinstance(self.value, Fraction):
             object.__setattr__(self, "value", Fraction(self.value))
+
+    def __hash__(self) -> int:
+        q = self.value
+        return hash((q.numerator if q.denominator == 1 else q,))
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,25 +106,26 @@ class _Compound(Expr):
 
     Hashing a frozen dataclass rehashes the whole tree on every dict
     probe, so compound nodes keep their hash in a slot, filled on the
-    first ``hash()`` from the children's cached hashes.  The value is
-    the one the dataclass would compute, ``hash`` of the field tuple.
-    A second slot keeps the node's ``sort_key``, filled on its first
-    call.  A third, ``_content``, keeps a sum's split into rational
-    content and primitive sum (``_sum_content``), filled on its first
-    use; other nodes leave it empty.  The slots are not dataclass
-    fields and not part of the structure: equality, ``repr``, pickling
-    and copying see only the fields, and a hash never travels to a
-    process with a different string-hash seed."""
+    first ``hash()`` from the children's cached hashes, read as None
+    while empty so no AttributeError is raised.  The value is the one
+    the dataclass would compute, ``hash`` of the field tuple.  A second
+    slot keeps the node's ``sort_key``, filled on its first call.  A
+    third, ``_content``, keeps a sum's split into rational content and
+    primitive sum (``_sum_content``), filled on its first use, and a
+    product's leading rational (1 for none) where ``_product`` built it
+    in normal form; other nodes leave it empty.  The slots are not
+    dataclass fields and not part of the structure: equality, ``repr``,
+    pickling and copying see only the fields, and a hash never travels
+    to a process with a different string-hash seed."""
 
     __slots__ = ("_hash", "_key", "_content")
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(tuple(getattr(self, name) for name in self.__match_args__))
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash(tuple([getattr(self, name) for name in self.__match_args__]))
             object.__setattr__(self, "_hash", h)
-            return h
+        return h
 
 
 # Each subclass names the inherited __hash__ in its own body; otherwise
@@ -286,17 +292,30 @@ def normalize(e: Expr) -> Expr:
     """Canonical form: flattened, constant-folded, like terms collected,
     children ordered by the fixed total order.  Idempotent.  Applies no
     trigonometric or exponential identities."""
-    if isinstance(e, (Const, Var)):
+    return _normalize(e, None, None, {})
+
+
+def _normalize(e: Expr, v: int | None, r: Expr | None, memo: dict) -> Expr:
+    """``normalize`` of ``e`` with ``r`` for the variable ``v`` (None: no
+    variable); ``memo`` maps each node seen to its result."""
+    if isinstance(e, Const) or isinstance(e, Var) and e.index != v:
         return e
-    if isinstance(e, Func):
-        return _func(e.name, normalize(e.arg))
-    if isinstance(e, Pow):
-        return _pow(normalize(e.base), e.exponent)
-    if isinstance(e, Prod):
-        return _mul([normalize(f) for f in e.factors])
-    if isinstance(e, Sum):
-        return _add([normalize(t) for t in e.terms])
-    raise TypeError(f"not an expression: {e!r}")
+    if not isinstance(e, Expr):
+        raise TypeError(f"not an expression: {e!r}")
+    out = memo.get(e)
+    if out is None:
+        if isinstance(e, Var):
+            out = normalize(r)
+        elif isinstance(e, Func):
+            out = _func(e.name, _normalize(e.arg, v, r, memo))
+        elif isinstance(e, Pow):
+            out = _pow(_normalize(e.base, v, r, memo), e.exponent)
+        elif isinstance(e, Prod):
+            out = _mul([_normalize(f, v, r, memo) for f in e.factors])
+        else:
+            out = _add([_normalize(t, v, r, memo) for t in e.terms])
+        memo[e] = out
+    return out
 
 
 def _func(name: str, arg: Expr) -> Expr:
@@ -309,7 +328,8 @@ def _func(name: str, arg: Expr) -> Expr:
     return Func(name, arg)
 
 
-def _pow(base: Expr, k: int) -> Expr:
+def _pow(base: Expr, k: int, node: Pow | None = None) -> Expr:
+    """``base`` to the ``k``: ``node`` itself where it is that Pow."""
     if k == 0:
         return ONE
     if k == 1:
@@ -331,7 +351,7 @@ def _pow(base: Expr, k: int) -> Expr:
         content, primitive = _sum_content(base)
         if content != 1:
             return _mul([_pow(Const(content), k), Pow(primitive, k)])
-    return Pow(base, k)
+    return node if node is not None and node.base is base and node.exponent == k else Pow(base, k)
 
 
 _UNIT = Fraction(1)
@@ -377,16 +397,24 @@ def _content_split(s: Sum) -> tuple[Fraction, Sum] | None:
 def _mul(factors: list[Expr]) -> Expr:
     if len(factors) == 2 and isinstance(factors[0], Const) and _small(factors[0].value):
         # a small rational times a rational with a small product, a
-        # variable, a function or a power of one: the loop's result, as
-        # its digit checks pass where every rational is small
+        # variable, a function, a power of one or a marked product: the
+        # loop's result, as its digit checks pass where rationals are small
         c, f = factors
         if isinstance(f, Const):
             q = c.value * f.value
             if _small(q):
                 return Const(q) if q else ZERO
+        elif isinstance(f, Prod):
+            head = getattr(f, "_content", None)
+            if head is not None:
+                q = c.value * head
+                if not _small(q) and too_large_power(q, 1):
+                    raise DomainError("product of constants too large to represent")
+                rest = f.factors[1:] if isinstance(f.factors[0], Const) else f.factors
+                return _product(q, rest) if q else ZERO
         base = f.base if isinstance(f, Pow) and f.exponent not in (0, 1) and _small(f.exponent) else f
         if isinstance(base, (Var, Func)):
-            return ZERO if not c.value else f if c.value == 1 else Prod((c, f))
+            return ZERO if not c.value else f if c.value == 1 else _product(c.value, (f,))
     flat: list[Expr] = []
     for f in factors:
         if isinstance(f, Prod):
@@ -399,6 +427,7 @@ def _mul(factors: list[Expr]) -> Expr:
     # it starts at the first constant (None: no constant yet)
     coeff = None
     powers: dict[Expr, int] = {}
+    nodes: dict[Expr, Pow] = {}  # base -> a Pow factor of it, reused by _pow
     for f in flat:
         if isinstance(f, Const):
             coeff = f.value if coeff is None else coeff * f.value
@@ -408,6 +437,7 @@ def _mul(factors: list[Expr]) -> Expr:
             continue
         if isinstance(f, Pow):
             base, k = f.base, f.exponent
+            nodes[base] = f
         else:
             base, k = f, 1
         if isinstance(base, Sum):
@@ -431,18 +461,32 @@ def _mul(factors: list[Expr]) -> Expr:
     if coeff == 0:
         return ZERO
 
-    parts = [b if k == 1 else _pow(b, k) for b, k in powers.items() if k != 0]
+    parts = [b if k == 1 else _pow(b, k, nodes.get(b)) for b, k in powers.items() if k != 0]
     if len(parts) > 1:
         parts.sort(key=_factor_key)
     if not parts:
         return ONE if coeff is None else Const(coeff)
-    if coeff is None or coeff == 1:
-        return parts[0] if len(parts) == 1 else Prod(tuple(parts))
-    if len(parts) == 1 and isinstance(parts[0], Sum):
+    if coeff is None:
+        coeff = _UNIT
+    elif len(parts) == 1 and isinstance(parts[0], Sum) and coeff != 1:
         # distribute the rational over a bare sum so that scaled sums
         # stay flat and like terms keep collecting across operations
         return _add([_mul([Const(coeff), t]) for t in parts[0].terms])
-    return Prod((Const(coeff), *parts))
+    # bases that are variables, functions or sums leave a normal product
+    return _product(coeff, tuple(parts), all(isinstance(b, (Var, Func, Sum)) for b in powers))
+
+
+def _product(q: Fraction, rest: tuple, normal: bool = True) -> Expr:
+    """The nonzero rational ``q`` times the factors ``rest``.  A product
+    in normal form, factors in the order and form ``_mul`` gives them
+    with distinct bases and no rational, keeps ``q`` in ``_content``:
+    the mark ``_mul`` rescales by."""
+    if q == 1 and len(rest) == 1:
+        return rest[0]
+    p = Prod(rest if q == 1 else (Const(q), *rest))
+    if normal:
+        object.__setattr__(p, "_content", q)
+    return p
 
 
 # Rationals this small print under any int-to-text limit: Python sets
@@ -455,7 +499,9 @@ def _small(q) -> bool:
     return q.numerator.bit_length() + q.denominator.bit_length() <= _FEW_BITS
 
 
-def _add(terms: Iterable[Expr]) -> Expr:
+def _add(terms: list[Expr]) -> Expr:
+    if not terms:
+        return ZERO
     flat: list[Expr] = []
     for t in terms:
         if isinstance(t, Sum):
@@ -514,12 +560,18 @@ def _add(terms: Iterable[Expr]) -> Expr:
 
 
 def esum(terms: Iterable[Expr]) -> Expr:
-    """Normalized sum of already-normalized expressions."""
+    """Normalized sum of already-normalized expressions.  A term that
+    meets no like term is kept as its node, so a term that is not
+    normalized stays as it is."""
     return _add(list(terms))
 
 
 def eprod(factors: Iterable[Expr]) -> Expr:
-    """Normalized product of already-normalized expressions."""
+    """Normalized product of already-normalized expressions.  A power
+    whose base meets no other factor keeps its node, and a small
+    rational times a product that ``_product`` marked as normal keeps
+    its factors; a product without the mark, such as a hand-built one,
+    takes the generic loop, which normalizes no factor inside."""
     return _mul(list(factors))
 
 
@@ -619,21 +671,7 @@ def substitute(e: Expr, variable: int, replacement: Expr) -> Expr:
 
     May raise DomainError if the substitution forces a constant fold
     like zero to a negative power."""
-    return normalize(_subst(e, variable, replacement))
-
-
-def _subst(e: Expr, v: int, r: Expr) -> Expr:
-    if isinstance(e, Var):
-        return r if e.index == v else e
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Func):
-        return Func(e.name, _subst(e.arg, v, r))
-    if isinstance(e, Pow):
-        return Pow(_subst(e.base, v, r), e.exponent)
-    if isinstance(e, Prod):
-        return Prod(tuple(_subst(f, v, r) for f in e.factors))
-    return Sum(tuple(_subst(t, v, r) for t in e.terms))
+    return _normalize(e, variable, replacement, {})
 
 
 def uses_time(e: Expr) -> bool:

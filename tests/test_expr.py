@@ -488,6 +488,18 @@ class TestHash:
             assert clone == e and hash(clone) == hash(e)
             assert sort_key(clone) == key
 
+    @pytest.mark.parametrize("q", [Fraction(0), Fraction(7), Fraction(-3), Fraction(10**4000),
+                                   Fraction(-3, 5), Fraction(1, 10**40)])
+    def test_const_hash_is_the_dataclass_hash(self, q):
+        c = Const(q)
+        assert hash(c) == hash((q,)) == hash(Const(Fraction(q.numerator, q.denominator)))
+        assert repr(c) == f"Const(value={q!r})"
+        assert [f.name for f in dataclasses.fields(Const)] == ["value"]
+        for clone in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c), copy.copy(c)):
+            assert clone == c and hash(clone) == hash(c) and repr(clone) == repr(c)
+        assert pickle.dumps(c) == pickle.dumps(Const(q))
+        assert c != Const(q + 1) and {c: 1}[Const(q)] == 1
+
     def test_cache_is_not_part_of_the_structure(self):
         e = parse_expr("sin(x1)^2*(x1 + x2) - cos(x2)", 2)
         hash(e)
@@ -662,6 +674,46 @@ class TestKernelParity:
         assert _kernel_outcome(tree_ref_add, [big, Var(2)]) == refused
 
 
+class TestNodeReuse:
+    """The kernel keeps the nodes it is given where they stay as they
+    are, so their cached hashes and keys survive."""
+
+    def test_a_rational_times_a_marked_product_keeps_its_factors(self):
+        p = parse_expr("3*x1*sin(x2)^2*(x1 + x2)^-1", 2)
+        assert p._content == 3
+        scaled = expr._mul([Const(Fraction(-2, 7)), p])
+        assert scaled == parse_expr("-6/7*x1*sin(x2)^2*(x1 + x2)^-1", 2)
+        assert all(a is b for a, b in zip(scaled.factors[1:], p.factors[1:]))
+        assert scaled._content == Fraction(-6, 7)
+        unit = expr._mul([Const(Fraction(1, 3)), p])
+        assert unit.factors == p.factors[1:] and unit._content == 1
+
+    def test_hand_built_and_copied_products_carry_no_mark(self):
+        p = parse_expr("3*x1*(x1 + x2)", 2)
+        for product in (Prod((Const(Fraction(2)), Sum((Var(1), Var(2))))), Prod((Var(2), Var(1))),
+                        pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+            assert not hasattr(product, "_content")
+        # raw powers of a rational or of a power are not normal factors:
+        # the first leaves a second rational, the second a repeated base
+        for args in ([Var(1), Var(2), Pow(Const(Fraction(2)), 2), Const(Fraction(3))],
+                     [Var(2), Pow(Pow(Var(1), 2), 3), Var(1)]):
+            odd = expr._mul(args)
+            assert odd == tree_ref_mul(args) and not hasattr(odd, "_content")
+            five = [Const(Fraction(5)), odd]
+            assert expr._mul(five) == tree_ref_mul(five)
+
+    def test_a_power_whose_base_meets_no_other_factor_keeps_its_node(self):
+        square = parse_expr("sin(x2)^2", 2)
+        cube = parse_expr("(x1 + x2)^3", 2)
+        p = expr._mul([parse_expr("x1*exp(x2)", 2), square, cube])
+        assert any(f is square for f in p.factors) and any(f is cube for f in p.factors)
+        merged = expr._mul([square, parse_expr("sin(x2)", 2)])
+        assert merged == parse_expr("sin(x2)^3", 2) and merged is not square
+        # a sum with a content is split, so its power is rebuilt
+        scaled_sum = Pow(parse_expr("2*x1 + 2*x2", 2), 2)
+        assert expr._mul([Var(1), scaled_sum]) == parse_expr("4*x1*(x1 + x2)^2", 2)
+
+
 class TestContentCache:
     def test_each_sum_content_is_computed_once_in_an_expansion(self, monkeypatch):
         # the work the cache saves: without it the expansion below
@@ -679,7 +731,54 @@ class TestContentCache:
         assert computed and max(counts.values()) == 1
 
 
+def _raw_subst(e, v, r):
+    """Substitution as first written: a raw tree, normalized after."""
+    if isinstance(e, Var):
+        return r if e.index == v else e
+    if isinstance(e, Const):
+        return e
+    if isinstance(e, Func):
+        return Func(e.name, _raw_subst(e.arg, v, r))
+    if isinstance(e, Pow):
+        return Pow(_raw_subst(e.base, v, r), e.exponent)
+    if isinstance(e, Prod):
+        return Prod(tuple(_raw_subst(f, v, r) for f in e.factors))
+    return Sum(tuple(_raw_subst(t, v, r) for t in e.terms))
+
+
 class TestSubstitute:
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_same_trees_as_substituting_then_normalizing(self, seed):
+        rng = random.Random(seed)
+        e = random_raw_expr(rng, depth=4, n_vars=2, allow_time=True)
+        r = random_raw_expr(rng, depth=2, n_vars=2)
+        for v in (0, 1, 2):
+            want = _kernel_outcome(lambda x: tree_ref_normalize(_raw_subst(x, v, r)), e)
+            assert _kernel_outcome(substitute, e, v, r) == want
+
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_repeated_subtree_is_normalized_once(self, monkeypatch, k):
+        e, shared = _repeating(k)
+        calls = []
+        original = expr._func
+
+        def counting(name, arg):
+            calls.append((name, arg))
+            return original(name, arg)
+
+        monkeypatch.setattr(expr, "_func", counting)
+        got = substitute(e, 2, parse_expr("x1 + 1", 1))
+        # the shared subtree holds four functions, whatever k
+        assert len(calls) == 4
+        monkeypatch.undo()
+        assert got == normalize(_raw_subst(e, 2, parse_expr("x1 + 1", 1)))
+
+    def test_replacement_is_normalized_only_where_the_variable_occurs(self):
+        bad = Pow(Const(Fraction(0)), -1)
+        assert substitute(parse_expr("x1 + 1", 1), 2, bad) == parse_expr("x1 + 1", 1)
+        with pytest.raises(DomainError):
+            substitute(parse_expr("x1 + x2", 2), 2, bad)
+
     def test_replaces_variable(self):
         e = parse_expr("x1^2 + x2", 2)
         assert substitute(e, 1, const(2)) == parse_expr("4 + x2", 2)
@@ -836,6 +935,16 @@ class TestOperators:
         assert x ** 2 / x == x
         with pytest.raises(TypeError):
             x ** 0.5
+
+    @pytest.mark.parametrize("exponent", [True, False])
+    def test_bool_exponents_are_refused(self, exponent):
+        # as Pow and the other operators refuse bool
+        with pytest.raises(TypeError, match="exponents must be Python ints"):
+            var(1) ** exponent
+        with pytest.raises(TypeError, match="power exponent must be a Python int"):
+            Pow(var(1), exponent)
+        with pytest.raises(TypeError, match="cannot use bool as an expression"):
+            var(1) * exponent
 
 
 X1 = Var(1)
