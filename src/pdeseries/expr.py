@@ -390,7 +390,8 @@ def _content_split(s: Sum) -> tuple[Fraction, Sum] | None:
     inverse = Const(1 / content)
     primitive = _add([_mul([inverse, t]) for t in s.terms])
     # its coefficients are coprime integers, the first one positive
-    object.__setattr__(primitive, "_content", None)
+    if isinstance(primitive, Sum):  # a hand-built sum's terms may collect
+        object.__setattr__(primitive, "_content", None)
     return content, primitive
 
 

@@ -5,15 +5,17 @@ Both engines compute in this form.  A polynomial is a ``Poly``: a
 of atoms i in signed W-bit fields (Monagan & Pearce, CASC 2007), to a
 nonzero ``int`` numerator, over one positive ``int`` denominator, as in
 FLINT's ``fmpq_poly``.  Keys add as monomials multiply; the constant's
-is 0.  A ring refuses a result whose ``top``, a bound on its |e_i|,
-reaches 2^(W-1).  In normal form the denominator is coprime to the
-numerators' content and zero is no terms over 1.  Equal normal forms
-are equal values; unequal ones are sampled.
+is 0.  In normal form the denominator is coprime to the numerators'
+content and zero is no terms over 1.  Equal normal forms are equal
+values; unequal ones are sampled.
 
 ``mul`` forms one product, ``scale`` one rational multiple, and any sum
 of them is one pass of ``dot(pairs, start)``: ``start`` plus each a*b,
 ``a`` a ``Poly`` or a rational weight, one integer sum per monomial and
-no product built on its own; ``add`` and ``sub`` are ``dot`` too.
+no product built on its own; ``add`` and ``sub`` are ``dot`` too.  None
+of them checks.  A product adds exponents, so the engines form each in
+``Ring.product`` or ``Ring.dot``, which refuse a ``top``, a bound on the
+|e_i|, of 2^(W-1) or more; rational scalings and sums need no check.
 
 ``Fraction`` is met only at the edges: constants of trees read and
 written (``Ring.from_tree``, and ``Ring.to_tree``, which builds through
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 from .errors import DomainError
 from .expr import (
@@ -97,12 +100,27 @@ def _nonzero(num: dict) -> dict:
     return {m: c for m, c in num.items() if c} if 0 in num.values() else num
 
 
+def _accumulate(out: dict, a: Poly, b: Poly, f: int) -> dict:
+    """``out`` plus f * a.num * b.num, one key sum per pair of terms."""
+    na, nb = a.num, b.num
+    if len(na) < len(nb):
+        na, nb = nb, na
+    get, terms_b = out.get, list(nb.items())
+    for ma, ca in na.items():
+        ca *= f
+        for mb, cb in terms_b:
+            m = ma + mb
+            s = get(m)
+            out[m] = ca * cb if s is None else s + ca * cb
+    return out
+
+
 def dot(pairs, start: Poly = ZERO) -> Poly:
     """``start`` plus the sum of a*b over ``pairs``, each ``a`` a ``Poly``
     or a rational weight and each ``b`` a ``Poly``: the lcm of the
     denominators, then one integer sum per monomial, with no product or
     scaled copy built on its own.  The ``top`` is the largest over the
-    nonzero parts (a.top + b.top, b.top for a weight), so ``Ring.checked``
+    nonzero parts (a.top + b.top, b.top for a weight), so ``Ring.dot``
     refuses the sum where it would refuse a product, cancelled or not."""
     live = [(a, b) for a, b in [(1, start), *pairs] if a and b.num]
     if len(live) < 2:  # no sum to take
@@ -112,24 +130,15 @@ def dot(pairs, start: Poly = ZERO) -> Poly:
     out, tops = {}, []
     get = out.get
     for a, b in live:
-        if type(a) is not Poly:  # a weight: one pass over b
+        if type(a) is Poly:
+            _accumulate(out, a, b, den // (a.den * b.den))
+            tops.append(a.top + b.top)
+        else:  # a weight: one pass over b
             f = den // (b.den * a.denominator) * a.numerator
             for m, c in b.num.items():
                 s = get(m)
                 out[m] = c * f if s is None else s + c * f
             tops.append(b.top)
-            continue
-        f, na, nb = den // (a.den * b.den), a.num, b.num
-        if len(na) < len(nb):
-            na, nb = nb, na
-        terms_b = list(nb.items())
-        for ma, ca in na.items():
-            ca *= f
-            for mb, cb in terms_b:
-                m = ma + mb
-                s = get(m)
-                out[m] = ca * cb if s is None else s + ca * cb
-        tops.append(a.top + b.top)
     return Poly(_nonzero(out), den, max(tops))
 
 
@@ -156,19 +165,8 @@ def scale(p: Poly, q) -> Poly:
 
 
 def mul(a: Poly, b: Poly) -> Poly:
-    """One key sum per pair of terms; ``Ring.checked`` bounds the ``top``."""
-    na, nb = a.num, b.num
-    if len(na) < len(nb):
-        na, nb = nb, na
-    out: dict = {}
-    get = out.get
-    terms_b = list(nb.items())
-    for ma, ca in na.items():
-        for mb, cb in terms_b:
-            m = ma + mb
-            c = get(m)
-            out[m] = ca * cb if c is None else c + ca * cb
-    return Poly(_nonzero(out), a.den * b.den, a.top + b.top)
+    """One product, unchecked: ``Ring.product`` bounds the ``top``."""
+    return Poly(_nonzero(_accumulate({}, a, b, 1)), a.den * b.den, a.top + b.top)
 
 
 def _reach(e: Expr) -> int:
@@ -181,7 +179,7 @@ def _reach(e: Expr) -> int:
 
 
 class Ring:
-    """Atom table, tree conversions and derivatives for one problem.
+    """Atom table, conversions, derivatives and checked products of one problem.
 
     ``trees[i]`` is atom i as a canonical tree: a ``Var``, a ``Func`` or
     a primitive ``Sum``.  ``polys[i]`` is what its derivative reads: the
@@ -215,6 +213,17 @@ class Ring:
             raise DomainError("exponent too large to represent")
         return p
 
+    def product(self, factors) -> Poly:
+        """The product of ``factors``, refused as soon as part of it may not fit."""
+        out = ONE
+        for f in factors:  # a leading ONE is skipped
+            out = f if out is ONE else self.checked(mul(out, f))
+        return self.checked(out)
+
+    def dot(self, pairs, start: Poly = ZERO) -> Poly:
+        """``dot(pairs, start)``, checked."""
+        return self.checked(dot(pairs, start))
+
     def atom(self, tree: Expr, poly: Poly | None = None) -> int:
         """The key of the atom ``tree``, added to the table if new."""
         i = self.index.get(tree)
@@ -240,9 +249,7 @@ class Ring:
         if isinstance(e, Sum):
             p = add(*(self.from_tree(t) for t in e.terms))
         elif isinstance(e, Prod):
-            p = ONE
-            for f in e.factors:
-                p = self.checked(mul(p, self.from_tree(f)))
+            p = self.product(self.from_tree(f) for f in e.factors)
         elif isinstance(e, Pow):
             p = self.power(self.from_tree(e.base), e.exponent)
         elif isinstance(e, Func):
@@ -283,18 +290,14 @@ class Ring:
             c, d = (c ** k, d ** k) if k > 0 else (d ** -k, c ** -k)
             if d < 0:
                 c, d = -c, -d
-            out, key = ONE, m * k
-            for i, e in enumerate(self.exponents(m)):
-                if e * k > 0 and isinstance(self.trees[i], Sum):
-                    # (S^-j)^-k: a positive power of a sum, multiplied out
-                    key -= e * k << self.width * i
-                    out = self.checked(mul(out, self.power(self.polys[i], e * k)))
-            return self.checked(mul(out, Poly({key: c}, d, abs(k) * p.top)))
+            # (S^-j)^-k: a positive power of a sum, multiplied out
+            sums = [(i, e * k) for i, e in enumerate(self.exponents(m))
+                    if e * k > 0 and isinstance(self.trees[i], Sum)]
+            key = m * k - sum(j << self.width * i for i, j in sums)
+            return self.product(chain((self.power(self.polys[i], j) for i, j in sums),
+                                      [Poly({key: c}, d, abs(k) * p.top)]))
         if k > 0 and math.comb(len(p.num) + k - 1, k) <= EXPAND_LIMIT:
-            out = p
-            for _ in range(k - 1):
-                out = self.checked(mul(out, p))
-            return out
+            return self.product([p] * k)
         content, primitive = _sum_content(self.to_tree(p))
         if too_large_power(content, k):
             raise DomainError("power of a constant too large to represent")
@@ -340,7 +343,7 @@ class Ring:
                     pairs.append((Poly(target, p.den, p.top + 1), d))
             held, i, shift = held >> width, i + 1, shift + width
         start = self.checked(Poly(_nonzero(out), p.den, p.top + 1 + top)) if out else ZERO
-        return self.checked(dot(pairs, start)) if pairs else start
+        return self.dot(pairs, start) if pairs else start
 
     def _atom_derivative(self, i: int, v: int) -> Poly:
         """D_v of atom i, taken once per ring."""
@@ -349,12 +352,10 @@ class Ring:
             tree, poly = self.trees[i], self.polys[i]
             if isinstance(tree, Var):
                 d = ONE if tree.index == v else ZERO
-            elif isinstance(tree, Sum):
-                d = self.diff(poly, v)
             else:
-                inner = self.diff(poly, v)
-                d = ZERO if not inner else self.checked(
-                    mul(self.from_tree(_outer_derivative(tree)), inner))
+                d = self.diff(poly, v)
+                if d and isinstance(tree, Func):  # f(a): f'(a) * D_v a
+                    d = self.product([self.from_tree(_outer_derivative(tree)), d])
             self.derivatives[i, v] = d
         return d
 

@@ -39,7 +39,7 @@ from .expr import (
     too_large_power,
     uses_time,
 )
-from .poly import ONE as POLY_ONE, Poly, Ring, add, dot, mul, scale
+from .poly import ONE as POLY_ONE, Poly, Ring, add, dot, scale
 
 ExprVec = tuple[Expr, ...]
 
@@ -140,29 +140,27 @@ def apply_rows(
     ring: Ring, op: SpatialOperator, vec: Sequence[Poly], forcing: Sequence[Poly]
 ) -> list[Poly]:
     """``L vec + forcing`` on polynomials of ``ring``: per component, one
-    ``dot`` pass from the forcing over each coefficient times its partial
-    derivative, checked once.
+    ``Ring.dot`` pass from the forcing over each coefficient times its
+    partial derivative.
 
     A partial derivative that several terms need (the d/dx1 of u under
     both d2/dx1^2 and d/dx1) is taken once per call, and the ring takes
     the derivative of each atom once per variable."""
     if len(vec) != op.m or len(forcing) != op.m:
         raise DimensionMismatch(f"vector lengths {len(vec)}, {len(forcing)} != {op.m}")
-    partials: dict[tuple, Poly] = {}
+    partials: dict[tuple, Poly] = {}  # by column and multi-index prefix
     rows: list[list] = [[] for _ in forcing]
     for term in op.terms:
-        key: tuple = (term.col,)
         d = vec[term.col]
         for variable, order in enumerate(term.orders, start=1):
-            for _ in range(order):
-                key += (variable,)
-                got = partials.get(key)
-                if got is None:
-                    got = partials[key] = ring.diff(d, variable)
-                d = got
+            for k in range(1, order + 1):
+                key = (term.col, *term.orders[:variable - 1], k)
+                if key not in partials:
+                    partials[key] = ring.diff(d, variable)
+                d = partials[key]
         if d.num:
             rows[term.row].append((ring.from_tree(term.coeff), d))
-    return [ring.checked(dot(pairs, c)) for pairs, c in zip(rows, forcing)]
+    return [ring.dot(pairs, c) for pairs, c in zip(rows, forcing)]
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +395,7 @@ class _RingJets(_Jets):
 
     def __init__(self, ring: Ring, order: int):
         super().__init__(order)
-        self.ring, self._power, self._leaf = ring, ring.power, ring.from_tree
-
-    def _mul(self, factors: list) -> Poly:
-        out = POLY_ONE
-        for f in factors:
-            out = f if out is POLY_ONE else self.ring.checked(mul(out, f))
-        return out
+        self.ring, self._power, self._leaf, self._mul = ring, ring.power, ring.from_tree, ring.product
 
     @staticmethod
     def _constant(c: Poly) -> Fraction | None:
@@ -426,7 +418,7 @@ class _RingJets(_Jets):
         slopes = [(j, scale(c, j)) for j, c in enumerate(a) if j and c.num]
 
         def conv(pairs, q) -> Poly:  # q times the sum of the products of the pairs
-            return scale(ring.checked(dot(pairs)), q)
+            return scale(ring.dot(pairs), q)
 
         def step(d: list, k: int, sign: int) -> Poly:  # (sign/k) sum_j j*a_j*d_(k-j)
             return conv(((s, d[k - j]) for j, s in slopes if j <= k), Fraction(sign, k))

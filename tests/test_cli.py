@@ -79,6 +79,20 @@ class TestSolve:
         assert code == 2 and out == ""
         assert err == "error: no valid sample point found in 64 draws\n"
 
+    def test_an_operator_of_order_20000_solves(self, tmp_path, capsys):
+        # the operator keys its partials by multi-index prefix; a key that
+        # grew by one step per derivative made this quadratic in the order
+        doc = {
+            "m": 1, "n": 1, "rho": [["1"]],
+            "L": [{"row": 0, "col": 0, "coeff": "1", "derivs": [20000]}],
+            "f": ["0"], "u0": ["sin(x1)"], "u1": ["0"], "order": 4,
+        }
+        path = tmp_path / "high_order.prob"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 0 and err == ""
+        assert "u[2] = 1/2*sin(x1)" in out
+
     def test_multi_component_labels(self, capsys):
         code, out, _ = run(capsys, "solve", COUPLED)
         assert code == 0

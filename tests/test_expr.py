@@ -665,6 +665,17 @@ class TestKernelParity:
                 args = [Const(Fraction(q)), product]
                 assert _kernel_outcome(expr._mul, args) == _kernel_outcome(tree_ref_mul, args)
 
+    @pytest.mark.parametrize("a, b", [
+        # hand-built sums whose primitive part is not a sum: the terms
+        # cancel to a rational, collect to one product, or are one rational
+        (Var(1), Sum((Prod((Const(Fraction(2)), Var(1))), Prod((Const(Fraction(-2)), Var(1)))))),
+        (Var(2), Sum((Prod((Const(Fraction(2)), Var(1))),))),
+        (Var(2), Sum((Const(Fraction(3)),))),
+    ], ids=["cancel", "one-product", "one-rational"])
+    def test_a_sum_whose_primitive_part_is_no_sum_agrees_with_the_reference(self, a, b):
+        assert a * b == tree_ref_mul([a, b])
+        assert normalize(a * b) == normalize(Prod((a, b)))
+
     def test_a_term_kept_whole_is_still_checked(self):
         # no kernel makes this term, but one given to _add is refused as
         # rebuilding it, coefficient first, refused it

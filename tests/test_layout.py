@@ -58,6 +58,23 @@ def test_every_import_is_read():
     assert unread == []
 
 
+def test_only_the_ring_forms_products_it_must_check():
+    # a product can raise an exponent past its field, so every one goes
+    # through Ring.product or Ring.dot, which refuse it; modules outside
+    # poly neither call a check by hand nor import the unchecked product
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "poly":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            call = node.func if isinstance(node, ast.Call) else None
+            if isinstance(call, ast.Attribute) and call.attr == "checked":
+                offenders.append(f"{path.stem}:{node.lineno} calls .checked(")
+            if isinstance(node, ast.ImportFrom) and any(a.name == "mul" for a in node.names):
+                offenders.append(f"{path.stem}:{node.lineno} imports mul")
+    assert offenders == []
+
+
 def test_the_cli_calls_only_the_public_engine_api():
     # one path per command: what the CLI takes from the engines is what
     # a caller of the package can call too
