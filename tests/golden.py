@@ -1,4 +1,4 @@
-"""The golden corpus: 63 commands, their problem texts, and the exit
+"""The golden corpus: 72 commands, their problem texts, and the exit
 code and sha1 of stdout and of stderr that each printed when recorded.
 
 The corpus covers every command on the bundled problems in text and
@@ -10,9 +10,11 @@ come again multiplied by 7 and by -3/5, and ``solve`` and ``compare``
 on its two problems again with ``u0``, ``u1`` and ``f`` multiplied by
 7, as the benchmark scales them after its first round: a rational
 times a product takes other paths through the kernel than the
-unscaled inputs do.  A change to the arithmetic
-under the engines, or to how coefficients are printed, must leave all
-of them as they are.
+unscaled inputs do.  Nine more expansions take every function's Taylor
+coefficients to orders up to 30 and arguments whose part in t is one
+term, and one of them fails.  A change to the arithmetic under the
+engines, or to how coefficients are printed, must leave all of them as
+they are.
 
 The module needs only the standard library, so it runs on any
 interpreter the package supports, with or without pytest.  From the
@@ -124,6 +126,21 @@ EXPANSIONS = (
     ("cosh(x1*t)*sin(t^2+x2)*exp(t)", "10"),
 )
 
+# every function's Taylor coefficients about a zero, a rational and a
+# symbolic a_0, to high orders, of arguments a_0 + c*t^v with one term
+# in t and of longer ones, and ln of a constant too large to invert
+RULE_EXPANSIONS = (
+    ("tanh(t)", "30"),
+    ("tanh(2*x1 + 4*x2 + t^3)", "15"),
+    ("cos(x1 + 2*t)", "16"),
+    ("sin(t/3 + x1)", "16"),
+    ("sinh(x1*t)*cosh(t^2)", "14"),
+    ("exp(-t^2*x2)", "14"),
+    ("ln(3 + x1*t^2)", "12"),
+    ("(1 + x2*t)^(-3)*ln(2 + t)", "10"),
+    ("ln(10^4000 + t)", "4"),
+)
+
 # written to the working directory of each test, named by relative path
 FILES = {
     "heavy_2x2.prob": HEAVY_2X2,
@@ -149,7 +166,7 @@ BUNDLED_COMMANDS = (
 
 
 def corpus() -> list[tuple[str, ...]]:
-    """The 63 commands; a bundled problem is named by its file name."""
+    """The 72 commands; a bundled problem is named by its file name."""
     out = [
         (cmd[0], name, *cmd[1:], *fmt)
         for name in BUNDLED
@@ -192,6 +209,7 @@ def corpus() -> list[tuple[str, ...]]:
         ("solve", "forcing_1x1_x7.prob", "--order", "10"),
         ("compare", "forcing_1x1_x7.prob", "--corrections", "2"),
     ]
+    out += [("expand", "--expr", e, "--order", order) for e, order in RULE_EXPANSIONS]
     return out
 
 
@@ -338,6 +356,26 @@ GOLDEN = {
         (0, '3123998997226920f1401e1b927a1149fd46fa11', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
     ('compare', 'forcing_1x1_x7.prob', '--corrections', '2'):
         (0, '7aa390d0b6ed1ed7a1c8c1fa715517b28dda64b6', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    # the derivative rules' inputs, recorded while each f^(k)(a0)/k! came
+    # from differentiating f(t) and substituting a0
+    ('expand', '--expr', 'tanh(t)', '--order', '30'):
+        (0, '4c20b22eb0f43b28113383e22c4970770d1347e1', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    ('expand', '--expr', 'tanh(2*x1 + 4*x2 + t^3)', '--order', '15'):
+        (0, '283865a3356db678a1bcde4f03de2d505dbe8dde', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    ('expand', '--expr', 'cos(x1 + 2*t)', '--order', '16'):
+        (0, '4dda85c5e2d4af3600d5efc648b13f305d71a7db', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    ('expand', '--expr', 'sin(t/3 + x1)', '--order', '16'):
+        (0, '1a937f4a436ae42318826e3f7da8320388963ce8', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    ('expand', '--expr', 'sinh(x1*t)*cosh(t^2)', '--order', '14'):
+        (0, 'cb8dda1f77d801c5d19d47117fc0340e246d4ddc', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    ('expand', '--expr', 'exp(-t^2*x2)', '--order', '14'):
+        (0, 'c0f24e8e6d05e65ff6887ea5d281ded16e436c48', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    ('expand', '--expr', 'ln(3 + x1*t^2)', '--order', '12'):
+        (0, '0a813a23e95e05f5b6e527817ae0d72f6ffd31bb', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    ('expand', '--expr', '(1 + x2*t)^(-3)*ln(2 + t)', '--order', '10'):
+        (0, '4fc0500f436f91b521348839ca00bf78a2997af4', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    ('expand', '--expr', 'ln(10^4000 + t)', '--order', '4'):
+        (2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'e03b9ce1466fa1056e2ab6972a29cf54380a3817'),
 }
 
 
@@ -376,7 +414,7 @@ def _check() -> int:
     """Runs the corpus; prints each command whose result differs from
     ``GOLDEN`` and returns how many do."""
     commands = corpus()
-    if len(commands) != 63 or set(GOLDEN) != set(commands):
+    if len(commands) != 72 or set(GOLDEN) != set(commands):
         print("the corpus and the table name different commands")
         return 1
     bad = 0
