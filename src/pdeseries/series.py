@@ -31,11 +31,10 @@ from .expr import (
     TIME_INDEX,
     Var,
     ZERO,
-    _diff,
+    _func,
     eprod,
     esum,
     normalize,
-    substitute,
     too_large_power,
     uses_time,
 )
@@ -190,6 +189,10 @@ def _binomial(k: int, m: int) -> Fraction:
     return out
 
 
+# f' of the functions whose derivatives cycle: the partner, negated for cos
+_PARTNERS = {"exp": "exp", "sin": "cos", "cos": "sin", "sinh": "cosh", "cosh": "sinh"}
+
+
 class _Jets:
     """Truncated power series in time ("jets" [c_0..c_order]) of the
     subtrees of one expansion, each built bottom-up from the jets of its
@@ -202,11 +205,11 @@ class _Jets:
       a_0 with h, f(a_0 + h) = sum_k f^(k)(a_0)/k! h^k;
     * a power of a series composes the binomial series in the same way.
 
-    The tree is never differentiated in time as a whole.  The recursion
-    is written once over hooks: ``_add``, ``_mul``, ``_power``,
-    ``_terms`` (what a product spreads over), ``_leaf`` (a time-free
-    subtree as a value), ``_constant`` (the rational a value is, or
-    None), ``_taylor`` (the f^(k)(a_0)/k!) and ``_func`` (a function's
+    No tree is differentiated in time.  The recursion is written once
+    over hooks: ``_add``, ``_mul``, ``_power``, ``_terms`` (what a
+    product spreads over), ``_leaf`` (a time-free subtree as a value),
+    ``_constant`` (the rational a value is, or None), ``_taylor`` (the
+    f^(k)(a_0)/k!, by f's derivative rule) and ``_func`` (a function's
     jet).  This class computes on normalized trees and composes every
     function, so ``expand`` prints what composition makes; ``_RingJets``
     computes on polynomials, where most functions take recurrences."""
@@ -216,7 +219,6 @@ class _Jets:
     def __init__(self, order: int):
         self.order = order
         self.memo: dict[Expr, list | None] = {}
-        self.derivatives: dict = {}  # per function name: (memo, [f(t), f'(t), ...])
 
     @staticmethod
     def _terms(c: Expr) -> tuple[Expr, ...]:
@@ -231,12 +233,37 @@ class _Jets:
         return c.value if isinstance(c, Const) else None
 
     def _taylor(self, name: str, a0, count: int) -> list:
-        """From differentiating the one-node tree f(t) and substituting a0."""
-        memo, derivatives = self.derivatives.setdefault(name, ({}, [Func(name, Var(TIME_INDEX))]))
-        while len(derivatives) < count:
-            derivatives.append(_diff(derivatives[-1], TIME_INDEX, memo))
-        return [eprod([Const(Fraction(1, math.factorial(k))), substitute(d, TIME_INDEX, a0)])
-                for k, d in enumerate(derivatives[:count])]
+        """f^(k)(a0)/k! by f's derivative rule, in the trees, and with the
+        checks, that differentiating f(t) k times and substituting a0 make.
+        exp, sin, cos, sinh and cosh walk ``_PARTNERS``, cos' = -sin; ln's
+        is 1/k! times (-1)^(k+1) (k-1)! a0^-k; tanh's is the sum of
+        c/k! * T^a * S^b over T = tanh(a0) and S = 1 - T^2, with the
+        integers {(a, b): c} of D(T^a S^b) = a T^(a-1) S^(b+1) - 2b T^(a+1) S^b."""
+        out = [_func(name, a0)]
+        if name in _PARTNERS:
+            values, sign, g = {f: _func(f, a0) for f in (name, _PARTNERS[name])}, 1, name
+            for k in range(1, count):
+                sign, g = -sign if g == "cos" else sign, _PARTNERS[g]
+                out.append(eprod([Const(Fraction(sign, math.factorial(k))), values[g]]))
+        elif name == "ln":
+            for k in range(1, count):
+                derivative = eprod([Const(Fraction((-1) ** (k + 1) * math.factorial(k - 1))),
+                                    self._power(a0, -k)])
+                out.append(eprod([Const(Fraction(1, math.factorial(k))), derivative]))
+        else:
+            T, terms = out[0], {(1, 0): 1}
+            S = ONE - self._power(T, 2)
+            for k in range(1, count):
+                step: dict = {}
+                for (a, b), c in terms.items():
+                    if a:
+                        step[a - 1, b + 1] = step.get((a - 1, b + 1), 0) + a * c
+                    if b:
+                        step[a + 1, b] = step.get((a + 1, b), 0) - 2 * b * c
+                terms = step
+                out.append(esum([eprod([Const(Fraction(c, math.factorial(k))), self._power(T, a),
+                                        self._power(S, b)]) for (a, b), c in terms.items() if c]))
+        return out
 
     def expansion(self, e: Expr) -> list:
         """The jet of the normalized tree ``e``, time-free or not."""
@@ -288,10 +315,10 @@ class _Jets:
         for j in live[1:]:
             product = self._cauchy(product, j)
         # the time-free part stays one factor of every term, as the
-        # product rule would leave it
-        out = [self._mul([free, product[0]])]
+        # product rule would leave it; the jet's own zero stays as it is
+        out, zero = [self._mul([free, product[0]])], self._leaf(ZERO)
         for c in product[1:]:
-            out.append(self._add([self._mul([free, t]) for t in self._terms(c)]))
+            out.append(c if c is zero else self._add([self._mul([free, t]) for t in self._terms(c)]))
         return out
 
     def _cauchy(self, a: list, b: list, spread: bool = True) -> list:
@@ -327,19 +354,25 @@ class _Jets:
         """g(a_0 + h) = sum over k of taylor[k] * h^k, truncated, for g
         with Taylor coefficients ``taylor`` about a_0 (at most
         ``_span(h)`` + 1 of them) and h with a zero constant term.  The
-        powers h^k and the products taylor[k] * (h^k)_j are formed whole:
-        spreading them over their terms made nested compositions such as
-        tanh(tanh(tanh(cosh(t)))) print two to three times longer."""
+        powers h^k, one product each where h is one term, and the products
+        taylor[k] * (h^k)_j are formed whole: spreading them over their
+        terms made nested compositions such as tanh(tanh(tanh(cosh(t))))
+        print two to three times longer."""
         parts: list[list] = [[taylor[0]]] + [[] for _ in range(self.order)]
         last = max(k for k, c in enumerate(taylor) if k == 0 or self._constant(c) != 0)
+        live = [(j, c) for j, c in enumerate(h) if self._constant(c) != 0]
         power = h
         for k in range(1, last + 1):
-            if k > 1:
-                power = self._cauchy(power, h, spread=False)
-            if self._constant(taylor[k]) == 0:
-                continue
-            for j, c in enumerate(power):
-                if self._constant(c) != 0:
+            if len(live) == 1:  # h = c*t^v, so h^k is the one term c^k*t^(k*v)
+                ((v, c),) = live
+                power = c if k == 1 else self._mul([power, c])
+                terms = [(k * v, power)]
+            else:
+                if k > 1:
+                    power = self._cauchy(power, h, spread=False)
+                terms = [(j, c) for j, c in enumerate(power) if self._constant(c) != 0]
+            if self._constant(taylor[k]) != 0:
+                for j, c in terms:
                     parts[j].append(self._mul([taylor[k], c]))
         return [self._add(p) for p in parts]
 
@@ -376,10 +409,6 @@ class _Jets:
             for m in range(count)
         ]
         return self._compose(taylor, h)
-
-
-# f' of the functions whose ring jets come by recurrence: the partner, negated for cos
-_PARTNERS = {"exp": "exp", "sin": "cos", "cos": "sin", "sinh": "cosh", "cosh": "sinh"}
 
 
 class _RingJets(_Jets):

@@ -87,3 +87,11 @@ def test_the_cli_calls_only_the_public_engine_api():
         if alias.name not in pdeseries.__all__
     ]
     assert private == []
+
+
+def test_the_jets_neither_differentiate_nor_substitute_trees():
+    # each function's Taylor coefficients come from its derivative rule
+    tree = ast.parse((PACKAGE / "series.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert imported.isdisjoint({"_diff", "substitute"})

@@ -15,15 +15,15 @@ from hypothesis import strategies as st
 from conftest import (
     PLAN,
     RefRingJets,
+    RefTreeJets,
     apply_by_differentiate,
     problem_path,
     random_normal_expr,
     random_numeric_expr,
     random_problem,
     random_raw_expr,
-    variable_indices,
 )
-from pdeseries import series
+from pdeseries import expr, series
 from pdeseries.cli import main
 from pdeseries.errors import (
     DimensionMismatch,
@@ -469,6 +469,48 @@ class TestJetsAgainstDifferentiation:
             expand_in_time(parse_expr("(2 + t)^99999999", 1, allow_time=True), 2)
 
 
+def _printed_outcome(jets, e: Expr):
+    """The jet of ``e`` and its printed coefficients, or the error."""
+    jet = _jets_outcome(jets, e)
+    return jet if isinstance(jet, tuple) else (jet, [print_expr(c) for c in jet])
+
+
+class TestTreeJetsByRule:
+    """The tree jets take f^(k)(a0)/k! from f's derivative rule and form
+    the powers of a one-term argument c*t^v by one product each; they
+    make the trees, and raise the errors, that differentiating f(t) and
+    substituting a0, with every power a truncated product, made."""
+
+    @settings(max_examples=300)
+    @given(_time_exprs(), st.integers(0, 12))
+    def test_same_trees_as_differentiating_and_substituting(self, e, order):
+        try:
+            e = normalize(e)
+        except DomainError:
+            assume(False)
+        assert _printed_outcome(series._Jets(order), e) == _printed_outcome(RefTreeJets(order), e)
+
+    @pytest.mark.parametrize("a0", ["0", "7/3", "x2", "2*x1 + 4*x2", "sin(x1) - 1/3"])
+    @pytest.mark.parametrize("name", FUNCTIONS)
+    def test_each_function_of_a_one_term_argument(self, name, a0):
+        # one instance each, so that the reference differentiates f once
+        jets, ref = series._Jets(20), RefTreeJets(20)
+        for c in ("1", "-2/3", "x1", "x1 + x2"):
+            for v in (1, 2, 3):
+                e = parse_expr(f"{name}({a0} + ({c})*t^{v})", 2, allow_time=True)
+                assert _printed_outcome(jets, e) == _printed_outcome(ref, e), (c, v)
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_ln_refuses_where_its_derivative_had_too_many_digits(self, order):
+        # the third derivative of ln at a0 is 2*a0^-3, 4301 digits, though
+        # a0^-3/3 has fewer: the refusal comes at k = 3, as when ln(t)
+        # was differentiated
+        e = parse_expr("ln(1/(2*10^1433) + t)", 1, allow_time=True)
+        got = _printed_outcome(series._Jets(order), e)
+        assert got == _printed_outcome(RefTreeJets(order), e)
+        assert (got[0] is DomainError) is (order >= 3)
+
+
 def _counting(monkeypatch, name: str, owner=series) -> list:
     calls = []
     original = getattr(owner, name)
@@ -596,8 +638,8 @@ class TestForcingExpandedOnce:
     def test_engines_neither_differentiate_nor_substitute_trees(
         self, monkeypatch, capsys, tmp_path, command
     ):
-        spies = [_counting(monkeypatch, name)
-                 for name in ("_diff", "substitute", "expand_in_time")]
+        spies = [_counting(monkeypatch, "_diff", expr), _counting(monkeypatch, "substitute", expr),
+                 _counting(monkeypatch, "expand_in_time")]
         path = tmp_path / "forced.prob"
         path.write_text("""{"m": 1, "n": 2, "rho": [["1"]],
             "L": [{"row": 0, "col": 0, "coeff": "1", "derivs": [2, 0]}],
@@ -607,15 +649,12 @@ class TestForcingExpandedOnce:
         assert spies == [[], [], []]
         capsys.readouterr()
 
-    def test_differentiation_bounded_by_order_per_function(self, monkeypatch):
-        calls = _counting(monkeypatch, "_diff")
+    def test_expansion_neither_differentiates_nor_substitutes_trees(self, monkeypatch):
+        # each f^(k)(a0)/k! comes from f's derivative rule
+        spies = [_counting(monkeypatch, name, expr) for name in ("_diff", "substitute")]
         e = parse_expr("exp(sin(x1*t))*tanh(t+x2)", 2, allow_time=True)
         expand_in_time(e, 12)
-        assert len(calls) <= 12 * 3  # three Func nodes
-        # only f(t) and its derivatives, never a tree holding x1 or x2
-        assert all(variable_indices(d) <= {0} for d, _, _ in calls)
-        # each function's derivatives share one memo: exp, sin and tanh
-        assert len({id(memo) for _, _, memo in calls}) == 3
+        assert spies == [[], []]
 
     def test_expansion_is_kept_per_problem(self, monkeypatch):
         calls = _ring_expansions(monkeypatch)
