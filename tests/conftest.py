@@ -342,6 +342,66 @@ def ref_engines(p, corrections: int) -> tuple[list, list]:
 
 
 # ---------------------------------------------------------------------------
+# The tree jets as first written: f^(k)(a0)/k! from differentiating the
+# one-node tree f(t) k times and substituting a0, every power h^k of the
+# argument by truncated products, and the time-free factor of a product
+# multiplied into every coefficient
+# ---------------------------------------------------------------------------
+
+class RefTreeJets(_Jets):
+    """``_Jets`` with its ``_taylor``, ``_prod`` and ``_compose`` as
+    first written, verbatim."""
+
+    def __init__(self, order: int):
+        super().__init__(order)
+        self.derivatives: dict = {}  # per function name: (memo, [f(t), f'(t), ...])
+
+    def _taylor(self, name: str, a0, count: int) -> list:
+        """From differentiating the one-node tree f(t) and substituting a0."""
+        memo, derivatives = self.derivatives.setdefault(name, ({}, [Func(name, Var(TIME_INDEX))]))
+        while len(derivatives) < count:
+            derivatives.append(_diff(derivatives[-1], TIME_INDEX, memo))
+        return [eprod([Const(Fraction(1, math.factorial(k))), substitute(d, TIME_INDEX, a0)])
+                for k, d in enumerate(derivatives[:count])]
+
+    def _prod(self, e: Prod) -> list | None:
+        jets = [self.of(f) for f in e.factors]
+        if all(j is None for j in jets):
+            return None
+        free = self._mul([self._leaf(f) for f, j in zip(e.factors, jets) if j is None])
+        live = [j for j in jets if j is not None]
+        product = live[0]
+        for j in live[1:]:
+            product = self._cauchy(product, j)
+        # the time-free part stays one factor of every term, as the
+        # product rule would leave it
+        out = [self._mul([free, product[0]])]
+        for c in product[1:]:
+            out.append(self._add([self._mul([free, t]) for t in self._terms(c)]))
+        return out
+
+    def _compose(self, taylor: list, h: list) -> list:
+        """g(a_0 + h) = sum over k of taylor[k] * h^k, truncated, for g
+        with Taylor coefficients ``taylor`` about a_0 (at most
+        ``_span(h)`` + 1 of them) and h with a zero constant term.  The
+        powers h^k and the products taylor[k] * (h^k)_j are formed whole:
+        spreading them over their terms made nested compositions such as
+        tanh(tanh(tanh(cosh(t)))) print two to three times longer."""
+        parts: list[list] = [[taylor[0]]] + [[] for _ in range(self.order)]
+        last = max(k for k, c in enumerate(taylor) if k == 0 or self._constant(c) != 0)
+        power = h
+        for k in range(1, last + 1):
+            if k > 1:
+                power = self._cauchy(power, h, spread=False)
+            if self._constant(taylor[k]) == 0:
+                continue
+            for j, c in enumerate(power):
+                if self._constant(c) != 0:
+                    parts[j].append(self._mul([taylor[k], c]))
+        return [self._add(p) for p in parts]
+
+
+# ---------------------------------------------------------------------------
 # The ring jets as first written: every function, ln and powers alike,
 # composes its Taylor series about a_0 with the rest of the argument's jet
 # ---------------------------------------------------------------------------
@@ -417,25 +477,7 @@ class RefRingJets(_Jets):
         valuation = next((i for i, c in enumerate(h) if self._constant(c) != 0), None)
         return 0 if valuation is None else self.order // valuation
 
-    def _compose(self, taylor: list, h: list) -> list:
-        """g(a_0 + h) = sum over k of taylor[k] * h^k, truncated, for g
-        with Taylor coefficients ``taylor`` about a_0 (at most
-        ``_span(h)`` + 1 of them) and h with a zero constant term.  The
-        powers h^k and the products taylor[k] * (h^k)_j are formed whole:
-        spreading them over their terms made nested compositions such as
-        tanh(tanh(tanh(cosh(t)))) print two to three times longer."""
-        parts: list[list] = [[taylor[0]]] + [[] for _ in range(self.order)]
-        last = max(k for k, c in enumerate(taylor) if k == 0 or self._constant(c) != 0)
-        power = h
-        for k in range(1, last + 1):
-            if k > 1:
-                power = self._cauchy(power, h, spread=False)
-            if self._constant(taylor[k]) == 0:
-                continue
-            for j, c in enumerate(power):
-                if self._constant(c) != 0:
-                    parts[j].append(self._mul([taylor[k], c]))
-        return [self._add(p) for p in parts]
+    _compose = RefTreeJets._compose
 
     def _func(self, e: Func) -> list | None:
         a = self.of(e.arg)
@@ -446,66 +488,6 @@ class RefRingJets(_Jets):
             return None
         h = [self._leaf(ZERO), *a[1:]]
         return self._compose(self._taylor(e.name, a0, self._span(h) + 1), h)
-
-
-# ---------------------------------------------------------------------------
-# The tree jets as first written: f^(k)(a0)/k! from differentiating the
-# one-node tree f(t) k times and substituting a0, every power h^k of the
-# argument by truncated products, and the time-free factor of a product
-# multiplied into every coefficient
-# ---------------------------------------------------------------------------
-
-class RefTreeJets(_Jets):
-    """``_Jets`` with its ``_taylor``, ``_prod`` and ``_compose`` as
-    first written, verbatim."""
-
-    def __init__(self, order: int):
-        super().__init__(order)
-        self.derivatives: dict = {}  # per function name: (memo, [f(t), f'(t), ...])
-
-    def _taylor(self, name: str, a0, count: int) -> list:
-        """From differentiating the one-node tree f(t) and substituting a0."""
-        memo, derivatives = self.derivatives.setdefault(name, ({}, [Func(name, Var(TIME_INDEX))]))
-        while len(derivatives) < count:
-            derivatives.append(_diff(derivatives[-1], TIME_INDEX, memo))
-        return [eprod([Const(Fraction(1, math.factorial(k))), substitute(d, TIME_INDEX, a0)])
-                for k, d in enumerate(derivatives[:count])]
-
-    def _prod(self, e: Prod) -> list | None:
-        jets = [self.of(f) for f in e.factors]
-        if all(j is None for j in jets):
-            return None
-        free = self._mul([self._leaf(f) for f, j in zip(e.factors, jets) if j is None])
-        live = [j for j in jets if j is not None]
-        product = live[0]
-        for j in live[1:]:
-            product = self._cauchy(product, j)
-        # the time-free part stays one factor of every term, as the
-        # product rule would leave it
-        out = [self._mul([free, product[0]])]
-        for c in product[1:]:
-            out.append(self._add([self._mul([free, t]) for t in self._terms(c)]))
-        return out
-
-    def _compose(self, taylor: list, h: list) -> list:
-        """g(a_0 + h) = sum over k of taylor[k] * h^k, truncated, for g
-        with Taylor coefficients ``taylor`` about a_0 (at most
-        ``_span(h)`` + 1 of them) and h with a zero constant term.  The
-        powers h^k and the products taylor[k] * (h^k)_j are formed whole:
-        spreading them over their terms made nested compositions such as
-        tanh(tanh(tanh(cosh(t)))) print two to three times longer."""
-        parts: list[list] = [[taylor[0]]] + [[] for _ in range(self.order)]
-        last = max(k for k, c in enumerate(taylor) if k == 0 or self._constant(c) != 0)
-        power = h
-        for k in range(1, last + 1):
-            if k > 1:
-                power = self._cauchy(power, h, spread=False)
-            if self._constant(taylor[k]) == 0:
-                continue
-            for j, c in enumerate(power):
-                if self._constant(c) != 0:
-                    parts[j].append(self._mul([taylor[k], c]))
-        return [self._add(p) for p in parts]
 
 
 # ---------------------------------------------------------------------------
