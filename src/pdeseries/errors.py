@@ -46,7 +46,8 @@ class TimeNotAllowed(ParseError):
 
 
 class FormatError(PdeSeriesError):
-    """Problem file is missing a field or a field has the wrong shape."""
+    """A problem, read from a file or built in Python, is missing a field
+    or has one of the wrong type or range."""
 
 
 class DimensionMismatch(PdeSeriesError):

@@ -675,11 +675,6 @@ def substitute(e: Expr, variable: int, replacement: Expr) -> Expr:
     return _normalize(e, variable, replacement, {})
 
 
-def uses_time(e: Expr) -> bool:
-    """True when the distinguished time symbol occurs in the tree."""
-    return _variables(e, {})[1]
-
-
 def _variables(e: Expr, memo: dict) -> tuple[int, bool]:
     """(largest spatial variable index, whether time occurs) of ``e``.
     ``memo`` holds the answer for every compound node seen, so a shared

@@ -40,7 +40,6 @@ import string
 from fractions import Fraction
 
 from .errors import (
-    DimensionMismatch,
     DomainError,
     FormatError,
     NonIntegerExponent,
@@ -67,7 +66,7 @@ from .expr import (
 )
 from .poly import Poly, Ring
 from .series import (
-    OperatorTerm, ProblemSpec, RationalMatrix, SpatialOperator, invert, problem_ring,
+    OperatorTerm, ProblemSpec, RationalMatrix, SpatialOperator, check_rho_shape, checked_problem,
 )
 
 
@@ -449,7 +448,7 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
-def _require_int(doc: dict, key: str, minimum: int) -> int:
+def _require_int(doc: dict, key: str, minimum: float = -math.inf) -> int:
     value = _require(doc, key)
     if not isinstance(value, int) or isinstance(value, bool):
         raise FormatError(f"field {key!r} must be an integer")
@@ -482,20 +481,19 @@ def _field_expr(text, n: int, allow_time: bool, where: str) -> Expr:
         raise type(exc)(f"{where}: {exc.message}", exc.offset, exc.expected) from exc
 
 
-def _expr_vector(doc: dict, key: str, m: int, n: int, allow_time: bool) -> tuple[Expr, ...]:
+def _expr_vector(doc: dict, key: str, n: int, allow_time: bool) -> tuple[Expr, ...]:
     raw = _require(doc, key)
     if not isinstance(raw, list):
         raise FormatError(f"field {key!r} must be a list of expression strings")
-    if len(raw) != m:
-        raise DimensionMismatch(f"field {key!r} has length {len(raw)}, expected {m}")
     return tuple(
         _field_expr(text, n, allow_time, f"{key}[{i}]") for i, text in enumerate(raw)
     )
 
 
 def parse_problem(src: str) -> ProblemSpec:
-    """Parse and fully validate a JSON problem file; the mass matrix is
-    inverted eagerly so singularity is a load-time error."""
+    """Parse a JSON problem file: this checks the JSON types and the
+    expression grammar, and ``checked_problem`` every rule of a problem,
+    so a singular mass matrix is a load-time error."""
     try:
         doc = json.loads(src)
     except json.JSONDecodeError as exc:
@@ -507,13 +505,10 @@ def parse_problem(src: str) -> ProblemSpec:
 
     m = _require_int(doc, "m", minimum=1)
     n = _require_int(doc, "n", minimum=1)
-    order = _require_int(doc, "order", minimum=1)
+    order = _require_int(doc, "order")
 
     rho_raw = _require(doc, "rho")
-    if not isinstance(rho_raw, list) or len(rho_raw) != m or any(
-        not isinstance(row, list) or len(row) != m for row in rho_raw
-    ):
-        raise DimensionMismatch(f"field 'rho' must be an array of shape {m}x{m}")
+    check_rho_shape(rho_raw, m)  # before its rows are read
     rho = RationalMatrix(tuple(
         tuple(_rational(cell, f"rho[{i}][{j}]") for j, cell in enumerate(row))
         for i, row in enumerate(rho_raw)
@@ -535,44 +530,15 @@ def parse_problem(src: str) -> ProblemSpec:
             isinstance(k, int) and not isinstance(k, bool) for k in derivs
         ):
             raise FormatError(f"L[{i}].derivs must be a list of integers")
-        if any(k < 0 for k in derivs):
-            raise FormatError(f"L[{i}].derivs entries must be nonnegative")
-        if len(derivs) != n:
-            raise DimensionMismatch(
-                f"L[{i}].derivs has length {len(derivs)}, expected {n}"
-            )
-        if not (0 <= row < m and 0 <= col < m):
-            raise DimensionMismatch(f"L[{i}] row/col outside 0..{m - 1}")
         coeff = _field_expr(entry.get("coeff"), n, False, f"L[{i}].coeff")
         terms.append(OperatorTerm(row, col, coeff, tuple(derivs)))
     operator = SpatialOperator(m, n, tuple(terms))
 
-    f = _expr_vector(doc, "f", m, n, allow_time=True)
-    u0 = _expr_vector(doc, "u0", m, n, allow_time=False)
-    u1 = _expr_vector(doc, "u1", m, n, allow_time=False)
-
-    # the checks of ProblemSpec.create are made above, field by field,
-    # and the trees are normalized already
-    spec = ProblemSpec(m, n, rho, invert(rho), operator, f, u0, u1, order)
-    _convert_fields(spec)
-    return spec
-
-
-def _convert_fields(spec: ProblemSpec) -> None:
-    """Convert the operator coefficients and the initial data to
-    polynomials of the problem's ring, where the engines find them.  A
-    sum that is zero only as a polynomial, such as
-    (1+x1)*(1-x1)+x1^2-1, is seen here, so zero raised to a negative
-    power is reported with its field; at offset 0, since the tree keeps
-    no byte offsets."""
-    ring = problem_ring(spec)
-    coeffs = [t.coeff for t in spec.L.terms]
-    for where, vec in (("L[{}].coeff", coeffs), ("u0[{}]", spec.u0), ("u1[{}]", spec.u1)):
-        for i, tree in enumerate(vec):
-            try:
-                ring.from_tree(tree)
-            except DomainError as exc:
-                raise ParseError(f"{where.format(i)}: {exc}", 0) from exc
+    f = _expr_vector(doc, "f", n, allow_time=True)
+    u0 = _expr_vector(doc, "u0", n, allow_time=False)
+    u1 = _expr_vector(doc, "u1", n, allow_time=False)
+    # the parsed trees are normal already
+    return checked_problem(m, n, rho, operator, f, u0, u1, order)
 
 
 def load_problem(path: str) -> ProblemSpec:

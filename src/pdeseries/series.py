@@ -16,7 +16,10 @@ from typing import Iterable, Sequence
 
 from .errors import (
     DimensionMismatch,
+    DomainError,
     ExpansionSingular,
+    FormatError,
+    ParseError,
     SingularRho,
     TimeNotAllowed,
 )
@@ -36,7 +39,6 @@ from .expr import (
     esum,
     normalize,
     too_large_power,
-    uses_time,
 )
 from .poly import ONE as POLY_ONE, Poly, Ring, add, dot, scale
 
@@ -112,27 +114,24 @@ class OperatorTerm:
 
 @dataclass(frozen=True)
 class SpatialOperator:
-    """Matrix-valued linear differential operator with time-free
-    coefficients; structurally the sum of its terms."""
+    """Matrix-valued linear differential operator, structurally the sum
+    of its terms; ``checked_problem`` keeps its coefficients time-free."""
 
     m: int
     n: int
     terms: tuple[OperatorTerm, ...]
 
     def __post_init__(self):
-        for t in self.terms:
-            if not (0 <= t.row < self.m and 0 <= t.col < self.m):
-                raise DimensionMismatch(
-                    f"operator term row/col ({t.row},{t.col}) outside 0..{self.m - 1}"
-                )
+        # worded as a problem file names the terms
+        for i, t in enumerate(self.terms):
+            if any(k < 0 for k in t.orders):
+                raise FormatError(f"L[{i}].derivs entries must be nonnegative")
             if len(t.orders) != self.n:
                 raise DimensionMismatch(
-                    f"derivative multi-index length {len(t.orders)} != {self.n}"
+                    f"L[{i}].derivs has length {len(t.orders)}, expected {self.n}"
                 )
-            if any(k < 0 for k in t.orders):
-                raise DimensionMismatch("derivative orders must be nonnegative")
-            if uses_time(t.coeff):
-                raise TimeNotAllowed("operator coefficients must be time-free", 0)
+            if not (0 <= t.row < self.m and 0 <= t.col < self.m):
+                raise DimensionMismatch(f"L[{i}] row/col outside 0..{self.m - 1}")
 
 
 def apply_rows(
@@ -533,6 +532,13 @@ def series_rows(ring: Ring, s: TimeSeriesVec) -> Rows:
     return [list(map(ring.from_tree, row)) for row in s.coeffs]
 
 
+def checked_series(p: ProblemSpec, s: TimeSeriesVec) -> TimeSeriesVec:
+    """``s``, refused unless it has as many components as ``p``."""
+    if s.m != p.m:
+        raise DimensionMismatch(f"series has {s.m} components, the problem {p.m}")
+    return s
+
+
 def series_ring(s: TimeSeriesVec) -> Ring:
     """The ring of the rows ``s`` keeps, or a new one sized for its trees."""
     return vars(s).get("_ring") or Ring(*(c for row in s.coeffs for c in row))
@@ -567,41 +573,11 @@ class ProblemSpec:
     order: int
 
     @classmethod
-    def create(
-        cls,
-        m: int,
-        n: int,
-        rho: RationalMatrix,
-        L: SpatialOperator,
-        f: Sequence[Expr],
-        u0: Sequence[Expr],
-        u1: Sequence[Expr],
-        order: int,
-    ) -> "ProblemSpec":
-        if order < 1:
-            raise ValueError("truncation order must be at least 1")
-        if rho.size != m:
-            raise DimensionMismatch(f"rho is {rho.size}x{rho.size}, expected {m}x{m}")
-        if L.m != m or L.n != n:
-            raise DimensionMismatch("operator dimensions disagree with the problem")
-        for name, vec in (("f", f), ("u0", u0), ("u1", u1)):
-            if len(vec) != m:
-                raise DimensionMismatch(f"{name} has length {len(vec)}, expected {m}")
-        for name, vec in (("u0", u0), ("u1", u1)):
-            for component in vec:
-                if uses_time(component):
-                    raise TimeNotAllowed(f"{name} must be time-free", 0)
-        return cls(
-            m=m,
-            n=n,
-            rho=rho,
-            rho_inv=invert(rho),
-            L=L,
-            f_source=tuple(normalize(c) for c in f),
-            u0=tuple(normalize(c) for c in u0),
-            u1=tuple(normalize(c) for c in u1),
-            order=order,
-        )
+    def create(cls, m: int, n: int, rho: RationalMatrix, L: SpatialOperator, f: Sequence[Expr],
+               u0: Sequence[Expr], u1: Sequence[Expr], order: int) -> "ProblemSpec":
+        """``checked_problem`` of these fields, with f, u0 and u1 normalized."""
+        f, u0, u1 = (tuple(map(normalize, vec)) for vec in (f, u0, u1))
+        return checked_problem(m, n, rho, L, f, u0, u1, order)
 
     def with_order(self, order: int) -> "ProblemSpec":
         """The same problem truncated at another order; it shares this
@@ -615,6 +591,46 @@ class ProblemSpec:
     def __getstate__(self) -> dict:
         # pickles and copies carry the problem, not its caches
         return {k: v for k, v in vars(self).items() if k not in ("_ring", "_forcing")}
+
+
+def check_rho_shape(rows, m: int) -> None:
+    """Refuse ``rows`` unless it is m rows, lists or tuples, of m entries."""
+    if not isinstance(rows, (list, tuple)) or len(rows) != m or any(
+        not isinstance(row, (list, tuple)) or len(row) != m for row in rows
+    ):
+        raise DimensionMismatch(f"field 'rho' must be an array of shape {m}x{m}")
+
+
+def checked_problem(m: int, n: int, rho: RationalMatrix, L: SpatialOperator, f: ExprVec,
+                    u0: ExprVec, u1: ExprVec, order: int) -> ProblemSpec:
+    """The problem of these fields, whose trees must be normal, refused
+    unless it obeys every rule of a problem, in the words of a problem
+    file; ``SpatialOperator`` checks its own terms.  The coefficients
+    and the initial data are converted to polynomials of the problem's
+    new ring, which sees a sum that is zero only as a polynomial, such as
+    (1+x1)*(1-x1)+x1^2-1.  Converting makes an atom of each variable and
+    the forcing is converted later, so a field uses t exactly when t is
+    an atom after it.  A tree keeps no byte offsets: ParseErrors are at 0."""
+    if order < 1:
+        raise FormatError("field 'order' must be >= 1")
+    check_rho_shape(rho.entries, m)
+    if L.m != m or L.n != n:
+        raise DimensionMismatch("operator dimensions disagree with the problem")
+    for name, vec in (("f", f), ("u0", u0), ("u1", u1)):
+        if len(vec) != m:
+            raise DimensionMismatch(f"field {name!r} has length {len(vec)}, expected {m}")
+    p = ProblemSpec(m, n, rho, invert(rho), L, f, u0, u1, order)
+    ring, time = problem_ring(p), Var(TIME_INDEX)
+    for name, vec in (("L[{}].coeff", [t.coeff for t in L.terms]), ("u0[{}]", u0), ("u1[{}]", u1)):
+        for i, tree in enumerate(vec):
+            where = name.format(i)
+            try:
+                ring.from_tree(tree)
+            except DomainError as exc:
+                raise ParseError(f"{where}: {exc}", 0) from exc
+            if time in ring.index:
+                raise TimeNotAllowed(f"{where}: the time symbol is not allowed here", 0)
+    return p
 
 
 def problem_ring(p: ProblemSpec) -> Ring:

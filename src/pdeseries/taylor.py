@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch
 from .expr import DEFAULT_PLAN, SamplePlan
 from .poly import ZERO
 from .series import (
@@ -18,6 +17,7 @@ from .series import (
     Rows,
     TimeSeriesVec,
     apply_rows,
+    checked_series,
     forcing_rows,
     problem_ring,
     rows_series,
@@ -75,10 +75,8 @@ def detect_exact(
     and up vanishes.  A coefficient vanishes when its polynomial is
     zero, or else when it samples equal to zero.
     """
-    if sol.m != p.m:
-        raise DimensionMismatch(f"series has {sol.m} components, the problem {p.m}")
     ring = problem_ring(p)
-    rows, order = series_rows(ring, sol), sol.order
+    rows, order = series_rows(ring, checked_series(p, sol)), sol.order
     f = forcing_rows(p, order)
 
     def vanishes(vec) -> bool:

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .errors import DimensionMismatch
 from .expr import DEFAULT_PLAN, SamplePlan
 from .hpm import hpm_rows, sum_rows
 from .poly import ZERO, Ring, sub
@@ -14,6 +13,7 @@ from .series import (
     ProblemSpec,
     TimeSeriesVec,
     apply_rows,
+    checked_series,
     forcing_rows,
     problem_ring,
     scale_rows,
@@ -87,9 +87,7 @@ def residual_check(
     its information content: residual coefficients of degree
     0..order-2 must vanish.  A residual whose polynomial is zero has
     deviation 0.0 exactly; any other is sampled."""
-    if sol.m != p.m:
-        raise DimensionMismatch(f"series has {sol.m} components, the problem {p.m}")
-    order = sol.order
+    order = checked_series(p, sol).order
     if order < 2:
         raise ValueError("residual check needs a series of order >= 2")
     ring = problem_ring(p)

@@ -470,6 +470,8 @@ class TestErrorsAndExitCodes:
             2, "", "error: power of a constant too large to represent\n")
 
     @pytest.mark.parametrize("argv,message", [
+        (("solve", WAVE, "--order", "0"), "truncation order must be at least 1"),
+        (("residual", WAVE, "--order", "0"), "truncation order must be at least 1"),
         (("hpm", WAVE, "--corrections", "-1"), "--corrections must be >= 0"),
         (("compare", WAVE, "--corrections", "0"), "--corrections must be >= 1"),
         (("expand", "--expr", "x1", "--order", "-1"), "--order must be >= 0"),

@@ -95,3 +95,34 @@ def test_the_jets_neither_differentiate_nor_substitute_trees():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert imported.isdisjoint({"_diff", "substitute"})
+
+
+def _template(node: ast.AST) -> str | None:
+    """The text of a string or f-string, each replacement field as {}."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+    return None
+
+
+def test_no_message_is_raised_from_two_places():
+    # a rule checked in two places drifts apart, so no message template
+    # of a raise appears twice.  Left out are DomainError, which the tree
+    # and the ring kernels each raise for the same arithmetic fault, in
+    # the same words whichever kernel meets it; TypeError, which ends each
+    # dispatch over the kinds of node; and the grammar's ParseErrors,
+    # whose "unexpected {}" names the token found in two places of a
+    # parse and whose "{}: {}" prefixes a field name to another message
+    skipped = {"DomainError", "TypeError", "ParseError"}
+    seen: dict[str, list[str]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args):
+                continue
+            if getattr(node.exc.func, "id", None) in skipped:
+                continue
+            template = _template(node.exc.args[0])
+            if template is not None:
+                seen.setdefault(template, []).append(f"{path.stem}:{node.lineno}")
+    assert {t: where for t, where in seen.items() if len(where) > 1} == {}

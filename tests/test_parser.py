@@ -21,6 +21,7 @@ from pdeseries.errors import (
     FormatError,
     NonIntegerExponent,
     ParseError,
+    PdeSeriesError,
     SingularRho,
     TimeNotAllowed,
     UnknownIdentifier,
@@ -691,19 +692,26 @@ def _problem_text(p: ProblemSpec) -> str:
 
 
 def _create(text: str) -> ProblemSpec:
-    """ProblemSpec.create of the fields of a problem file, each parsed alone."""
+    """ProblemSpec.create of the fields of a problem file, each parsed
+    alone and with the time symbol allowed, so that create, not the
+    grammar, refuses it where a problem does."""
     doc = json.loads(text)
     m, n = doc["m"], doc["n"]
     rho = RationalMatrix.from_rows([[Fraction(x) for x in row] for row in doc["rho"]])
-    terms = tuple(OperatorTerm(t["row"], t["col"], parse_expr(t["coeff"], n), tuple(t["derivs"]))
+    terms = tuple(OperatorTerm(t["row"], t["col"], parse_expr(t["coeff"], n, allow_time=True),
+                               tuple(t["derivs"]))
                   for t in doc["L"])
-    vectors = [[parse_expr(s, n, allow_time=key == "f") for s in doc[key]] for key in ("f", "u0", "u1")]
+    vectors = [[parse_expr(s, n, allow_time=True) for s in doc[key]] for key in ("f", "u0", "u1")]
     return ProblemSpec.create(m, n, rho, SpatialOperator(m, n, terms), *vectors, doc["order"])
 
 
+_HIDDEN_ZERO = "x1 + 1/((1+x1)*(1-x1)+x1^2-1)"
+
+
 class TestProblemBuiltDirectly:
-    """parse_problem builds the ProblemSpec itself: the checks of
-    ProblemSpec.create are made field by field, and the parsed trees are
+    """parse_problem and ProblemSpec.create build a problem through one
+    validator, series.checked_problem: parse_problem checks only the JSON
+    types and the grammar, and hands it the trees it parsed, which are
     normal already."""
 
     @pytest.mark.parametrize("name", ["wave_1d.prob", "forced_wave_2d.prob", "coupled_2x2.prob"])
@@ -730,3 +738,37 @@ class TestProblemBuiltDirectly:
         for text in texts:
             parse_problem(text)
         assert calls == []
+
+    # one fault per document, for each rule of a problem that a file can
+    # break; the operator's m and n are the file's own on both paths
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d.update(order=0),
+        lambda d: d.update(order=-3),
+        lambda d: d.update(rho=[["1", "0"], ["0", "1"]]),
+        lambda d: d.update(rho=[["0"]]),
+        lambda d: d.update(f=["0", "0"]),
+        lambda d: d.update(u0=[]),
+        lambda d: d.update(u1=["0", "x1", "x2"]),
+        lambda d: d.update(u0=["x1*t"]),
+        lambda d: d.update(u1=["sin(t)"]),
+        lambda d: d["L"][1].update(coeff="t"),
+        lambda d: d.update(u0=[_HIDDEN_ZERO]),
+        lambda d: d.update(u1=[_HIDDEN_ZERO]),
+        lambda d: d["L"][1].update(coeff=_HIDDEN_ZERO),
+        lambda d: d["L"][0].update(row=1),
+        lambda d: d["L"][1].update(col=-1),
+        lambda d: d["L"][0].update(derivs=[2]),
+        lambda d: d["L"][0].update(derivs=[2, 0, 0]),
+        lambda d: d["L"][0].update(derivs=[2, -1]),
+    ])
+    def test_both_paths_refuse_a_fault_alike(self, mutate):
+        doc = _base_doc()
+        mutate(doc)
+        text = json.dumps(doc)
+        refused = []
+        for build in (parse_problem, _create):
+            with pytest.raises(PdeSeriesError) as err:
+                build(text)
+            refused.append((type(err.value), getattr(err.value, "message", str(err.value))))
+        # the grammar places t at its byte offset, create at offset 0
+        assert refused[0] == refused[1]

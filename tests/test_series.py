@@ -29,6 +29,8 @@ from pdeseries.errors import (
     DimensionMismatch,
     DomainError,
     ExpansionSingular,
+    FormatError,
+    ParseError,
     SamplingExhausted,
     SingularRho,
     TimeNotAllowed,
@@ -44,6 +46,7 @@ from pdeseries.expr import (
     TIME_INDEX,
     Var,
     ZERO,
+    _variables,
     const,
     differentiate,
     eprod,
@@ -52,7 +55,6 @@ from pdeseries.expr import (
     normalize,
     sampled_deviation,
     substitute,
-    uses_time,
 )
 from pdeseries.parser import load_problem, parse_expr, print_expr
 from pdeseries.poly import ONE as POLY_ONE, ZERO as POLY_ZERO, Ring, add, scale
@@ -408,7 +410,7 @@ class TestJetsAgainstDifferentiation:
             e = normalize(e)
         except DomainError:
             assume(False)
-        assume(uses_time(e))
+        assume(_variables(e, {})[1])  # e uses time
         want = _outcome(_expand_by_differentiation, e, order)
         got = _outcome(expand_in_time, e, order)
         if not isinstance(want, tuple):
@@ -773,13 +775,14 @@ _D2 = SpatialOperator(1, 1, (OperatorTerm(0, 0, const(1), (2,)),))
 _I1 = RationalMatrix.identity(1)
 
 
-def _problem(m=1, n=1, rho=_I1, f=(ZERO,), u0=(ZERO,), u1=(ZERO,), order=1):
+def _problem(m=1, n=1, rho=_I1, L=_D2, f=(ZERO,), u0=(ZERO,), u1=(ZERO,), order=1):
     """``ProblemSpec.create`` on u_tt = u_x1x1 with zero data, one argument changed."""
-    return ProblemSpec.create(m, n, rho, _D2, f, u0, u1, order)
+    return ProblemSpec.create(m, n, rho, L, f, u0, u1, order)
 
 
 class TestErrorPaths:
-    """Each check of the containers, with its error class and message."""
+    """Each check of the containers, with its error class and message.
+    A problem's are worded as for a problem file, whose fields they name."""
 
     @pytest.mark.parametrize("build,error,message", [
         (lambda: RationalMatrix.from_rows([[1, 2]]), DimensionMismatch,
@@ -787,30 +790,43 @@ class TestErrorPaths:
         (lambda: RationalMatrix.from_rows([]), DimensionMismatch,
          "matrix must be square and non-empty"),
         (lambda: SpatialOperator(1, 1, (OperatorTerm(1, 0, const(1), (2,)),)),
-         DimensionMismatch, "operator term row/col (1,0) outside 0..0"),
+         DimensionMismatch, "L[0] row/col outside 0..0"),
         (lambda: SpatialOperator(2, 1, (OperatorTerm(0, -1, const(1), (2,)),)),
-         DimensionMismatch, "operator term row/col (0,-1) outside 0..1"),
+         DimensionMismatch, "L[0] row/col outside 0..1"),
         (lambda: SpatialOperator(1, 1, (OperatorTerm(0, 0, const(1), (2, 0)),)),
-         DimensionMismatch, "derivative multi-index length 2 != 1"),
+         DimensionMismatch, "L[0].derivs has length 2, expected 1"),
         (lambda: SpatialOperator(1, 2, (OperatorTerm(0, 0, const(1), (2, -1)),)),
-         DimensionMismatch, "derivative orders must be nonnegative"),
-        (lambda: SpatialOperator(1, 1, (OperatorTerm(0, 0, Var(TIME_INDEX), (2,)),)),
-         TimeNotAllowed, "operator coefficients must be time-free at offset 0"),
+         FormatError, "L[0].derivs entries must be nonnegative"),
+        (lambda: _problem(L=SpatialOperator(1, 1, (OperatorTerm(0, 0, Var(TIME_INDEX), (2,)),))),
+         TimeNotAllowed, "L[0].coeff: the time symbol is not allowed here at offset 0"),
         (lambda: expand_in_time(Var(1), -1), ValueError, "expansion order must be nonnegative"),
         (lambda: TimeSeriesVec(1, -1, ()), ValueError, "series order must be nonnegative"),
         (lambda: TimeSeriesVec(1, 0, ((ZERO, ZERO),)), DimensionMismatch,
          "coefficient vector length 2 != 1"),
-        (lambda: _problem(order=0), ValueError, "truncation order must be at least 1"),
+        (lambda: _problem(order=0), FormatError, "field 'order' must be >= 1"),
         (lambda: _problem(m=2, f=(ZERO,) * 2, u0=(ZERO,) * 2, u1=(ZERO,) * 2),
-         DimensionMismatch, "rho is 1x1, expected 2x2"),
+         DimensionMismatch, "field 'rho' must be an array of shape 2x2"),
         (lambda: _problem(n=2), DimensionMismatch,
          "operator dimensions disagree with the problem"),
-        (lambda: _problem(u0=(ZERO, ZERO)), DimensionMismatch, "u0 has length 2, expected 1"),
+        (lambda: _problem(u0=(ZERO, ZERO)), DimensionMismatch,
+         "field 'u0' has length 2, expected 1"),
         (lambda: _problem(u1=(Var(TIME_INDEX),)), TimeNotAllowed,
-         "u1 must be time-free at offset 0"),
+         "u1[0]: the time symbol is not allowed here at offset 0"),
+        # the polynomial of u0 is 1, but its tree uses t
+        (lambda: _problem(u0=(parse_expr("(1+t)*(1-t)+t^2", 1, allow_time=True),)),
+         TimeNotAllowed, "u0[0]: the time symbol is not allowed here at offset 0"),
         (lambda: _problem().with_order(0), ValueError, "truncation order must be at least 1"),
     ])
     def test_rejects(self, build, error, message):
         with pytest.raises(error) as err:
             build()
         assert str(err.value) == message
+
+    def test_hidden_zero_to_a_negative_power_is_refused_at_create(self):
+        # the tree keeps the product of sums whole; only the polynomial is
+        # 0, so it is refused as a problem file with this u0 is
+        u0 = parse_expr("x1 + 1/((1+x1)*(1-x1)+x1^2-1)", 1)
+        with pytest.raises(ParseError) as err:
+            _problem(u0=(u0,))
+        assert (type(err.value), err.value.message, err.value.offset) == (
+            ParseError, "u0[0]: zero raised to a negative power", 0)
