@@ -14,9 +14,9 @@ import sys
 from .errors import PdeSeriesError
 from .expr import SamplePlan
 from .hpm import partial_sum, solve_hpm
-from .parser import load_problem, parse_expr, print_expr, print_poly
+from .parser import load_problem, parse_expr, print_expr, print_polys
 from .poly import Ring
-from .series import Rows, expand_in_time, problem_ring, series_rows
+from .series import TimeSeriesVec, expand_normal, problem_ring, series_rows
 from .taylor import solve_taylor, taylor_coefficients
 from .verify import equivalence_check, residual_check
 
@@ -96,19 +96,16 @@ def _render_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _series_lines(ring: Ring, rows: Rows, label: str, indent: str = "") -> list[str]:
-    lines = []
-    for j, vec in enumerate(rows):
-        if len(vec) == 1:
-            lines.append(f"{indent}{label}[{j}] = {print_poly(ring, vec[0])}")
-        else:
-            for k, c in enumerate(vec):
-                lines.append(f"{indent}{label}[{j}][{k}] = {print_poly(ring, c)}")
-    return lines
+def _printed(ring: Ring, series: list[TimeSeriesVec]) -> list[list[list[str]]]:
+    """The text of each coefficient of each of ``series``, from one ``print_polys``."""
+    groups = [series_rows(ring, s) for s in series]
+    texts = iter(print_polys(ring, [c for rows in groups for vec in rows for c in vec]))
+    return [[[next(texts) for _ in vec] for vec in rows] for rows in groups]
 
 
-def _series_payload(ring: Ring, rows: Rows) -> list[list[str]]:
-    return [[print_poly(ring, c) for c in vec] for vec in rows]
+def _series_lines(rows: list[list[str]], indent: str = "") -> list[str]:
+    return [f"{indent}u[{j}]{'' if len(vec) == 1 else f'[{k}]'} = {c}"
+            for j, vec in enumerate(rows) for k, c in enumerate(vec)]
 
 
 def _cmd_solve(args) -> int:
@@ -118,17 +115,17 @@ def _cmd_solve(args) -> int:
     plan = SamplePlan(seed=args.seed, tolerance=args.tolerance)
     solution = solve_taylor(problem, plan)
     ring = problem_ring(problem)
-    rows = series_rows(ring, solution.series)
+    (rows,) = _printed(ring, [solution.series])
     if args.output_format == "json":
         sys.stdout.write(_render_json({
             "order": problem.order,
             "m": problem.m,
-            "coefficients": _series_payload(ring, rows),
+            "coefficients": rows,
             "exact": solution.exact,
             "exact_reason": solution.exact_reason,
         }))
     else:
-        for line in _series_lines(ring, rows, "u"):
+        for line in _series_lines(rows):
             print(line)
         verdict = f"exact ({solution.exact_reason})" if solution.exact else "not exact"
         print(f"verdict: {verdict}")
@@ -142,20 +139,19 @@ def _cmd_hpm(args) -> int:
     expansion = solve_hpm(problem, args.corrections)
     working = expansion.working_order
     ring = problem_ring(problem)
-    corrections = [series_rows(ring, c) for c in expansion.corrections]
-    total = series_rows(ring, partial_sum(expansion, working))
+    *corrections, total = _printed(ring, [*expansion.corrections, partial_sum(expansion, working)])
     if args.output_format == "json":
         sys.stdout.write(_render_json({
-            "corrections": [_series_payload(ring, c) for c in corrections],
-            "partial_sum": _series_payload(ring, total),
+            "corrections": corrections,
+            "partial_sum": total,
             "working_order": working,
         }))
     else:
         lines = []  # all of them before any is written
         for j, correction in enumerate(corrections):
-            lines += [f"correction {j}:", *_series_lines(ring, correction, "u", indent="  ")]
+            lines += [f"correction {j}:", *_series_lines(correction, indent="  ")]
         lines.append(f"partial sum (degrees 0..{working}):")
-        lines += _series_lines(ring, total, "u", indent="  ")
+        lines += _series_lines(total, indent="  ")
         print("\n".join(lines))
     return EXIT_OK
 
@@ -201,7 +197,7 @@ def _cmd_expand(args) -> int:
         # argparse before Python 3.12 turns --expr=-- into an empty list
         raise ValueError("--expr needs an expression")
     expression = parse_expr(args.expr, args.dim, allow_time=True)
-    coefficients = expand_in_time(expression, args.order)
+    coefficients = expand_normal(expression, args.order)
     rendered = [print_expr(c) for c in coefficients]
     if args.output_format == "json":
         sys.stdout.write(_render_json({"coefficients": rendered}))

@@ -344,40 +344,51 @@ def _fmt(e: Expr) -> str:
 
 
 def print_poly(ring: Ring, p: Poly) -> str:
-    """``print_expr(ring.to_tree(p))``, and its DomainError, written
-    from the terms of ``p`` without building the tree.
+    """The text of one polynomial: ``print_polys(ring, [p])[0]``."""
+    return print_polys(ring, [p])[0]
+
+
+def print_polys(ring: Ring, polys: list[Poly]) -> list[str]:
+    """``print_expr(ring.to_tree(p))`` of each of ``polys``, and the
+    DomainError of the first that raises one, written from the terms
+    without building the trees.
 
     A term is its rational times the product its monomial names, whose
     sort key and text ``_monomial`` keeps in ``ring.printed``.  The
-    constant comes first, the other terms follow in the order of their
-    keys, with the signs of ``print_expr``.  Where a sum atom to the
-    first power is a term next to others or times a rational other
-    than 1, ``esum`` and ``eprod`` spread it, so such a polynomial is
-    printed from its tree."""
-    num = p.num
-    if not num:
-        return "0"
-    printed, den = ring.printed, p.den
-    constant = []  # (numerator, denominator) of the constant, if any
-    terms = []  # (key, numerator, denominator, text of the monomial)
-    for m, c in num.items():
-        d = den
-        if d != 1:
-            g = math.gcd(c, d)
-            c, d = c // g, d // g
-        if not m:
-            constant.append((c, d))
+    monomials of all ``polys`` are ranked by key once, the constant (key
+    (0,)) first; each polynomial writes its terms by rank, with the
+    signs of ``print_expr``.  Where a sum atom to the first power is a
+    term next to others or times a rational other than 1, ``esum`` and
+    ``eprod`` spread it, so such a polynomial is printed from its tree."""
+    printed = ring.printed
+    printed.setdefault(0, ((0,), "", False))
+    monomials = set().union(*[p.num for p in polys])
+    for m in monomials - printed.keys():
+        _monomial(ring, m)
+    rank = dict(zip(sorted(monomials, key=printed.__getitem__), range(len(monomials))))
+    sums = {m for m in monomials if printed[m][2]}
+    out = []
+    for p in polys:
+        num, den = p.num, p.den
+        if not num:
+            out.append("0")
             continue
-        key, body, is_sum = printed.get(m) or _monomial(ring, m)
-        if is_sum and (c != 1 or d != 1 or len(num) > 1):
-            return print_expr(ring.to_tree(p))
-        terms.append((key, c, d, body))
-    terms.sort()  # no two terms have the same key
-    try:
-        return _joined([f"{c}" if d == 1 else f"{c}/{d}" for c, d in constant]
-                       + [_scaled(c, d, body) for _, c, d, body in terms])
-    except ValueError as exc:  # a rational past the int-to-text limit
-        raise DomainError("product of constants too large to represent") from exc
+        if not sums.isdisjoint(num) and (len(num) > 1 or den != 1 or 1 not in num.values()):
+            out.append(print_expr(ring.to_tree(p)))
+            continue
+        texts = []
+        try:
+            for m in sorted(num, key=rank.__getitem__) if len(num) > 1 else num:
+                c, d = num[m], den
+                if d != 1:
+                    g = math.gcd(c, d)
+                    c, d = c // g, d // g
+                texts.append(_scaled(c, d, printed[m][1]) if m
+                             else f"{c}/{d}" if d != 1 else str(c))
+        except ValueError as exc:  # a rational past the int-to-text limit
+            raise DomainError("product of constants too large to represent") from exc
+        out.append(_joined(texts))
+    return out
 
 
 def _monomial(ring: Ring, m: int) -> tuple:

@@ -185,7 +185,7 @@ class Ring:
     a primitive ``Sum``.  ``polys[i]`` is what its derivative reads: the
     function's argument, the sum itself, or None.  ``known`` maps every
     tree converted here to its polynomial; ``printed``, which the parser
-    fills, a key to what ``print_poly`` writes it from.  Key fields are
+    fills, a key to what ``print_polys`` writes it from.  Key fields are
     ``width`` bits, 32 over the exponents ``from_tree`` makes of ``trees``
     and at least 64.  Polynomials of different rings must not meet."""
 

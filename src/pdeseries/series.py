@@ -177,7 +177,12 @@ def expand_in_time(e: Expr, order: int) -> ExprVec:
     exponent would be too large to represent."""
     if order < 0:
         raise ValueError("expansion order must be nonnegative")
-    return tuple(_Jets(order).expansion(normalize(e)))
+    return expand_normal(normalize(e), order)
+
+
+def expand_normal(e: Expr, order: int) -> ExprVec:
+    """``expand_in_time`` of the normalized ``e``, not normalized again."""
+    return tuple(_Jets(order).expansion(e))
 
 
 def _binomial(k: int, m: int) -> Fraction:
@@ -431,6 +436,9 @@ class _RingJets(_Jets):
         if len(num) == 1 and 0 in num:
             return Fraction(num[0], c.den)
         return None if num else 0
+
+    def _cauchy(self, a: list, b: list, spread: bool = True) -> list:  # one checked dot per degree
+        return [self.ring.dot([(a[i], b[k - i]) for i in range(k + 1)]) for k in range(len(a))]
 
     def _taylor(self, name: str, a0: Poly, count: int) -> list:  # ln's, the one function composed
         return [self.ring.func(name, a0), *(

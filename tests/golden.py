@@ -1,4 +1,4 @@
-"""The golden corpus: 72 commands, their problem texts, and the exit
+"""The golden corpus: 75 commands, their problem texts, and the exit
 code and sha1 of stdout and of stderr that each printed when recorded.
 
 The corpus covers every command on the bundled problems in text and
@@ -12,9 +12,12 @@ on its two problems again with ``u0``, ``u1`` and ``f`` multiplied by
 times a product takes other paths through the kernel than the
 unscaled inputs do.  Nine more expansions take every function's Taylor
 coefficients to orders up to 30 and arguments whose part in t is one
-term, and one of them fails.  A change to the arithmetic under the
-engines, or to how coefficients are printed, must leave all of them as
-they are.
+term, and one of them fails.  ``solve`` takes the heavy problem to
+order 16 as well, and ``hpm`` (text and JSON) meets a sum atom to the
+first power next to other terms, which is printed from its tree in a
+batch of coefficients that are not.  A change to the arithmetic under
+the engines, or to how coefficients are printed, must leave all of them
+as they are.
 
 The module needs only the standard library, so it runs on any
 interpreter the package supports, with or without pytest.  From the
@@ -104,6 +107,15 @@ HUGE_POWER = """{"m": 1, "n": 1, "rho": [["1"]],
  "f": ["0"], "u0": ["x1^(10^2200)"], "u1": ["0"], "order": 4}
 """
 
+# (x1 + x2)^99999999 * (x1 + x2)^(-99999998) is the sum atom x1 + x2 to
+# the first power, next to other terms in u[2] of each correction and of
+# the sum: such a coefficient is printed from its tree, 1/2*x1 + 1/2*x2 + ...
+SUM_ATOM = """{"m": 1, "n": 2, "rho": [["1"]],
+ "L": [{"row": 0, "col": 0, "coeff": "(x1 + x2)^(-99999998)", "derivs": [0, 0]},
+       {"row": 0, "col": 0, "coeff": "1", "derivs": [2, 0]}],
+ "f": ["0"], "u0": ["(x1 + x2)^99999999 + x1"], "u1": ["0"], "order": 4}
+"""
+
 # deeper than the JSON decoder recurses
 DEEP = '{"m": ' + "[" * 100000 + "]" * 100000 + "}"
 
@@ -152,6 +164,7 @@ FILES = {
     "bad_char.prob": BAD_CHAR,
     "deep.prob": DEEP,
     "huge_power.prob": HUGE_POWER,
+    "sum_atom.prob": SUM_ATOM,
     "heavy_2x2_x7.prob": scaled(HEAVY_2X2, 7),
     "forcing_1x1_x7.prob": scaled(FORCING_1X1, 7),
 }
@@ -166,7 +179,7 @@ BUNDLED_COMMANDS = (
 
 
 def corpus() -> list[tuple[str, ...]]:
-    """The 72 commands; a bundled problem is named by its file name."""
+    """The 75 commands; a bundled problem is named by its file name."""
     out = [
         (cmd[0], name, *cmd[1:], *fmt)
         for name in BUNDLED
@@ -210,13 +223,19 @@ def corpus() -> list[tuple[str, ...]]:
         ("compare", "forcing_1x1_x7.prob", "--corrections", "2"),
     ]
     out += [("expand", "--expr", e, "--order", order) for e, order in RULE_EXPANSIONS]
+    out += [
+        ("solve", "heavy_2x2.prob", "--order", "16"),
+        ("hpm", "sum_atom.prob", "--corrections", "1"),
+        ("hpm", "sum_atom.prob", "--corrections", "1", "--format", "json"),
+    ]
     return out
 
 
 # (command, exit code, sha1 of stdout, sha1 of stderr), recorded before
 # polynomials took integer numerators over one denominator; the two heavy
 # JSON commands were recorded before coefficients were printed from
-# polynomials without building trees
+# polynomials without building trees, and the last three before each
+# command printed all its coefficients in one ranked pass
 GOLDEN = {
     ('solve', 'wave_1d.prob'):
         (0, 'ed23383102f2929eebe354654e482b7e6f1e6654', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
@@ -376,6 +395,12 @@ GOLDEN = {
         (0, '4fc0500f436f91b521348839ca00bf78a2997af4', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
     ('expand', '--expr', 'ln(10^4000 + t)', '--order', '4'):
         (2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', 'e03b9ce1466fa1056e2ab6972a29cf54380a3817'),
+    ('solve', 'heavy_2x2.prob', '--order', '16'):
+        (0, '0b574f43edd5dda39b948ac7362300bc7b5d1dcc', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    ('hpm', 'sum_atom.prob', '--corrections', '1'):
+        (0, 'd5d9aaaec1cf35c47099f51dc74c4bbd72b6ef38', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    ('hpm', 'sum_atom.prob', '--corrections', '1', '--format', 'json'):
+        (0, 'ca915dda60e591cbc194c3d770995002400308a6', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
 }
 
 
@@ -414,7 +439,7 @@ def _check() -> int:
     """Runs the corpus; prints each command whose result differs from
     ``GOLDEN`` and returns how many do."""
     commands = corpus()
-    if len(commands) != 72 or set(GOLDEN) != set(commands):
+    if len(commands) != 75 or set(GOLDEN) != set(commands):
         print("the corpus and the table name different commands")
         return 1
     bad = 0

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdeseries import cli, hpm, series, taylor, verify
+from pdeseries import cli, expr, hpm, series, taylor, verify
 from pdeseries.cli import build_parser, main
 from pdeseries.poly import Ring
 
@@ -198,6 +198,14 @@ class TestExpand:
   ]
 }
 """, "")
+
+    def test_the_parsed_tree_is_not_normalized_again(self, monkeypatch, capsys):
+        calls = []
+        for module in (expr, series):
+            original = module.normalize
+            monkeypatch.setattr(module, "normalize", lambda e, f=original: calls.append(e) or f(e))
+        code, out, _ = run(capsys, "expand", "--expr", "exp(sin(x1*t))*tanh(t+x2)", "--order", "6")
+        assert code == 0 and out and calls == []
 
     def test_constant_expansion(self, capsys):
         code, out, _ = run(capsys, "expand", "--expr", "7", "--order", "2")
@@ -593,3 +601,21 @@ class TestPrintsFromPolynomials:
         code, out, _ = run(capsys, argv[0], path, *argv[1:], *fmt)
         assert code == 0 and out
         assert set(callers) <= {"func", "deviation"}
+
+    @pytest.mark.parametrize("argv", [("solve",), ("hpm", "--corrections", "3")])
+    @pytest.mark.parametrize("fmt", [(), ("--format", "json")])
+    def test_every_coefficient_is_printed_in_one_call(self, monkeypatch, capsys, argv, fmt):
+        # one call ranks the monomials of all coefficients once
+        batches = []
+        original = cli.print_polys
+        monkeypatch.setattr(cli, "print_polys",
+                            lambda ring, polys: batches.append(len(polys)) or original(ring, polys))
+        code, out, _ = run(capsys, argv[0], COUPLED, *argv[1:], *fmt)
+        assert code == 0
+        if fmt:
+            doc = json.loads(out)
+            rows = [*doc.get("corrections", []), doc.get("coefficients", doc.get("partial_sum"))]
+            printed = sum(len(vec) for r in rows for vec in r)
+        else:
+            printed = out.count("] = ")
+        assert batches == [printed]

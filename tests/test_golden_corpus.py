@@ -26,7 +26,7 @@ def workdir(tmp_path, monkeypatch):
 
 
 def test_the_corpus_is_complete():
-    assert len(corpus()) == 72 and set(GOLDEN) == set(corpus())
+    assert len(corpus()) == 75 and set(GOLDEN) == set(corpus())
 
 
 @pytest.mark.parametrize("command", corpus(), ids=" ".join)
@@ -40,7 +40,7 @@ def test_prints_the_recorded_bytes(workdir, capsys, command):
 
 def test_check_mode_passes_and_names_a_mismatch(monkeypatch, capsys):
     assert golden.run(["--check"]) == 0
-    assert capsys.readouterr().out.startswith("72 of 72 commands match on Python ")
+    assert capsys.readouterr().out.startswith("75 of 75 commands match on Python ")
     command = corpus()[0]
     code, out, err = GOLDEN[command]
     monkeypatch.setitem(GOLDEN, command, (code, err, out))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     problem_path, random_normal_expr, random_problem, random_raw_expr, ref_fmt, ref_parse_expr,
 )
+from golden import EXPANSIONS, RULE_EXPANSIONS
 from pdeseries import expr, series
 from pdeseries.errors import (
     DimensionMismatch,
@@ -348,7 +349,16 @@ class TestParsingIsNormalizing:
             with pytest.raises(ParseError):
                 parse_expr(text, 2, allow_time=True)
             return
-        assert parse_expr(text, 2, allow_time=True) == want
+        got = parse_expr(text, 2, allow_time=True)
+        # a fixed point of normalize, so the CLI expands it without
+        # normalizing it again (series.expand_normal)
+        assert got == want and normalize(got) == got
+
+    @pytest.mark.parametrize("text", [e for e, _ in EXPANSIONS + RULE_EXPANSIONS] + [
+        f"{c}*({e})" for c in ("7", "-3/5") for e, _ in EXPANSIONS])
+    def test_expanded_expressions_are_fixed_points_of_normalize(self, text):
+        e = parse_expr(text, 2, allow_time=True)
+        assert normalize(e) == e
 
     @given(st.one_of(_HUGE_SOUP, _HUGE_NESTED))
     @settings(max_examples=400)

@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -53,7 +53,9 @@ from pdeseries.expr import (
     sampled_deviation,
 )
 from pdeseries.hpm import HpmExpansion, hpm_rows, partial_sum, solve_hpm
-from pdeseries.parser import load_problem, parse_expr, parse_problem, print_expr, print_poly
+from pdeseries.parser import (
+    load_problem, parse_expr, parse_problem, print_expr, print_poly, print_polys,
+)
 from pdeseries.poly import ONE, Ring, add, mul, scale, sub
 from pdeseries.series import (
     OperatorTerm,
@@ -492,6 +494,61 @@ class TestPrinter:
                 with pytest.raises(DomainError) as text_error:
                     print_poly(ring, p)
                 assert str(text_error.value) == str(tree_error.value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+def _sum_atom(ring: Ring):
+    """x1 + x2 as an atom of ``ring``, to the power 1."""
+    big = ring.from_tree(parse_expr("(x1 + x2)^99999999", 2))
+    return mul(big, ring.from_tree(parse_expr("(x1 + x2)^(-99999998)", 2)))
+
+
+class TestBatchPrinter:
+    @given(SEEDS, st.randoms(use_true_random=False))
+    @settings(max_examples=60)
+    def test_any_batch_prints_each_polynomial_as_its_tree(self, seed, rng):
+        # rows of a random problem, and in its ring sum atoms at the
+        # powers 1 and -1, alone, scaled and next to other terms, bare
+        # constants and zero; batches cut at random from a shuffle
+        p, corrections = random_problem(seed)
+        ring = problem_ring(p)
+        polys = [c for rows in (taylor_rows(p), *hpm_rows(p, corrections, p.order))
+                 for row in rows for c in row]
+        s, inverse = _sum_atom(ring), ring.from_tree(parse_expr("(x1 + 2*x2)^(-1)", 2))
+        polys += [s, scale(s, Fraction(-2, 3)), add(s, polys[-1]), inverse, add(inverse, s),
+                  scale(inverse, 5), poly.const(Fraction(-5, 7)), poly.const(4), poly.ZERO]
+        rng.shuffle(polys)
+        cuts = sorted(rng.sample(range(1, len(polys)), 3))
+        for batch in (polys[i:j] for i, j in zip([0, *cuts], [*cuts, len(polys)])):
+            assert print_polys(ring, batch) == [print_expr(ring.to_tree(q)) for q in batch]
+
+    def test_a_batch_refuses_where_the_first_polynomial_alone_refuses(self):
+        ring = Ring()
+        x1, s = ring.from_tree(Var(1)), _sum_atom(ring)
+        printable = [x1, poly.const(Fraction(3, 7)), add(x1, poly.const(2)), s, scale(s, 2)]
+        past = [scale(x1, 7 ** 900), add(poly.const(1), scale(x1, -7 ** 900)),
+                poly.const(Fraction(1, 7 ** 900)), add(scale(s, 7 ** 900), x1)]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for seed in range(40):
+                rng = random.Random(seed)
+                polys = rng.sample(printable, 3) + rng.sample(past, 2)
+                rng.shuffle(polys)
+                alone = []
+                for q in polys:
+                    try:
+                        alone.append(print_poly(ring, q))
+                    except DomainError as exc:
+                        message = str(exc)
+                        break
+                k = len(alone)
+                assert print_polys(ring, polys[:k]) == alone
+                for batch in (polys[:k + 1], polys):
+                    with pytest.raises(DomainError) as batch_error:
+                        print_polys(ring, batch)
+                    assert str(batch_error.value) == message
         finally:
             sys.set_int_max_str_digits(limit)
 
