@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import islice
 
 from .errors import PdeSeriesError
 from .expr import SamplePlan
@@ -96,16 +97,18 @@ def _render_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _printed(ring: Ring, series: list[TimeSeriesVec]) -> list[list[list[str]]]:
+def _printed(ring: Ring, series: list[TimeSeriesVec]) -> list[list[tuple[str, ...]]]:
     """The text of each coefficient of each of ``series``, from one ``print_polys``."""
     groups = [series_rows(ring, s) for s in series]
-    texts = iter(print_polys(ring, [c for rows in groups for vec in rows for c in vec]))
-    return [[[next(texts) for _ in vec] for vec in rows] for rows in groups]
+    texts = print_polys(ring, [c for rows in groups for vec in rows for c in vec])
+    rows_of = zip(*[iter(texts)] * len(groups[0][0]))  # each row's m texts in turn
+    return [list(islice(rows_of, len(rows))) for rows in groups]
 
 
-def _series_lines(rows: list[list[str]], indent: str = "") -> list[str]:
-    return [f"{indent}u[{j}]{'' if len(vec) == 1 else f'[{k}]'} = {c}"
-            for j, vec in enumerate(rows) for k, c in enumerate(vec)]
+def _series_lines(rows: list[tuple[str, ...]], indent: str = "") -> list[str]:
+    if len(rows[0]) == 1:
+        return [f"{indent}u[{j}] = {c}" for j, (c,) in enumerate(rows)]
+    return [f"{indent}u[{j}][{k}] = {c}" for j, vec in enumerate(rows) for k, c in enumerate(vec)]
 
 
 def _cmd_solve(args) -> int:

@@ -350,16 +350,12 @@ def print_poly(ring: Ring, p: Poly) -> str:
 
 def print_polys(ring: Ring, polys: list[Poly]) -> list[str]:
     """``print_expr(ring.to_tree(p))`` of each of ``polys``, and the
-    DomainError of the first that raises one, written from the terms
-    without building the trees.
-
-    A term is its rational times the product its monomial names, whose
-    sort key and text ``_monomial`` keeps in ``ring.printed``.  The
-    monomials of all ``polys`` are ranked by key once, the constant (key
-    (0,)) first; each polynomial writes its terms by rank, with the
-    signs of ``print_expr``.  Where a sum atom to the first power is a
-    term next to others or times a rational other than 1, ``esum`` and
-    ``eprod`` spread it, so such a polynomial is printed from its tree."""
+    DomainError of the first that raises one, without building trees:
+    the monomials of all ``polys`` are ranked once by the keys that
+    ``_monomial`` keeps in ``ring.printed``, the constant (key (0,))
+    first, and each polynomial writes its terms by rank.  ``esum`` and
+    ``eprod`` spread a sum atom to the first power that is next to other
+    terms or times a rational other than 1: such a polynomial prints from its tree."""
     printed = ring.printed
     printed.setdefault(0, ((0,), "", False))
     monomials = set().union(*[p.num for p in polys])
@@ -383,8 +379,10 @@ def print_polys(ring: Ring, polys: list[Poly]) -> list[str]:
                 if d != 1:
                     g = math.gcd(c, d)
                     c, d = c // g, d // g
-                texts.append(_scaled(c, d, printed[m][1]) if m
-                             else f"{c}/{d}" if d != 1 else str(c))
+                if d != 1:  # _scaled's first case, inline: most terms of a long row take it
+                    texts.append(f"{c}/{d}*{printed[m][1]}" if m else f"{c}/{d}")
+                else:
+                    texts.append(_scaled(c, 1, printed[m][1]) if m else str(c))
         except ValueError as exc:  # a rational past the int-to-text limit
             raise DomainError("product of constants too large to represent") from exc
         out.append(_joined(texts))
