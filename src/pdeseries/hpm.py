@@ -46,7 +46,11 @@ class HpmExpansion:
 
 def hpm_rows(p: ProblemSpec, corrections: int, working: int) -> list[Rows]:
     """Corrections u^(0)..u^(corrections) to degree ``working``, on
-    polynomials of ``problem_ring(p)``."""
+    polynomials of ``problem_ring(p)``.
+
+    u^(0) holds degrees 0 and 1 and each correction integrates twice, so
+    correction j is zero below degree 2j: correction j >= 2 is built
+    from degree 2j-2 of the previous one, and its lower rows are zero."""
     ring = problem_ring(p)
     f = forcing_rows(p, working)
     zero = [ZERO] * p.m
@@ -56,9 +60,11 @@ def hpm_rows(p: ProblemSpec, corrections: int, working: int) -> list[Rows]:
     # zero: degree k over (k+1)(k+2) is degree k+2, cut at the working order
     shift = [Fraction(1, (k + 1) * (k + 2)) for k in range(working - 1)]
     for j in range(1, corrections + 1):
-        out.append([zero, zero] + [
-            scale_rows(p.rho_inv, apply_rows(ring, p.L, row, f[k] if j == 1 else zero), shift[k])
-            for k, row in enumerate(out[-1][:working - 1])
+        low, previous = 2 * j - 2, out[-1]
+        out.append([zero] * (low + 2) + [
+            scale_rows(p.rho_inv, apply_rows(ring, p.L, previous[k], f[k] if j == 1 else zero),
+                       shift[k])
+            for k in range(low, working - 1)
         ])
     return out
 

@@ -12,6 +12,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -45,6 +47,12 @@ from .poly import ONE as POLY_ONE, Poly, Ring, add, dot, scale
 ExprVec = tuple[Expr, ...]
 
 
+def _fields(self) -> dict:
+    """What pickles and copies of a dataclass carry: its fields, not what
+    is cached from them in ``vars(self)``."""
+    return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+
+
 # ---------------------------------------------------------------------------
 # Rational matrices
 # ---------------------------------------------------------------------------
@@ -64,6 +72,17 @@ class RationalMatrix:
     def size(self) -> int:
         return len(self.entries)
 
+    @cached_property
+    def numerators(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The entries as int numerators over their least common
+        denominator, and that denominator; built on first use and kept in
+        ``vars(self)``, which equality, repr, pickles and copies ignore."""
+        den = math.lcm(*(x.denominator for row in self.entries for x in row))
+        return tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                     for row in self.entries), den
+
+    __getstate__ = _fields
+
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "RationalMatrix":
         return cls(tuple(tuple(Fraction(x) for x in row) for row in rows))
@@ -77,24 +96,30 @@ class RationalMatrix:
 
 
 def invert(matrix: RationalMatrix) -> RationalMatrix:
-    """Exact inverse by rational Gauss-Jordan elimination.
+    """Exact inverse by fraction-free Gauss-Jordan elimination (Bareiss,
+    *Math. Comp.* 22, 1968) of [A | I], A the ``numerators`` over D: each
+    update is divided exactly by the previous pivot, [A | I] ends as
+    [det(A) I | det(A) A^-1], and the inverse is D/det(A) times its right
+    block, one ``Fraction`` per entry.
 
     Raises SingularRho when the matrix has no inverse."""
-    m = matrix.size
-    aug = [[*row, *unit] for row, unit in zip(matrix.entries, RationalMatrix.identity(m).entries)]
+    rows, den = matrix.numerators
+    m = len(rows)
+    aug = [[*row, *(int(i == j) for j in range(m))] for i, row in enumerate(rows)]
+    previous = 1
     for col in range(m):
-        pivot_row = next((r for r in range(col, m) if aug[r][col] != 0), None)
+        pivot_row = next((r for r in range(col, m) if aug[r][col]), None)
         if pivot_row is None:
             raise SingularRho(f"matrix is singular (rank < {m})")
         aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [x / pivot for x in aug[col]]
-        for r in range(m):
-            if r == col or aug[r][col] == 0:
-                continue
-            factor = aug[r][col]
-            aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return RationalMatrix(tuple(tuple(row[m:]) for row in aug))
+        top = aug[col]
+        pivot = top[col]
+        for r, row in enumerate(aug):
+            if r != col:
+                factor = row[col]
+                aug[r] = [(pivot * x - factor * y) // previous for x, y in zip(row, top)]
+        previous = pivot
+    return RationalMatrix(tuple(tuple(Fraction(den * x, previous) for x in row[m:]) for row in aug))
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +158,39 @@ class SpatialOperator:
             if not (0 <= t.row < self.m and 0 <= t.col < self.m):
                 raise DimensionMismatch(f"L[{i}] row/col outside 0..{self.m - 1}")
 
+    @cached_property
+    def walks(self) -> tuple:
+        """Per term, how ``apply_rows`` takes its partial derivative: the
+        key (column, multi-index) of the deepest partial an earlier term
+        takes on its walk, x1 first, then x2, ... (None: the column), then
+        runs (variable, steps, key), key naming the partial after the run
+        where a later term starts from it; worked out on first use."""
+        def reached(orders, steps):  # the multi-index after ``steps`` steps
+            before = accumulate(orders, initial=0)
+            return tuple(min(k, max(0, steps - s)) for k, s in zip(orders, before))
+
+        def shared(a, b):  # the steps two walks have in common
+            v = next((v for v, (x, y) in enumerate(zip(a, b)) if x != y), None)
+            return sum(a) if v is None else sum(a[:v]) + min(a[v], b[v])
+
+        terms = self.terms
+        done = [max([shared(e.orders, t.orders) for e in terms[:i] if e.col == t.col], default=0)
+                for i, t in enumerate(terms)]
+        starts = {(t.col, reached(t.orders, s)): s for t, s in zip(terms, done) if s}
+        walks = []
+        for t, at in zip(terms, done):
+            start, runs = (t.col, reached(t.orders, at)) if at else None, []
+            for variable, end in enumerate(accumulate(t.orders), start=1):
+                for c in sorted([*starts.values(), end]):
+                    if at < c <= end:
+                        key = (t.col, reached(t.orders, c))
+                        runs.append((variable, c - at, key if key in starts else None))
+                        at = c
+            walks.append((t, start, tuple(runs)))
+        return tuple(walks)
+
+    __getstate__ = _fields
+
 
 def apply_rows(
     ring: Ring, op: SpatialOperator, vec: Sequence[Poly], forcing: Sequence[Poly]
@@ -141,21 +199,21 @@ def apply_rows(
     ``Ring.dot`` pass from the forcing over each coefficient times its
     partial derivative.
 
-    A partial derivative that several terms need (the d/dx1 of u under
-    both d2/dx1^2 and d/dx1) is taken once per call, and the ring takes
-    the derivative of each atom once per variable."""
+    Along ``op.walks``, a partial derivative that several terms need (the
+    d/dx1 of u under both d2/dx1^2 and d/dx1) is taken once per call and
+    kept only if a later term starts from it, and the ring takes the
+    derivative of each atom once per variable."""
     if len(vec) != op.m or len(forcing) != op.m:
         raise DimensionMismatch(f"vector lengths {len(vec)}, {len(forcing)} != {op.m}")
-    partials: dict[tuple, Poly] = {}  # by column and multi-index prefix
+    kept: dict[tuple, Poly] = {}
     rows: list[list] = [[] for _ in forcing]
-    for term in op.terms:
-        d = vec[term.col]
-        for variable, order in enumerate(term.orders, start=1):
-            for k in range(1, order + 1):
-                key = (term.col, *term.orders[:variable - 1], k)
-                if key not in partials:
-                    partials[key] = ring.diff(d, variable)
-                d = partials[key]
+    for term, start, runs in op.walks:
+        d = vec[term.col] if start is None else kept[start]
+        for variable, steps, key in runs:
+            for _ in range(steps):
+                d = ring.diff(d, variable)
+            if key is not None:
+                kept[key] = d
         if d.num:
             rows[term.row].append((ring.from_tree(term.coeff), d))
     return [ring.dot(pairs, c) for pairs, c in zip(rows, forcing)]
@@ -476,9 +534,14 @@ class _RingJets(_Jets):
 # ---------------------------------------------------------------------------
 
 def scale_rows(matrix: RationalMatrix, v: Sequence[Poly], factor=1) -> list[Poly]:
-    """``factor`` times the exact matrix-vector product on polynomials,
-    one ``dot`` pass per row with the weights q*factor."""
-    return [dot((q * factor, p) for q, p in zip(row, v)) for row in matrix.entries]
+    """``factor`` times the exact matrix-vector product on polynomials:
+    per row, one ``dot`` pass with the int ``numerators`` times the
+    numerator of ``factor`` as weights, over the row's own denominator
+    times their denominator and that of ``factor``."""
+    rows, den = matrix.numerators
+    n, d = factor.numerator, factor.denominator * den
+    return [Poly(p.num, p.den * d, p.top) if d != 1 and p.num else p
+            for p in (dot([(w * n, q) for w, q in zip(row, v)]) for row in rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +586,7 @@ class TimeSeriesVec:
     def coefficient(self, degree: int) -> ExprVec:
         return self.coeffs[degree]
 
-    def __getstate__(self) -> dict:
-        # pickles and copies carry the trees, not the rows or their ring
-        return {"m": self.m, "order": self.order, "coeffs": self.coeffs}
+    __getstate__ = _fields  # the trees, not the rows or their ring
 
 
 Rows = list[list[Poly]]  # degree -> component -> polynomial
@@ -596,9 +657,7 @@ class ProblemSpec:
         vars(other).update(_ring=problem_ring(self), _forcing=vars(self).setdefault("_forcing", []))
         return other
 
-    def __getstate__(self) -> dict:
-        # pickles and copies carry the problem, not its caches
-        return {k: v for k, v in vars(self).items() if k not in ("_ring", "_forcing")}
+    __getstate__ = _fields  # the problem, not its caches
 
 
 def check_rho_shape(rows, m: int) -> None:

@@ -311,13 +311,35 @@ def ref_scale_rows(matrix, v: list[dict]) -> list[dict]:
     return out
 
 
+def ref_invert(matrix: RationalMatrix) -> RationalMatrix:
+    """Exact inverse by rational Gauss-Jordan elimination, as first written.
+
+    Raises SingularRho when the matrix has no inverse."""
+    m = matrix.size
+    aug = [[*row, *unit] for row, unit in zip(matrix.entries, RationalMatrix.identity(m).entries)]
+    for col in range(m):
+        pivot_row = next((r for r in range(col, m) if aug[r][col] != 0), None)
+        if pivot_row is None:
+            raise SingularRho(f"matrix is singular (rank < {m})")
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        pivot = aug[col][col]
+        aug[col] = [x / pivot for x in aug[col]]
+        for r in range(m):
+            if r == col or aug[r][col] == 0:
+                continue
+            factor = aug[r][col]
+            aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return RationalMatrix(tuple(tuple(row[m:]) for row in aug))
+
+
 def ref_engines(p, corrections: int) -> tuple[list, list]:
     """The direct rows to the problem's order and the correction rows to
     the same degree, in the reference arithmetic; the forcing comes from
-    the tree jets, and only the trees of the data go through the ring."""
+    the tree jets, the inverse mass matrix from ``ref_invert``, and only
+    the trees of the data go through the ring."""
     from pdeseries.series import problem_ring
 
-    ring, order = problem_ring(p), p.order
+    ring, order, rho_inv = problem_ring(p), p.order, ref_invert(p.rho)
     f = [[ref_of(ring, ring.from_tree(c)) for c in row] for row in tree_forcing(p, order)]
     first = [[ref_of(ring, ring.from_tree(c)) for c in vec] for vec in (p.u0, p.u1)]
     direct = list(first)
@@ -326,7 +348,7 @@ def ref_engines(p, corrections: int) -> tuple[list, list]:
         for a, b in zip(w, f[j]):
             ref_iadd(a, b)
         q = Fraction(1, (j + 1) * (j + 2))
-        direct.append([ref_scale(c, q) for c in ref_scale_rows(p.rho_inv, w)])
+        direct.append([ref_scale(c, q) for c in ref_scale_rows(rho_inv, w)])
     hpm = [first + [[{}] * p.m] * (order - 1)]
     for j in range(1, corrections + 1):
         rows = [[{}] * p.m, [{}] * p.m]
@@ -336,7 +358,7 @@ def ref_engines(p, corrections: int) -> tuple[list, list]:
                 for a, b in zip(s, f[k]):
                     ref_iadd(a, b)
             q = Fraction(1, (k + 1) * (k + 2))
-            rows.append([ref_scale(c, q) for c in ref_scale_rows(p.rho_inv, s)])
+            rows.append([ref_scale(c, q) for c in ref_scale_rows(rho_inv, s)])
         hpm.append(rows)
     return direct, hpm
 

@@ -91,7 +91,8 @@ class TestDegreesComputed:
     def test_only_the_degrees_the_integral_reads_are_computed(self, monkeypatch, tmp_path,
                                                               capsys):
         # the double time integral reads degrees 0..working-2 of the
-        # previous correction; at working order 14 that is 13 rows each
+        # previous correction, and correction j-1 >= 1 is zero below degree
+        # 2j-2; at working order 14 that is 13, 11 and 9 rows
         calls = []
         original = hpm.apply_rows
 
@@ -104,7 +105,7 @@ class TestDegreesComputed:
         path.write_text(HEAVY_2X2)
         assert main(["hpm", str(path), "--corrections", "3"]) == 0
         assert "partial sum (degrees 0..14):" in capsys.readouterr().out
-        assert len(calls) == 3 * 13
+        assert len(calls) == 13 + 11 + 9
 
 
 class TestPartialSum:

@@ -3,9 +3,11 @@ series containers."""
 
 import copy
 import dataclasses
+import math
 import pickle
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,11 @@ from conftest import (
     random_numeric_expr,
     random_problem,
     random_raw_expr,
+    ref_apply,
+    ref_invert,
+    ref_of,
+    ref_scale,
+    ref_scale_rows,
 )
 from pdeseries import expr, series
 from pdeseries.cli import main
@@ -116,6 +123,31 @@ class TestInvert:
 
         assert product(matrix, inverse) == RationalMatrix.identity(m)
         assert product(inverse, matrix) == RationalMatrix.identity(m)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_same_inverse_as_rational_elimination(self, seed):
+        # mixed denominators, negative entries, zero leading pivots (row
+        # swaps) and rank-deficient matrices, whose message is the same
+        rng = random.Random(seed)
+        m = rng.randint(1, 4)
+        rows = [[Fraction(rng.choice((0, rng.randint(-9, 9))), rng.randint(1, 6))
+                 for _ in range(m)] for _ in range(m)]
+        if rng.random() < 0.5:
+            rows[0][0] = Fraction(0)
+        if m > 1 and rng.random() < 0.3:  # one row a combination of the others
+            i = rng.randrange(m)
+            weights = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(m)]
+            rows[i] = [sum(w * r[j] for k, (w, r) in enumerate(zip(weights, rows)) if k != i)
+                       for j in range(m)]
+        matrix = RationalMatrix.from_rows(rows)
+        try:
+            want = ref_invert(matrix)
+        except SingularRho as exc:
+            with pytest.raises(SingularRho) as got:
+                invert(matrix)
+            assert str(got.value) == str(exc)
+            return
+        assert invert(matrix) == want
 
 
 def _laplacian_2d() -> SpatialOperator:
@@ -233,6 +265,52 @@ class TestOperatorDifferentiatesOnce:
             "-x1*x2*exp(x1)^2*sin(x1*x2*exp(x1)) + x1*exp(x1)*cos(x1*x2*exp(x1))"
             " + exp(x1)*cos(x1*x2*exp(x1)) - x1^2*x2*exp(x1)^2*sin(x1*x2*exp(x1))"
         )
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_same_rows_as_the_reference_kernel(self, seed):
+        # terms of one column that repeat, extend or share a prefix of
+        # another's walk, in any order; each prefix is stepped to once
+        rng = random.Random(seed)
+        m, n = rng.choice((1, 2)), rng.choice((1, 2, 3))
+        op, ring = _random_operator(rng, m, n), Ring()
+        vec = [ring.from_tree(random_numeric_expr(rng, depth=2, n_vars=n)) for _ in range(m)]
+        steps, depth, diff = [], [0], ring.diff
+
+        def counting(p, v):
+            if not depth[0]:
+                steps.append(v)  # a step of the operator, not an atom's chain rule
+            depth[0] += 1
+            try:
+                return diff(p, v)
+            finally:
+                depth[0] -= 1
+
+        ring.diff = counting
+        try:
+            got = apply_rows(ring, op, vec, [POLY_ZERO] * m)
+        except DomainError:
+            return
+        assert [ref_of(ring, c) for c in got] == ref_apply(ring, op, [ref_of(ring, u) for u in vec])
+        prefixes = {(t.col, t.orders[:v - 1], k) for t in op.terms
+                    for v, order in enumerate(t.orders, start=1) for k in range(1, order + 1)}
+        assert len(steps) == len(prefixes)
+
+    def test_a_call_keeps_no_partial_per_step(self):
+        # only a partial that a later term starts from is kept, so the
+        # peak of one call does not grow with the order of a term
+        def peak(order: int) -> int:
+            ring = Ring()
+            op = SpatialOperator(1, 1, (OperatorTerm(0, 0, const(1), (order,)),))
+            u = [ring.from_tree(parse_expr("sin(x1)", 1))]
+            tracemalloc.start()
+            try:
+                apply_rows(ring, op, u, [POLY_ZERO])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(4000), peak(8000)
+        assert large < small * 1.25
 
     def test_shared_partials_are_taken_once_per_call(self):
         ring = Ring()
@@ -678,9 +756,13 @@ class TestForcingExpandedOnce:
         assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
         taylor_coefficients(p)  # fills the polynomial ring too
         assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+        cached = {"numerators", "walks"}
+        assert cached <= {*vars(p.rho), *vars(p.rho_inv), *vars(p.L)}
         for copied in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
             assert copied == p and not hasattr(copied, "_forcing")
             assert not hasattr(copied, "_ring")
+        for copied in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+            assert not cached & {*vars(copied.rho), *vars(copied.rho_inv), *vars(copied.L)}
 
 
 class TestScaleRows:
@@ -711,6 +793,30 @@ class TestScaleRows:
         v = [ring.from_tree(parse_expr("x1 + sin(x2)/3", 2)), ring.from_tree(Var(2))]
         scaled = RationalMatrix.from_rows([[factor * x for x in row] for row in matrix.entries])
         assert scale_rows(matrix, v, factor) == scale_rows(scaled, v)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_same_rows_as_the_rational_reference(self, seed):
+        # int factors (the residual's (k+1)(k+2)) and rational ones (the
+        # engines' 1/((k+1)(k+2))), zero entries and zero polynomials;
+        # each row in normal form
+        rng = random.Random(seed)
+        m, ring, k = rng.randint(1, 3), Ring(), rng.randint(0, 20)
+        matrix = RationalMatrix.from_rows([
+            [Fraction(rng.choice((0, rng.randint(-9, 9))), rng.randint(1, 6)) for _ in range(m)]
+            for _ in range(m)])
+        v = [POLY_ZERO if rng.random() < 0.3 else ring.from_tree(random_numeric_expr(rng, depth=2))
+             for _ in range(m)]
+        for factor in ((k + 1) * (k + 2), Fraction(1, (k + 1) * (k + 2))):
+            got = scale_rows(matrix, v, factor)
+            want = [ref_scale(c, factor) for c in ref_scale_rows(matrix, [ref_of(ring, q) for q in v])]
+            assert [ref_of(ring, q) for q in got] == want
+            assert all(q.den > 0 and math.gcd(q.den, *q.num.values()) == 1 for q in got)
+
+    @pytest.mark.parametrize("seed", range(2000, 2030))
+    def test_the_mass_matrix_undoes_its_inverse(self, seed):
+        p, _ = random_problem(seed)
+        for v in taylor_rows(p):
+            assert scale_rows(p.rho, scale_rows(p.rho_inv, v)) == v
 
 class TestTimeSeriesVec:
     def test_length_invariant(self):
