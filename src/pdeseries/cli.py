@@ -137,8 +137,6 @@ def _cmd_solve(args) -> int:
 
 def _cmd_hpm(args) -> int:
     problem = load_problem(args.problem)
-    if args.corrections < 0:
-        raise ValueError("--corrections must be >= 0")
     expansion = solve_hpm(problem, args.corrections)
     working = expansion.working_order
     ring = problem_ring(problem)
@@ -175,8 +173,6 @@ def _print_check(report, output_format: str, passed: str, failed: str) -> int:
 
 def _cmd_compare(args) -> int:
     problem = load_problem(args.problem)
-    if args.corrections < 1:
-        raise ValueError("--corrections must be >= 1")
     plan = SamplePlan(seed=args.seed, tolerance=args.tolerance)
     report = equivalence_check(problem, args.corrections, plan)
     return _print_check(report, args.output_format, "equivalent", "MISMATCH")
@@ -192,8 +188,6 @@ def _cmd_residual(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    if args.order < 0:
-        raise ValueError("--order must be >= 0")
     if args.dim < 1:
         raise ValueError("--dim must be >= 1")
     if not isinstance(args.expr, str):

@@ -30,6 +30,10 @@ TIME_INDEX = 0
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sinh", "cosh", "tanh")
 _FUNC_RANK = {name: i for i, name in enumerate(FUNCTIONS)}
 
+# the functions whose derivatives cycle: f' = sign * partner, so D cos = -sin
+PARTNERS = {"exp": ("exp", 1), "sin": ("cos", 1), "cos": ("sin", -1),
+            "sinh": ("cosh", 1), "cosh": ("sinh", 1)}
+
 
 class Expr:
     """Base class for expression nodes.
@@ -647,18 +651,11 @@ def _diff(e: Expr, v: int, memo: dict) -> Expr:
 def _outer_derivative(e: Func) -> Expr:
     """f'(a) for ``e`` = f(a)."""
     a = e.arg
-    if e.name == "sin":
-        return Func("cos", a)
-    if e.name == "cos":
-        return _mul([MINUS_ONE, Func("sin", a)])
-    if e.name == "exp":
-        return e
+    if e.name in PARTNERS:
+        partner, sign = PARTNERS[e.name]
+        return Func(partner, a) if sign > 0 else _mul([MINUS_ONE, Func(partner, a)])
     if e.name == "ln":
         return _pow(a, -1)
-    if e.name == "sinh":
-        return Func("cosh", a)
-    if e.name == "cosh":
-        return Func("sinh", a)
     # tanh
     return _add([ONE, _mul([MINUS_ONE, _pow(Func("tanh", a), 2)])])
 

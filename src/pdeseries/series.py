@@ -30,6 +30,7 @@ from .expr import (
     Expr,
     Func,
     ONE,
+    PARTNERS,
     Pow,
     Prod,
     Sum,
@@ -233,13 +234,13 @@ def expand_in_time(e: Expr, order: int) -> ExprVec:
     <= 0, anywhere in the tree; a negative power of a series whose
     constant term is zero), or where a constant term raised to the
     exponent would be too large to represent."""
-    if order < 0:
-        raise ValueError("expansion order must be nonnegative")
     return expand_normal(normalize(e), order)
 
 
 def expand_normal(e: Expr, order: int) -> ExprVec:
     """``expand_in_time`` of the normalized ``e``, not normalized again."""
+    if order < 0:
+        raise ValueError("expansion order must be nonnegative")
     return tuple(_Jets(order).expansion(e))
 
 
@@ -249,10 +250,6 @@ def _binomial(k: int, m: int) -> Fraction:
     for i in range(m):
         out = out * (k - i) / (i + 1)
     return out
-
-
-# f' of the functions whose derivatives cycle: the partner, negated for cos
-_PARTNERS = {"exp": "exp", "sin": "cos", "cos": "sin", "sinh": "cosh", "cosh": "sinh"}
 
 
 class _Jets:
@@ -270,13 +267,15 @@ class _Jets:
     No tree is differentiated in time.  The recursion is written once
     over hooks: ``_add``, ``_mul``, ``_power``, ``_terms`` (what a
     product spreads over), ``_leaf`` (a time-free subtree as a value),
-    ``_constant`` (the rational a value is, or None), ``_taylor`` (the
-    f^(k)(a_0)/k!, by f's derivative rule) and ``_func`` (a function's
-    jet).  This class computes on normalized trees and composes every
-    function, so ``expand`` prints what composition makes; ``_RingJets``
-    computes on polynomials, where most functions take recurrences."""
+    ``_constant`` (the rational a value is, or None), ``_apply`` (a
+    function of a value), ``_taylor`` (the f^(k)(a_0)/k!, by f's
+    derivative rule) and ``_func`` (a function's jet).  This class
+    computes on normalized trees and composes every function, so
+    ``expand`` prints what composition makes; ``_RingJets`` computes on
+    polynomials, where most functions take recurrences."""
 
-    _add, _mul, _power = staticmethod(esum), staticmethod(eprod), staticmethod(Expr.__pow__)
+    _add, _mul, _power, _apply = (staticmethod(esum), staticmethod(eprod),
+                                  staticmethod(Expr.__pow__), staticmethod(_func))
 
     def __init__(self, order: int):
         self.order = order
@@ -297,21 +296,20 @@ class _Jets:
     def _taylor(self, name: str, a0, count: int) -> list:
         """f^(k)(a0)/k! by f's derivative rule, in the trees, and with the
         checks, that differentiating f(t) k times and substituting a0 make.
-        exp, sin, cos, sinh and cosh walk ``_PARTNERS``, cos' = -sin; ln's
-        is 1/k! times (-1)^(k+1) (k-1)! a0^-k; tanh's is the sum of
-        c/k! * T^a * S^b over T = tanh(a0) and S = 1 - T^2, with the
+        exp, sin, cos, sinh and cosh walk ``PARTNERS``; ln's is
+        (-1)^(k+1)/k * a0^-k, on trees and polynomials alike; tanh's is the
+        sum of c/k! * T^a * S^b over T = tanh(a0) and S = 1 - T^2, with the
         integers {(a, b): c} of D(T^a S^b) = a T^(a-1) S^(b+1) - 2b T^(a+1) S^b."""
-        out = [_func(name, a0)]
-        if name in _PARTNERS:
-            values, sign, g = {f: _func(f, a0) for f in (name, _PARTNERS[name])}, 1, name
+        out = [self._apply(name, a0)]
+        if name in PARTNERS:
+            values, sign, g = {f: _func(f, a0) for f in (name, PARTNERS[name][0])}, 1, name
             for k in range(1, count):
-                sign, g = -sign if g == "cos" else sign, _PARTNERS[g]
+                g, s = PARTNERS[g]
+                sign *= s
                 out.append(eprod([Const(Fraction(sign, math.factorial(k))), values[g]]))
         elif name == "ln":
-            for k in range(1, count):
-                derivative = eprod([Const(Fraction((-1) ** (k + 1) * math.factorial(k - 1))),
-                                    self._power(a0, -k)])
-                out.append(eprod([Const(Fraction(1, math.factorial(k))), derivative]))
+            out += [self._mul([self._leaf(Const(Fraction((-1) ** (k + 1), k))), self._power(a0, -k)])
+                    for k in range(1, count)]
         else:
             T, terms = out[0], {(1, 0): 1}
             S = ONE - self._power(T, 2)
@@ -487,6 +485,7 @@ class _RingJets(_Jets):
     def __init__(self, ring: Ring, order: int):
         super().__init__(order)
         self.ring, self._power, self._leaf, self._mul = ring, ring.power, ring.from_tree, ring.product
+        self._apply = ring.func
 
     @staticmethod
     def _constant(c: Poly) -> Fraction | None:
@@ -497,10 +496,6 @@ class _RingJets(_Jets):
 
     def _cauchy(self, a: list, b: list, spread: bool = True) -> list:  # one checked dot per degree
         return [self.ring.dot([(a[i], b[k - i]) for i in range(k + 1)]) for k in range(len(a))]
-
-    def _taylor(self, name: str, a0: Poly, count: int) -> list:  # ln's, the one function composed
-        return [self.ring.func(name, a0), *(
-            scale(self.ring.power(a0, -k), Fraction((-1) ** (k + 1), k)) for k in range(1, count))]
 
     def _func(self, e: Func) -> list | None:
         if e.name == "ln":
@@ -517,14 +512,14 @@ class _RingJets(_Jets):
         def step(d: list, k: int, sign: int) -> Poly:  # (sign/k) sum_j j*a_j*d_(k-j)
             return conv(((s, d[k - j]) for j, s in slopes if j <= k), Fraction(sign, k))
 
-        partner = _PARTNERS.get(name)
+        partner, sign = PARTNERS.get(name, (None, 1))
         b = [ring.func(name, a[0])]
         d = b if partner == name else [ring.func(partner, a[0])] if partner else [
             add(POLY_ONE, conv([(b[0], b[0])], -1))]
         for k in range(1, n + 1):
-            b.append(step(d, k, -1 if name == "cos" else 1))
+            b.append(step(d, k, sign))
             if d is not b and k < n:  # d_k; tanh forms each b_i*b_(k-i) once
-                d.append(step(b, k, -1 if partner == "cos" else 1) if partner else conv(
+                d.append(step(b, k, PARTNERS[partner][1]) if partner else conv(
                     ((b[i], scale(b[k - i], 1 if 2 * i == k else 2)) for i in range(k // 2 + 1)), -1))
         return b
 

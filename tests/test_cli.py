@@ -480,9 +480,9 @@ class TestErrorsAndExitCodes:
     @pytest.mark.parametrize("argv,message", [
         (("solve", WAVE, "--order", "0"), "truncation order must be at least 1"),
         (("residual", WAVE, "--order", "0"), "truncation order must be at least 1"),
-        (("hpm", WAVE, "--corrections", "-1"), "--corrections must be >= 0"),
-        (("compare", WAVE, "--corrections", "0"), "--corrections must be >= 1"),
-        (("expand", "--expr", "x1", "--order", "-1"), "--order must be >= 0"),
+        (("hpm", WAVE, "--corrections", "-1"), "correction count must be nonnegative"),
+        (("compare", WAVE, "--corrections", "0"), "need at least one correction to compare engines"),
+        (("expand", "--expr", "x1", "--order", "-1"), "expansion order must be nonnegative"),
         (("expand", "--expr", "x1", "--order", "1", "--dim", "0"), "--dim must be >= 1"),
     ])
     def test_counts_out_of_range(self, capsys, argv, message):

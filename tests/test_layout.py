@@ -97,6 +97,28 @@ def test_the_jets_neither_differentiate_nor_substitute_trees():
     assert imported.isdisjoint({"_diff", "substitute"})
 
 
+def test_the_cli_states_only_the_rules_no_api_function_has():
+    # the engines own the counts, so --corrections and --order errors
+    # carry the API's words; --dim and --expr have no rule in the API
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    messages = [_template(node.exc.args[0]) for node in ast.walk(tree)
+                if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) != "SystemExit"]
+    assert messages and all(m and m.startswith(("--dim ", "--expr ")) for m in messages)
+
+
+def test_no_module_tests_for_cos_by_name():
+    # D cos = -sin is stated once, in expr.PARTNERS, and read from there
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(n, ast.Constant) and n.value == "cos"
+                    for n in (node.left, *node.comparators)):
+                offenders.append(f"{path.stem}:{node.lineno}")
+    assert offenders == []
+
+
 def _template(node: ast.AST) -> str | None:
     """The text of a string or f-string, each replacement field as {}."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):

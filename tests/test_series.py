@@ -74,6 +74,7 @@ from pdeseries.series import (
     TimeSeriesVec,
     apply_rows,
     expand_in_time,
+    expand_normal,
     forcing_rows,
     invert,
     problem_ring,
@@ -580,15 +581,17 @@ class TestTreeJetsByRule:
                 e = parse_expr(f"{name}({a0} + ({c})*t^{v})", 2, allow_time=True)
                 assert _printed_outcome(jets, e) == _printed_outcome(ref, e), (c, v)
 
-    @pytest.mark.parametrize("order", [2, 3, 4])
-    def test_ln_refuses_where_its_derivative_had_too_many_digits(self, order):
-        # the third derivative of ln at a0 is 2*a0^-3, 4301 digits, though
-        # a0^-3/3 has fewer: the refusal comes at k = 3, as when ln(t)
-        # was differentiated
+    def test_ln_takes_the_coefficients_of_the_ring_jets(self):
+        # both kernels form (-1)^(k+1)/k * a0^-k and no derivative of ln:
+        # a0^-3/3 has 4300 digits and is kept, though 2*a0^-3 has 4301;
+        # a0^-4 is refused by both, in the same words
         e = parse_expr("ln(1/(2*10^1433) + t)", 1, allow_time=True)
-        got = _printed_outcome(series._Jets(order), e)
-        assert got == _printed_outcome(RefTreeJets(order), e)
-        assert (got[0] is DomainError) is (order >= 3)
+        ring = Ring()
+        trees = series._Jets(3).expansion(e)
+        assert [ring.from_tree(c) for c in trees] == series._RingJets(ring, 3).expansion(e)
+        refused = _jets_outcome(series._Jets(4), e)
+        assert refused == _jets_outcome(series._RingJets(Ring(), 4), e)
+        assert refused == (DomainError, "power of a constant too large to represent")
 
 
 def _counting(monkeypatch, name: str, owner=series) -> list:
@@ -906,6 +909,10 @@ class TestErrorPaths:
         (lambda: _problem(L=SpatialOperator(1, 1, (OperatorTerm(0, 0, Var(TIME_INDEX), (2,)),))),
          TimeNotAllowed, "L[0].coeff: the time symbol is not allowed here at offset 0"),
         (lambda: expand_in_time(Var(1), -1), ValueError, "expansion order must be nonnegative"),
+        (lambda: expand_normal(Func("exp", Var(TIME_INDEX)), -1), ValueError,
+         "expansion order must be nonnegative"),
+        (lambda: expand_normal(Func("sin", Var(1)), -1), ValueError,
+         "expansion order must be nonnegative"),
         (lambda: TimeSeriesVec(1, -1, ()), ValueError, "series order must be nonnegative"),
         (lambda: TimeSeriesVec(1, 0, ((ZERO, ZERO),)), DimensionMismatch,
          "coefficient vector length 2 != 1"),
