@@ -188,8 +188,6 @@ def _cmd_residual(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    if args.dim < 1:
-        raise ValueError("--dim must be >= 1")
     if not isinstance(args.expr, str):
         # argparse before Python 3.12 turns --expr=-- into an empty list
         raise ValueError("--expr needs an expression")

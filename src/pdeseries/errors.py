@@ -47,7 +47,8 @@ class TimeNotAllowed(ParseError):
 
 class FormatError(PdeSeriesError):
     """A problem, read from a file or built in Python, is missing a field
-    or has one of the wrong type or range."""
+    or has one of the wrong type or range, or a dimension or a truncation
+    order is below 1."""
 
 
 class DimensionMismatch(PdeSeriesError):

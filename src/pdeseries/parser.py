@@ -66,7 +66,8 @@ from .expr import (
 )
 from .poly import Poly, Ring
 from .series import (
-    OperatorTerm, ProblemSpec, RationalMatrix, SpatialOperator, check_rho_shape, checked_problem,
+    OperatorTerm, ProblemSpec, RationalMatrix, SpatialOperator, check_count, check_rho_shape,
+    checked_problem,
 )
 
 
@@ -303,10 +304,9 @@ def _chain(fold, operands: list[Expr], starts: list[int]) -> Expr:
 
 
 def parse_expr(src: str, n: int, *, allow_time: bool = False) -> Expr:
-    """Parse an expression over x1..xn (and t when allowed); the result
-    is normalized."""
-    if n < 0:
-        raise ValueError("spatial dimension must be nonnegative")
+    """Parse an expression over x1..xn, n >= 1 (and t when allowed); the
+    result is normalized."""
+    check_count(n, "spatial dimension")
     return _Parser(tokenize(src), n, allow_time).parse()
 
 
@@ -343,26 +343,19 @@ def _fmt(e: Expr) -> str:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def print_poly(ring: Ring, p: Poly) -> str:
-    """The text of one polynomial: ``print_polys(ring, [p])[0]``."""
-    return print_polys(ring, [p])[0]
-
-
 def print_polys(ring: Ring, polys: list[Poly]) -> list[str]:
     """``print_expr(ring.to_tree(p))`` of each of ``polys``, and the
     DomainError of the first that raises one, without building trees:
     the monomials of all ``polys`` are ranked once by the keys that
-    ``_monomial`` keeps in ``ring.printed``, the constant (key (0,))
-    first, and each polynomial writes its terms by rank.  ``esum`` and
-    ``eprod`` spread a sum atom to the first power that is next to other
-    terms or times a rational other than 1: such a polynomial prints from its tree."""
-    printed = ring.printed
-    printed.setdefault(0, ((0,), "", False))
-    monomials = set().union(*[p.num for p in polys])
-    for m in monomials - printed.keys():
-        _monomial(ring, m)
-    rank = dict(zip(sorted(monomials, key=printed.__getitem__), range(len(monomials))))
-    sums = {m for m in monomials if printed[m][2]}
+    ``_monomial`` gives them, the constant (key (0,)) first, and each
+    polynomial writes its terms by rank.  ``esum`` and ``eprod`` spread a
+    sum atom to the first power that is next to other terms or times a
+    rational other than 1: such a polynomial prints from its tree."""
+    atoms: dict[int, tuple] = {}
+    printed = {m: _monomial(ring, atoms, m) if m else ((0,), "", False)
+               for m in set().union(*[p.num for p in polys])}
+    rank = dict(zip(sorted(printed, key=printed.__getitem__), range(len(printed))))
+    sums = {m for m, entry in printed.items() if entry[2]}
     out = []
     for p in polys:
         num, den = p.num, p.den
@@ -389,38 +382,33 @@ def print_polys(ring: Ring, polys: list[Poly]) -> list[str]:
     return out
 
 
-def _monomial(ring: Ring, m: int) -> tuple:
+def _monomial(ring: Ring, atoms: dict[int, tuple], m: int) -> tuple:
     """The ``sort_key`` and the text of the tree of the packed monomial
-    ``m``, and whether it is a sum atom alone, kept in ``ring.printed``.
-    Its factors sort by atom key: the atom's key for a, (3, key, e) for
-    a^e, (4, *factor keys) for a product."""
-    printed = ring.printed
+    ``m``, and whether it is a sum atom alone; ``atoms`` keeps these three
+    for each atom, by its index.  Its factors sort by atom key: the atom's key for
+    a, (3, key, e) for a^e, (4, *factor keys) for a product."""
     factors = []
     for i, e in enumerate(ring.exponents(m)):
         if e:
-            unit = 1 << ring.width * i
-            atom = printed.get(unit)
+            atom = atoms.get(i)
             if atom is None:
                 tree = ring.trees[i]
-                atom = printed[unit] = (sort_key(tree), _fmt(tree), isinstance(tree, Sum))
+                atom = atoms[i] = (sort_key(tree), _fmt(tree), isinstance(tree, Sum))
             factors.append((atom, e))
     factors.sort()  # atoms have distinct keys
     if len(factors) == 1:
         (key, text, is_sum), e = factors[0]
-        entry = (key, text, is_sum) if e == 1 else (
+        return (key, text, is_sum) if e == 1 else (
             (3, key, e), _fmt_power(text, is_sum, e), False)
-    else:
-        keys, texts = [4], []
-        for (key, text, is_sum), e in factors:
-            if e == 1:
-                keys.append(key)
-                texts.append(f"({text})" if is_sum else text)
-            else:
-                keys.append((3, key, e))
-                texts.append(_fmt_power(text, is_sum, e))
-        entry = (tuple(keys), "*".join(texts), False)
-    printed[m] = entry
-    return entry
+    keys, texts = [4], []
+    for (key, text, is_sum), e in factors:
+        if e == 1:
+            keys.append(key)
+            texts.append(f"({text})" if is_sum else text)
+        else:
+            keys.append((3, key, e))
+            texts.append(_fmt_power(text, is_sum, e))
+    return (tuple(keys), "*".join(texts), False)
 
 
 def _fmt_power(base: str, bracket: bool, e: int) -> str:
@@ -457,12 +445,10 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
-def _require_int(doc: dict, key: str, minimum: float = -math.inf) -> int:
+def _require_int(doc: dict, key: str) -> int:
     value = _require(doc, key)
     if not isinstance(value, int) or isinstance(value, bool):
         raise FormatError(f"field {key!r} must be an integer")
-    if value < minimum:
-        raise FormatError(f"field {key!r} must be >= {minimum}")
     return value
 
 
@@ -512,8 +498,10 @@ def parse_problem(src: str) -> ProblemSpec:
     if not isinstance(doc, dict):
         raise FormatError("problem file must be a JSON object")
 
-    m = _require_int(doc, "m", minimum=1)
-    n = _require_int(doc, "n", minimum=1)
+    m = _require_int(doc, "m")
+    check_count(m, "field 'm'")  # before a field sized by m or n is read
+    n = _require_int(doc, "n")
+    check_count(n, "field 'n'")
     order = _require_int(doc, "order")
 
     rho_raw = _require(doc, "rho")

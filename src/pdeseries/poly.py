@@ -184,8 +184,7 @@ class Ring:
     ``trees[i]`` is atom i as a canonical tree: a ``Var``, a ``Func`` or
     a primitive ``Sum``.  ``polys[i]`` is what its derivative reads: the
     function's argument, the sum itself, or None.  ``known`` maps every
-    tree converted here to its polynomial; ``printed``, which the parser
-    fills, a key to what ``print_polys`` writes it from.  Key fields are
+    tree converted here to its polynomial.  Key fields are
     ``width`` bits, 32 over the exponents ``from_tree`` makes of ``trees``
     and at least 64.  Polynomials of different rings must not meet."""
 
@@ -197,7 +196,6 @@ class Ring:
         self.index: dict[Expr, int] = {}
         self.known: dict[Expr, Poly] = {}
         self.derivatives: dict[tuple[int, int], Poly] = {}
-        self.printed: dict[int, tuple] = {}
 
     def exponents(self, key: int) -> tuple[int, ...]:
         """The exponents packed in ``key``, without trailing zeros."""

@@ -646,13 +646,19 @@ class ProblemSpec:
     def with_order(self, order: int) -> "ProblemSpec":
         """The same problem truncated at another order; it shares this
         problem's forcing expansion and polynomial ring."""
-        if order < 1:
-            raise ValueError("truncation order must be at least 1")
+        check_count(order, "truncation order")
         other = dataclasses.replace(self, order=order)
         vars(other).update(_ring=problem_ring(self), _forcing=vars(self).setdefault("_forcing", []))
         return other
 
     __getstate__ = _fields  # the problem, not its caches
+
+
+def check_count(value: int, name: str) -> None:
+    """Refuse a dimension or a truncation order below 1, in the words
+    ``{name} must be >= 1``: the one rule of each count of a problem."""
+    if value < 1:
+        raise FormatError(f"{name} must be >= 1")
 
 
 def check_rho_shape(rows, m: int) -> None:
@@ -673,8 +679,8 @@ def checked_problem(m: int, n: int, rho: RationalMatrix, L: SpatialOperator, f: 
     (1+x1)*(1-x1)+x1^2-1.  Converting makes an atom of each variable and
     the forcing is converted later, so a field uses t exactly when t is
     an atom after it.  A tree keeps no byte offsets: ParseErrors are at 0."""
-    if order < 1:
-        raise FormatError("field 'order' must be >= 1")
+    for value, name in ((m, "field 'm'"), (n, "field 'n'"), (order, "field 'order'")):
+        check_count(value, name)
     check_rho_shape(rho.entries, m)
     if L.m != m or L.n != n:
         raise DimensionMismatch("operator dimensions disagree with the problem")

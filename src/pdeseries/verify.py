@@ -36,17 +36,25 @@ def _degree_check(ring: Ring, degree: int, pairs, plan: SamplePlan) -> DegreeChe
     return DegreeCheck(degree, deviation <= plan.tolerance, deviation)
 
 
+class _Report:
+    """A check's verdict, read from its ``per_degree`` checks: it passes
+    when every degree does."""
+
+    @property
+    def overall(self) -> bool:
+        return all(c.passed for c in self.per_degree)
+
+    def __bool__(self) -> bool:
+        return self.overall
+
+
 @dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(_Report):
     """Outcome of checking mass*u_tt - L u - f degree by degree.
     Degrees above order-2 are truncation artifacts and are excluded.
     ``to_dict`` writes each ``DegreeCheck`` with ``dataclasses.asdict``."""
 
     per_degree: tuple[DegreeCheck, ...]
-    overall: bool
-
-    def __bool__(self) -> bool:
-        return self.overall
 
     @property
     def checked_orders(self) -> tuple[int, int]:
@@ -61,16 +69,12 @@ class ResidualReport:
 
 
 @dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(_Report):
     """Coefficient-wise comparison of the two engines up to the finalized
     degree 2J+1; ``to_dict`` writes each check as ``ResidualReport``'s does."""
 
     corrections: int
     per_degree: tuple[DegreeCheck, ...]
-    overall: bool
-
-    def __bool__(self) -> bool:
-        return self.overall
 
     def to_dict(self) -> dict:
         return {
@@ -98,7 +102,7 @@ def residual_check(
         lhs = scale_rows(p.rho, rows[k + 2], (k + 1) * (k + 2))
         rhs = apply_rows(ring, p.L, rows[k], f[k])
         checks.append(_degree_check(ring, k, [(sub(a, b), ZERO) for a, b in zip(lhs, rhs)], plan))
-    return ResidualReport(tuple(checks), all(c.passed for c in checks))
+    return ResidualReport(tuple(checks))
 
 
 def equivalence_check(
@@ -121,4 +125,4 @@ def equivalence_check(
     summed = sum_rows(hpm_rows(p, corrections, final_degree), final_degree)
     checks = [_degree_check(ring, d, zip(direct[d], summed[d]), plan)
               for d in range(final_degree + 1)]
-    return EquivalenceReport(corrections, tuple(checks), all(c.passed for c in checks))
+    return EquivalenceReport(corrections, tuple(checks))

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from pdeseries import cli, expr, hpm, series, taylor, verify
 from pdeseries.cli import build_parser, main
+from pdeseries.errors import FormatError
+from pdeseries.parser import load_problem, parse_expr, parse_problem
 from pdeseries.poly import Ring
 
 from conftest import problem_path
@@ -35,6 +37,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _command(*argv):
+    """Run a command as ``main`` does, its errors raised, not printed."""
+    args = build_parser().parse_args(argv)
+    return cli._DISPATCH[args.command](args)
 
 
 class TestSolve:
@@ -478,15 +486,33 @@ class TestErrorsAndExitCodes:
             2, "", "error: power of a constant too large to represent\n")
 
     @pytest.mark.parametrize("argv,message", [
-        (("solve", WAVE, "--order", "0"), "truncation order must be at least 1"),
-        (("residual", WAVE, "--order", "0"), "truncation order must be at least 1"),
+        (("solve", WAVE, "--order", "0"), "truncation order must be >= 1"),
+        (("residual", WAVE, "--order", "0"), "truncation order must be >= 1"),
         (("hpm", WAVE, "--corrections", "-1"), "correction count must be nonnegative"),
         (("compare", WAVE, "--corrections", "0"), "need at least one correction to compare engines"),
         (("expand", "--expr", "x1", "--order", "-1"), "expansion order must be nonnegative"),
-        (("expand", "--expr", "x1", "--order", "1", "--dim", "0"), "--dim must be >= 1"),
+        (("expand", "--expr", "x1", "--order", "1", "--dim", "0"), "spatial dimension must be >= 1"),
     ])
     def test_counts_out_of_range(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    # a dimension or a truncation order below 1 is refused by one rule,
+    # series.check_count, in its words, whichever entry point meets it
+    @pytest.mark.parametrize("refuse,name", [
+        (lambda: load_problem(WAVE).with_order(0), "truncation order"),
+        (lambda: _command("solve", WAVE, "--order", "0"), "truncation order"),
+        (lambda: _command("residual", WAVE, "--order", "0"), "truncation order"),
+        (lambda: parse_problem(json.dumps({**json.loads(Path(WAVE).read_text()), "order": 0})),
+         "field 'order'"),
+        (lambda: parse_expr("1", 0), "spatial dimension"),
+        (lambda: _command("expand", "--expr", "1", "--order", "1", "--dim", "0"),
+         "spatial dimension"),
+    ])
+    def test_each_count_is_refused_by_the_one_rule(self, refuse, name):
+        with pytest.raises(FormatError) as err:
+            refuse()
+        assert str(err.value) == f"{name} must be >= 1"
+        assert err.traceback[-1].name == "check_count"
 
     @pytest.mark.parametrize("fmt", [(), ("--format", "json")])
     def test_coefficient_past_the_digit_limit_prints_nothing(self, tmp_path, capsys, fmt):
@@ -522,15 +548,11 @@ class TestErrorsAndExitCodes:
         # check to exercise the failure exit path
         from pdeseries.verify import DegreeCheck, EquivalenceReport
 
-        failing = EquivalenceReport(
-            corrections=1,
-            per_degree=(DegreeCheck(0, False, 1.0),),
-            overall=False,
-        )
+        failing = EquivalenceReport(corrections=1, per_degree=(DegreeCheck(0, False, 1.0),))
         monkeypatch.setattr(cli, "equivalence_check", lambda *a, **kw: failing)
         code, out, _ = run(capsys, "compare", COUPLED, "--corrections", "1")
         assert code == 3
-        assert "MISMATCH" in out
+        assert out.endswith("0       MISMATCH  1.000e+00\noverall: MISMATCH\n")
 
     def test_unexpected_exception_exits_four(self, capsys, monkeypatch):
         # no known input reaches this branch, so a command raises instead

@@ -27,7 +27,7 @@ from conftest import (
     variable_indices,
 )
 from pdeseries import expr, parser
-from pdeseries.errors import DomainError, ParseError, SamplingExhausted
+from pdeseries.errors import DomainError, FormatError, ParseError, SamplingExhausted
 from pdeseries.expr import (
     Const,
     Func,
@@ -148,13 +148,13 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(Pow(Var(1), -1), (0.0,))
 
-    @pytest.mark.parametrize("call,message", [
-        (lambda: evaluate(parse_expr("t*x1", 1, allow_time=True), (0.5,)),
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda: evaluate(parse_expr("t*x1", 1, allow_time=True), (0.5,)), ValueError,
          "expression uses the time symbol but no time value was given"),
-        (lambda: parse_expr("x1", -1), "spatial dimension must be nonnegative"),
+        (lambda: parse_expr("x1", -1), FormatError, "spatial dimension must be >= 1"),
     ])
-    def test_argument_errors(self, call, message):
-        with pytest.raises(ValueError) as err:
+    def test_argument_errors(self, call, error, message):
+        with pytest.raises(error) as err:
             call()
         assert str(err.value) == message
 

@@ -98,13 +98,13 @@ def test_the_jets_neither_differentiate_nor_substitute_trees():
 
 
 def test_the_cli_states_only_the_rules_no_api_function_has():
-    # the engines own the counts, so --corrections and --order errors
-    # carry the API's words; --dim and --expr have no rule in the API
+    # the API owns the counts, so --corrections, --order and --dim errors
+    # carry its words; only --expr has no rule in the API
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     messages = [_template(node.exc.args[0]) for node in ast.walk(tree)
                 if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
                 and getattr(node.exc.func, "id", None) != "SystemExit"]
-    assert messages and all(m and m.startswith(("--dim ", "--expr ")) for m in messages)
+    assert messages and all(m and m.startswith("--expr ") for m in messages)
 
 
 def test_no_module_tests_for_cos_by_name():

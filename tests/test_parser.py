@@ -708,10 +708,11 @@ def _create(text: str) -> ProblemSpec:
     doc = json.loads(text)
     m, n = doc["m"], doc["n"]
     rho = RationalMatrix.from_rows([[Fraction(x) for x in row] for row in doc["rho"]])
-    terms = tuple(OperatorTerm(t["row"], t["col"], parse_expr(t["coeff"], n, allow_time=True),
+    dim = max(n, 1)  # the grammar needs a dimension of 1 at least; create judges n
+    terms = tuple(OperatorTerm(t["row"], t["col"], parse_expr(t["coeff"], dim, allow_time=True),
                                tuple(t["derivs"]))
                   for t in doc["L"])
-    vectors = [[parse_expr(s, n, allow_time=True) for s in doc[key]] for key in ("f", "u0", "u1")]
+    vectors = [[parse_expr(s, dim, allow_time=True) for s in doc[key]] for key in ("f", "u0", "u1")]
     return ProblemSpec.create(m, n, rho, SpatialOperator(m, n, terms), *vectors, doc["order"])
 
 
@@ -770,6 +771,9 @@ class TestProblemBuiltDirectly:
         lambda d: d["L"][0].update(derivs=[2]),
         lambda d: d["L"][0].update(derivs=[2, 0, 0]),
         lambda d: d["L"][0].update(derivs=[2, -1]),
+        # a count below 1, with no term and no variable left to read it
+        lambda d: d.update(n=0, L=[], f=["t"], u1=["1"]),
+        lambda d: d.update(m=0, L=[]),
     ])
     def test_both_paths_refuse_a_fault_alike(self, mutate):
         doc = _base_doc()

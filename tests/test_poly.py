@@ -54,7 +54,7 @@ from pdeseries.expr import (
 )
 from pdeseries.hpm import HpmExpansion, hpm_rows, partial_sum, solve_hpm
 from pdeseries.parser import (
-    load_problem, parse_expr, parse_problem, print_expr, print_poly, print_polys,
+    load_problem, parse_expr, parse_problem, print_expr, print_polys,
 )
 from pdeseries.poly import ONE, Ring, add, mul, scale, sub
 from pdeseries.series import (
@@ -322,7 +322,7 @@ class TestAgainstReference:
         tree = ring.to_tree(p)
         assert tree == normalize(ref_to_tree(ring, p)) == parse_expr("x1 + x2 + x3", 3)
         assert ref_to_tree(ring, p) != tree
-        assert print_poly(ring, p) == print_expr(tree) == "x1 + x2 + x3"
+        assert print_polys(ring, [p])[0] == print_expr(tree) == "x1 + x2 + x3"
 
 
 def _built_as_first_written(ring, p):
@@ -430,7 +430,7 @@ class TestConversions:
         assert ring.from_tree(e) == poly.ZERO
 
 
-# atoms print_poly must place and spell: sums at negative powers and
+# atoms print_polys must place and spell: sums at negative powers and
 # at powers too large to expand, functions of sums, bare constants
 PRINTER_ATOMS = ("(1 + x1)^(-2)", "(2*x1 - x2)^(-1)*x2^(-3)", "(x1 + x2)^99999999",
                  "sin(1 + x1)", "cosh(x2 - 1/3*x1)^2*exp(x1)", "-5/7", "0")
@@ -459,7 +459,7 @@ class TestPrinter:
     def test_prints_the_bytes_of_the_tree(self, seed):
         ring, polys = _printer_polys(seed)
         for p in polys:
-            assert print_poly(ring, p) == print_expr(ring.to_tree(p))
+            assert print_polys(ring, [p])[0] == print_expr(ring.to_tree(p))
 
     def test_a_rational_times_a_sum_atom_is_printed_from_its_tree(self):
         ring = Ring()
@@ -468,9 +468,9 @@ class TestPrinter:
         assert list(map(ring.exponents, s.num)) == [(0, 0, 1)]  # the atom x1 + x2, to the power 1
         p = add(scale(s, 3), ring.from_tree(Var(1)))
         # eprod spreads 3 over the sum, and the x1 terms collect
-        assert print_poly(ring, p) == print_expr(ring.to_tree(p)) == "4*x1 + 3*x2"
-        assert print_poly(ring, s) == "x1 + x2"
-        assert print_poly(ring, poly.ZERO) == "0"
+        assert print_polys(ring, [p])[0] == print_expr(ring.to_tree(p)) == "4*x1 + 3*x2"
+        assert print_polys(ring, [s])[0] == "x1 + x2"
+        assert print_polys(ring, [poly.ZERO])[0] == "0"
 
     def test_engine_rows_print_as_first_written(self):
         for seed in range(3000, 3020):
@@ -479,7 +479,7 @@ class TestPrinter:
             for rows in (taylor_rows(p), *hpm_rows(p, corrections, p.order)):
                 for row in rows:
                     for c in row:
-                        assert print_poly(ring, c) == ref_fmt(ring.to_tree(c)), seed
+                        assert print_polys(ring, [c])[0] == ref_fmt(ring.to_tree(c)), seed
 
     def test_a_rational_past_the_digit_limit_is_refused_as_by_to_tree(self):
         ring = Ring()
@@ -492,7 +492,7 @@ class TestPrinter:
                 with pytest.raises(DomainError) as tree_error:
                     ring.to_tree(p)
                 with pytest.raises(DomainError) as text_error:
-                    print_poly(ring, p)
+                    print_polys(ring, [p])[0]
                 assert str(text_error.value) == str(tree_error.value)
         finally:
             sys.set_int_max_str_digits(limit)
@@ -539,7 +539,7 @@ class TestBatchPrinter:
                 alone = []
                 for q in polys:
                     try:
-                        alone.append(print_poly(ring, q))
+                        alone.append(print_polys(ring, [q])[0])
                     except DomainError as exc:
                         message = str(exc)
                         break

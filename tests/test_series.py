@@ -928,7 +928,7 @@ class TestErrorPaths:
         # the polynomial of u0 is 1, but its tree uses t
         (lambda: _problem(u0=(parse_expr("(1+t)*(1-t)+t^2", 1, allow_time=True),)),
          TimeNotAllowed, "u0[0]: the time symbol is not allowed here at offset 0"),
-        (lambda: _problem().with_order(0), ValueError, "truncation order must be at least 1"),
+        (lambda: _problem().with_order(0), FormatError, "truncation order must be >= 1"),
     ])
     def test_rejects(self, build, error, message):
         with pytest.raises(error) as err:
