@@ -15,9 +15,9 @@ from itertools import islice
 from .errors import PdeSeriesError
 from .expr import SamplePlan
 from .hpm import partial_sum, solve_hpm
-from .parser import load_problem, parse_expr, print_expr, print_polys
+from .parser import load_problem, parse_expr, print_polys
 from .poly import Ring
-from .series import TimeSeriesVec, expand_normal, problem_ring, series_rows
+from .series import TimeSeriesVec, expand_rows, problem_ring, series_rows
 from .taylor import solve_taylor, taylor_coefficients
 from .verify import equivalence_check, residual_check
 
@@ -192,8 +192,7 @@ def _cmd_expand(args) -> int:
         # argparse before Python 3.12 turns --expr=-- into an empty list
         raise ValueError("--expr needs an expression")
     expression = parse_expr(args.expr, args.dim, allow_time=True)
-    coefficients = expand_normal(expression, args.order)
-    rendered = [print_expr(c) for c in coefficients]
+    rendered = print_polys(*expand_rows(expression, args.order))
     if args.output_format == "json":
         sys.stdout.write(_render_json({"coefficients": rendered}))
     else:

@@ -296,28 +296,25 @@ def normalize(e: Expr) -> Expr:
     """Canonical form: flattened, constant-folded, like terms collected,
     children ordered by the fixed total order.  Idempotent.  Applies no
     trigonometric or exponential identities."""
-    return _normalize(e, None, None, {})
+    return _normalize(e, {})
 
 
-def _normalize(e: Expr, v: int | None, r: Expr | None, memo: dict) -> Expr:
-    """``normalize`` of ``e`` with ``r`` for the variable ``v`` (None: no
-    variable); ``memo`` maps each node seen to its result."""
-    if isinstance(e, Const) or isinstance(e, Var) and e.index != v:
+def _normalize(e: Expr, memo: dict) -> Expr:
+    """``normalize`` of ``e``; ``memo`` maps each node seen to its result."""
+    if isinstance(e, (Const, Var)):
         return e
     if not isinstance(e, Expr):
         raise TypeError(f"not an expression: {e!r}")
     out = memo.get(e)
     if out is None:
-        if isinstance(e, Var):
-            out = normalize(r)
-        elif isinstance(e, Func):
-            out = _func(e.name, _normalize(e.arg, v, r, memo))
+        if isinstance(e, Func):
+            out = _func(e.name, _normalize(e.arg, memo))
         elif isinstance(e, Pow):
-            out = _pow(_normalize(e.base, v, r, memo), e.exponent)
+            out = _pow(_normalize(e.base, memo), e.exponent)
         elif isinstance(e, Prod):
-            out = _mul([_normalize(f, v, r, memo) for f in e.factors])
+            out = _mul([_normalize(f, memo) for f in e.factors])
         else:
-            out = _add([_normalize(t, v, r, memo) for t in e.terms])
+            out = _add([_normalize(t, memo) for t in e.terms])
         memo[e] = out
     return out
 
@@ -661,16 +658,8 @@ def _outer_derivative(e: Func) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Substitution and structure queries
+# Structure queries
 # ---------------------------------------------------------------------------
-
-def substitute(e: Expr, variable: int, replacement: Expr) -> Expr:
-    """Replace every occurrence of the variable; result is normalized.
-
-    May raise DomainError if the substitution forces a constant fold
-    like zero to a negative power."""
-    return _normalize(e, variable, replacement, {})
-
 
 def _variables(e: Expr, memo: dict) -> tuple[int, bool]:
     """(largest spatial variable index, whether time occurs) of ``e``.

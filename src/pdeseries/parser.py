@@ -445,13 +445,6 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
-def _require_int(doc: dict, key: str) -> int:
-    value = _require(doc, key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise FormatError(f"field {key!r} must be an integer")
-    return value
-
-
 def _rational(text, where: str) -> Fraction:
     if not isinstance(text, str):
         raise FormatError(f"{where} must be a rational string like \"-3/2\"")
@@ -498,11 +491,13 @@ def parse_problem(src: str) -> ProblemSpec:
     if not isinstance(doc, dict):
         raise FormatError("problem file must be a JSON object")
 
-    m = _require_int(doc, "m")
-    check_count(m, "field 'm'")  # before a field sized by m or n is read
-    n = _require_int(doc, "n")
+    # each count as it is read, before a field sized by m or n is read
+    m = _require(doc, "m")
+    check_count(m, "field 'm'")
+    n = _require(doc, "n")
     check_count(n, "field 'n'")
-    order = _require_int(doc, "order")
+    order = _require(doc, "order")
+    check_count(order, "field 'order'")
 
     rho_raw = _require(doc, "rho")
     check_rho_shape(rho_raw, m)  # before its rows are read

@@ -24,26 +24,23 @@ from .errors import (
     ParseError,
     SingularRho,
     TimeNotAllowed,
+    UnknownIdentifier,
 )
 from .expr import (
     Const,
     Expr,
     Func,
-    ONE,
     PARTNERS,
     Pow,
     Prod,
     Sum,
     TIME_INDEX,
     Var,
-    ZERO,
-    _func,
-    eprod,
-    esum,
+    _variables,
     normalize,
     too_large_power,
 )
-from .poly import ONE as POLY_ONE, Poly, Ring, add, dot, scale
+from .poly import ONE as POLY_ONE, ZERO as POLY_ZERO, Poly, Ring, add, dot, scale
 
 ExprVec = tuple[Expr, ...]
 
@@ -224,24 +221,27 @@ def apply_rows(
 # Expansion about time zero
 # ---------------------------------------------------------------------------
 
-def expand_in_time(e: Expr, order: int) -> ExprVec:
-    """Coefficients g_0..g_order of the expansion of ``e`` about time
-    zero, by ``_Jets`` on normalized trees; g_0 is the normalized tree
-    at t = 0.
+def expand_rows(e: Expr, order: int) -> tuple[Ring, list[Poly]]:
+    """The ring of the normalized tree ``e`` and the coefficients
+    g_0..g_order of its expansion about time zero, polynomials of that
+    ring, by ``_Jets``.
 
     Raises ExpansionSingular where ``e`` has no power series at time
     zero (ln of a series whose constant term is zero or a constant
     <= 0, anywhere in the tree; a negative power of a series whose
     constant term is zero), or where a constant term raised to the
     exponent would be too large to represent."""
-    return expand_normal(normalize(e), order)
-
-
-def expand_normal(e: Expr, order: int) -> ExprVec:
-    """``expand_in_time`` of the normalized ``e``, not normalized again."""
     if order < 0:
         raise ValueError("expansion order must be nonnegative")
-    return tuple(_Jets(order).expansion(e))
+    ring = Ring(e)
+    return ring, _Jets(ring, order).expansion(e)
+
+
+def expand_in_time(e: Expr, order: int) -> ExprVec:
+    """``expand_rows`` of the normalized ``e``, each coefficient as the
+    tree ``Ring.to_tree`` makes of it."""
+    ring, rows = expand_rows(normalize(e), order)
+    return tuple(map(ring.to_tree, rows))
 
 
 def _binomial(k: int, m: int) -> Fraction:
@@ -254,81 +254,39 @@ def _binomial(k: int, m: int) -> Fraction:
 
 class _Jets:
     """Truncated power series in time ("jets" [c_0..c_order]) of the
-    subtrees of one expansion, each built bottom-up from the jets of its
-    children (Griewank & Walther, *Evaluating Derivatives*, ch. 13;
-    Knuth, TAOCP vol. 2, 4.7); ``None`` stands for a time-free subtree
-    e, whose jet is [e, 0, ..., 0].
+    subtrees of one normalized tree, polynomials of ``ring``, each built
+    bottom-up from the jets of its children (Griewank & Walther,
+    *Evaluating Derivatives*, ch. 13; Knuth, TAOCP vol. 2, 4.7); ``None``
+    stands for a time-free subtree e, whose jet is [e, 0, ..., 0].
 
-    * sums add term by term; products take a sparse Cauchy product;
-    * a function of a series a_0 + h composes its Taylor series about
-      a_0 with h, f(a_0 + h) = sum_k f^(k)(a_0)/k! h^k;
-    * a power of a series composes the binomial series in the same way.
+    * sums add term by term; products take the truncated Cauchy
+      product, one checked dot per degree;
+    * exp, sin, cos, sinh, cosh and tanh of a series a take the
+      Taylor-mode recurrence of b = f(a), b' = a' f'(a):
+      b_k = (1/k) sum_j j a_j d_(k-j), with d the jet of f'(a) (b, the
+      partner's jet with its sign, or 1 - b^2);
+    * ln of a_0 + h, and a power of b_0 + h, compose their Taylor series
+      about the constant term with h: ln's coefficients are
+      (-1)^(k+1)/k * a_0^-k, a power's C(k, m) * b_0^(k-m), powers that
+      ``Ring.power`` keeps as atoms where products would multiply them out.
 
-    No tree is differentiated in time.  The recursion is written once
-    over hooks: ``_add``, ``_mul``, ``_power``, ``_terms`` (what a
-    product spreads over), ``_leaf`` (a time-free subtree as a value),
-    ``_constant`` (the rational a value is, or None), ``_apply`` (a
-    function of a value), ``_taylor`` (the f^(k)(a_0)/k!, by f's
-    derivative rule) and ``_func`` (a function's jet).  This class
-    computes on normalized trees and composes every function, so
-    ``expand`` prints what composition makes; ``_RingJets`` computes on
-    polynomials, where most functions take recurrences."""
+    No tree is differentiated in time."""
 
-    _add, _mul, _power, _apply = (staticmethod(esum), staticmethod(eprod),
-                                  staticmethod(Expr.__pow__), staticmethod(_func))
-
-    def __init__(self, order: int):
-        self.order = order
+    def __init__(self, ring: Ring, order: int):
+        self.ring, self.order = ring, order
         self.memo: dict[Expr, list | None] = {}
 
     @staticmethod
-    def _terms(c: Expr) -> tuple[Expr, ...]:
-        return c.terms if isinstance(c, Sum) else (c,)
+    def _constant(c: Poly) -> Fraction | None:
+        num = c.num
+        if len(num) == 1 and 0 in num:
+            return Fraction(num[0], c.den)
+        return None if num else 0
 
-    @staticmethod
-    def _leaf(e: Expr):
-        return e
-
-    @staticmethod
-    def _constant(c) -> Fraction | None:
-        return c.value if isinstance(c, Const) else None
-
-    def _taylor(self, name: str, a0, count: int) -> list:
-        """f^(k)(a0)/k! by f's derivative rule, in the trees, and with the
-        checks, that differentiating f(t) k times and substituting a0 make.
-        exp, sin, cos, sinh and cosh walk ``PARTNERS``; ln's is
-        (-1)^(k+1)/k * a0^-k, on trees and polynomials alike; tanh's is the
-        sum of c/k! * T^a * S^b over T = tanh(a0) and S = 1 - T^2, with the
-        integers {(a, b): c} of D(T^a S^b) = a T^(a-1) S^(b+1) - 2b T^(a+1) S^b."""
-        out = [self._apply(name, a0)]
-        if name in PARTNERS:
-            values, sign, g = {f: _func(f, a0) for f in (name, PARTNERS[name][0])}, 1, name
-            for k in range(1, count):
-                g, s = PARTNERS[g]
-                sign *= s
-                out.append(eprod([Const(Fraction(sign, math.factorial(k))), values[g]]))
-        elif name == "ln":
-            out += [self._mul([self._leaf(Const(Fraction((-1) ** (k + 1), k))), self._power(a0, -k)])
-                    for k in range(1, count)]
-        else:
-            T, terms = out[0], {(1, 0): 1}
-            S = ONE - self._power(T, 2)
-            for k in range(1, count):
-                step: dict = {}
-                for (a, b), c in terms.items():
-                    if a:
-                        step[a - 1, b + 1] = step.get((a - 1, b + 1), 0) + a * c
-                    if b:
-                        step[a + 1, b] = step.get((a + 1, b), 0) - 2 * b * c
-                terms = step
-                out.append(esum([eprod([Const(Fraction(c, math.factorial(k))), self._power(T, a),
-                                        self._power(S, b)]) for (a, b), c in terms.items() if c]))
-        return out
-
-    def expansion(self, e: Expr) -> list:
+    def expansion(self, e: Expr) -> list[Poly]:
         """The jet of the normalized tree ``e``, time-free or not."""
         jet = self.of(e)
-        return [self._leaf(e)] + [self._leaf(ZERO)] * self.order if jet is None else jet
+        return [self.ring.from_tree(e)] + [POLY_ZERO] * self.order if jet is None else jet
 
     def of(self, e: Expr) -> list | None:
         if isinstance(e, Const):
@@ -336,9 +294,9 @@ class _Jets:
         if isinstance(e, Var):
             if e.index != TIME_INDEX:
                 return None
-            jet = [self._leaf(ZERO)] * (self.order + 1)
+            jet = [POLY_ZERO] * (self.order + 1)
             if self.order:
-                jet[1] = self._leaf(ONE)
+                jet[1] = POLY_ONE
             return jet
         try:
             return self.memo[e]
@@ -359,151 +317,70 @@ class _Jets:
         jets = [self.of(t) for t in e.terms]
         if all(j is None for j in jets):
             return None
-        out = [self._add([self._leaf(t) if j is None else j[0] for t, j in zip(e.terms, jets)])]
+        out = [add(*[self.ring.from_tree(t) if j is None else j[0] for t, j in zip(e.terms, jets)])]
         live = [j for j in jets if j is not None]
-        for n in range(1, self.order + 1):
-            out.append(self._add([j[n] for j in live]))
-        return out
+        return out + [add(*[j[n] for j in live]) for n in range(1, self.order + 1)]
 
     def _prod(self, e: Prod) -> list | None:
         jets = [self.of(f) for f in e.factors]
         if all(j is None for j in jets):
             return None
-        free = self._mul([self._leaf(f) for f, j in zip(e.factors, jets) if j is None])
+        ring = self.ring
+        free = ring.product([ring.from_tree(f) for f, j in zip(e.factors, jets) if j is None])
         live = [j for j in jets if j is not None]
         product = live[0]
         for j in live[1:]:
             product = self._cauchy(product, j)
-        # the time-free part stays one factor of every term, as the
-        # product rule would leave it; the jet's own zero stays as it is
-        out, zero = [self._mul([free, product[0]])], self._leaf(ZERO)
-        for c in product[1:]:
-            out.append(c if c is zero else self._add([self._mul([free, t]) for t in self._terms(c)]))
-        return out
+        return [ring.product([free, c]) if c.num else POLY_ZERO for c in product]
 
-    def _cauchy(self, a: list, b: list, spread: bool = True) -> list:
-        """Truncated product of two jets.  Degree 0 is the plain product
-        of the constant terms.  Above it, with ``spread`` every a_i*b_j
-        is spread over the top-level terms of both sides, so like terms
-        collect as after the product rule; without, it is formed whole."""
-        n, mul = self.order, self._mul
-        terms = self._terms if spread else (lambda c: (c,))
-        live_a = [(i, terms(c)) for i, c in enumerate(a) if self._constant(c) != 0]
-        live_b = [(i, terms(c)) for i, c in enumerate(b) if self._constant(c) != 0]
-        parts: list[list] = [[] for _ in range(n + 1)]
-        for i, terms_a in live_a:
-            for j, terms_b in live_b:
-                if i + j > n:
-                    break
-                if i + j == 0:
-                    parts[0].append(mul([a[0], b[0]]))
-                    continue
-                target = parts[i + j]
-                for x in terms_a:
-                    for y in terms_b:
-                        target.append(mul([x, y]))
-        return [self._add(p) for p in parts]
+    def _cauchy(self, a: list, b: list) -> list:
+        """Truncated product of two jets, one checked dot per degree."""
+        return [self.ring.dot([(a[i], b[k - i]) for i in range(k + 1)]) for k in range(len(a))]
 
     def _span(self, h: list) -> int:
         """Highest k for which h^k reaches the order, h with a zero
         constant term."""
-        valuation = next((i for i, c in enumerate(h) if self._constant(c) != 0), None)
+        valuation = next((i for i, c in enumerate(h) if c.num), None)
         return 0 if valuation is None else self.order // valuation
 
     def _compose(self, taylor: list, h: list) -> list:
         """g(a_0 + h) = sum over k of taylor[k] * h^k, truncated, for g
         with Taylor coefficients ``taylor`` about a_0 (at most
-        ``_span(h)`` + 1 of them) and h with a zero constant term.  The
-        powers h^k, one product each where h is one term, and the products
-        taylor[k] * (h^k)_j are formed whole: spreading them over their
-        terms made nested compositions such as tanh(tanh(tanh(cosh(t))))
-        print two to three times longer."""
+        ``_span(h)`` + 1 of them) and h with a zero constant term; the
+        powers h^k take one product each where h is one term."""
         parts: list[list] = [[taylor[0]]] + [[] for _ in range(self.order)]
-        last = max(k for k, c in enumerate(taylor) if k == 0 or self._constant(c) != 0)
-        live = [(j, c) for j, c in enumerate(h) if self._constant(c) != 0]
+        last = max(k for k, c in enumerate(taylor) if k == 0 or c.num)
+        live = [(j, c) for j, c in enumerate(h) if c.num]
         power = h
         for k in range(1, last + 1):
             if len(live) == 1:  # h = c*t^v, so h^k is the one term c^k*t^(k*v)
                 ((v, c),) = live
-                power = c if k == 1 else self._mul([power, c])
+                power = c if k == 1 else self.ring.product([power, c])
                 terms = [(k * v, power)]
             else:
                 if k > 1:
-                    power = self._cauchy(power, h, spread=False)
-                terms = [(j, c) for j, c in enumerate(power) if self._constant(c) != 0]
-            if self._constant(taylor[k]) != 0:
+                    power = self._cauchy(power, h)
+                terms = [(j, c) for j, c in enumerate(power) if c.num]
+            if taylor[k].num:
                 for j, c in terms:
-                    parts[j].append(self._mul([taylor[k], c]))
-        return [self._add(p) for p in parts]
+                    parts[j].append(self.ring.product([taylor[k], c]))
+        return [add(*p) for p in parts]
 
     def _func(self, e: Func) -> list | None:
         a = self.of(e.arg)
-        a0 = self._leaf(e.arg) if a is None else a[0]
-        if e.name == "ln" and (c := self._constant(a0)) is not None and c <= 0:
-            raise ExpansionSingular("ln argument vanishes or is negative at time zero")
-        if a is None:
-            return None
-        h = [self._leaf(ZERO), *a[1:]]
-        return self._compose(self._taylor(e.name, a0, self._span(h) + 1), h)
-
-    def _pow(self, e: Pow) -> list | None:
-        b = self.of(e.base)
-        if b is None:
-            return None
-        k, b0 = e.exponent, b[0]
-        c = self._constant(b0)
-        if k < 0 and c == 0:
-            raise ExpansionSingular(
-                "negative power of a series that vanishes at time zero"
-            )
-        if c is not None and too_large_power(c, k):
-            raise ExpansionSingular(
-                "power of a constant too large to represent at time zero"
-            )
-        # the binomial series (b_0 + h)^k = sum_m C(k, m) b_0^(k-m) h^m,
-        # which for b_0 = 0 keeps only h^k
-        h = [self._leaf(ZERO), *b[1:]]
-        count = self._span(h) + 1 if k < 0 else min(self._span(h), k) + 1
-        taylor = [
-            self._mul([self._leaf(Const(_binomial(k, m))), self._power(b0, k - m)])
-            for m in range(count)
-        ]
-        return self._compose(taylor, h)
-
-
-class _RingJets(_Jets):
-    """The same recursion on polynomials of ``ring``, but exp, sin, cos,
-    sinh, cosh and tanh of a series a take the Taylor-mode recurrence of
-    b = f(a), b' = a' f'(a): b_k = (1/k) sum_j j a_j d_(k-j), with d the
-    jet of f'(a) (b, the partner's jet with its sign, or 1 - b^2).  ln
-    and powers compose: their coefficients are powers of a_0, which
-    ``Ring.power`` keeps as atoms where products would multiply them out."""
-
-    _terms = staticmethod(lambda c: (c,))
-    _add = staticmethod(lambda parts: add(*parts))
-
-    def __init__(self, ring: Ring, order: int):
-        super().__init__(order)
-        self.ring, self._power, self._leaf, self._mul = ring, ring.power, ring.from_tree, ring.product
-        self._apply = ring.func
-
-    @staticmethod
-    def _constant(c: Poly) -> Fraction | None:
-        num = c.num
-        if len(num) == 1 and 0 in num:
-            return Fraction(num[0], c.den)
-        return None if num else 0
-
-    def _cauchy(self, a: list, b: list, spread: bool = True) -> list:  # one checked dot per degree
-        return [self.ring.dot([(a[i], b[k - i]) for i in range(k + 1)]) for k in range(len(a))]
-
-    def _func(self, e: Func) -> list | None:
-        if e.name == "ln":
-            return super()._func(e)
-        a = self.of(e.arg)
-        if a is None:
-            return None
         ring, name, n = self.ring, e.name, self.order
+        if name == "ln":
+            a0 = ring.from_tree(e.arg) if a is None else a[0]
+            if (c := self._constant(a0)) is not None and c <= 0:
+                raise ExpansionSingular("ln argument vanishes or is negative at time zero")
+            if a is None:
+                return None
+            h = [POLY_ZERO, *a[1:]]
+            taylor = [ring.func(name, a0)] + [scale(ring.power(a0, -k), Fraction((-1) ** (k + 1), k))
+                                              for k in range(1, self._span(h) + 1)]
+            return self._compose(taylor, h)
+        if a is None:
+            return None
         slopes = [(j, scale(c, j)) for j, c in enumerate(a) if j and c.num]
 
         def conv(pairs, q) -> Poly:  # q times the sum of the products of the pairs
@@ -522,6 +399,27 @@ class _RingJets(_Jets):
                 d.append(step(b, k, PARTNERS[partner][1]) if partner else conv(
                     ((b[i], scale(b[k - i], 1 if 2 * i == k else 2)) for i in range(k // 2 + 1)), -1))
         return b
+
+    def _pow(self, e: Pow) -> list | None:
+        b = self.of(e.base)
+        if b is None:
+            return None
+        k, b0 = e.exponent, b[0]
+        c = self._constant(b0)
+        if k < 0 and c == 0:
+            raise ExpansionSingular(
+                "negative power of a series that vanishes at time zero"
+            )
+        if c is not None and too_large_power(c, k):
+            raise ExpansionSingular(
+                "power of a constant too large to represent at time zero"
+            )
+        # the binomial series (b_0 + h)^k = sum_m C(k, m) b_0^(k-m) h^m,
+        # which for b_0 = 0 keeps only h^k
+        h = [POLY_ZERO, *b[1:]]
+        count = self._span(h) + 1 if k < 0 else min(self._span(h), k) + 1
+        taylor = [scale(self.ring.power(b0, k - m), _binomial(k, m)) for m in range(count)]
+        return self._compose(taylor, h)
 
 
 # ---------------------------------------------------------------------------
@@ -655,8 +553,12 @@ class ProblemSpec:
 
 
 def check_count(value: int, name: str) -> None:
-    """Refuse a dimension or a truncation order below 1, in the words
-    ``{name} must be >= 1``: the one rule of each count of a problem."""
+    """Refuse a dimension or a truncation order that is not an int (a
+    bool is not one), in the words ``{name} must be an integer``, or that
+    is below 1, in ``{name} must be >= 1``: the one rule of each count of
+    a problem."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise FormatError(f"{name} must be an integer")
     if value < 1:
         raise FormatError(f"{name} must be >= 1")
 
@@ -673,12 +575,12 @@ def checked_problem(m: int, n: int, rho: RationalMatrix, L: SpatialOperator, f: 
                     u0: ExprVec, u1: ExprVec, order: int) -> ProblemSpec:
     """The problem of these fields, whose trees must be normal, refused
     unless it obeys every rule of a problem, in the words of a problem
-    file; ``SpatialOperator`` checks its own terms.  The coefficients
-    and the initial data are converted to polynomials of the problem's
-    new ring, which sees a sum that is zero only as a polynomial, such as
-    (1+x1)*(1-x1)+x1^2-1.  Converting makes an atom of each variable and
-    the forcing is converted later, so a field uses t exactly when t is
-    an atom after it.  A tree keeps no byte offsets: ParseErrors are at 0."""
+    file; ``SpatialOperator`` checks its own terms.  Each tree may use
+    x1..xn, and only the forcing t.  The coefficients and the initial
+    data are converted to polynomials of the problem's new ring, which
+    sees a sum that is zero only as a polynomial, such as
+    (1+x1)*(1-x1)+x1^2-1.  A tree keeps no byte offsets: ParseErrors are
+    at 0."""
     for value, name in ((m, "field 'm'"), (n, "field 'n'"), (order, "field 'order'")):
         check_count(value, name)
     check_rho_shape(rho.entries, m)
@@ -687,17 +589,23 @@ def checked_problem(m: int, n: int, rho: RationalMatrix, L: SpatialOperator, f: 
     for name, vec in (("f", f), ("u0", u0), ("u1", u1)):
         if len(vec) != m:
             raise DimensionMismatch(f"field {name!r} has length {len(vec)}, expected {m}")
-    p = ProblemSpec(m, n, rho, invert(rho), L, f, u0, u1, order)
-    ring, time = problem_ring(p), Var(TIME_INDEX)
-    for name, vec in (("L[{}].coeff", [t.coeff for t in L.terms]), ("u0[{}]", u0), ("u1[{}]", u1)):
+    fields, walked = (("L[{}].coeff", [t.coeff for t in L.terms]), ("u0[{}]", u0), ("u1[{}]", u1)), {}
+    for name, vec in (*fields, ("f[{}]", f)):
         for i, tree in enumerate(vec):
-            where = name.format(i)
+            index, time = _variables(tree, walked)
+            if index > n:
+                raise UnknownIdentifier(
+                    f"{name.format(i)}: variable x{index} exceeds spatial dimension {n}", 0)
+            if time and vec is not f:
+                raise TimeNotAllowed(f"{name.format(i)}: the time symbol is not allowed here", 0)
+    p = ProblemSpec(m, n, rho, invert(rho), L, f, u0, u1, order)
+    ring = problem_ring(p)
+    for name, vec in fields:
+        for i, tree in enumerate(vec):
             try:
                 ring.from_tree(tree)
             except DomainError as exc:
-                raise ParseError(f"{where}: {exc}", 0) from exc
-            if time in ring.index:
-                raise TimeNotAllowed(f"{where}: the time symbol is not allowed here", 0)
+                raise ParseError(f"{name.format(i)}: {exc}", 0) from exc
     return p
 
 
@@ -720,6 +628,6 @@ def forcing_rows(p: ProblemSpec, order: int) -> Rows:
     stored ones, and only a larger order expands again."""
     per_component = vars(p).setdefault("_forcing", [])
     if not per_component or len(per_component[0]) <= order:
-        jets = _RingJets(problem_ring(p), order)
+        jets = _Jets(problem_ring(p), order)
         per_component[:] = [jets.expansion(c) for c in p.f_source]
     return [[c[j] for c in per_component] for j in range(order + 1)]

@@ -48,7 +48,6 @@ from pdeseries.expr import (
     normalize,
     sampled_deviation,
     sort_key,
-    substitute,
     too_large_power,
 )
 from pdeseries.parser import MAX_NESTING, _fmt_power
@@ -58,8 +57,6 @@ from pdeseries.series import (
     ProblemSpec,
     RationalMatrix,
     SpatialOperator,
-    _Jets,
-    expand_in_time,
     invert,
 )
 
@@ -225,10 +222,11 @@ def apply_by_differentiate(op, vec):
 
 
 def tree_forcing(p, order: int) -> list[tuple[Expr, ...]]:
-    """Per-degree forcing vectors f_0..f_order by ``expand_in_time``,
-    the jets on trees, one component at a time: apart from the ring
-    expansion that the engines use."""
-    per_component = [expand_in_time(c, order) for c in p.f_source]
+    """Per-degree forcing vectors f_0..f_order by ``RefTreeJets``, the
+    jets on trees, one component at a time: they share no code with the
+    ring jets that the engines use."""
+    jets = RefTreeJets(order)
+    per_component = [jets.expansion(c) for c in p.f_source]
     return [tuple(c[j] for c in per_component) for j in range(order + 1)]
 
 
@@ -364,15 +362,194 @@ def ref_engines(p, corrections: int) -> tuple[list, list]:
 
 
 # ---------------------------------------------------------------------------
+# The jets recursion on trees, as the package held it before its jets
+# moved onto polynomials; the two references below subclass it.  Sums add
+# term by term, products take a sparse Cauchy product, and a function or
+# a power of a series a_0 + h composes its Taylor series about a_0 with h.
+# ``_taylor`` and ``_compose`` are each subclass's own.
+# ---------------------------------------------------------------------------
+
+def _raw_subst(e, v, r):
+    """Substitution as first written: a raw tree, normalized after."""
+    if isinstance(e, Var):
+        return r if e.index == v else e
+    if isinstance(e, Const):
+        return e
+    if isinstance(e, Func):
+        return Func(e.name, _raw_subst(e.arg, v, r))
+    if isinstance(e, Pow):
+        return Pow(_raw_subst(e.base, v, r), e.exponent)
+    if isinstance(e, Prod):
+        return Prod(tuple(_raw_subst(f, v, r) for f in e.factors))
+    return Sum(tuple(_raw_subst(t, v, r) for t in e.terms))
+
+
+def _binomial(k: int, m: int) -> Fraction:
+    """Generalised binomial coefficient k(k-1)...(k-m+1)/m!."""
+    out = Fraction(1)
+    for i in range(m):
+        out = out * (k - i) / (i + 1)
+    return out
+
+
+class TreeJets:
+    """Truncated power series in time ("jets" [c_0..c_order]) of the
+    subtrees of one expansion, each built bottom-up from the jets of its
+    children; ``None`` stands for a time-free subtree e, whose jet is
+    [e, 0, ..., 0].  The recursion is written over hooks: ``_add``,
+    ``_mul``, ``_power``, ``_terms`` (what a product spreads over),
+    ``_leaf`` (a time-free subtree as a value) and ``_constant`` (the
+    rational a value is, or None)."""
+
+    _add, _mul, _power = staticmethod(esum), staticmethod(eprod), staticmethod(Expr.__pow__)
+
+    def __init__(self, order: int):
+        self.order = order
+        self.memo: dict[Expr, list | None] = {}
+
+    @staticmethod
+    def _terms(c: Expr) -> tuple[Expr, ...]:
+        return c.terms if isinstance(c, Sum) else (c,)
+
+    @staticmethod
+    def _leaf(e: Expr):
+        return e
+
+    @staticmethod
+    def _constant(c) -> Fraction | None:
+        return c.value if isinstance(c, Const) else None
+
+    def expansion(self, e: Expr) -> list:
+        """The jet of the normalized tree ``e``, time-free or not."""
+        jet = self.of(e)
+        return [self._leaf(e)] + [self._leaf(ZERO)] * self.order if jet is None else jet
+
+    def of(self, e: Expr) -> list | None:
+        if isinstance(e, Const):
+            return None
+        if isinstance(e, Var):
+            if e.index != TIME_INDEX:
+                return None
+            jet = [self._leaf(ZERO)] * (self.order + 1)
+            if self.order:
+                jet[1] = self._leaf(ONE)
+            return jet
+        try:
+            return self.memo[e]
+        except KeyError:
+            pass
+        if isinstance(e, Sum):
+            jet = self._sum(e)
+        elif isinstance(e, Prod):
+            jet = self._prod(e)
+        elif isinstance(e, Pow):
+            jet = self._pow(e)
+        else:
+            jet = self._func(e)
+        self.memo[e] = jet
+        return jet
+
+    def _sum(self, e: Sum) -> list | None:
+        jets = [self.of(t) for t in e.terms]
+        if all(j is None for j in jets):
+            return None
+        out = [self._add([self._leaf(t) if j is None else j[0] for t, j in zip(e.terms, jets)])]
+        live = [j for j in jets if j is not None]
+        for n in range(1, self.order + 1):
+            out.append(self._add([j[n] for j in live]))
+        return out
+
+    def _prod(self, e: Prod) -> list | None:
+        jets = [self.of(f) for f in e.factors]
+        if all(j is None for j in jets):
+            return None
+        free = self._mul([self._leaf(f) for f, j in zip(e.factors, jets) if j is None])
+        live = [j for j in jets if j is not None]
+        product = live[0]
+        for j in live[1:]:
+            product = self._cauchy(product, j)
+        # the time-free part stays one factor of every term, as the
+        # product rule would leave it; the jet's own zero stays as it is
+        out, zero = [self._mul([free, product[0]])], self._leaf(ZERO)
+        for c in product[1:]:
+            out.append(c if c is zero else self._add([self._mul([free, t]) for t in self._terms(c)]))
+        return out
+
+    def _cauchy(self, a: list, b: list, spread: bool = True) -> list:
+        """Truncated product of two jets.  Degree 0 is the plain product
+        of the constant terms.  Above it, with ``spread`` every a_i*b_j
+        is spread over the top-level terms of both sides, so like terms
+        collect as after the product rule; without, it is formed whole."""
+        n, mul = self.order, self._mul
+        terms = self._terms if spread else (lambda c: (c,))
+        live_a = [(i, terms(c)) for i, c in enumerate(a) if self._constant(c) != 0]
+        live_b = [(i, terms(c)) for i, c in enumerate(b) if self._constant(c) != 0]
+        parts: list[list] = [[] for _ in range(n + 1)]
+        for i, terms_a in live_a:
+            for j, terms_b in live_b:
+                if i + j > n:
+                    break
+                if i + j == 0:
+                    parts[0].append(mul([a[0], b[0]]))
+                    continue
+                target = parts[i + j]
+                for x in terms_a:
+                    for y in terms_b:
+                        target.append(mul([x, y]))
+        return [self._add(p) for p in parts]
+
+    def _span(self, h: list) -> int:
+        """Highest k for which h^k reaches the order, h with a zero
+        constant term."""
+        valuation = next((i for i, c in enumerate(h) if self._constant(c) != 0), None)
+        return 0 if valuation is None else self.order // valuation
+
+    def _func(self, e: Func) -> list | None:
+        a = self.of(e.arg)
+        a0 = self._leaf(e.arg) if a is None else a[0]
+        if e.name == "ln" and (c := self._constant(a0)) is not None and c <= 0:
+            raise ExpansionSingular("ln argument vanishes or is negative at time zero")
+        if a is None:
+            return None
+        h = [self._leaf(ZERO), *a[1:]]
+        return self._compose(self._taylor(e.name, a0, self._span(h) + 1), h)
+
+    def _pow(self, e: Pow) -> list | None:
+        b = self.of(e.base)
+        if b is None:
+            return None
+        k, b0 = e.exponent, b[0]
+        c = self._constant(b0)
+        if k < 0 and c == 0:
+            raise ExpansionSingular(
+                "negative power of a series that vanishes at time zero"
+            )
+        if c is not None and too_large_power(c, k):
+            raise ExpansionSingular(
+                "power of a constant too large to represent at time zero"
+            )
+        # the binomial series (b_0 + h)^k = sum_m C(k, m) b_0^(k-m) h^m,
+        # which for b_0 = 0 keeps only h^k
+        h = [self._leaf(ZERO), *b[1:]]
+        count = self._span(h) + 1 if k < 0 else min(self._span(h), k) + 1
+        taylor = [
+            self._mul([self._leaf(Const(_binomial(k, m))), self._power(b0, k - m)])
+            for m in range(count)
+        ]
+        return self._compose(taylor, h)
+
+
+# ---------------------------------------------------------------------------
 # The tree jets as first written: f^(k)(a0)/k! from differentiating the
 # one-node tree f(t) k times and substituting a0, every power h^k of the
 # argument by truncated products, and the time-free factor of a product
 # multiplied into every coefficient
 # ---------------------------------------------------------------------------
 
-class RefTreeJets(_Jets):
-    """``_Jets`` with its ``_taylor``, ``_prod`` and ``_compose`` as
-    first written, verbatim."""
+class RefTreeJets(TreeJets):
+    """``TreeJets`` with its ``_taylor``, ``_prod`` and ``_compose`` as
+    first written, verbatim but for substitution, which is
+    ``_raw_subst`` normalized after."""
 
     def __init__(self, order: int):
         super().__init__(order)
@@ -383,7 +560,8 @@ class RefTreeJets(_Jets):
         memo, derivatives = self.derivatives.setdefault(name, ({}, [Func(name, Var(TIME_INDEX))]))
         while len(derivatives) < count:
             derivatives.append(_diff(derivatives[-1], TIME_INDEX, memo))
-        return [eprod([Const(Fraction(1, math.factorial(k))), substitute(d, TIME_INDEX, a0)])
+        return [eprod([Const(Fraction(1, math.factorial(k))),
+                       tree_ref_normalize(_raw_subst(d, TIME_INDEX, a0))])
                 for k, d in enumerate(derivatives[:count])]
 
     def _prod(self, e: Prod) -> list | None:
@@ -428,7 +606,7 @@ class RefTreeJets(_Jets):
 # composes its Taylor series about a_0 with the rest of the argument's jet
 # ---------------------------------------------------------------------------
 
-class RefRingJets(_Jets):
+class RefRingJets(TreeJets):
     """The same recursion on polynomials of ``ring``.  f^(k)(a0)/k!
     comes from differentiating f(t) in a small ring of its own, then
     mapping t to a0 and each g(t) there to g(a0), monomial by monomial."""
@@ -468,7 +646,7 @@ class RefRingJets(_Jets):
             for m, c in derivatives[k].num.items()
         ]) for k in range(count)]
 
-    # _Jets's composition, which the class above runs for every function
+    # the tree jets' composition, which the class above runs for every function
 
     def _cauchy(self, a: list, b: list, spread: bool = True) -> list:
         """Truncated product of two jets.  Degree 0 is the plain product

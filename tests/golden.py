@@ -322,8 +322,12 @@ GOLDEN = {
         (0, 'ea637a3c418b8b7d7ab1dde457c4df9191cde347', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
     ('expand', '--expr', 'exp(t)*sin(x1+t)*cos(x2)', '--order', '18'):
         (0, '8a1fdcdec9e536c17e877f1c0aca1888f63c926d', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+    # re-recorded when expand moved from jets on trees to the ring jets
+    # of the engines, which multiply out tanh(a)*(1 - tanh(a)^2): the same
+    # values, 7279 bytes before and 5250 after (so too the two scaled
+    # forms of it below, and tanh(2*x1 + 4*x2 + t^3), 453 and 322 bytes)
     ('expand', '--expr', 'exp(sin(x1*t))*tanh(t+x2)', '--order', '12'):
-        (0, '441d2c1f3b5c0ce69aa3d257659656adcc2a389f', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+        (0, '757f7a2c63d504e65eb2f95aed71093e0339ba2f', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
     ('expand', '--expr', 'sinh(x1+t^2)*exp(-t*x2)', '--order', '14'):
         (0, '451f93bc4158b074eb76f72707e2902c47cf5238', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
     ('expand', '--expr', 'cosh(x1*t)*sin(t^2+x2)*exp(t)', '--order', '10'):
@@ -354,7 +358,7 @@ GOLDEN = {
     ('expand', '--expr=7*(exp(t)*sin(x1+t)*cos(x2))', '--order', '18'):
         (0, '948e0939a861512ff21f8b7354fe5e06db5ff0bb', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
     ('expand', '--expr=7*(exp(sin(x1*t))*tanh(t+x2))', '--order', '12'):
-        (0, '6d4bba52640e514996c68a13d62d2c91a454841f', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+        (0, '81979c17cd1c296405663a1de06f3ead3d1a67da', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
     ('expand', '--expr=7*(sinh(x1+t^2)*exp(-t*x2))', '--order', '14'):
         (0, 'b046bd3a487fe0b4562a2782a963609439804cc2', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
     ('expand', '--expr=7*(cosh(x1*t)*sin(t^2+x2)*exp(t))', '--order', '10'):
@@ -362,7 +366,7 @@ GOLDEN = {
     ('expand', '--expr=-3/5*(exp(t)*sin(x1+t)*cos(x2))', '--order', '18'):
         (0, '419d438d16ca1960c091006e8306090b0b176156', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
     ('expand', '--expr=-3/5*(exp(sin(x1*t))*tanh(t+x2))', '--order', '12'):
-        (0, 'ceede88857adfd44a0a526de136ba1ad17985883', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+        (0, 'effc31b18e92b1e6e49f800c43eb1945a33aa778', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
     ('expand', '--expr=-3/5*(sinh(x1+t^2)*exp(-t*x2))', '--order', '14'):
         (0, '6ab7b5aa45d5ae43a5f08e4299193c79d607a398', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
     ('expand', '--expr=-3/5*(cosh(x1*t)*sin(t^2+x2)*exp(t))', '--order', '10'):
@@ -380,7 +384,7 @@ GOLDEN = {
     ('expand', '--expr', 'tanh(t)', '--order', '30'):
         (0, '4c20b22eb0f43b28113383e22c4970770d1347e1', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
     ('expand', '--expr', 'tanh(2*x1 + 4*x2 + t^3)', '--order', '15'):
-        (0, '283865a3356db678a1bcde4f03de2d505dbe8dde', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
+        (0, 'fce4ed0014ba3863ce2b7209eee1b0894e26cba0', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
     ('expand', '--expr', 'cos(x1 + 2*t)', '--order', '16'):
         (0, '4dda85c5e2d4af3600d5efc648b13f305d71a7db', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
     ('expand', '--expr', 'sin(t/3 + x1)', '--order', '16'):

@@ -18,6 +18,7 @@ from pdeseries.cli import build_parser, main
 from pdeseries.errors import FormatError
 from pdeseries.parser import load_problem, parse_expr, parse_problem
 from pdeseries.poly import Ring
+from pdeseries.series import ProblemSpec
 
 from conftest import problem_path
 
@@ -178,10 +179,17 @@ class TestForcedProblem:
         assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
 
+def _recreated(p: ProblemSpec, **fields) -> ProblemSpec:
+    """``ProblemSpec.create`` of the fields of ``p``, some of them replaced."""
+    args = dict(m=p.m, n=p.n, rho=p.rho, L=p.L, f=p.f_source, u0=p.u0, u1=p.u1, order=p.order)
+    return ProblemSpec.create(**{**args, **fields})
+
+
 class TestExpand:
     @pytest.mark.parametrize("text,order,sha1", [
         ("exp(t)*sin(x1+t)*cos(x2)", "18", "8a1fdcdec9e536c17e877f1c0aca1888f63c926d"),
-        ("exp(sin(x1*t))*tanh(t+x2)", "12", "441d2c1f3b5c0ce69aa3d257659656adcc2a389f"),
+        # the ring multiplies out tanh(x2)*(1 - tanh(x2)^2)
+        ("exp(sin(x1*t))*tanh(t+x2)", "12", "757f7a2c63d504e65eb2f95aed71093e0339ba2f"),
         ("sinh(x1+t^2)*exp(-t*x2)", "14", "451f93bc4158b074eb76f72707e2902c47cf5238"),
         ("cosh(x1*t)*sin(t^2+x2)*exp(t)", "10", "f070d8febfdae5c280c94573bd431a86dc827d2f"),
     ])
@@ -512,6 +520,27 @@ class TestErrorsAndExitCodes:
         with pytest.raises(FormatError) as err:
             refuse()
         assert str(err.value) == f"{name} must be >= 1"
+        assert err.traceback[-1].name == "check_count"
+
+    # so is a count that is not an int, a bool among them, in the words a
+    # problem file's type check used
+    @pytest.mark.parametrize("refuse,name", [
+        (lambda: load_problem(WAVE).with_order(2.5), "truncation order"),
+        (lambda: load_problem(WAVE).with_order(3.0), "truncation order"),
+        (lambda: load_problem(WAVE).with_order(True), "truncation order"),
+        (lambda: parse_expr("x1", 1.5), "spatial dimension"),
+        (lambda: parse_expr("x1", True), "spatial dimension"),
+        (lambda: _recreated(load_problem(WAVE), order=6.0), "field 'order'"),
+        (lambda: _recreated(load_problem(WAVE), n=True), "field 'n'"),
+        (lambda: parse_problem(json.dumps({**json.loads(Path(WAVE).read_text()), "order": 6.0})),
+         "field 'order'"),
+        (lambda: parse_problem(json.dumps({**json.loads(Path(WAVE).read_text()), "m": True})),
+         "field 'm'"),
+    ])
+    def test_each_count_that_is_not_an_int_is_refused_by_the_one_rule(self, refuse, name):
+        with pytest.raises(FormatError) as err:
+            refuse()
+        assert str(err.value) == f"{name} must be an integer"
         assert err.traceback[-1].name == "check_count"
 
     @pytest.mark.parametrize("fmt", [(), ("--format", "json")])

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     PLAN,
+    RefTreeJets,
     random_normal_expr,
     random_numeric_expr,
     random_raw_expr,
@@ -46,12 +47,10 @@ from pdeseries.expr import (
     normalize,
     sampled_deviation,
     sort_key,
-    substitute,
     var,
 )
 from pdeseries.parser import parse_expr, print_expr
 from pdeseries.poly import Poly, Ring
-from pdeseries.series import expand_in_time
 
 
 def _reference_eval(e, point, time=None):
@@ -328,6 +327,24 @@ class TestNormalize:
     def test_collect_like_terms(self):
         e = Sum((Var(1), ZERO, Var(1)))
         assert normalize(e) == Prod((const(2), Var(1)))
+
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_repeated_subtree_is_normalized_once(self, monkeypatch, k):
+        _, shared = _repeating(k)
+        raw = Sum(tuple(Prod((Pow(Var(2), j + 2), shared)) for j in range(1, k + 1)))
+        calls = []
+        original = expr._func
+
+        def counting(name, arg):
+            calls.append((name, arg))
+            return original(name, arg)
+
+        monkeypatch.setattr(expr, "_func", counting)
+        got = normalize(raw)
+        # the shared subtree holds four functions, whatever k
+        assert len(calls) == 4
+        monkeypatch.undo()
+        assert got == tree_ref_normalize(raw)
 
     def test_unit_factor_removal(self):
         e = Prod((ONE, Func("sin", Var(1)), ONE))
@@ -727,8 +744,9 @@ class TestNodeReuse:
 
 class TestContentCache:
     def test_each_sum_content_is_computed_once_in_an_expansion(self, monkeypatch):
-        # the work the cache saves: without it the expansion below
-        # computes the content of one sum node up to 83 times
+        # the work the cache saves: the tree jets below, with every call
+        # of _sum_content computing the split anew, compute the content
+        # of one sum node 229 times
         computed = []
         original = expr._content_split
 
@@ -737,66 +755,9 @@ class TestContentCache:
             return original(s)
 
         monkeypatch.setattr(expr, "_content_split", counting)
-        expand_in_time(parse_expr("exp(sin(x1*t))*tanh(t+x2)", 2, allow_time=True), 12)
+        RefTreeJets(12).expansion(parse_expr("exp(sin(x1*t))*tanh(t+x2)", 2, allow_time=True))
         counts = Counter(map(id, computed))
         assert computed and max(counts.values()) == 1
-
-
-def _raw_subst(e, v, r):
-    """Substitution as first written: a raw tree, normalized after."""
-    if isinstance(e, Var):
-        return r if e.index == v else e
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Func):
-        return Func(e.name, _raw_subst(e.arg, v, r))
-    if isinstance(e, Pow):
-        return Pow(_raw_subst(e.base, v, r), e.exponent)
-    if isinstance(e, Prod):
-        return Prod(tuple(_raw_subst(f, v, r) for f in e.factors))
-    return Sum(tuple(_raw_subst(t, v, r) for t in e.terms))
-
-
-class TestSubstitute:
-    @given(st.integers(min_value=0, max_value=10**6))
-    def test_same_trees_as_substituting_then_normalizing(self, seed):
-        rng = random.Random(seed)
-        e = random_raw_expr(rng, depth=4, n_vars=2, allow_time=True)
-        r = random_raw_expr(rng, depth=2, n_vars=2)
-        for v in (0, 1, 2):
-            want = _kernel_outcome(lambda x: tree_ref_normalize(_raw_subst(x, v, r)), e)
-            assert _kernel_outcome(substitute, e, v, r) == want
-
-    @pytest.mark.parametrize("k", [1, 4, 16])
-    def test_repeated_subtree_is_normalized_once(self, monkeypatch, k):
-        e, shared = _repeating(k)
-        calls = []
-        original = expr._func
-
-        def counting(name, arg):
-            calls.append((name, arg))
-            return original(name, arg)
-
-        monkeypatch.setattr(expr, "_func", counting)
-        got = substitute(e, 2, parse_expr("x1 + 1", 1))
-        # the shared subtree holds four functions, whatever k
-        assert len(calls) == 4
-        monkeypatch.undo()
-        assert got == normalize(_raw_subst(e, 2, parse_expr("x1 + 1", 1)))
-
-    def test_replacement_is_normalized_only_where_the_variable_occurs(self):
-        bad = Pow(Const(Fraction(0)), -1)
-        assert substitute(parse_expr("x1 + 1", 1), 2, bad) == parse_expr("x1 + 1", 1)
-        with pytest.raises(DomainError):
-            substitute(parse_expr("x1 + x2", 2), 2, bad)
-
-    def test_replaces_variable(self):
-        e = parse_expr("x1^2 + x2", 2)
-        assert substitute(e, 1, const(2)) == parse_expr("4 + x2", 2)
-
-    def test_substitution_normalizes(self):
-        e = parse_expr("x1 - x2", 2)
-        assert substitute(e, 1, Var(2)) == ZERO
 
 
 class TestEqualSampled:

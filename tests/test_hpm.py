@@ -194,13 +194,13 @@ class TestStructuralLaws:
     def test_audit_sees_a_fault_in_the_ring_forcing(self, monkeypatch):
         # the audit expands the forcing by jets on trees, so a fault in
         # the engines' expansion in the ring cannot cancel out
-        expansion = series._RingJets.expansion
+        expansion = series._Jets.expansion
 
         def faulty(self, e):
             jet = expansion(self, e)
             return [scale(c, 2) if d == 1 else c for d, c in enumerate(jet)]
 
-        monkeypatch.setattr(series._RingJets, "expansion", faulty)
+        monkeypatch.setattr(series._Jets, "expansion", faulty)
         p = load_problem(problem_path("forced_wave_2d.prob"))
         h = solve_hpm(p, 2)
         assert correction_audit_max_deviation(p, h, PLAN) > PLAN.tolerance

@@ -97,6 +97,19 @@ def test_the_jets_neither_differentiate_nor_substitute_trees():
     assert imported.isdisjoint({"_diff", "substitute"})
 
 
+def test_one_jets_kernel_on_the_ring():
+    # expand and the engines expand in time by one class, on polynomials;
+    # no tree is summed or multiplied in series.py, and expand prints rows
+    series = ast.parse((PACKAGE / "series.py").read_text(encoding="utf-8"))
+    classes = [node.name for node in series.body if isinstance(node, ast.ClassDef)]
+    assert [name for name in classes if "Jets" in name] == ["_Jets"]
+    imported = {alias.name for node in ast.walk(series) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert imported.isdisjoint({"esum", "eprod"})
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert "print_expr" not in _names(cli)
+
+
 def test_the_cli_states_only_the_rules_no_api_function_has():
     # the API owns the counts, so --corrections, --order and --dim errors
     # carry its words; only --expr has no rule in the API

@@ -351,7 +351,7 @@ class TestParsingIsNormalizing:
             return
         got = parse_expr(text, 2, allow_time=True)
         # a fixed point of normalize, so the CLI expands it without
-        # normalizing it again (series.expand_normal)
+        # normalizing it again (series.expand_rows)
         assert got == want and normalize(got) == got
 
     @pytest.mark.parametrize("text", [e for e, _ in EXPANSIONS + RULE_EXPANSIONS] + [
@@ -703,12 +703,12 @@ def _problem_text(p: ProblemSpec) -> str:
 
 def _create(text: str) -> ProblemSpec:
     """ProblemSpec.create of the fields of a problem file, each parsed
-    alone and with the time symbol allowed, so that create, not the
-    grammar, refuses it where a problem does."""
+    alone, with the time symbol allowed and variables up to x9, so that
+    create, not the grammar, refuses it where a problem does."""
     doc = json.loads(text)
     m, n = doc["m"], doc["n"]
     rho = RationalMatrix.from_rows([[Fraction(x) for x in row] for row in doc["rho"]])
-    dim = max(n, 1)  # the grammar needs a dimension of 1 at least; create judges n
+    dim = max(n, 9)  # the grammar refuses a variable past its dimension; create judges n
     terms = tuple(OperatorTerm(t["row"], t["col"], parse_expr(t["coeff"], dim, allow_time=True),
                                tuple(t["derivs"]))
                   for t in doc["L"])
@@ -774,6 +774,11 @@ class TestProblemBuiltDirectly:
         # a count below 1, with no term and no variable left to read it
         lambda d: d.update(n=0, L=[], f=["t"], u1=["1"]),
         lambda d: d.update(m=0, L=[]),
+        # a variable past n
+        lambda d: d["L"][1].update(coeff="x3"),
+        lambda d: d.update(f=["x9*t"]),
+        lambda d: d.update(u0=["x5"]),
+        lambda d: d.update(u1=["1 + x3"]),
     ])
     def test_both_paths_refuse_a_fault_alike(self, mutate):
         doc = _base_doc()
