@@ -589,14 +589,15 @@ def checked_problem(m: int, n: int, rho: RationalMatrix, L: SpatialOperator, f: 
     for name, vec in (("f", f), ("u0", u0), ("u1", u1)):
         if len(vec) != m:
             raise DimensionMismatch(f"field {name!r} has length {len(vec)}, expected {m}")
-    fields, walked = (("L[{}].coeff", [t.coeff for t in L.terms]), ("u0[{}]", u0), ("u1[{}]", u1)), {}
+    fields = (("L[{}].coeff", [t.coeff for t in L.terms]), ("u0[{}]", u0), ("u1[{}]", u1))
+    walked: dict = {}
     for name, vec in (*fields, ("f[{}]", f)):
         for i, tree in enumerate(vec):
             index, time = _variables(tree, walked)
             if index > n:
                 raise UnknownIdentifier(
                     f"{name.format(i)}: variable x{index} exceeds spatial dimension {n}", 0)
-            if time and vec is not f:
+            if time and name != "f[{}]":
                 raise TimeNotAllowed(f"{name.format(i)}: the time symbol is not allowed here", 0)
     p = ProblemSpec(m, n, rho, invert(rho), L, f, u0, u1, order)
     ring = problem_ring(p)

@@ -74,6 +74,7 @@ from pdeseries.series import (
     SpatialOperator,
     TimeSeriesVec,
     apply_rows,
+    checked_problem,
     expand_in_time,
     expand_rows,
     forcing_rows,
@@ -933,6 +934,9 @@ class TestErrorPaths:
          "field 'u0' has length 2, expected 1"),
         (lambda: _problem(u1=(Var(TIME_INDEX),)), TimeNotAllowed,
          "u1[0]: the time symbol is not allowed here at offset 0"),
+        # a field that is the forcing's own tuple is still not the forcing
+        (lambda t=(Var(TIME_INDEX),): checked_problem(1, 1, _I1, _D2, t, t, (ZERO,), 1),
+         TimeNotAllowed, "u0[0]: the time symbol is not allowed here at offset 0"),
         # the polynomial of u0 is 1, but its tree uses t
         (lambda: _problem(u0=(parse_expr("(1+t)*(1-t)+t^2", 1, allow_time=True),)),
          TimeNotAllowed, "u0[0]: the time symbol is not allowed here at offset 0"),
