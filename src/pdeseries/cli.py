@@ -192,7 +192,7 @@ def _cmd_expand(args) -> int:
         # argparse before Python 3.12 turns --expr=-- into an empty list
         raise ValueError("--expr needs an expression")
     expression = parse_expr(args.expr, args.dim, allow_time=True)
-    rendered = print_polys(*expand_rows(expression, args.order))
+    rendered = print_polys(*expand_rows(expression, args.order), factored=True)
     if args.output_format == "json":
         sys.stdout.write(_render_json({"coefficients": rendered}))
     else:

@@ -343,14 +343,16 @@ def _fmt(e: Expr) -> str:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def print_polys(ring: Ring, polys: list[Poly]) -> list[str]:
+def print_polys(ring: Ring, polys: list[Poly], factored: bool = False) -> list[str]:
     """``print_expr(ring.to_tree(p))`` of each of ``polys``, and the
     DomainError of the first that raises one, without building trees:
     the monomials of all ``polys`` are ranked once by the keys that
     ``_monomial`` gives them, the constant (key (0,)) first, and each
     polynomial writes its terms by rank.  ``esum`` and ``eprod`` spread a
     sum atom to the first power that is next to other terms or times a
-    rational other than 1: such a polynomial prints from its tree."""
+    rational other than 1: such a polynomial prints from its tree, and
+    so, where ``factored``, does one that ``Ring.factored`` writes as a
+    product."""
     atoms: dict[int, tuple] = {}
     printed = {m: _monomial(ring, atoms, m) if m else ((0,), "", False)
                for m in set().union(*[p.num for p in polys])}
@@ -361,6 +363,9 @@ def print_polys(ring: Ring, polys: list[Poly]) -> list[str]:
         num, den = p.num, p.den
         if not num:
             out.append("0")
+            continue
+        if factored and (tree := ring.factored(p)) is not None:
+            out.append(print_expr(tree))
             continue
         if not sums.isdisjoint(num) and (len(num) > 1 or den != 1 or 1 not in num.values()):
             out.append(print_expr(ring.to_tree(p)))

@@ -270,6 +270,45 @@ class Ring:
             for m, c in p.num.items()
         )
 
+    def factored(self, p: Poly) -> Expr | None:
+        """The tree of ``p`` with each power s^k of s = 1 - tanh(a)^2,
+        tanh(a) an atom, taken out, k as large as divides, where the
+        quotient and s have fewer terms and atom factors than ``p``; None
+        where none is.  tanh's derivative is s, which its jets multiply out."""
+        def size(q: Poly) -> int:
+            return sum(1 + sum(map(bool, self.exponents(m))) for m in q.num)
+
+        factors = []
+        for i, tree in enumerate(self.trees):
+            k, q = 0, p
+            while isinstance(tree, Func) and tree.name == "tanh" and (r := self._over_sech2(q, i)):
+                k, q = k + 1, r
+            if k and size(q) + 3 < size(p):
+                s = self.to_tree(Poly({0: 1, 2 << self.width * i: -1}))
+                p, factors = q, [*factors, s if k == 1 else Pow(s, k)]
+        return eprod([self.to_tree(p), *factors]) if factors else None
+
+    def _over_sech2(self, p: Poly, i: int) -> Poly | None:
+        """p / (1 - T^2), T atom i, or None where that does not divide a
+        nonzero p: per monomial of the other atoms and parity of T's
+        exponent e, the quotient's coefficient at e is the running sum of
+        p's, which ends at 0, as p does at T = 1 and at every atom 1."""
+        if not p.num or sum(p.num.values()):
+            return None
+        shift, runs, out = self.width * i, {}, {}
+        for m, c in p.num.items():
+            e = ((m + self.bias) >> shift & self.mask) - self.half
+            runs.setdefault((m - (e << shift), e & 1), {})[e] = c
+        for (rest, _), cs in runs.items():
+            run = 0
+            for e in range(min(cs), max(cs) + 1, 2):
+                run += cs.get(e, 0)
+                if run:
+                    out[rest + (e << shift)] = run
+            if run:
+                return None
+        return Poly(out, p.den, p.top)
+
     def power(self, p: Poly, k: int) -> Poly:
         if k == 0:
             return ONE

@@ -230,7 +230,9 @@ def expand_rows(e: Expr, order: int) -> tuple[Ring, list[Poly]]:
     zero (ln of a series whose constant term is zero or a constant
     <= 0, anywhere in the tree; a negative power of a series whose
     constant term is zero), or where a constant term raised to the
-    exponent would be too large to represent."""
+    exponent would be too large to represent; FormatError where
+    ``order`` is not an int."""
+    check_integer(order, "expansion order")
     if order < 0:
         raise ValueError("expansion order must be nonnegative")
     ring = Ring(e)
@@ -239,9 +241,9 @@ def expand_rows(e: Expr, order: int) -> tuple[Ring, list[Poly]]:
 
 def expand_in_time(e: Expr, order: int) -> ExprVec:
     """``expand_rows`` of the normalized ``e``, each coefficient as the
-    tree ``Ring.to_tree`` makes of it."""
+    tree ``Ring.factored`` makes of it, or else ``Ring.to_tree``."""
     ring, rows = expand_rows(normalize(e), order)
-    return tuple(map(ring.to_tree, rows))
+    return tuple(ring.factored(p) or ring.to_tree(p) for p in rows)
 
 
 def _binomial(k: int, m: int) -> Fraction:
@@ -552,13 +554,18 @@ class ProblemSpec:
     __getstate__ = _fields  # the problem, not its caches
 
 
-def check_count(value: int, name: str) -> None:
-    """Refuse a dimension or a truncation order that is not an int (a
-    bool is not one), in the words ``{name} must be an integer``, or that
-    is below 1, in ``{name} must be >= 1``: the one rule of each count of
-    a problem."""
+def check_integer(value: int, name: str) -> None:
+    """Refuse a count that is not an int (a bool is not one), in the
+    words ``{name} must be an integer``."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise FormatError(f"{name} must be an integer")
+
+
+def check_count(value: int, name: str) -> None:
+    """Refuse a dimension or a truncation order that ``check_integer``
+    refuses, or that is below 1, in the words ``{name} must be >= 1``:
+    the one rule of each count of a problem."""
+    check_integer(value, name)
     if value < 1:
         raise FormatError(f"{name} must be >= 1")
 
@@ -579,8 +586,10 @@ def checked_problem(m: int, n: int, rho: RationalMatrix, L: SpatialOperator, f: 
     x1..xn, and only the forcing t.  The coefficients and the initial
     data are converted to polynomials of the problem's new ring, which
     sees a sum that is zero only as a polynomial, such as
-    (1+x1)*(1-x1)+x1^2-1.  A tree keeps no byte offsets: ParseErrors are
-    at 0."""
+    (1+x1)*(1-x1)+x1^2-1.  rho is inverted first, then each tree is
+    checked in turn, L's coefficients, u0, u1 and f: its variables, its
+    polynomial, its use of t.  A tree keeps no byte offsets: ParseErrors
+    are at 0."""
     for value, name in ((m, "field 'm'"), (n, "field 'n'"), (order, "field 'order'")):
         check_count(value, name)
     check_rho_shape(rho.entries, m)
@@ -589,24 +598,21 @@ def checked_problem(m: int, n: int, rho: RationalMatrix, L: SpatialOperator, f: 
     for name, vec in (("f", f), ("u0", u0), ("u1", u1)):
         if len(vec) != m:
             raise DimensionMismatch(f"field {name!r} has length {len(vec)}, expected {m}")
-    fields = (("L[{}].coeff", [t.coeff for t in L.terms]), ("u0[{}]", u0), ("u1[{}]", u1))
-    walked: dict = {}
-    for name, vec in (*fields, ("f[{}]", f)):
-        for i, tree in enumerate(vec):
-            index, time = _variables(tree, walked)
-            if index > n:
-                raise UnknownIdentifier(
-                    f"{name.format(i)}: variable x{index} exceeds spatial dimension {n}", 0)
-            if time and name != "f[{}]":
-                raise TimeNotAllowed(f"{name.format(i)}: the time symbol is not allowed here", 0)
     p = ProblemSpec(m, n, rho, invert(rho), L, f, u0, u1, order)
-    ring = problem_ring(p)
-    for name, vec in fields:
+    ring, walked = problem_ring(p), {}
+    for name, vec in (("L[{}].coeff", [t.coeff for t in L.terms]), ("u0[{}]", u0), ("u1[{}]", u1),
+                      ("f[{}]", f)):
         for i, tree in enumerate(vec):
-            try:
-                ring.from_tree(tree)
-            except DomainError as exc:
-                raise ParseError(f"{name.format(i)}: {exc}", 0) from exc
+            where, (index, time) = name.format(i), _variables(tree, walked)
+            if index > n:
+                raise UnknownIdentifier(f"{where}: variable x{index} exceeds spatial dimension {n}", 0)
+            if name != "f[{}]":
+                try:
+                    ring.from_tree(tree)
+                except DomainError as exc:
+                    raise ParseError(f"{where}: {exc}", 0) from exc
+                if time:
+                    raise TimeNotAllowed(f"{where}: the time symbol is not allowed here", 0)
     return p
 
 

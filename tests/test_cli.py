@@ -18,7 +18,7 @@ from pdeseries.cli import build_parser, main
 from pdeseries.errors import FormatError
 from pdeseries.parser import load_problem, parse_expr, parse_problem
 from pdeseries.poly import Ring
-from pdeseries.series import ProblemSpec
+from pdeseries.series import ProblemSpec, expand_rows
 
 from conftest import problem_path
 
@@ -188,8 +188,9 @@ def _recreated(p: ProblemSpec, **fields) -> ProblemSpec:
 class TestExpand:
     @pytest.mark.parametrize("text,order,sha1", [
         ("exp(t)*sin(x1+t)*cos(x2)", "18", "8a1fdcdec9e536c17e877f1c0aca1888f63c926d"),
-        # the ring multiplies out tanh(x2)*(1 - tanh(x2)^2)
-        ("exp(sin(x1*t))*tanh(t+x2)", "12", "757f7a2c63d504e65eb2f95aed71093e0339ba2f"),
+        # the ring multiplies out tanh(x2)*(1 - tanh(x2)^2), and expand takes
+        # 1 - tanh(x2)^2 out of degree 3 again
+        ("exp(sin(x1*t))*tanh(t+x2)", "12", "1154235cf5d766f23b6e5cb5951ecba4aae21ece"),
         ("sinh(x1+t^2)*exp(-t*x2)", "14", "451f93bc4158b074eb76f72707e2902c47cf5238"),
         ("cosh(x1*t)*sin(t^2+x2)*exp(t)", "10", "f070d8febfdae5c280c94573bd431a86dc827d2f"),
     ])
@@ -457,6 +458,22 @@ class TestErrorsAndExitCodes:
         assert run(capsys, "solve", str(path)) == (
             2, "", "error: u0[0]: zero raised to a negative power at offset 0\n")
 
+    @pytest.mark.parametrize("text", [
+        "((1+x1)*(1-x1)+x1^2-1)^(-1)", "t*((1+x1)*(1-x1)+x1^2-1)^(-1)",
+    ])
+    def test_hidden_zero_to_a_negative_power_is_refused_by_expand_as_by_solve(
+            self, tmp_path, capsys, text):
+        doc = {
+            "m": 1, "n": 1, "rho": [["1"]],
+            "L": [{"row": 0, "col": 0, "coeff": "1", "derivs": [2]}],
+            "f": [text], "u0": ["0"], "u1": ["0"], "order": 4,
+        }
+        path = tmp_path / "hidden.prob"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        want = (2, "", "error: zero raised to a negative power\n")
+        assert run(capsys, "expand", "--expr", text, "--order", "3") == want
+        assert run(capsys, "solve", str(path)) == want
+
     @pytest.mark.parametrize("forcing,message", [
         # a constant term that is a zero polynomial, though not the tree 0
         ("ln((1+x1)*(1-x1)+x1^2-1+t)", "ln argument vanishes or is negative at time zero"),
@@ -536,12 +553,14 @@ class TestErrorsAndExitCodes:
          "field 'order'"),
         (lambda: parse_problem(json.dumps({**json.loads(Path(WAVE).read_text()), "m": True})),
          "field 'm'"),
+        (lambda: expand_rows(parse_expr("x1", 1), True), "expansion order"),
+        (lambda: expand_rows(parse_expr("x1", 1), 2.5), "expansion order"),
     ])
     def test_each_count_that_is_not_an_int_is_refused_by_the_one_rule(self, refuse, name):
         with pytest.raises(FormatError) as err:
             refuse()
         assert str(err.value) == f"{name} must be an integer"
-        assert err.traceback[-1].name == "check_count"
+        assert err.traceback[-1].name == "check_integer"
 
     @pytest.mark.parametrize("fmt", [(), ("--format", "json")])
     def test_coefficient_past_the_digit_limit_prints_nothing(self, tmp_path, capsys, fmt):

@@ -553,6 +553,55 @@ class TestBatchPrinter:
             sys.set_int_max_str_digits(limit)
 
 
+def _sech2(ring: Ring, text: str):
+    """1 - tanh(a)^2 and tanh(a), polynomials of ``ring``, a the text."""
+    tanh = ring.from_tree(parse_expr(f"tanh({text})", 2))
+    return sub(ONE, mul(tanh, tanh)), tanh
+
+
+class TestFactored:
+    @given(SEEDS, st.integers(0, 3), st.integers(0, 3), st.integers(-2, 2))
+    @settings(max_examples=60)
+    def test_takes_out_the_powers_that_divide_and_keeps_the_value(self, seed, k1, k2, j):
+        ring, (q,) = _random_polys(seed, 1)
+        (s1, t1), (s2, t2) = _sech2(ring, "x1"), _sech2(ring, "x1 + 2*x2")
+        q = add(q, ring.power(t1, j), mul(t2, ring.from_tree(Var(2))))
+        p = ring.product([q, *[s1] * k1, *[s2] * k2])
+        for s, t, k in ((s1, t1, k1), (s2, t2, k2)):
+            i = ring.index[ring.to_tree(t)]
+            r = p
+            for _ in range(k):
+                r = ring._over_sech2(r, i)
+                assert r is not None
+            assert ring.product([r, *[s] * k]) == p
+        tree = ring.factored(p)
+        if tree is not None:
+            assert ring.from_tree(tree) == p
+            assert print_polys(ring, [p], factored=True) == [print_expr(tree)]
+        else:
+            assert print_polys(ring, [p], factored=True) == [print_expr(ring.to_tree(p))]
+
+    @pytest.mark.parametrize("text,printed", [
+        # nothing taken out: one power of 1 - tanh^2 is no shorter
+        ("1 - tanh(x1)^2", None),
+        ("-tanh(x1) + tanh(x1)^3", None),
+        ("-1/3 + 4/3*tanh(x1)^2 - tanh(x1)^4", None),
+        ("1 + tanh(x1)^2 - tanh(x1)^4", None),  # not divided
+        ("(1 - tanh(x1)^2)*(1 - tanh(x2)^2)", "(1 - tanh(x1)^2)*(1 - tanh(x2)^2)"),
+        ("-1/2*(x1 + x2 + tanh(x1)^(-1))*(1 - tanh(x1)^2)^2",
+         "-1/2*(1 - tanh(x1)^2)^2*(x1 + x2 + tanh(x1)^(-1))"),
+        ("3*(1 - tanh(x2)^2)^3*(1 - tanh(x1)^2)*tanh(x1)",
+         "3*tanh(x1)*(1 - tanh(x1)^2)*(1 - tanh(x2)^2)^3"),
+    ])
+    def test_prints_each_power_taken_out(self, text, printed):
+        ring = Ring()
+        p = ring.from_tree(parse_expr(text, 2))
+        tree = ring.factored(p)
+        assert (tree if tree is None else print_expr(tree)) == printed
+        assert print_polys(ring, [p], factored=True) == [printed or print_expr(ring.to_tree(p))]
+        assert tree is None or ring.from_tree(tree) == p
+
+
 # exponents at and past the edge of a 64-bit field; as a problem, the
 # case is u0 and its inverse power u1, so that one ring holds both
 RANGE_CASES = ("x1^(2^40)", "x1^(2^62)*x1^(2^62)", "x1^(2^63)", "(1 + x1)^99999999",

@@ -539,18 +539,30 @@ class TestJetsAgainstDifferentiation:
     @pytest.mark.parametrize("text", [
         "tanh(tanh(tanh(cosh(t))))", "tanh(tanh(exp(sin(t))))",
     ])
-    def test_nested_functions_print_as_the_engines_expand_them(self, text):
-        # one kernel: expand prints the forcing rows that a problem with
-        # this forcing is solved with.  The ring multiplies out the powers
-        # of 1 - tanh^2 that composing on trees kept as factors, so these
-        # print longer than differentiating does: 2030 and 4103 characters
-        # over degrees 0..5, against 426 and 3246
+    def test_nested_functions_print_no_longer(self, text):
+        e = parse_expr(text, 2, allow_time=True)
+        got = expand_in_time(e, 5)
+        want = _expand_by_differentiation(e, 5)
+        assert sum(map(len, map(print_expr, got))) <= sum(map(len, map(print_expr, want)))
+
+    @pytest.mark.parametrize("text", [
+        "tanh(tanh(tanh(cosh(t))))", "tanh(tanh(exp(sin(t))))", "tanh(tanh(t + x1))",
+    ])
+    def test_nested_functions_expand_as_the_engines_do(self, capsys, text):
+        # one kernel: expand's rows are the forcing rows a problem with
+        # this forcing is solved with, and equal the differentiated series;
+        # expand prints them as expand_in_time writes them, with the
+        # powers of 1 - tanh(a)^2 taken out
         e = parse_expr(text, 2, allow_time=True)
         p = ProblemSpec.create(1, 2, RationalMatrix.identity(1), SpatialOperator(1, 2, ()),
                                [e], [ZERO], [ZERO], 5)
         ring, rows = expand_rows(e, 5)
         assert print_polys(ring, rows) == print_polys(problem_ring(p), [c for (c,) in forcing_rows(p, 5)])
         assert rows == [ring.from_tree(c) for c in _expand_by_differentiation(e, 5)]
+        assert main(["expand", "--expr", text, "--order", "5", "--dim", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out == f"[{', '.join(map(print_expr, expand_in_time(e, 5)))}]\n"
+        assert ")*(1 - tanh(" in out
 
     def test_power_of_zero_series_beyond_the_order(self):
         e = parse_expr("sin(t)^99999999*x1 + (x1 + t)^99999999", 1, allow_time=True)
@@ -922,6 +934,15 @@ class TestErrorPaths:
          "expansion order must be nonnegative"),
         (lambda: expand_rows(Func("sin", Var(1)), -1), ValueError,
          "expansion order must be nonnegative"),
+        (lambda: expand_rows(Func("exp", Var(TIME_INDEX)), True), FormatError,
+         "expansion order must be an integer"),
+        (lambda: expand_rows(Func("exp", Var(TIME_INDEX)), 2.5), FormatError,
+         "expansion order must be an integer"),
+        # the ring sees the zero the tree hides, with or without t
+        (lambda: expand_rows(parse_expr("((1+x1)*(1-x1)+x1^2-1)^(-1)", 1), 3), DomainError,
+         "zero raised to a negative power"),
+        (lambda: expand_in_time(parse_expr("t*((1+x1)*(1-x1)+x1^2-1)^(-1)", 1, allow_time=True), 3),
+         DomainError, "zero raised to a negative power"),
         (lambda: TimeSeriesVec(1, -1, ()), ValueError, "series order must be nonnegative"),
         (lambda: TimeSeriesVec(1, 0, ((ZERO, ZERO),)), DimensionMismatch,
          "coefficient vector length 2 != 1"),
@@ -941,6 +962,12 @@ class TestErrorPaths:
         (lambda: _problem(u0=(parse_expr("(1+t)*(1-t)+t^2", 1, allow_time=True),)),
          TimeNotAllowed, "u0[0]: the time symbol is not allowed here at offset 0"),
         (lambda: _problem().with_order(0), FormatError, "truncation order must be >= 1"),
+        # with more than one fault, rho is inverted first, then each tree
+        # is checked in turn: L's coefficients, u0, u1, f
+        (lambda: _problem(rho=RationalMatrix.from_rows([[0]]), u1=(Var(TIME_INDEX),)),
+         SingularRho, "matrix is singular (rank < 1)"),
+        (lambda: _problem(u0=(parse_expr("1/((1+x1)*(1-x1)+x1^2-1)", 1),), u1=(Var(TIME_INDEX),)),
+         ParseError, "u0[0]: zero raised to a negative power at offset 0"),
     ])
     def test_rejects(self, build, error, message):
         with pytest.raises(error) as err:
