@@ -4,9 +4,11 @@ Expressions are built from exact rational constants, indexed variables,
 sums, products, integer powers and a small set of analytic functions
 (sin, cos, exp, ln, sinh, cosh, tanh).  ``normalize`` brings a tree to a
 canonical flattened form with folded constants and collected terms; it
-never applies trigonometric or exponential identities.  Value equality
-is decided numerically by seeded sampling (``equal_sampled``), the
-package's stand-in for undecidable symbolic zero-testing.
+never applies trigonometric or exponential identities.  The engines
+decide value equality on the polynomial first (``Ring.deviation``) and
+sample, seeded, only where the two polynomials differ
+(``sampled_deviation``, ``equal_sampled``): the package's stand-in for
+undecidable symbolic zero-testing.
 
 Floats never enter the symbolic layer; they appear only in ``evaluate``.
 Variable index 0 is reserved for the time symbol of the extended
@@ -113,16 +115,12 @@ class _Compound(Expr):
     first ``hash()`` from the children's cached hashes, read as None
     while empty so no AttributeError is raised.  The value is the one
     the dataclass would compute, ``hash`` of the field tuple.  A second
-    slot keeps the node's ``sort_key``, filled on its first call.  A
-    third, ``_content``, keeps a sum's split into rational content and
-    primitive sum (``_sum_content``), filled on its first use, and a
-    product's leading rational (1 for none) where ``_product`` built it
-    in normal form; other nodes leave it empty.  The slots are not
-    dataclass fields and not part of the structure: equality, ``repr``,
-    pickling and copying see only the fields, and a hash never travels
-    to a process with a different string-hash seed."""
+    slot keeps the node's ``sort_key``, filled on its first call.  The
+    slots are not dataclass fields and not part of the structure:
+    equality, ``repr``, pickling and copying see only the fields, and a
+    hash never travels to a process with a different string-hash seed."""
 
-    __slots__ = ("_hash", "_key", "_content")
+    __slots__ = ("_hash", "_key")
 
     def __hash__(self) -> int:
         h = getattr(self, "_hash", None)
@@ -329,8 +327,7 @@ def _func(name: str, arg: Expr) -> Expr:
     return Func(name, arg)
 
 
-def _pow(base: Expr, k: int, node: Pow | None = None) -> Expr:
-    """``base`` to the ``k``: ``node`` itself where it is that Pow."""
+def _pow(base: Expr, k: int) -> Expr:
     if k == 0:
         return ONE
     if k == 1:
@@ -352,7 +349,7 @@ def _pow(base: Expr, k: int, node: Pow | None = None) -> Expr:
         content, primitive = _sum_content(base)
         if content != 1:
             return _mul([_pow(Const(content), k), Pow(primitive, k)])
-    return node if node is not None and node.base is base and node.exponent == k else Pow(base, k)
+    return Pow(base, k)
 
 
 _UNIT = Fraction(1)
@@ -364,19 +361,7 @@ def _sum_content(s: Sum) -> tuple[Fraction, Expr]:
     The content is the gcd of the term coefficients, signed so the
     primitive sum's leading coefficient is positive.  Keeping sums
     inside products primitive makes normalization independent of how a
-    product was associated.  The split is computed once per node and
-    kept in its ``_content`` slot."""
-    try:
-        split = s._content
-    except AttributeError:
-        split = _content_split(s)
-        object.__setattr__(s, "_content", split)
-    return (_UNIT, s) if split is None else split
-
-
-def _content_split(s: Sum) -> tuple[Fraction, Sum] | None:
-    """The split ``_sum_content`` caches: None for a primitive sum, so
-    that no sum refers to itself, else (content, primitive sum)."""
+    product was associated."""
     coeffs = [
         t.value if isinstance(t, Const)
         else t.factors[0].value if isinstance(t, Prod) and isinstance(t.factors[0], Const)
@@ -386,37 +371,26 @@ def _content_split(s: Sum) -> tuple[Fraction, Sum] | None:
     gcd = math.gcd(*(c.numerator for c in coeffs))
     lcm = math.lcm(*(c.denominator for c in coeffs))
     if gcd == lcm == 1 and coeffs[0] > 0:
-        return None
+        return _UNIT, s
     content = Fraction(gcd, lcm) if coeffs[0] > 0 else Fraction(-gcd, lcm)
     inverse = Const(1 / content)
-    primitive = _add([_mul([inverse, t]) for t in s.terms])
-    # its coefficients are coprime integers, the first one positive
-    if isinstance(primitive, Sum):  # a hand-built sum's terms may collect
-        object.__setattr__(primitive, "_content", None)
-    return content, primitive
+    # the primitive sum's coefficients are coprime integers, the first positive
+    return content, _add([_mul([inverse, t]) for t in s.terms])
 
 
 def _mul(factors: list[Expr]) -> Expr:
     if len(factors) == 2 and isinstance(factors[0], Const) and _small(factors[0].value):
         # a small rational times a rational with a small product, a
-        # variable, a function, a power of one or a marked product: the
-        # loop's result, as its digit checks pass where rationals are small
+        # variable, a function or a power of one: the loop's result, as
+        # its digit checks pass where every rational is small
         c, f = factors
         if isinstance(f, Const):
             q = c.value * f.value
             if _small(q):
                 return Const(q) if q else ZERO
-        elif isinstance(f, Prod):
-            head = getattr(f, "_content", None)
-            if head is not None:
-                q = c.value * head
-                if not _small(q) and too_large_power(q, 1):
-                    raise DomainError("product of constants too large to represent")
-                rest = f.factors[1:] if isinstance(f.factors[0], Const) else f.factors
-                return _product(q, rest) if q else ZERO
         base = f.base if isinstance(f, Pow) and f.exponent not in (0, 1) and _small(f.exponent) else f
         if isinstance(base, (Var, Func)):
-            return ZERO if not c.value else f if c.value == 1 else _product(c.value, (f,))
+            return ZERO if not c.value else f if c.value == 1 else Prod((c, f))
     flat: list[Expr] = []
     for f in factors:
         if isinstance(f, Prod):
@@ -429,7 +403,6 @@ def _mul(factors: list[Expr]) -> Expr:
     # it starts at the first constant (None: no constant yet)
     coeff = None
     powers: dict[Expr, int] = {}
-    nodes: dict[Expr, Pow] = {}  # base -> a Pow factor of it, reused by _pow
     for f in flat:
         if isinstance(f, Const):
             coeff = f.value if coeff is None else coeff * f.value
@@ -439,7 +412,6 @@ def _mul(factors: list[Expr]) -> Expr:
             continue
         if isinstance(f, Pow):
             base, k = f.base, f.exponent
-            nodes[base] = f
         else:
             base, k = f, 1
         if isinstance(base, Sum):
@@ -463,32 +435,18 @@ def _mul(factors: list[Expr]) -> Expr:
     if coeff == 0:
         return ZERO
 
-    parts = [b if k == 1 else _pow(b, k, nodes.get(b)) for b, k in powers.items() if k != 0]
+    parts = [b if k == 1 else _pow(b, k) for b, k in powers.items() if k != 0]
     if len(parts) > 1:
         parts.sort(key=_factor_key)
     if not parts:
         return ONE if coeff is None else Const(coeff)
-    if coeff is None:
-        coeff = _UNIT
-    elif len(parts) == 1 and isinstance(parts[0], Sum) and coeff != 1:
+    if coeff is None or coeff == 1:
+        return parts[0] if len(parts) == 1 else Prod(tuple(parts))
+    if len(parts) == 1 and isinstance(parts[0], Sum):
         # distribute the rational over a bare sum so that scaled sums
         # stay flat and like terms keep collecting across operations
         return _add([_mul([Const(coeff), t]) for t in parts[0].terms])
-    # bases that are variables, functions or sums leave a normal product
-    return _product(coeff, tuple(parts), all(isinstance(b, (Var, Func, Sum)) for b in powers))
-
-
-def _product(q: Fraction, rest: tuple, normal: bool = True) -> Expr:
-    """The nonzero rational ``q`` times the factors ``rest``.  A product
-    in normal form, factors in the order and form ``_mul`` gives them
-    with distinct bases and no rational, keeps ``q`` in ``_content``:
-    the mark ``_mul`` rescales by."""
-    if q == 1 and len(rest) == 1:
-        return rest[0]
-    p = Prod(rest if q == 1 else (Const(q), *rest))
-    if normal:
-        object.__setattr__(p, "_content", q)
-    return p
+    return Prod((Const(coeff), *parts))
 
 
 # Rationals this small print under any int-to-text limit: Python sets
@@ -569,11 +527,7 @@ def esum(terms: Iterable[Expr]) -> Expr:
 
 
 def eprod(factors: Iterable[Expr]) -> Expr:
-    """Normalized product of already-normalized expressions.  A power
-    whose base meets no other factor keeps its node, and a small
-    rational times a product that ``_product`` marked as normal keeps
-    its factors; a product without the mark, such as a hand-built one,
-    takes the generic loop, which normalizes no factor inside."""
+    """Normalized product of already-normalized expressions."""
     return _mul(list(factors))
 
 

@@ -21,6 +21,7 @@ from .series import (
     Rows,
     TimeSeriesVec,
     apply_rows,
+    check_integer,
     forcing_rows,
     problem_ring,
     rows_series,
@@ -74,6 +75,7 @@ def working_order(p: ProblemSpec, corrections: int) -> int:
     every correction whole when the forcing is a polynomial in time of
     degree at most 2J+1; the ``hpm`` command prints corrections to this
     order."""
+    check_integer(corrections, "correction count")
     if corrections < 0:
         raise ValueError("correction count must be nonnegative")
     final_degree = 2 * corrections + 1
@@ -109,6 +111,7 @@ def sum_rows(corrections: list[Rows], trunc: int) -> Rows:
 def partial_sum(h: HpmExpansion, trunc: int) -> TimeSeriesVec:
     """Coefficient-wise sum of all corrections, truncated to degrees
     0..trunc; degrees past the working order are not known."""
+    check_integer(trunc, "truncation degree")
     if not 0 <= trunc <= h.working_order:
         raise ValueError(f"truncation degree must be in 0..{h.working_order}")
     ring = series_ring(h.corrections[0])

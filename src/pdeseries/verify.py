@@ -13,6 +13,7 @@ from .series import (
     ProblemSpec,
     TimeSeriesVec,
     apply_rows,
+    check_integer,
     checked_series,
     forcing_rows,
     problem_ring,
@@ -117,6 +118,7 @@ def equivalence_check(
     The comparison is per degree on purpose: evaluating the summed
     series at points could let cancellation between degrees mask a
     mismatch."""
+    check_integer(corrections, "correction count")
     if corrections < 1:
         raise ValueError("need at least one correction to compare engines")
     final_degree = 2 * corrections + 1

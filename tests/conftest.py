@@ -851,7 +851,7 @@ def ref_tree(ring, p: dict) -> Expr:
 
 # ---------------------------------------------------------------------------
 # Reference of the tree kernel: normalize's _pow, _sum_content, _mul and
-# _add as first written, recomputing every sum's content on every use
+# _add as first written
 # ---------------------------------------------------------------------------
 
 def tree_ref_normalize(e: Expr) -> Expr:

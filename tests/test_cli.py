@@ -555,6 +555,12 @@ class TestErrorsAndExitCodes:
          "field 'm'"),
         (lambda: expand_rows(parse_expr("x1", 1), True), "expansion order"),
         (lambda: expand_rows(parse_expr("x1", 1), 2.5), "expansion order"),
+        (lambda: hpm.solve_hpm(load_problem(WAVE), True), "correction count"),
+        (lambda: hpm.solve_hpm(load_problem(WAVE), 2.5), "correction count"),
+        (lambda: verify.equivalence_check(load_problem(WAVE), True), "correction count"),
+        (lambda: verify.equivalence_check(load_problem(WAVE), 2.5), "correction count"),
+        (lambda: hpm.partial_sum(hpm.solve_hpm(load_problem(WAVE), 1), 2.0), "truncation degree"),
+        (lambda: hpm.partial_sum(hpm.solve_hpm(load_problem(WAVE), 1), True), "truncation degree"),
     ])
     def test_each_count_that_is_not_an_int_is_refused_by_the_one_rule(self, refuse, name):
         with pytest.raises(FormatError) as err:

@@ -3,12 +3,10 @@ sampled equality oracle."""
 
 import copy
 import dataclasses
-import gc
 import math
 import pickle
 import random
 import sys
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,7 +15,6 @@ from hypothesis import strategies as st
 
 from conftest import (
     PLAN,
-    RefTreeJets,
     random_normal_expr,
     random_numeric_expr,
     random_raw_expr,
@@ -525,31 +522,6 @@ class TestHash:
         for clone in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
             assert clone == e and hash(clone) == hash(e)
 
-    def test_cached_content_is_not_part_of_the_structure(self):
-        src = "2*x1*(x1 - 2*sin(x2))*(3*x1 + 6*x2)^2 - 4*cos(x2)*(x1 + x2)"
-        used, fresh = parse_expr(src, 2), parse_expr(src, 2)
-        sums = [node for node in _subtrees(used) if isinstance(node, Sum)]
-        assert [expr._sum_content(s)[0] for s in sums] == [2, 1, 1, 1]
-        assert all(hasattr(s, "_content") for s in sums)
-        assert used == fresh and hash(used) == hash(fresh)
-        assert repr(used) == repr(fresh)
-        assert pickle.dumps(used) == pickle.dumps(fresh)
-        for clone in (pickle.loads(pickle.dumps(used)), copy.deepcopy(used)):
-            assert clone == fresh and pickle.dumps(clone) == pickle.dumps(fresh)
-            assert not any(hasattr(node, "_content") for node in _subtrees(clone))
-
-    def test_cached_content_does_not_refer_to_its_sum(self):
-        # a sum that referred to itself would be freed only by the
-        # cyclic collector
-        e = parse_expr("-2*x1 + 4*cos(x2)", 2)
-        content, primitive = expr._sum_content(e)
-        assert (content, primitive) == (-2, parse_expr("x1 - 2*cos(x2)", 2))
-        assert expr._sum_content(primitive) == (1, primitive)
-        for s in (e, primitive, parse_expr("x1 + x2", 2)):
-            expr._sum_content(s)
-            assert not any(r is s for r in gc.get_referents(s._content))
-        assert primitive._content is None
-
 
 def _kernel_outcome(fold, *args):
     """The tree ``fold(*args)`` gives, or the DomainError it raises."""
@@ -568,8 +540,7 @@ def _parse_outcome(src, n):
 
 class TestKernelParity:
     """The kernel against ``conftest``'s copy of it as first written,
-    which recomputes every sum's content, rebuilds every term and folds
-    constants from 1 and 0."""
+    which rebuilds every term and folds constants from 1 and 0."""
 
     @given(st.integers(min_value=0, max_value=10**6))
     def test_normalize_agrees_with_the_reference(self, seed):
@@ -593,8 +564,11 @@ class TestKernelParity:
             (expr._add, tree_ref_add, [a, b, c]),
             (expr._add, tree_ref_add, [a, expr._mul([q, b]), c, expr._mul([MINUS_ONE, a])]),
             (expr._add, tree_ref_add, [q, expr._mul([q, a]), expr._mul([a, b])]),
+            (expr._mul, tree_ref_mul, [a, Pow(b, 2), Pow(c, 3)]),
+            (expr._mul, tree_ref_mul, [Pow(b, 2), b]),
+            (expr._mul, tree_ref_mul, [Var(2), Pow(Pow(a, 2), 3), a]),
         ]
-        # twice: once as the operands' sums fill their caches, once after
+        # twice: once as the operands fill their hashes and keys, once after
         for _ in range(2):
             for fold, reference, args in cases:
                 assert _kernel_outcome(fold, args) == _kernel_outcome(reference, args)
@@ -667,16 +641,19 @@ class TestKernelParity:
         parse_expr("5*sin(x1)*(x1 + x2)^-1", 2),
         parse_expr("(x1 + x2)^2*(x1 - x2)^-3", 2),
         parse_expr("10^4000/3*x1*x2", 2),
+        parse_expr("3*x1*sin(x2)^2*(x1 + x2)^-1", 2),
+        # a raw power of a rational leaves a second rational
+        expr._mul([Var(1), Var(2), Pow(Const(Fraction(2)), 2), Const(Fraction(3))]),
         # hand-built, as Expr's operators can pass them
         Prod((Const(Fraction(2)), Sum((Var(1), Var(2))))),
         Prod((Var(2), Var(1))),
     ], ids=["head", "no-head", "sum", "power-of-sum", "inverse-sum", "two-sums", "large-head",
-            "hand-built-sum", "hand-built-unsorted"])
+            "powers", "two-rationals", "hand-built-sum", "hand-built-unsorted"])
     def test_a_rational_times_a_product_agrees_with_the_reference(self, product):
         head = product.factors[0].value if isinstance(product.factors[0], Const) else Fraction(1)
         # the last one takes the product with the head past the digit
         # limit where the head is near it
-        rationals = (0, 1, -1, 1 / head, Fraction(10**400, 7))
+        rationals = (0, 1, -1, Fraction(-2, 7), 1 / head, Fraction(10**400, 7))
         for _ in range(2):
             for q in rationals:
                 args = [Const(Fraction(q)), product]
@@ -693,6 +670,19 @@ class TestKernelParity:
         assert a * b == tree_ref_mul([a, b])
         assert normalize(a * b) == normalize(Prod((a, b)))
 
+    @pytest.mark.parametrize("factors", [
+        # powers that meet no other factor, one that merges with its base,
+        # a power of a sum with a content, and raw powers of a rational and
+        # of a power, which leave a second rational and a repeated base
+        [parse_expr("x1*exp(x2)", 2), parse_expr("sin(x2)^2", 2), parse_expr("(x1 + x2)^3", 2)],
+        [parse_expr("sin(x2)^2", 2), parse_expr("sin(x2)", 2)],
+        [Var(1), Pow(parse_expr("2*x1 + 2*x2", 2), 2)],
+        [Var(1), Var(2), Pow(Const(Fraction(2)), 2), Const(Fraction(3))],
+        [Var(2), Pow(Pow(Var(1), 2), 3), Var(1)],
+    ], ids=["lone-powers", "merged", "sum-with-content", "raw-rational", "raw-power"])
+    def test_products_of_powers_agree_with_the_reference(self, factors):
+        assert _kernel_outcome(expr._mul, factors) == _kernel_outcome(tree_ref_mul, factors)
+
     def test_a_term_kept_whole_is_still_checked(self):
         # no kernel makes this term, but one given to _add is refused as
         # rebuilding it, coefficient first, refused it
@@ -700,64 +690,6 @@ class TestKernelParity:
         refused = ("DomainError", "product of constants too large to represent")
         assert _kernel_outcome(expr._add, [big, Var(2)]) == refused
         assert _kernel_outcome(tree_ref_add, [big, Var(2)]) == refused
-
-
-class TestNodeReuse:
-    """The kernel keeps the nodes it is given where they stay as they
-    are, so their cached hashes and keys survive."""
-
-    def test_a_rational_times_a_marked_product_keeps_its_factors(self):
-        p = parse_expr("3*x1*sin(x2)^2*(x1 + x2)^-1", 2)
-        assert p._content == 3
-        scaled = expr._mul([Const(Fraction(-2, 7)), p])
-        assert scaled == parse_expr("-6/7*x1*sin(x2)^2*(x1 + x2)^-1", 2)
-        assert all(a is b for a, b in zip(scaled.factors[1:], p.factors[1:]))
-        assert scaled._content == Fraction(-6, 7)
-        unit = expr._mul([Const(Fraction(1, 3)), p])
-        assert unit.factors == p.factors[1:] and unit._content == 1
-
-    def test_hand_built_and_copied_products_carry_no_mark(self):
-        p = parse_expr("3*x1*(x1 + x2)", 2)
-        for product in (Prod((Const(Fraction(2)), Sum((Var(1), Var(2))))), Prod((Var(2), Var(1))),
-                        pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
-            assert not hasattr(product, "_content")
-        # raw powers of a rational or of a power are not normal factors:
-        # the first leaves a second rational, the second a repeated base
-        for args in ([Var(1), Var(2), Pow(Const(Fraction(2)), 2), Const(Fraction(3))],
-                     [Var(2), Pow(Pow(Var(1), 2), 3), Var(1)]):
-            odd = expr._mul(args)
-            assert odd == tree_ref_mul(args) and not hasattr(odd, "_content")
-            five = [Const(Fraction(5)), odd]
-            assert expr._mul(five) == tree_ref_mul(five)
-
-    def test_a_power_whose_base_meets_no_other_factor_keeps_its_node(self):
-        square = parse_expr("sin(x2)^2", 2)
-        cube = parse_expr("(x1 + x2)^3", 2)
-        p = expr._mul([parse_expr("x1*exp(x2)", 2), square, cube])
-        assert any(f is square for f in p.factors) and any(f is cube for f in p.factors)
-        merged = expr._mul([square, parse_expr("sin(x2)", 2)])
-        assert merged == parse_expr("sin(x2)^3", 2) and merged is not square
-        # a sum with a content is split, so its power is rebuilt
-        scaled_sum = Pow(parse_expr("2*x1 + 2*x2", 2), 2)
-        assert expr._mul([Var(1), scaled_sum]) == parse_expr("4*x1*(x1 + x2)^2", 2)
-
-
-class TestContentCache:
-    def test_each_sum_content_is_computed_once_in_an_expansion(self, monkeypatch):
-        # the work the cache saves: the tree jets below, with every call
-        # of _sum_content computing the split anew, compute the content
-        # of one sum node 229 times
-        computed = []
-        original = expr._content_split
-
-        def counting(s):
-            computed.append(s)  # kept alive, so no id is reused
-            return original(s)
-
-        monkeypatch.setattr(expr, "_content_split", counting)
-        RefTreeJets(12).expansion(parse_expr("exp(sin(x1*t))*tanh(t+x2)", 2, allow_time=True))
-        counts = Counter(map(id, computed))
-        assert computed and max(counts.values()) == 1
 
 
 class TestEqualSampled:

@@ -5,6 +5,7 @@ import ast
 from pathlib import Path
 
 import pdeseries
+from pdeseries import expr
 
 PACKAGE = Path(pdeseries.__file__).resolve().parent
 
@@ -118,6 +119,12 @@ def test_the_cli_states_only_the_rules_no_api_function_has():
                 if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
                 and getattr(node.exc.func, "id", None) != "SystemExit"]
     assert messages and all(m and m.startswith("--expr ") for m in messages)
+
+
+def test_a_tree_node_caches_only_its_hash_and_sort_key():
+    # every node pays for a cache slot, so another one comes back only
+    # with a beneficiary whose gain is measured
+    assert expr._Compound.__slots__ == ("_hash", "_key")
 
 
 def test_no_module_tests_for_cos_by_name():
