@@ -32,10 +32,6 @@ TIME_INDEX = 0
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sinh", "cosh", "tanh")
 _FUNC_RANK = {name: i for i, name in enumerate(FUNCTIONS)}
 
-# the functions whose derivatives cycle: f' = sign * partner, so D cos = -sin
-PARTNERS = {"exp": ("exp", 1), "sin": ("cos", 1), "cos": ("sin", -1),
-            "sinh": ("cosh", 1), "cosh": ("sinh", 1)}
-
 
 class Expr:
     """Base class for expression nodes.
@@ -554,64 +550,6 @@ def too_large_power(q: Fraction, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Differentiation
-# ---------------------------------------------------------------------------
-
-def differentiate(e: Expr, variable: int) -> Expr:
-    """Exact symbolic partial derivative, returned normalized."""
-    return _diff(normalize(e), variable, {})
-
-
-def _diff(e: Expr, v: int, memo: dict) -> Expr:
-    """Derivative of a normalized tree, itself normalized.  ``memo``
-    maps ``(node, v)`` of every compound node seen to its derivative,
-    so equal subtrees are differentiated once per memo."""
-    if isinstance(e, Const):
-        return ZERO
-    if isinstance(e, Var):
-        return ONE if e.index == v else ZERO
-    key = (e, v)
-    out = memo.get(key)
-    if out is not None:
-        return out
-    if isinstance(e, Sum):
-        out = _add([_diff(t, v, memo) for t in e.terms])
-    elif isinstance(e, Prod):
-        pieces = []
-        fs = e.factors
-        for i, f in enumerate(fs):
-            df = _diff(f, v, memo)
-            if df == ZERO:
-                continue
-            pieces.append(_mul([df, *fs[:i], *fs[i + 1:]]))
-        out = _add(pieces)
-    elif isinstance(e, Pow):
-        db = _diff(e.base, v, memo)
-        out = ZERO if db == ZERO else _mul(
-            [Const(Fraction(e.exponent)), _pow(e.base, e.exponent - 1), db]
-        )
-    elif isinstance(e, Func):
-        da = _diff(e.arg, v, memo)
-        out = ZERO if da == ZERO else _mul([_outer_derivative(e), da])
-    else:
-        raise TypeError(f"not an expression: {e!r}")
-    memo[key] = out
-    return out
-
-
-def _outer_derivative(e: Func) -> Expr:
-    """f'(a) for ``e`` = f(a)."""
-    a = e.arg
-    if e.name in PARTNERS:
-        partner, sign = PARTNERS[e.name]
-        return Func(partner, a) if sign > 0 else _mul([MINUS_ONE, Func(partner, a)])
-    if e.name == "ln":
-        return _pow(a, -1)
-    # tanh
-    return _add([ONE, _mul([MINUS_ONE, _pow(Func("tanh", a), 2)])])
-
-
-# ---------------------------------------------------------------------------
 # Structure queries
 # ---------------------------------------------------------------------------
 
@@ -735,7 +673,10 @@ class SamplePlan:
     (and for the time symbol when present), deterministically from
     ``seed``; ``points_per_check`` of them are kept per check.  Two
     expressions count as equal at a point when
-    ``|a - b| <= tolerance * (1 + max(|a|, |b|))``.
+    ``|a - b| <= tolerance * (1 + max(|a|, |b|))``.  A deviation from
+    zero, |a| / (1 + |a|), is below 1, so a tolerance of 1 or more would
+    pass every tail-zero and residual check: it lies strictly between 0
+    and 1.
     """
 
     seed: int = 42
@@ -745,8 +686,8 @@ class SamplePlan:
     def __post_init__(self):
         if self.points_per_check < 1:
             raise ValueError("points_per_check must be at least 1")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < 1:
+            raise ValueError("tolerance must be positive and below 1")
 
 
 DEFAULT_PLAN = SamplePlan()

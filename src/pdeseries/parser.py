@@ -110,9 +110,9 @@ def tokenize(src: str) -> list[tuple[str, str, int]]:
 _VAR_PATTERN = re.compile(r"x([1-9][0-9]*)\Z")
 
 # Each nesting level costs the parser up to four stack frames, and the
-# recursive passes over the tree (normalize, print, differentiate,
-# hash) more; deeper input would exhaust the interpreter's recursion
-# limit instead of failing as a syntax error.
+# recursive passes over the tree (normalize, print, conversion to the
+# ring, hash) more; deeper input would exhaust the interpreter's
+# recursion limit instead of failing as a syntax error.
 MAX_NESTING = 150
 
 

@@ -48,7 +48,6 @@ from .expr import (
     Sum,
     Var,
     _func,
-    _outer_derivative,
     _sum_content,
     eprod,
     esum,
@@ -90,6 +89,10 @@ def const(q) -> Poly:
     """The constant polynomial of the rational or int ``q``."""
     return Poly({0: q.numerator}, q.denominator) if q else ZERO
 
+
+# the functions whose derivatives cycle: f' = sign * partner, so D cos = -sin
+PARTNERS = {"exp": ("exp", 1), "sin": ("cos", 1), "cos": ("sin", -1),
+            "sinh": ("cosh", 1), "cosh": ("sinh", 1)}
 
 # A positive power of a sum is multiplied out when it has at most this
 # many terms; a larger one, such as (1 + x1)^99999999, stays one atom.
@@ -264,6 +267,11 @@ class Ring:
         ``eprod`` of its rational and atom powers (DomainError from
         ``eprod`` where a rational has too many digits to print)."""
         trees, den = self.trees, p.den
+        if den == 1 and len(p.num) == 1:  # a variable or function atom is its own tree
+            ((m, c),) = p.num.items()
+            i = (m.bit_length() - 1) // self.width
+            if c == 1 and m > 0 and m == 1 << self.width * i and not isinstance(trees[i], Sum):
+                return trees[i]
         return esum(
             eprod([Const(Fraction(c, den)), *(trees[i] if e == 1 else Pow(trees[i], e)
                                               for i, e in enumerate(self.exponents(m)) if e)])
@@ -349,6 +357,16 @@ class Ring:
             return Poly({self.atom(tree, a): 1}, 1, 1)
         return self.from_tree(tree)
 
+    def outer(self, name: str, a: Poly) -> Poly:
+        """f'(a) for f = ``name``: each function's derivative rule, stated once."""
+        if name in PARTNERS:
+            partner, sign = PARTNERS[name]
+            return scale(self.func(partner, a), sign)
+        if name == "ln":
+            return self.power(a, -1)
+        t = self.func("tanh", a)
+        return self.dot([(scale(t, -1), t)], ONE)
+
     def diff(self, p: Poly, v: int) -> Poly:
         """Partial derivative in variable ``v``: for each atom i that a key
         holds (read with 2^(W-1) added to each field), dp/d(atom i) * D_v.
@@ -392,7 +410,7 @@ class Ring:
             else:
                 d = self.diff(poly, v)
                 if d and isinstance(tree, Func):  # f(a): f'(a) * D_v a
-                    d = self.product([self.from_tree(_outer_derivative(tree)), d])
+                    d = self.product([self.outer(tree.name, poly), d])
             self.derivatives[i, v] = d
         return d
 

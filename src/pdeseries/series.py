@@ -30,7 +30,6 @@ from .expr import (
     Const,
     Expr,
     Func,
-    PARTNERS,
     Pow,
     Prod,
     Sum,
@@ -40,7 +39,7 @@ from .expr import (
     normalize,
     too_large_power,
 )
-from .poly import ONE as POLY_ONE, ZERO as POLY_ZERO, Poly, Ring, add, dot, scale
+from .poly import ONE as POLY_ONE, PARTNERS, ZERO as POLY_ZERO, Poly, Ring, add, dot, scale
 
 ExprVec = tuple[Expr, ...]
 
@@ -265,8 +264,8 @@ class _Jets:
       product, one checked dot per degree;
     * exp, sin, cos, sinh, cosh and tanh of a series a take the
       Taylor-mode recurrence of b = f(a), b' = a' f'(a):
-      b_k = (1/k) sum_j j a_j d_(k-j), with d the jet of f'(a) (b, the
-      partner's jet with its sign, or 1 - b^2);
+      b_k = (1/k) sum_j j a_j d_(k-j), with d the jet of f'(a), from
+      d_0 = ``Ring.outer(f, a_0)`` (d is b for exp);
     * ln of a_0 + h, and a power of b_0 + h, compose their Taylor series
       about the constant term with h: ln's coefficients are
       (-1)^(k+1)/k * a_0^-k, a power's C(k, m) * b_0^(k-m), powers that
@@ -391,14 +390,15 @@ class _Jets:
         def step(d: list, k: int, sign: int) -> Poly:  # (sign/k) sum_j j*a_j*d_(k-j)
             return conv(((s, d[k - j]) for j, s in slopes if j <= k), Fraction(sign, k))
 
+        # d is the jet of f'(a); for a partner g, f' = s*g and g' = s'*f,
+        # so d' = s*s'*b a'
         partner, sign = PARTNERS.get(name, (None, 1))
         b = [ring.func(name, a[0])]
-        d = b if partner == name else [ring.func(partner, a[0])] if partner else [
-            add(POLY_ONE, conv([(b[0], b[0])], -1))]
+        d = b if partner == name else [ring.outer(name, a[0])]
         for k in range(1, n + 1):
-            b.append(step(d, k, sign))
+            b.append(step(d, k, 1))
             if d is not b and k < n:  # d_k; tanh forms each b_i*b_(k-i) once
-                d.append(step(b, k, PARTNERS[partner][1]) if partner else conv(
+                d.append(step(b, k, sign * PARTNERS[partner][1]) if partner else conv(
                     ((b[i], scale(b[k - i], 1 if 2 * i == k else 2)) for i in range(k // 2 + 1)), -1))
         return b
 

@@ -37,12 +37,11 @@ from pdeseries.expr import (
     Var,
     ZERO,
     _FEW_BITS,
-    _diff,
+    _add,
     _factor_key,
     _func,
-    _outer_derivative,
+    _mul,
     _pow,
-    differentiate,
     eprod,
     esum,
     normalize,
@@ -201,18 +200,66 @@ def random_problem(seed: int) -> tuple[ProblemSpec, int]:
 
 
 # ---------------------------------------------------------------------------
+# Tree differentiation as first written, the reference for the ring's one
+# calculus: its own table of f'(a), and every copy of a repeated subtree
+# walked again
+# ---------------------------------------------------------------------------
+
+def tree_ref_outer(e: Func) -> Expr:
+    """f'(a) for ``e`` = f(a)."""
+    a = e.arg
+    return {
+        "sin": lambda: Func("cos", a),
+        "cos": lambda: _mul([MINUS_ONE, Func("sin", a)]),
+        "exp": lambda: e,
+        "ln": lambda: _pow(a, -1),
+        "sinh": lambda: Func("cosh", a),
+        "cosh": lambda: Func("sinh", a),
+        "tanh": lambda: _add([ONE, _mul([MINUS_ONE, _pow(Func("tanh", a), 2)])]),
+    }[e.name]()
+
+
+def tree_ref_diff(e: Expr, v: int) -> Expr:
+    """D_v of a normalized tree, itself normalized."""
+    if isinstance(e, Const):
+        return ZERO
+    if isinstance(e, Var):
+        return ONE if e.index == v else ZERO
+    if isinstance(e, Sum):
+        return _add([tree_ref_diff(t, v) for t in e.terms])
+    if isinstance(e, Prod):
+        pieces = []
+        fs = e.factors
+        for i, f in enumerate(fs):
+            df = tree_ref_diff(f, v)
+            if df == ZERO:
+                continue
+            pieces.append(_mul([df, *fs[:i], *fs[i + 1:]]))
+        return _add(pieces)
+    if isinstance(e, Pow):
+        db = tree_ref_diff(e.base, v)
+        if db == ZERO:
+            return ZERO
+        return _mul([Const(Fraction(e.exponent)), _pow(e.base, e.exponent - 1), db])
+    da = tree_ref_diff(e.arg, v)
+    if da == ZERO:
+        return ZERO
+    return _mul([tree_ref_outer(e), da])
+
+
+# ---------------------------------------------------------------------------
 # Tree-built reference of the operator
 # ---------------------------------------------------------------------------
 
 def apply_by_differentiate(op, vec):
     """Operator application on trees, as first written: each term
-    normalizes its column and takes every step through ``differentiate``."""
+    normalizes its column and takes every step through ``tree_ref_diff``."""
     rows = [[] for _ in range(op.m)]
     for term in op.terms:
         d = normalize(vec[term.col])
         for variable, order in enumerate(term.orders, start=1):
             for _ in range(order):
-                d = differentiate(d, variable)
+                d = tree_ref_diff(d, variable)
             if d == ZERO:
                 break
         if d == ZERO:
@@ -278,7 +325,7 @@ def ref_diff(ring, p: dict, v: int) -> dict:
         else:
             d = ref_diff(ring, ref_of(ring, inner), v)
             if d:  # the outer derivative may be singular where unused
-                d = ref_mul(ref_of(ring, ring.from_tree(_outer_derivative(tree))), d)
+                d = ref_mul(ref_of(ring, ring.from_tree(tree_ref_outer(tree))), d)
         for m, c in p.items():
             if len(m) > i and m[i]:
                 partial = list(m[:i]) + [m[i] - 1] + list(m[i + 1:])
@@ -553,13 +600,13 @@ class RefTreeJets(TreeJets):
 
     def __init__(self, order: int):
         super().__init__(order)
-        self.derivatives: dict = {}  # per function name: (memo, [f(t), f'(t), ...])
+        self.derivatives: dict = {}  # per function name: [f(t), f'(t), ...]
 
     def _taylor(self, name: str, a0, count: int) -> list:
         """From differentiating the one-node tree f(t) and substituting a0."""
-        memo, derivatives = self.derivatives.setdefault(name, ({}, [Func(name, Var(TIME_INDEX))]))
+        derivatives = self.derivatives.setdefault(name, [Func(name, Var(TIME_INDEX))])
         while len(derivatives) < count:
-            derivatives.append(_diff(derivatives[-1], TIME_INDEX, memo))
+            derivatives.append(tree_ref_diff(derivatives[-1], TIME_INDEX))
         return [eprod([Const(Fraction(1, math.factorial(k))),
                        tree_ref_normalize(_raw_subst(d, TIME_INDEX, a0))])
                 for k, d in enumerate(derivatives[:count])]
@@ -796,7 +843,7 @@ class TupleRing:
             else:
                 d = self.diff(self.of(inner), v)
                 if d and not isinstance(tree, Sum):
-                    outer = self.of(self.ring.from_tree(_outer_derivative(tree)))
+                    outer = self.of(self.ring.from_tree(tree_ref_outer(tree)))
                     d = tuple_mul(outer, d)
             self.derivatives[i, v] = d
         return d

@@ -1,5 +1,5 @@
-"""Expression core: evaluation, differentiation, normalization and the
-sampled equality oracle."""
+"""Expression core: evaluation, normalization and the sampled equality
+oracle, and the derivatives of trees that the ring takes."""
 
 import copy
 import dataclasses
@@ -19,6 +19,7 @@ from conftest import (
     random_numeric_expr,
     random_raw_expr,
     tree_ref_add,
+    tree_ref_diff,
     tree_ref_mul,
     tree_ref_normalize,
     tree_ref_pow,
@@ -38,7 +39,6 @@ from pdeseries.expr import (
     ONE,
     MINUS_ONE,
     const,
-    differentiate,
     equal_sampled,
     evaluate,
     normalize,
@@ -155,18 +155,24 @@ class TestEvaluate:
         assert str(err.value) == message
 
 
+def _differentiate(e, v):
+    """D_v of a tree through the package's one calculus, ``Ring.diff``."""
+    ring = Ring()
+    return ring.to_tree(ring.diff(ring.from_tree(e), v))
+
+
 class TestDifferentiate:
     def test_chain_rule_square(self):
-        got = differentiate(parse_expr("sin(x1)^2", 1), 1)
+        got = _differentiate(parse_expr("sin(x1)^2", 1), 1)
         want = parse_expr("2*sin(x1)*cos(x1)", 1)
         assert got == want
 
     def test_second_derivative_double_angle(self):
-        d2 = differentiate(differentiate(parse_expr("sin(x1)^2", 1), 1), 1)
+        d2 = _differentiate(_differentiate(parse_expr("sin(x1)^2", 1), 1), 1)
         assert equal_sampled(d2, parse_expr("2*cos(2*x1)", 1), PLAN)
 
     def test_constant_rule(self):
-        assert differentiate(const(5), 1) == ZERO
+        assert _differentiate(const(5), 1) == ZERO
 
     @pytest.mark.parametrize("text,var_index,expected", [
         ("exp(2*x1)", 1, "2*exp(2*x1)"),
@@ -177,8 +183,10 @@ class TestDifferentiate:
         ("x1^3", 1, "3*x1^2"),
     ])
     def test_table(self, text, var_index, expected):
-        got = differentiate(parse_expr(text, 2), var_index)
-        assert got == parse_expr(expected, 2)
+        e = parse_expr(text, 2)
+        assert _differentiate(e, var_index) == parse_expr(expected, 2)
+        # the reference walk on trees states the same rules
+        assert tree_ref_diff(e, var_index) == parse_expr(expected, 2)
 
     @given(st.integers(min_value=0, max_value=10**6))
     def test_linearity(self, seed):
@@ -186,8 +194,8 @@ class TestDifferentiate:
         a = random_numeric_expr(rng)
         b = random_numeric_expr(rng)
         v = rng.randint(1, 2)
-        left = differentiate(a + b, v)
-        right = differentiate(a, v) + differentiate(b, v)
+        left = _differentiate(a + b, v)
+        right = _differentiate(a, v) + _differentiate(b, v)
         assert equal_sampled(left, right, PLAN)
 
     @given(st.integers(min_value=0, max_value=10**6))
@@ -196,8 +204,8 @@ class TestDifferentiate:
         a = random_numeric_expr(rng, depth=2)
         b = random_numeric_expr(rng, depth=2)
         v = rng.randint(1, 2)
-        left = differentiate(a * b, v)
-        right = differentiate(a, v) * b + a * differentiate(b, v)
+        left = _differentiate(a * b, v)
+        right = _differentiate(a, v) * b + a * _differentiate(b, v)
         assert equal_sampled(left, right, PLAN)
 
     @given(st.integers(min_value=0, max_value=10**6))
@@ -205,7 +213,7 @@ class TestDifferentiate:
         rng = random.Random(seed)
         e = random_numeric_expr(rng, depth=2)
         v = rng.randint(1, 2)
-        d = differentiate(e, v)
+        d = _differentiate(e, v)
         point = [rng.uniform(-1, 1) for _ in range(2)]
         h = 1e-5
         up = list(point)
@@ -216,44 +224,15 @@ class TestDifferentiate:
         exact = evaluate(d, point)
         assert abs(fd - exact) <= 1e-5 * (1 + abs(exact))
 
-
-def _unmemoised_diff(e, v):
-    """Differentiation of a normalized tree as first written: every
-    copy of a repeated subtree is walked again."""
-    if isinstance(e, Const):
-        return ZERO
-    if isinstance(e, Var):
-        return ONE if e.index == v else ZERO
-    if isinstance(e, Sum):
-        return expr._add([_unmemoised_diff(t, v) for t in e.terms])
-    if isinstance(e, Prod):
-        pieces = []
-        fs = e.factors
-        for i, f in enumerate(fs):
-            df = _unmemoised_diff(f, v)
-            if df == ZERO:
-                continue
-            pieces.append(expr._mul([df, *fs[:i], *fs[i + 1:]]))
-        return expr._add(pieces)
-    if isinstance(e, Pow):
-        db = _unmemoised_diff(e.base, v)
-        if db == ZERO:
-            return ZERO
-        return expr._mul([const(e.exponent), expr._pow(e.base, e.exponent - 1), db])
-    da = _unmemoised_diff(e.arg, v)
-    if da == ZERO:
-        return ZERO
-    a = e.arg
-    outer = {
-        "sin": lambda: Func("cos", a),
-        "cos": lambda: expr._mul([const(-1), Func("sin", a)]),
-        "exp": lambda: e,
-        "ln": lambda: expr._pow(a, -1),
-        "sinh": lambda: Func("cosh", a),
-        "cosh": lambda: Func("sinh", a),
-        "tanh": lambda: expr._add([ONE, expr._mul([const(-1), expr._pow(Func("tanh", a), 2)])]),
-    }[e.name]()
-    return expr._mul([outer, da])
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_the_reference_keeps_a_normalized_tree_normalized(self, seed):
+        # the tree-built operator chains tree_ref_diff without normalizing
+        # between steps, which needs this
+        rng = random.Random(seed)
+        d = random_normal_expr(rng, depth=4, n_vars=2)
+        for v in (1, 1, 2, 1, 2):
+            d = tree_ref_diff(d, v)
+            assert normalize(d) == d
 
 
 def _repeating(k):
@@ -261,63 +240,6 @@ def _repeating(k):
     shared = parse_expr("sin(x1 + cos(x1*x2)^2*exp(x2^2 + x1)*ln(2 + x1^2))", 2)
     terms = [Prod((Pow(Var(2), j + 2), shared)) for j in range(1, k + 1)]
     return normalize(Sum(tuple(terms))), shared
-
-
-class TestMemoisedDifferentiation:
-    """``_diff`` differentiates each distinct subtree once per memo and
-    gives the trees of the unmemoised walk."""
-
-    @given(st.integers(min_value=0, max_value=10**6))
-    def test_same_trees_as_the_unmemoised_walk(self, seed):
-        rng = random.Random(seed)
-        raw = random_raw_expr(rng, depth=4, n_vars=2, allow_time=seed % 3 == 0)
-        try:
-            e = normalize(raw)
-        except DomainError:
-            return  # raw tree folded a zero to a negative power
-        for v, w in ((0, 1), (1, 2), (2, 1)):
-            want = _unmemoised_diff(e, v)
-            assert differentiate(raw, v) == want
-            assert differentiate(e, v) == want
-            # and a second step, as operator application takes it
-            assert differentiate(want, w) == _unmemoised_diff(want, w)
-
-    @given(st.integers(min_value=0, max_value=10**6))
-    def test_derivative_of_a_normalized_tree_is_normalized(self, seed):
-        # operator application chains _diff without normalizing between
-        # steps, which needs this
-        rng = random.Random(seed)
-        d = random_normal_expr(rng, depth=4, n_vars=2)
-        memo = {}
-        for v in (1, 1, 2, 1, 2):
-            d = expr._diff(d, v, memo)
-            assert normalize(d) == d
-
-    def test_one_memo_serves_several_variables(self):
-        e, _ = _repeating(3)
-        memo = {}
-        for v in (1, 2, 1, 2):
-            assert expr._diff(e, v, memo) == differentiate(e, v)
-
-    @pytest.mark.parametrize("k", [1, 4, 16])
-    def test_repeated_subtree_is_differentiated_once(self, monkeypatch, k):
-        e, shared = _repeating(k)
-        assert sum(node == shared for node in _subtrees(e)) == k
-        inside = {n for n in _subtrees(shared) if not isinstance(n, (Const, Var))}
-        inside.discard(shared)
-        visits = []
-        original = expr._diff
-
-        def counting(node, v, memo):
-            if node in inside:
-                visits.append(node)
-            return original(node, v, memo)
-
-        monkeypatch.setattr(expr, "_diff", counting)
-        differentiate(e, 1)
-        # each compound node below the shared subtree is visited once,
-        # whatever k
-        assert len(visits) == len(inside) and set(visits) == inside
 
 
 class TestNormalize:
@@ -824,6 +746,8 @@ class TestSamplePlan:
         {"points_per_check": 0},
         {"tolerance": 0.0},
         {"tolerance": -1e-9},
+        {"tolerance": math.inf},
+        {"tolerance": 1.0},
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):

@@ -127,8 +127,51 @@ def test_a_tree_node_caches_only_its_hash_and_sort_key():
     assert expr._Compound.__slots__ == ("_hash", "_key")
 
 
+def _functions(tree: ast.Module):
+    """(qualified name, definition) of each function and method of a module."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef):
+            yield stmt.name, stmt
+        elif isinstance(stmt, ast.ClassDef):
+            yield from ((f"{stmt.name}.{f.name}", f) for f in stmt.body
+                        if isinstance(f, ast.FunctionDef))
+
+
+def test_one_calculus_on_the_ring():
+    # derivatives are taken by Ring.diff alone: no tree is differentiated
+    gone = {"differentiate", "_diff", "_outer_derivative"}
+    assert not hasattr(pdeseries, "differentiate")
+    offenders, formers, readers = [], [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in gone:
+                offenders.append(f"{path.stem} defines {node.name}")
+            if isinstance(node, ast.ImportFrom):
+                offenders += [f"{path.stem} imports {a.name}" for a in node.names if a.name in gone]
+        # f'(a) of a cycling function is its partner: a function built of
+        # a name read from PARTNERS forms f'(a)
+        for name, func in _functions(tree):
+            partners = {n.id for stmt in ast.walk(func) if isinstance(stmt, ast.Assign)
+                        and "PARTNERS" in _names(stmt.value)
+                        for target in stmt.targets for n in ast.walk(target)
+                        if isinstance(n, ast.Name)}
+            for call in ast.walk(func):
+                if not isinstance(call, ast.Call):
+                    continue
+                callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+                if callee == "outer":
+                    readers.add(name)
+                if callee in ("Func", "func", "_func") and call.args and \
+                        getattr(call.args[0], "id", None) in partners:
+                    formers.append(f"{path.stem}.{name}")
+    assert offenders == []
+    assert formers == ["poly.Ring.outer"]
+    assert {"Ring._atom_derivative", "_Jets._func"} <= readers
+
+
 def test_no_module_tests_for_cos_by_name():
-    # D cos = -sin is stated once, in expr.PARTNERS, and read from there
+    # D cos = -sin is stated once, in poly.PARTNERS, which Ring.outer reads
     offenders = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):

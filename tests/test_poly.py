@@ -30,6 +30,8 @@ from conftest import (
     ref_to_tree,
     ref_tree,
     tree_forcing,
+    tree_ref_diff,
+    tree_ref_outer,
     tuple_engines,
     TupleRing,
     _tuple_unit,
@@ -46,7 +48,6 @@ from pdeseries.expr import (
     Prod,
     Sum,
     Var,
-    differentiate,
     eprod,
     esum,
     normalize,
@@ -623,7 +624,7 @@ def _taylor_text(u0, u1, order: int) -> list[str]:
     for j in range(order + 1):
         out.append(print_expr(eprod([Const(Fraction(1, math.factorial(j))), d[j % 2]])))
         if j % 2:
-            d = [differentiate(differentiate(x, 1), 1) for x in d]
+            d = [tree_ref_diff(tree_ref_diff(x, 1), 1) for x in d]
     return out
 
 
@@ -653,7 +654,7 @@ class TestExponentRange:
             assert mul(p, inverse) == ONE
             assert ring.to_tree(p) == normalize(tree)
             assert ring.to_tree(inverse) == normalize(Pow(tree, -1))
-            assert ring.to_tree(d) == differentiate(normalize(Pow(tree, -1)), 1)
+            assert ring.to_tree(d) == tree_ref_diff(normalize(Pow(tree, -1)), 1)
             assert all(max(map(abs, ring.exponents(m))) <= q.top < ring.half
                        for q in (p, inverse, d) for m in q.num)
 
@@ -750,7 +751,7 @@ class TestDerivatives:
             p = ring.from_tree(e)
         except DomainError:
             assume(False)
-        assert _close(ring.to_tree(ring.diff(p, v)), differentiate(e, v))
+        assert _close(ring.to_tree(ring.diff(p, v)), tree_ref_diff(e, v))
 
     @given(SEEDS)
     def test_derivation_rules(self, seed):
@@ -760,15 +761,25 @@ class TestDerivatives:
 
     @pytest.mark.parametrize("name", FUNCTIONS)
     def test_function_rules_are_those_of_expr(self, name):
-        # special values and derivatives come from expr's one table
+        # special values come from expr's folding, and derivatives from
+        # Ring.outer, checked exactly against the reference's own table of
+        # f'(a): of a variable, a sum, a sum atom and a nested function
         assert Ring().func(name, poly.ZERO) == Ring().from_tree(normalize(Func(name, ZERO)))
         for arg in ("0", "1", "x1"):
             ring, a = Ring(), parse_expr(arg, 1)
             assert ring.func(name, ring.from_tree(a)) == ring.from_tree(expr._func(name, a))
-        for arg in ("x1", "1 + x1^2"):
+        for arg in ("x1", "1 + x1^2", "1/(1 + x1^2)", "sin(x1)"):
             e = normalize(Func(name, parse_expr(arg, 1)))
             ring = Ring()
-            assert ring.diff(ring.from_tree(e), 1) == ring.from_tree(differentiate(e, 1))
+            assert ring.outer(name, ring.from_tree(e.arg)) == ring.from_tree(tree_ref_outer(e))
+            got, want = ring.diff(ring.from_tree(e), 1), ring.from_tree(tree_ref_diff(e, 1))
+            if (name, arg) == ("ln", "1/(1 + x1^2)"):
+                # 1/a multiplies out 1 + x1^2, which the (1 + x1^2)^-2 of
+                # D a cannot cancel: the value of the tree's one term in two
+                assert (len(got), len(want)) == (2, 1)
+                assert ring.deviation(got, want, PLAN) <= PLAN.tolerance
+            else:
+                assert got == want
 
     def test_only_the_atoms_a_polynomial_holds_are_differentiated(self, tmp_path, capsys):
         ring = Ring()
@@ -776,7 +787,7 @@ class TestDerivatives:
         e = parse_expr("exp(400)*exp(401)*sin(x1)", 1)
         p = ring.from_tree(e)
         held = {i for m in p.num for i, k in enumerate(ring.exponents(m)) if k}
-        assert ring.to_tree(ring.diff(p, 1)) == differentiate(e, 1)
+        assert ring.to_tree(ring.diff(p, 1)) == tree_ref_diff(e, 1)
         # the atoms of p, and x1 inside sin(x1); none of the others
         assert {i for i, _ in ring.derivatives} == held | {ring.index[Var(1)]}
         doc = {
