@@ -13,11 +13,11 @@ import sys
 from itertools import islice
 
 from .errors import PdeSeriesError
-from .expr import SamplePlan
+from .expr import DEFAULT_PLAN, SamplePlan
 from .hpm import partial_sum, solve_hpm
 from .parser import load_problem, parse_expr, print_polys
 from .poly import Ring
-from .series import TimeSeriesVec, expand_rows, problem_ring, series_rows
+from .series import ProblemSpec, TimeSeriesVec, expand_rows, problem_ring, series_rows
 from .taylor import solve_taylor, taylor_coefficients
 from .verify import equivalence_check, residual_check
 
@@ -29,10 +29,10 @@ EXIT_INTERNAL = 4
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("problem", help="path to a JSON problem file")
-    sp.add_argument("--seed", type=int, default=42,
-                    help="seed for the sampled-equality oracle (default 42)")
-    sp.add_argument("--tolerance", type=float, default=1e-9,
-                    help="relative tolerance of the oracle (default 1e-9)")
+    sp.add_argument("--seed", type=int, default=DEFAULT_PLAN.seed,
+                    help="seed for the sampled-equality oracle (default %(default)s)")
+    sp.add_argument("--tolerance", type=float, default=DEFAULT_PLAN.tolerance,
+                    help="relative tolerance of the oracle (default %(default)s)")
     sp.add_argument("--format", dest="output_format", choices=("text", "json"),
                     default="text", help="output format")
 
@@ -111,11 +111,16 @@ def _series_lines(rows: list[tuple[str, ...]], indent: str = "") -> list[str]:
     return [f"{indent}u[{j}][{k}] = {c}" for j, vec in enumerate(rows) for k, c in enumerate(vec)]
 
 
-def _cmd_solve(args) -> int:
+def _problem_and_plan(args) -> tuple[ProblemSpec, SamplePlan]:
+    """A file command's problem, at ``--order`` where given, and oracle plan."""
     problem = load_problem(args.problem)
-    if args.order is not None:
+    if getattr(args, "order", None) is not None:
         problem = problem.with_order(args.order)
-    plan = SamplePlan(seed=args.seed, tolerance=args.tolerance)
+    return problem, SamplePlan(seed=args.seed, tolerance=args.tolerance)
+
+
+def _cmd_solve(args) -> int:
+    problem, plan = _problem_and_plan(args)
     solution = solve_taylor(problem, plan)
     ring = problem_ring(problem)
     (rows,) = _printed(ring, [solution.series])
@@ -136,7 +141,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_hpm(args) -> int:
-    problem = load_problem(args.problem)
+    problem, _ = _problem_and_plan(args)  # the plan is checked, not used
     expansion = solve_hpm(problem, args.corrections)
     working = expansion.working_order
     ring = problem_ring(problem)
@@ -172,17 +177,13 @@ def _print_check(report, output_format: str, passed: str, failed: str) -> int:
 
 
 def _cmd_compare(args) -> int:
-    problem = load_problem(args.problem)
-    plan = SamplePlan(seed=args.seed, tolerance=args.tolerance)
+    problem, plan = _problem_and_plan(args)
     report = equivalence_check(problem, args.corrections, plan)
     return _print_check(report, args.output_format, "equivalent", "MISMATCH")
 
 
 def _cmd_residual(args) -> int:
-    problem = load_problem(args.problem)
-    if args.order is not None:
-        problem = problem.with_order(args.order)
-    plan = SamplePlan(seed=args.seed, tolerance=args.tolerance)
+    problem, plan = _problem_and_plan(args)
     report = residual_check(problem, taylor_coefficients(problem), plan)
     return _print_check(report, args.output_format, "pass", "FAIL")
 

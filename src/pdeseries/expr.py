@@ -99,6 +99,8 @@ class Var(Expr):
     index: int
 
     def __post_init__(self):
+        if not isinstance(self.index, int) or isinstance(self.index, bool):
+            raise TypeError("variable index must be a Python int")
         if self.index < 0:
             raise ValueError("variable index must be nonnegative")
 
@@ -671,7 +673,7 @@ class SamplePlan:
 
     Points are drawn uniformly from ``SAMPLE_DOMAIN`` for every variable
     (and for the time symbol when present), deterministically from
-    ``seed``; ``points_per_check`` of them are kept per check.  Two
+    ``seed``; ``POINTS_PER_CHECK`` of them are kept per check.  Two
     expressions count as equal at a point when
     ``|a - b| <= tolerance * (1 + max(|a|, |b|))``.  A deviation from
     zero, |a| / (1 + |a|), is below 1, so a tolerance of 1 or more would
@@ -680,17 +682,16 @@ class SamplePlan:
     """
 
     seed: int = 42
-    points_per_check: int = 32
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        if self.points_per_check < 1:
-            raise ValueError("points_per_check must be at least 1")
         if not 0 < self.tolerance < 1:
             raise ValueError("tolerance must be positive and below 1")
 
 
 DEFAULT_PLAN = SamplePlan()
+
+POINTS_PER_CHECK = 32
 
 SAMPLE_DOMAIN = (-1.0, 1.0)
 
@@ -701,7 +702,7 @@ def sampled_deviation(a: Expr, b: Expr, plan: SamplePlan = DEFAULT_PLAN) -> floa
     """Worst relative deviation |a-b| / (1 + max(|a|,|b|)) over the plan's
     sample points.
 
-    The points kept are the first ``points_per_check`` draws of the
+    The points kept are the first ``POINTS_PER_CHECK`` draws of the
     seeded stream at which both sides evaluate and their difference is
     finite.  Each batch of draws is evaluated all at once, each distinct
     subtree of either side once; the draws that fail are replaced in the
@@ -710,7 +711,7 @@ def sampled_deviation(a: Expr, b: Expr, plan: SamplePlan = DEFAULT_PLAN) -> floa
     walked: dict = {}
     (index_a, time_a), (index_b, time_b) = _variables(a, walked), _variables(b, walked)
     draws = _draws(plan.seed, max(1, index_a, index_b), time_a or time_b)
-    worst, wanted, failures_in_a_row = 0.0, plan.points_per_check, 0
+    worst, wanted, failures_in_a_row = 0.0, POINTS_PER_CHECK, 0
     while wanted:
         xs, ts = zip(*islice(draws, wanted))
         memo, failed = {}, set()

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import ZERO, add
+from .poly import ZERO, Ring, add
 from .series import (
     ProblemSpec,
     Rows,
@@ -26,7 +26,6 @@ from .series import (
     problem_ring,
     rows_series,
     scale_rows,
-    series_ring,
     series_rows,
 )
 
@@ -41,7 +40,6 @@ class HpmExpansion:
     degree k+2 of the next, so no degree reads a higher one."""
 
     corrections: tuple[TimeSeriesVec, ...]
-    max_correction: int
     working_order: int
 
 
@@ -96,7 +94,7 @@ def solve_hpm(p: ProblemSpec, corrections: int) -> HpmExpansion:
     ring = problem_ring(p)
     return HpmExpansion(tuple(
         rows_series(ring, rows) for rows in hpm_rows(p, corrections, working)
-    ), corrections, working)
+    ), working)
 
 
 def sum_rows(corrections: list[Rows], trunc: int) -> Rows:
@@ -114,6 +112,8 @@ def partial_sum(h: HpmExpansion, trunc: int) -> TimeSeriesVec:
     check_integer(trunc, "truncation degree")
     if not 0 <= trunc <= h.working_order:
         raise ValueError(f"truncation degree must be in 0..{h.working_order}")
-    ring = series_ring(h.corrections[0])
+    rings = {vars(c).get("_ring") for c in h.corrections}  # None for a series of trees
+    ring = rings.pop() if len(rings) == 1 and None not in rings else Ring(
+        *(t for c in h.corrections for row in c.coeffs for t in row))
     corrections = [series_rows(ring, c) for c in h.corrections]
     return rows_series(ring, sum_rows(corrections, trunc))

@@ -518,17 +518,10 @@ def parse_problem(src: str) -> ProblemSpec:
     for i, entry in enumerate(terms_raw):
         if not isinstance(entry, dict):
             raise FormatError(f"L[{i}] must be an object")
-        row = entry.get("row")
-        col = entry.get("col")
-        derivs = entry.get("derivs")
-        if not isinstance(row, int) or not isinstance(col, int) or isinstance(row, bool) or isinstance(col, bool):
-            raise FormatError(f"L[{i}] row/col must be integers")
-        if not isinstance(derivs, list) or not all(
-            isinstance(k, int) and not isinstance(k, bool) for k in derivs
-        ):
-            raise FormatError(f"L[{i}].derivs must be a list of integers")
+        derivs = entry.get("derivs")  # a list's entries, or else what SpatialOperator refuses
         coeff = _field_expr(entry.get("coeff"), n, False, f"L[{i}].coeff")
-        terms.append(OperatorTerm(row, col, coeff, tuple(derivs)))
+        terms.append(OperatorTerm(entry.get("row"), entry.get("col"), coeff,
+                                  tuple(derivs) if isinstance(derivs, list) else derivs))
     operator = SpatialOperator(m, n, tuple(terms))
 
     f = _expr_vector(doc, "f", n, allow_time=True)

@@ -65,10 +65,6 @@ class RationalMatrix:
         if m == 0 or any(len(row) != m for row in self.entries):
             raise DimensionMismatch("matrix must be square and non-empty")
 
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
     @cached_property
     def numerators(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """The entries as int numerators over their least common
@@ -144,7 +140,13 @@ class SpatialOperator:
     terms: tuple[OperatorTerm, ...]
 
     def __post_init__(self):
-        # worded as a problem file names the terms
+        # worded as a problem file names the terms; every term's types first
+        for i, t in enumerate(self.terms):
+            if not all(isinstance(k, int) and not isinstance(k, bool) for k in (t.row, t.col)):
+                raise FormatError(f"L[{i}] row/col must be integers")
+            if not isinstance(t.orders, tuple) or not all(
+                    isinstance(k, int) and not isinstance(k, bool) for k in t.orders):
+                raise FormatError(f"L[{i}].derivs must be a list of integers")
         for i, t in enumerate(self.terms):
             if any(k < 0 for k in t.orders):
                 raise FormatError(f"L[{i}].derivs entries must be nonnegative")
@@ -501,11 +503,6 @@ def checked_series(p: ProblemSpec, s: TimeSeriesVec) -> TimeSeriesVec:
     if s.m != p.m:
         raise DimensionMismatch(f"series has {s.m} components, the problem {p.m}")
     return s
-
-
-def series_ring(s: TimeSeriesVec) -> Ring:
-    """The ring of the rows ``s`` keeps, or a new one sized for its trees."""
-    return vars(s).get("_ring") or Ring(*(c for row in s.coeffs for c in row))
 
 
 def rows_series(ring: Ring, rows: Rows) -> TimeSeriesVec:

@@ -360,7 +360,7 @@ def ref_invert(matrix: RationalMatrix) -> RationalMatrix:
     """Exact inverse by rational Gauss-Jordan elimination, as first written.
 
     Raises SingularRho when the matrix has no inverse."""
-    m = matrix.size
+    m = len(matrix.entries)
     aug = [[*row, *unit] for row, unit in zip(matrix.entries, RationalMatrix.identity(m).entries)]
     for col in range(m):
         pivot_row = next((r for r in range(col, m) if aug[r][col] != 0), None)
@@ -1410,7 +1410,7 @@ def correction_audit_max_deviation(p, expansion, plan: SamplePlan = PLAN) -> flo
     ``tree_forcing``, and rho^{-1} is applied entry by entry."""
     f = tree_forcing(p, expansion.working_order)
     worst = 0.0
-    for j in range(1, expansion.max_correction + 1):
+    for j in range(1, len(expansion.corrections)):
         prev, cur = expansion.corrections[j - 1], expansion.corrections[j]
         for k in range(expansion.working_order - 1):
             lu = apply_by_differentiate(p.L, prev.coefficient(k))

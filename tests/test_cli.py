@@ -422,12 +422,15 @@ class TestErrorsAndExitCodes:
         code, _, err = run(capsys, "solve", "no_such_file.prob")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("command", [["solve"], ["hpm", "--corrections", "1"]],
+                             ids=lambda c: c[0])
     @pytest.mark.parametrize("tolerance", ["inf", "1", "1e300", "0"])
-    def test_a_tolerance_that_decides_nothing_is_input_error(self, capsys, tolerance):
+    def test_a_tolerance_that_decides_nothing_is_input_error(self, capsys, tolerance, command):
         # a deviation from zero is below 1, so a tolerance of 1 or more
         # called wave_1d's tail zero though u[8] = 1/40320*sin(x1); one of
-        # 0 passes no check
-        assert run(capsys, "solve", WAVE, "--tolerance", tolerance) == (
+        # 0 passes no check.  hpm checks nothing, but its plan is refused
+        # as every file command's is
+        assert run(capsys, command[0], WAVE, *command[1:], "--tolerance", tolerance) == (
             2, "", "error: tolerance must be positive and below 1\n")
 
     def test_invalid_json(self, tmp_path, capsys):

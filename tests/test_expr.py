@@ -83,7 +83,7 @@ def _reference_deviation(a, b, plan):
     rng = random.Random(plan.seed)
     lo, hi = expr.SAMPLE_DOMAIN
     worst = 0.0
-    for _ in range(plan.points_per_check):
+    for _ in range(expr.POINTS_PER_CHECK):
         for _attempt in range(64):
             point = [rng.uniform(lo, hi) for _ in range(n_vars)]
             tval = rng.uniform(lo, hi) if with_time else None
@@ -100,11 +100,14 @@ def _reference_deviation(a, b, plan):
     return worst
 
 
-def _outcome(oracle, a, b, plan):
-    try:
-        return oracle(a, b, plan)
-    except SamplingExhausted:
-        return "exhausted"
+def _outcome(oracle, a, b, plan, points=expr.POINTS_PER_CHECK):
+    """The oracle's deviation over ``points`` points, or "exhausted"."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expr, "POINTS_PER_CHECK", points)
+        try:
+            return oracle(a, b, plan)
+        except SamplingExhausted:
+            return "exhausted"
 
 
 def _nested_sort_key(e):
@@ -662,15 +665,15 @@ class TestOracleParity:
         with_time = seed % 2 == 0
         a = random_raw_expr(rng, allow_time=with_time)
         b = random_raw_expr(rng, allow_time=with_time)
-        plan = SamplePlan(seed=seed, points_per_check=points)
+        plan = SamplePlan(seed=seed)
         pairs = [(a, b), (a, ZERO)]
         try:
             pairs.append((a, normalize(a)))
         except DomainError:
             pass  # a folds a zero to a negative power
         for x, y in pairs:
-            want = _outcome(_reference_deviation, x, y, plan)
-            assert _outcome(sampled_deviation, x, y, plan) == want
+            want = _outcome(_reference_deviation, x, y, plan, points)
+            assert _outcome(sampled_deviation, x, y, plan, points) == want
 
     @pytest.mark.parametrize("seed", [0, 1, 42])
     @pytest.mark.parametrize("points", [1, 7, 32])
@@ -685,9 +688,9 @@ class TestOracleParity:
          "exhausted"),
     ])
     def test_partial_and_empty_domains(self, seed, points, a, b, want):
-        plan = SamplePlan(seed=seed, points_per_check=points)
-        got = _outcome(sampled_deviation, a, b, plan)
-        assert got == _outcome(_reference_deviation, a, b, plan)
+        plan = SamplePlan(seed=seed)
+        got = _outcome(sampled_deviation, a, b, plan, points)
+        assert got == _outcome(_reference_deviation, a, b, plan, points)
         assert want is None or got == want
 
     def test_each_distinct_subtree_is_evaluated_once_per_point(self, monkeypatch):
@@ -705,17 +708,17 @@ class TestOracleParity:
 
         monkeypatch.setitem(expr._MATH, "sin", counting_sin)
         monkeypatch.setattr(expr, "_draws", counting_draws)
+        monkeypatch.setattr(expr, "POINTS_PER_CHECK", 16)
         text = " + ".join(f"{k}*sin(x1)^{k}*cos(sin(x1 + x2) - x2)" for k in range(1, 30))
-        plan = SamplePlan(points_per_check=16)
         # ln(x1) fails at about half the draws
         for suffix, defined in (("", lambda x1: True), (" + ln(x1)", lambda x1: x1 > 0)):
             calls.clear()
             draws.clear()
             a, b = parse_expr(text + suffix, 2), parse_expr(text + suffix, 2)  # equal, not shared
             assert a == b and a is not b
-            assert sampled_deviation(a, b, plan) == 0.0
+            assert sampled_deviation(a, b, PLAN) == 0.0
             # every draw at which both sides are defined is kept: none is thrown away
-            assert sum(defined(x[0]) for x, _ in draws) == plan.points_per_check
+            assert sum(defined(x[0]) for x, _ in draws) == 16
             distinct_sin_subtrees = 2  # sin(x1) and sin(x1 + x2)
             assert 0 < len(calls) <= len(draws) * distinct_sin_subtrees
 
@@ -742,8 +745,12 @@ class TestOracleParity:
 
 
 class TestSamplePlan:
+    def test_a_plan_is_a_seed_and_a_tolerance(self):
+        # every check keeps POINTS_PER_CHECK points; no caller chose another count
+        assert [f.name for f in dataclasses.fields(SamplePlan)] == ["seed", "tolerance"]
+        assert expr.POINTS_PER_CHECK == 32
+
     @pytest.mark.parametrize("kwargs", [
-        {"points_per_check": 0},
         {"tolerance": 0.0},
         {"tolerance": -1e-9},
         {"tolerance": math.inf},
@@ -801,6 +808,9 @@ class TestRarePaths:
     @pytest.mark.parametrize("call,error,message", [
         (lambda: Const(0.5), TypeError, "floats are not allowed in the symbolic layer"),
         (lambda: Var(-1), ValueError, "variable index must be nonnegative"),
+        # an index a file cannot name: sin(xTrue) and 1 + x2.5 would print
+        (lambda: Var(True), TypeError, "variable index must be a Python int"),
+        (lambda: Var(2.5), TypeError, "variable index must be a Python int"),
         (lambda: Pow(X1, 0.5), TypeError, "power exponent must be a Python int"),
         (lambda: Func("sec", X1), ValueError, "unsupported function 'sec'"),
         (lambda: expr.as_expr("x"), TypeError, "cannot use str as an expression"),
@@ -811,6 +821,9 @@ class TestRarePaths:
         # a rational times a sum's content: _mul refuses the product
         (lambda: parse_expr("2^14000*x1*(2^14000*x2 + 2^14000*x3)", 3), ParseError,
          "product of constants too large to represent at offset 11"),
+        # a sum's content raised to a huge power, met in a product
+        (lambda: Var(3) * Pow(Sum((2 * X1, 2 * Var(2))), 10**6), DomainError,
+         "power of a constant too large to represent"),
     ])
     def test_error(self, call, error, message):
         with pytest.raises(error) as err:

@@ -2,10 +2,11 @@
 is left without a caller."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pdeseries
-from pdeseries import expr
+from pdeseries import expr, hpm, series
 
 PACKAGE = Path(pdeseries.__file__).resolve().parent
 
@@ -168,6 +169,15 @@ def test_one_calculus_on_the_ring():
     assert offenders == []
     assert formers == ["poly.Ring.outer"]
     assert {"Ring._atom_derivative", "_Jets._func"} <= readers
+
+
+def test_no_member_restates_another_or_waits_for_a_caller():
+    # len(h.corrections) - 1 is the correction count and len(m.entries) a
+    # matrix's size; partial_sum sizes its own ring
+    assert [f.name for f in dataclasses.fields(hpm.HpmExpansion)] == [
+        "corrections", "working_order"]
+    assert not hasattr(series.RationalMatrix, "size")
+    assert not hasattr(series, "series_ring")
 
 
 def test_no_module_tests_for_cos_by_name():

@@ -585,6 +585,9 @@ class TestProblemFiles:
          "L[0].derivs must be a list of integers"),
         (lambda d: d["L"][0].update(derivs=[True, 0]), FormatError,
          "L[0].derivs must be a list of integers"),
+        # SpatialOperator checks the types, once every coefficient has parsed
+        (lambda d: d["L"][0].update(derivs=[0.5, 0]) or d["L"][1].update(coeff="1+"), ParseError,
+         "L[1].coeff: unexpected eof at offset 2 (expected number, identifier, '(', '-')"),
     ])
     def test_format_errors(self, mutate, error, message):
         doc = _base_doc()

@@ -701,8 +701,19 @@ class TestExponentRange:
 
     def test_a_series_of_trees_gets_a_ring_sized_for_them(self):
         e = parse_expr("x1^(2^63) + x1^(-(2^63))", 1)
-        h = HpmExpansion((TimeSeriesVec(1, 1, ((e,), (e,))),), 0, 1)
+        h = HpmExpansion((TimeSeriesVec(1, 1, ((e,), (e,))),), 1)
         assert partial_sum(h, 1).coeffs == ((e,), (e,))
+
+    def test_corrections_get_a_ring_sized_for_all_of_them(self):
+        # a ring sized for the first correction alone, 64 bits for x1 or the
+        # problem's for the engine's rows, had no room for x1^(2^70): the
+        # sum depended on the order of the corrections
+        small, huge = (TimeSeriesVec(1, 0, ((parse_expr(t, 1),),)) for t in ("x1", "x1^(2^70)"))
+        engine = solve_hpm(load_problem(str(PROBLEM_DIR / "wave_1d.prob")), 0).corrections[0]
+        for other, text in ((small, "x1"), (engine, "sin(x1)")):  # trees; rows kept in a ring
+            want = ((parse_expr(f"{text} + x1^(2^70)", 1),),)
+            for pair in ((other, huge), (huge, other)):
+                assert partial_sum(HpmExpansion(pair, 0), 0).coeffs == want
 
     @pytest.mark.parametrize("argv", RANGE_COMMANDS, ids=lambda a: a[0])
     @pytest.mark.parametrize("text", RANGE_CASES)

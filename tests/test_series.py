@@ -928,6 +928,21 @@ class TestErrorPaths:
          DimensionMismatch, "L[0].derivs has length 2, expected 1"),
         (lambda: SpatialOperator(1, 2, (OperatorTerm(0, 0, const(1), (2, -1)),)),
          FormatError, "L[0].derivs entries must be nonnegative"),
+        # what a problem file cannot state: True read as 1, 1.5 and 0.0 a TypeError
+        (lambda: SpatialOperator(1, 2, (OperatorTerm(0, 0, const(1), (True, 0)),)),
+         FormatError, "L[0].derivs must be a list of integers"),
+        (lambda: SpatialOperator(1, 2, (OperatorTerm(0, 0, const(1), (1.5, 0)),)),
+         FormatError, "L[0].derivs must be a list of integers"),
+        (lambda: SpatialOperator(1, 1, (OperatorTerm(0, 0, const(1), [2]),)),
+         FormatError, "L[0].derivs must be a list of integers"),
+        (lambda: SpatialOperator(1, 1, (OperatorTerm(0.0, 0, const(1), (2,)),)),
+         FormatError, "L[0] row/col must be integers"),
+        (lambda: SpatialOperator(1, 1, (OperatorTerm(0, True, const(1), (2,)),)),
+         FormatError, "L[0] row/col must be integers"),
+        # every term's types are checked before any term's ranges
+        (lambda: SpatialOperator(1, 1, (OperatorTerm(1, 0, const(1), (2,)),
+                                        OperatorTerm(0, 0, const(1), (2.0,)))),
+         FormatError, "L[1].derivs must be a list of integers"),
         (lambda: _problem(L=SpatialOperator(1, 1, (OperatorTerm(0, 0, Var(TIME_INDEX), (2,)),))),
          TimeNotAllowed, "L[0].coeff: the time symbol is not allowed here at offset 0"),
         (lambda: expand_in_time(Var(1), -1), ValueError, "expansion order must be nonnegative"),
