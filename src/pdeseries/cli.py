@@ -17,7 +17,7 @@ from .expr import DEFAULT_PLAN, SamplePlan
 from .hpm import partial_sum, solve_hpm
 from .parser import load_problem, parse_expr, print_polys
 from .poly import Ring
-from .series import ProblemSpec, TimeSeriesVec, expand_rows, problem_ring, series_rows
+from .series import ProblemSpec, TimeSeriesVec, expand_rows, series_rows
 from .taylor import solve_taylor, taylor_coefficients
 from .verify import equivalence_check, residual_check
 
@@ -122,8 +122,7 @@ def _problem_and_plan(args) -> tuple[ProblemSpec, SamplePlan]:
 def _cmd_solve(args) -> int:
     problem, plan = _problem_and_plan(args)
     solution = solve_taylor(problem, plan)
-    ring = problem_ring(problem)
-    (rows,) = _printed(ring, [solution.series])
+    (rows,) = _printed(problem.ring, [solution.series])
     if args.output_format == "json":
         sys.stdout.write(_render_json({
             "order": problem.order,
@@ -144,8 +143,8 @@ def _cmd_hpm(args) -> int:
     problem, _ = _problem_and_plan(args)  # the plan is checked, not used
     expansion = solve_hpm(problem, args.corrections)
     working = expansion.working_order
-    ring = problem_ring(problem)
-    *corrections, total = _printed(ring, [*expansion.corrections, partial_sum(expansion, working)])
+    *corrections, total = _printed(problem.ring,
+                                   [*expansion.corrections, partial_sum(expansion, working)])
     if args.output_format == "json":
         sys.stdout.write(_render_json({
             "corrections": corrections,

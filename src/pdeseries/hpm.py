@@ -23,7 +23,6 @@ from .series import (
     apply_rows,
     check_integer,
     forcing_rows,
-    problem_ring,
     rows_series,
     scale_rows,
     series_rows,
@@ -42,15 +41,23 @@ class HpmExpansion:
     corrections: tuple[TimeSeriesVec, ...]
     working_order: int
 
+    def __post_init__(self):
+        if not self.corrections:
+            raise ValueError("an expansion holds at least correction 0")
+        for j, c in enumerate(self.corrections):
+            if c.order != self.working_order:
+                raise ValueError(f"correction {j} has order {c.order}, "
+                                 f"not the working order {self.working_order}")
+
 
 def hpm_rows(p: ProblemSpec, corrections: int, working: int) -> list[Rows]:
     """Corrections u^(0)..u^(corrections) to degree ``working``, on
-    polynomials of ``problem_ring(p)``.
+    polynomials of ``p.ring``.
 
     u^(0) holds degrees 0 and 1 and each correction integrates twice, so
     correction j is zero below degree 2j: correction j >= 2 is built
     from degree 2j-2 of the previous one, and its lower rows are zero."""
-    ring = problem_ring(p)
+    ring = p.ring
     f = forcing_rows(p, working)
     zero = [ZERO] * p.m
     first = [list(map(ring.from_tree, p.u0)), list(map(ring.from_tree, p.u1))]
@@ -91,9 +98,8 @@ def solve_hpm(p: ProblemSpec, corrections: int) -> HpmExpansion:
     The comparison with the direct series reads only degrees 0..2J+1
     and builds them with ``hpm_rows`` directly."""
     working = working_order(p, corrections)
-    ring = problem_ring(p)
     return HpmExpansion(tuple(
-        rows_series(ring, rows) for rows in hpm_rows(p, corrections, working)
+        rows_series(p.ring, rows) for rows in hpm_rows(p, corrections, working)
     ), working)
 
 

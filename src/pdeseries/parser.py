@@ -67,7 +67,6 @@ from .expr import (
 from .poly import Poly, Ring
 from .series import (
     OperatorTerm, ProblemSpec, RationalMatrix, SpatialOperator, check_count, check_rho_shape,
-    checked_problem,
 )
 
 
@@ -485,7 +484,7 @@ def _expr_vector(doc: dict, key: str, n: int, allow_time: bool) -> tuple[Expr, .
 
 def parse_problem(src: str) -> ProblemSpec:
     """Parse a JSON problem file: this checks the JSON types and the
-    expression grammar, and ``checked_problem`` every rule of a problem,
+    expression grammar, and ``ProblemSpec`` every rule of a problem,
     so a singular mass matrix is a load-time error."""
     try:
         doc = json.loads(src)
@@ -528,7 +527,7 @@ def parse_problem(src: str) -> ProblemSpec:
     u0 = _expr_vector(doc, "u0", n, allow_time=False)
     u1 = _expr_vector(doc, "u1", n, allow_time=False)
     # the parsed trees are normal already
-    return checked_problem(m, n, rho, operator, f, u0, u1, order)
+    return ProblemSpec(m, n, rho, operator, f, u0, u1, order)
 
 
 def load_problem(path: str) -> ProblemSpec:

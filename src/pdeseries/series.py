@@ -8,7 +8,6 @@ that both solver engines consume.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,12 +43,6 @@ from .poly import ONE as POLY_ONE, PARTNERS, ZERO as POLY_ZERO, Poly, Ring, add,
 ExprVec = tuple[Expr, ...]
 
 
-def _fields(self) -> dict:
-    """What pickles and copies of a dataclass carry: its fields, not what
-    is cached from them in ``vars(self)``."""
-    return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-
-
 # ---------------------------------------------------------------------------
 # Rational matrices
 # ---------------------------------------------------------------------------
@@ -69,12 +62,10 @@ class RationalMatrix:
     def numerators(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """The entries as int numerators over their least common
         denominator, and that denominator; built on first use and kept in
-        ``vars(self)``, which equality, repr, pickles and copies ignore."""
+        ``vars(self)``, which equality and repr ignore."""
         den = math.lcm(*(x.denominator for row in self.entries for x in row))
         return tuple(tuple(x.numerator * (den // x.denominator) for x in row)
                      for row in self.entries), den
-
-    __getstate__ = _fields
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "RationalMatrix":
@@ -133,7 +124,7 @@ class OperatorTerm:
 @dataclass(frozen=True)
 class SpatialOperator:
     """Matrix-valued linear differential operator, structurally the sum
-    of its terms; ``checked_problem`` keeps its coefficients time-free."""
+    of its terms; ``ProblemSpec`` keeps its coefficients time-free."""
 
     m: int
     n: int
@@ -187,8 +178,6 @@ class SpatialOperator:
                         at = c
             walks.append((t, start, tuple(runs)))
         return tuple(walks)
-
-    __getstate__ = _fields
 
 
 def apply_rows(
@@ -453,7 +442,8 @@ class TimeSeriesVec:
     list always holds exactly ``order + 1`` entries.  A series that
     ``rows_series`` made keeps its rows and their ring as attributes,
     not fields, and builds ``coeffs`` from them when it is first read:
-    equality, hashing, repr, pickles and copies see only the trees."""
+    equality, hashing and repr see only the trees; pickles and copies
+    carry the rows and their ring too."""
 
     m: int
     order: int
@@ -482,8 +472,6 @@ class TimeSeriesVec:
 
     def coefficient(self, degree: int) -> ExprVec:
         return self.coeffs[degree]
-
-    __getstate__ = _fields  # the trees, not the rows or their ring
 
 
 Rows = list[list[Poly]]  # degree -> component -> polynomial
@@ -520,35 +508,79 @@ def rows_series(ring: Ring, rows: Rows) -> TimeSeriesVec:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """One problem instance: dimensions, mass matrix and its exact
-    inverse, spatial operator, forcing, initial data, truncation order."""
+    """One problem instance: dimensions, mass matrix, spatial operator,
+    forcing, initial data, truncation order.
+
+    However it is made (``create``, the constructor, ``dataclasses.replace``)
+    it is refused unless it obeys every rule of a problem, in the words of
+    a problem file; ``SpatialOperator`` checks its own terms.  Its trees
+    must be normal, and each may use x1..xn, and only the forcing t.  rho
+    is inverted first, then each tree is checked in turn, L's
+    coefficients, u0, u1 and f: that it is an expression, then its
+    variables, its polynomial in the problem's ring (which sees a sum that
+    is zero only as a polynomial, such as (1+x1)*(1-x1)+x1^2-1), its use
+    of t.  A tree keeps no byte offsets: ParseErrors are at 0.
+
+    The checks leave three attributes that are not fields, so equality,
+    hashing and repr ignore them: ``rho_inv``, ``ring``, the polynomial
+    ring both engines use, and the forcing expansion per component, which
+    ``forcing_rows`` fills."""
 
     m: int
     n: int
     rho: RationalMatrix
-    rho_inv: RationalMatrix
     L: SpatialOperator
     f_source: ExprVec
     u0: ExprVec
     u1: ExprVec
     order: int
 
+    def __post_init__(self):
+        m, n, L = self.m, self.n, self.L
+        for value, name in ((m, "field 'm'"), (n, "field 'n'"), (self.order, "field 'order'")):
+            check_count(value, name)
+        check_rho_shape(self.rho.entries, m)
+        if L.m != m or L.n != n:
+            raise DimensionMismatch("operator dimensions disagree with the problem")
+        for name, vec in (("f", self.f_source), ("u0", self.u0), ("u1", self.u1)):
+            if len(vec) != m:
+                raise DimensionMismatch(f"field {name!r} has length {len(vec)}, expected {m}")
+        rho_inv = invert(self.rho)
+        trees = [(f"L[{i}].coeff", t.coeff) for i, t in enumerate(L.terms)]
+        for name, vec in (("u0", self.u0), ("u1", self.u1), ("f", self.f_source)):
+            trees += [(f"{name}[{i}]", tree) for i, tree in enumerate(vec)]
+        for where, tree in trees:  # before the ring is sized from them
+            if not isinstance(tree, Expr):
+                raise FormatError(f"{where} must be an expression")
+        ring, walked = Ring(*(tree for _, tree in trees)), {}
+        for where, tree in trees:
+            index, time = _variables(tree, walked)
+            if index > n:
+                raise UnknownIdentifier(f"{where}: variable x{index} exceeds spatial dimension {n}", 0)
+            if not where.startswith("f["):
+                try:
+                    ring.from_tree(tree)
+                except DomainError as exc:
+                    raise ParseError(f"{where}: {exc}", 0) from exc
+                if time:
+                    raise TimeNotAllowed(f"{where}: the time symbol is not allowed here", 0)
+        vars(self).update(rho_inv=rho_inv, ring=ring, _forcing=[])
+
     @classmethod
     def create(cls, m: int, n: int, rho: RationalMatrix, L: SpatialOperator, f: Sequence[Expr],
                u0: Sequence[Expr], u1: Sequence[Expr], order: int) -> "ProblemSpec":
-        """``checked_problem`` of these fields, with f, u0 and u1 normalized."""
+        """The problem of these fields, with f, u0 and u1 normalized."""
         f, u0, u1 = (tuple(map(normalize, vec)) for vec in (f, u0, u1))
-        return checked_problem(m, n, rho, L, f, u0, u1, order)
+        return cls(m, n, rho, L, f, u0, u1, order)
 
     def with_order(self, order: int) -> "ProblemSpec":
-        """The same problem truncated at another order; it shares this
-        problem's forcing expansion and polynomial ring."""
+        """The same problem truncated at another order, not checked again:
+        a shallow copy, sharing this problem's inverse, ring and forcing
+        expansion."""
         check_count(order, "truncation order")
-        other = dataclasses.replace(self, order=order)
-        vars(other).update(_ring=problem_ring(self), _forcing=vars(self).setdefault("_forcing", []))
+        other = object.__new__(ProblemSpec)
+        vars(other).update(vars(self), order=order)
         return other
-
-    __getstate__ = _fields  # the problem, not its caches
 
 
 def check_integer(value: int, name: str) -> None:
@@ -575,63 +607,16 @@ def check_rho_shape(rows, m: int) -> None:
         raise DimensionMismatch(f"field 'rho' must be an array of shape {m}x{m}")
 
 
-def checked_problem(m: int, n: int, rho: RationalMatrix, L: SpatialOperator, f: ExprVec,
-                    u0: ExprVec, u1: ExprVec, order: int) -> ProblemSpec:
-    """The problem of these fields, whose trees must be normal, refused
-    unless it obeys every rule of a problem, in the words of a problem
-    file; ``SpatialOperator`` checks its own terms.  Each tree may use
-    x1..xn, and only the forcing t.  The coefficients and the initial
-    data are converted to polynomials of the problem's new ring, which
-    sees a sum that is zero only as a polynomial, such as
-    (1+x1)*(1-x1)+x1^2-1.  rho is inverted first, then each tree is
-    checked in turn, L's coefficients, u0, u1 and f: its variables, its
-    polynomial, its use of t.  A tree keeps no byte offsets: ParseErrors
-    are at 0."""
-    for value, name in ((m, "field 'm'"), (n, "field 'n'"), (order, "field 'order'")):
-        check_count(value, name)
-    check_rho_shape(rho.entries, m)
-    if L.m != m or L.n != n:
-        raise DimensionMismatch("operator dimensions disagree with the problem")
-    for name, vec in (("f", f), ("u0", u0), ("u1", u1)):
-        if len(vec) != m:
-            raise DimensionMismatch(f"field {name!r} has length {len(vec)}, expected {m}")
-    p = ProblemSpec(m, n, rho, invert(rho), L, f, u0, u1, order)
-    ring, walked = problem_ring(p), {}
-    for name, vec in (("L[{}].coeff", [t.coeff for t in L.terms]), ("u0[{}]", u0), ("u1[{}]", u1),
-                      ("f[{}]", f)):
-        for i, tree in enumerate(vec):
-            where, (index, time) = name.format(i), _variables(tree, walked)
-            if index > n:
-                raise UnknownIdentifier(f"{where}: variable x{index} exceeds spatial dimension {n}", 0)
-            if name != "f[{}]":
-                try:
-                    ring.from_tree(tree)
-                except DomainError as exc:
-                    raise ParseError(f"{where}: {exc}", 0) from exc
-                if time:
-                    raise TimeNotAllowed(f"{where}: the time symbol is not allowed here", 0)
-    return p
-
-
-def problem_ring(p: ProblemSpec) -> Ring:
-    """The ring both engines use for ``p``, sized for its trees and made
-    on first use.  It and the forcing expansion per component live in
-    ``vars(p)``, not in fields, so equality, hashing and repr ignore them."""
-    if "_ring" not in vars(p):
-        vars(p)["_ring"] = Ring(*p.u0, *p.u1, *p.f_source, *(t.coeff for t in p.L.terms))
-    return p._ring
-
-
 def forcing_rows(p: ProblemSpec, order: int) -> Rows:
     """Per-degree forcing vectors f_0..f_order from the closed-form
-    forcing expressions, as polynomials of ``problem_ring(p)``.
+    forcing expressions, as polynomials of ``p.ring``.
 
     Each forcing component is expanded by jets in the ring once per
     problem: coefficients do not depend on the order they were expanded
     to, so a later call with an order no larger reads a prefix of the
     stored ones, and only a larger order expands again."""
-    per_component = vars(p).setdefault("_forcing", [])
+    per_component = p._forcing
     if not per_component or len(per_component[0]) <= order:
-        jets = _Jets(problem_ring(p), order)
+        jets = _Jets(p.ring, order)
         per_component[:] = [jets.expansion(c) for c in p.f_source]
     return [[c[j] for c in per_component] for j in range(order + 1)]

@@ -19,7 +19,6 @@ from .series import (
     apply_rows,
     checked_series,
     forcing_rows,
-    problem_ring,
     rows_series,
     scale_rows,
     series_rows,
@@ -42,8 +41,8 @@ class TaylorSolution:
 
 def taylor_rows(p: ProblemSpec) -> Rows:
     """The recursion up to the problem's truncation order, on
-    polynomials of ``problem_ring(p)``."""
-    ring = problem_ring(p)
+    polynomials of ``p.ring``."""
+    ring = p.ring
     f = forcing_rows(p, p.order)
     rows = [list(map(ring.from_tree, p.u0)), list(map(ring.from_tree, p.u1))]
     for j in range(p.order - 1):
@@ -54,7 +53,7 @@ def taylor_rows(p: ProblemSpec) -> Rows:
 
 def taylor_coefficients(p: ProblemSpec) -> TimeSeriesVec:
     """Run the recursion up to the problem's truncation order."""
-    return rows_series(problem_ring(p), taylor_rows(p))
+    return rows_series(p.ring, taylor_rows(p))
 
 
 def solve_taylor(p: ProblemSpec, plan: SamplePlan = DEFAULT_PLAN) -> TaylorSolution:
@@ -75,7 +74,7 @@ def detect_exact(
     and up vanishes.  A coefficient vanishes when its polynomial is
     zero, or else when it samples equal to zero.
     """
-    ring = problem_ring(p)
+    ring = p.ring
     rows, order = series_rows(ring, checked_series(p, sol)), sol.order
     f = forcing_rows(p, order)
 

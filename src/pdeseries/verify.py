@@ -16,7 +16,6 @@ from .series import (
     check_integer,
     checked_series,
     forcing_rows,
-    problem_ring,
     scale_rows,
     series_rows,
 )
@@ -95,7 +94,7 @@ def residual_check(
     order = checked_series(p, sol).order
     if order < 2:
         raise ValueError("residual check needs a series of order >= 2")
-    ring = problem_ring(p)
+    ring = p.ring
     rows = series_rows(ring, sol)
     f = forcing_rows(p, order)
     checks = []
@@ -122,9 +121,8 @@ def equivalence_check(
     if corrections < 1:
         raise ValueError("need at least one correction to compare engines")
     final_degree = 2 * corrections + 1
-    ring = problem_ring(p)
     direct = taylor_rows(p.with_order(final_degree))
     summed = sum_rows(hpm_rows(p, corrections, final_degree), final_degree)
-    checks = [_degree_check(ring, d, zip(direct[d], summed[d]), plan)
+    checks = [_degree_check(p.ring, d, zip(direct[d], summed[d]), plan)
               for d in range(final_degree + 1)]
     return EquivalenceReport(corrections, tuple(checks))

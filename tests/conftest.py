@@ -382,9 +382,7 @@ def ref_engines(p, corrections: int) -> tuple[list, list]:
     the same degree, in the reference arithmetic; the forcing comes from
     the tree jets, the inverse mass matrix from ``ref_invert``, and only
     the trees of the data go through the ring."""
-    from pdeseries.series import problem_ring
-
-    ring, order, rho_inv = problem_ring(p), p.order, ref_invert(p.rho)
+    ring, order, rho_inv = p.ring, p.order, ref_invert(p.rho)
     f = [[ref_of(ring, ring.from_tree(c)) for c in row] for row in tree_forcing(p, order)]
     first = [[ref_of(ring, ring.from_tree(c)) for c in vec] for vec in (p.u0, p.u1)]
     direct = list(first)
@@ -863,11 +861,11 @@ class TupleRing:
 
 def tuple_engines(p, corrections: int) -> tuple[list, list]:
     """``taylor_rows(p)`` and ``hpm_rows(p, corrections, p.order)`` over
-    the tuple kernel, from the data and forcing of ``problem_ring(p)``
+    the tuple kernel, from the data and forcing of ``p.ring``
     decoded."""
-    from pdeseries.series import forcing_rows, problem_ring
+    from pdeseries.series import forcing_rows
 
-    ring = TupleRing(problem_ring(p))
+    ring = TupleRing(p.ring)
     f = [list(map(ring.of, row)) for row in forcing_rows(p, p.order)]
     first = [[ring.of(ring.ring.from_tree(c)) for c in vec] for vec in (p.u0, p.u1)]
 

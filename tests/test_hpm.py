@@ -11,10 +11,10 @@ from conftest import HEAVY_2X2, PLAN, correction_audit_max_deviation, problem_pa
 from pdeseries import hpm, series
 from pdeseries.cli import main
 from pdeseries.expr import ZERO, const, equal_sampled
-from pdeseries.hpm import hpm_rows, partial_sum, solve_hpm
+from pdeseries.hpm import HpmExpansion, hpm_rows, partial_sum, solve_hpm
 from pdeseries.parser import load_problem, parse_expr
 from pdeseries.poly import scale
-from pdeseries.series import problem_ring, rows_series
+from pdeseries.series import rows_series
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +62,7 @@ def _assert_capped_matches_uncapped(p, corrections):
     # so the rows the comparison builds to 2J+1 are those of solve_hpm
     window = 2 * corrections + 1
     full = solve_hpm(p, corrections)
-    capped = [rows_series(problem_ring(p), rows)
+    capped = [rows_series(p.ring, rows)
               for rows in hpm_rows(p, corrections, window)]
     assert full.working_order >= window
     assert len(capped) == len(full.corrections) == corrections + 1
@@ -132,6 +132,17 @@ class TestPartialSum:
         for trunc in (4, 8):
             with pytest.raises(ValueError):
                 partial_sum(h, trunc)
+
+    def test_refuses_an_expansion_without_a_common_working_order(self, wave):
+        # corrections stored short of the working order would read as zero
+        # past their own order; without any, partial_sum had no correction 0
+        h = solve_hpm(wave, 1)
+        with pytest.raises(ValueError, match=r"^correction 0 has order 3, not the working order 7$"):
+            HpmExpansion(h.corrections, h.working_order + 4)
+        with pytest.raises(ValueError, match=r"^correction 1 has order 2, not the working order 3$"):
+            HpmExpansion((h.corrections[0], partial_sum(h, 2)), 3)
+        with pytest.raises(ValueError, match=r"^an expansion holds at least correction 0$"):
+            HpmExpansion((), 0)
 
     def test_one_correction_low_truncation(self, wave):
         h = solve_hpm(wave, 0)

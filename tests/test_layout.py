@@ -178,6 +178,13 @@ def test_no_member_restates_another_or_waits_for_a_caller():
         "corrections", "working_order"]
     assert not hasattr(series.RationalMatrix, "size")
     assert not hasattr(series, "series_ring")
+    # a problem checks itself and sets its inverse, ring and forcing cache
+    # in its constructor, and copies carry them as they are
+    assert [f.name for f in dataclasses.fields(series.ProblemSpec)] == [
+        "m", "n", "rho", "L", "f_source", "u0", "u1", "order"]
+    gone = ("checked_problem", "problem_ring", "_fields", "__getstate__")
+    assert [f"{path.stem} names {name}" for path in sorted(PACKAGE.glob("*.py"))
+            for name in gone if name in path.read_text(encoding="utf-8")] == []
 
 
 def test_no_module_tests_for_cos_by_name():

@@ -724,7 +724,7 @@ _HIDDEN_ZERO = "x1 + 1/((1+x1)*(1-x1)+x1^2-1)"
 
 class TestProblemBuiltDirectly:
     """parse_problem and ProblemSpec.create build a problem through one
-    validator, series.checked_problem: parse_problem checks only the JSON
+    validator, ProblemSpec's own: parse_problem checks only the JSON
     types and the grammar, and hands it the trees it parsed, which are
     normal already."""
 

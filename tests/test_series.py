@@ -3,6 +3,8 @@ series containers."""
 
 import copy
 import dataclasses
+import functools
+import inspect
 import math
 import pickle
 import random
@@ -44,6 +46,7 @@ from pdeseries.errors import (
     SamplingExhausted,
     SingularRho,
     TimeNotAllowed,
+    UnknownIdentifier,
 )
 from pdeseries.expr import (
     FUNCTIONS,
@@ -67,6 +70,7 @@ from pdeseries.expr import (
 from pdeseries.parser import load_problem, parse_expr, print_expr, print_polys
 from pdeseries.poly import ONE as POLY_ONE, ZERO as POLY_ZERO, Ring, add, scale
 from pdeseries.taylor import taylor_coefficients, taylor_rows
+from pdeseries.verify import residual_check
 from pdeseries.series import (
     OperatorTerm,
     ProblemSpec,
@@ -74,12 +78,10 @@ from pdeseries.series import (
     SpatialOperator,
     TimeSeriesVec,
     apply_rows,
-    checked_problem,
     expand_in_time,
     expand_rows,
     forcing_rows,
     invert,
-    problem_ring,
     rows_series,
     scale_rows,
     series_rows,
@@ -212,7 +214,7 @@ class TestApplyRows:
         # the forcing joins the operator's sum, with the value of adding
         # it to the unforced image afterwards
         p, _ = random_problem(seed)
-        ring = problem_ring(p)
+        ring = p.ring
         zero = [POLY_ZERO] * p.m
         f = forcing_rows(p, p.order)
         for u, fj in zip(taylor_rows(p), f):
@@ -557,7 +559,7 @@ class TestJetsAgainstDifferentiation:
         p = ProblemSpec.create(1, 2, RationalMatrix.identity(1), SpatialOperator(1, 2, ()),
                                [e], [ZERO], [ZERO], 5)
         ring, rows = expand_rows(e, 5)
-        assert print_polys(ring, rows) == print_polys(problem_ring(p), [c for (c,) in forcing_rows(p, 5)])
+        assert print_polys(ring, rows) == print_polys(p.ring, [c for (c,) in forcing_rows(p, 5)])
         assert rows == [ring.from_tree(c) for c in _expand_by_differentiation(e, 5)]
         assert main(["expand", "--expr", text, "--order", "5", "--dim", "2"]) == 0
         out = capsys.readouterr().out
@@ -716,7 +718,7 @@ class TestRingJets:
             "f": ["(t + {terms})^2"], "u0": ["0"], "u1": ["0"], "order": 2}}""")
         p = load_problem(str(path))
         rows = forcing_rows(p, 2)
-        assert rows[1][0] == scale(problem_ring(p).from_tree(parse_expr(terms, 1)), 2)
+        assert rows[1][0] == scale(p.ring.from_tree(parse_expr(terms, 1)), 2)
         assert len(rows[0][0]) == 1 and rows[2][0] == POLY_ONE
 
 
@@ -783,11 +785,21 @@ class TestForcingExpandedOnce:
         assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
         cached = {"numerators", "walks"}
         assert cached <= {*vars(p.rho), *vars(p.rho_inv), *vars(p.L)}
-        for copied in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
-            assert copied == p and not hasattr(copied, "_forcing")
-            assert not hasattr(copied, "_ring")
+        # copies carry the caches: a shallow copy shares them, and the ring
+        # of any copy reads the same rows
+        shallow = copy.copy(p)
+        assert shallow == p and all(
+            getattr(shallow, name) is getattr(p, name) for name in ("rho_inv", "ring", "_forcing"))
         for copied in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
-            assert not cached & {*vars(copied.rho), *vars(copied.rho_inv), *vars(copied.L)}
+            assert copied == p and copied.rho_inv == p.rho_inv and copied.ring is not p.ring
+            assert copied._forcing == p._forcing and taylor_rows(copied) == taylor_rows(p)
+            assert cached <= {*vars(copied.rho), *vars(copied.rho_inv), *vars(copied.L)}
+
+    def test_a_copy_at_another_order_shares_the_caches(self):
+        p = load_problem(problem_path("coupled_2x2.prob"))
+        q = p.with_order(9)
+        assert q.order == 9 and q == dataclasses.replace(p, order=9)
+        assert q.rho_inv is p.rho_inv and q.ring is p.ring and q._forcing is p._forcing
 
 
 class TestScaleRows:
@@ -852,22 +864,23 @@ class TestTimeSeriesVec:
 
     def test_a_series_of_rows_keeps_them_aside(self):
         p = load_problem(problem_path("forced_wave_2d.prob"))
-        ring, rows = problem_ring(p), taylor_rows(p)
+        ring, rows = p.ring, taylor_rows(p)
         s = rows_series(ring, rows)
         assert series_rows(ring, s) is rows  # no tree is converted back
         plain = TimeSeriesVec(s.m, s.order, s.coeffs)
         assert plain == s and hash(plain) == hash(s) and repr(plain) == repr(s)
         assert series_rows(ring, plain) == rows
         assert series_rows(ring, s) is rows  # reading the trees keeps the rows
-        for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s)):
-            assert copied == s and not hasattr(copied, "_rows")
-            assert not hasattr(copied, "_ring")
+        # copies carry the rows and their ring; a shallow copy shares them
+        assert series_rows(ring, copy.copy(s)) is rows
+        for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+            assert copied == s and series_rows(copied._ring, copied) == rows
 
     @pytest.mark.parametrize("name", ["wave_1d.prob", "forced_wave_2d.prob",
                                       "coupled_2x2.prob"])
     def test_trees_are_built_when_first_read(self, monkeypatch, name):
         p = load_problem(problem_path(name))
-        ring = problem_ring(p)
+        ring = p.ring
         # the series as built with every tree up front
         eager = TimeSeriesVec(p.m, p.order, tuple(
             tuple(map(ring.to_tree, row)) for row in taylor_rows(p)
@@ -897,25 +910,49 @@ class TestTimeSeriesVec:
         )
         for read in reads:
             assert read(taylor_coefficients(p))
+        # a copy of a series whose trees were never read builds them when
+        # they are first read, from the rows it carries
         for copied in (pickle.loads(pickle.dumps(taylor_coefficients(p))),
                        copy.copy(taylor_coefficients(p))):
-            assert vars(copied).keys() == {"m", "order", "coeffs"}
+            assert vars(copied).keys() == {"m", "order", "_ring", "_rows"}
+            assert copied.coeffs == eager.coeffs
 
 
 _D2 = SpatialOperator(1, 1, (OperatorTerm(0, 0, const(1), (2,)),))
 _I1 = RationalMatrix.identity(1)
 
 
-def _problem(m=1, n=1, rho=_I1, L=_D2, f=(ZERO,), u0=(ZERO,), u1=(ZERO,), order=1):
-    """``ProblemSpec.create`` on u_tt = u_x1x1 with zero data, one argument changed."""
-    return ProblemSpec.create(m, n, rho, L, f, u0, u1, order)
+def _problem(path="create", m=1, n=1, rho=_I1, L=_D2, f=(ZERO,), u0=(ZERO,), u1=(ZERO,),
+             order=1):
+    """u_tt = u_x1x1 with zero data, one argument changed, made by ``path``:
+    ``ProblemSpec.create``, the bare constructor, or ``dataclasses.replace``
+    of the changed fields of the valid problem."""
+    fields = m, n, rho, L, f, u0, u1, order
+    if path == "create":
+        return ProblemSpec.create(*fields)
+    if path == "constructor":
+        return ProblemSpec(*fields)
+    valid = _problem("constructor")
+    return dataclasses.replace(valid, **{
+        field.name: value for field, value in zip(dataclasses.fields(ProblemSpec), fields)
+        if value != getattr(valid, field.name)})
+
+
+def _on_each_path(rows):
+    """The rows of a table, then each row whose build takes the path by
+    which ``_problem`` makes a problem again on the other two paths."""
+    return rows + [
+        pytest.param(functools.partial(build, path), error, message,
+                     id=f"{path}-{error.__name__}-{message}")
+        for build, error, message in rows if "path" in inspect.signature(build).parameters
+        for path in ("constructor", "replace")]
 
 
 class TestErrorPaths:
     """Each check of the containers, with its error class and message.
     A problem's are worded as for a problem file, whose fields they name."""
 
-    @pytest.mark.parametrize("build,error,message", [
+    @pytest.mark.parametrize("build,error,message", _on_each_path([
         (lambda: RationalMatrix.from_rows([[1, 2]]), DimensionMismatch,
          "matrix must be square and non-empty"),
         (lambda: RationalMatrix.from_rows([]), DimensionMismatch,
@@ -943,8 +980,21 @@ class TestErrorPaths:
         (lambda: SpatialOperator(1, 1, (OperatorTerm(1, 0, const(1), (2,)),
                                         OperatorTerm(0, 0, const(1), (2.0,)))),
          FormatError, "L[1].derivs must be a list of integers"),
-        (lambda: _problem(L=SpatialOperator(1, 1, (OperatorTerm(0, 0, Var(TIME_INDEX), (2,)),))),
+        (lambda path="create": _problem(
+            path, L=SpatialOperator(1, 1, (OperatorTerm(0, 0, Var(TIME_INDEX), (2,)),))),
          TimeNotAllowed, "L[0].coeff: the time symbol is not allowed here at offset 0"),
+        # what a problem file cannot state: a tree that is not an expression,
+        # refused before the ring is sized from it
+        (lambda path="create": _problem(
+            path, L=SpatialOperator(1, 1, (OperatorTerm(0, 0, 1, (2,)),))),
+         FormatError, "L[0].coeff must be an expression"),
+        (lambda path="create": _problem(
+            path, L=SpatialOperator(1, 1, (OperatorTerm(0, 0, "1", (2,)),))),
+         FormatError, "L[0].coeff must be an expression"),
+        (lambda path="create": _problem(
+            path, L=SpatialOperator(1, 1, (OperatorTerm(0, 0, None, (2,)),))),
+         FormatError, "L[0].coeff must be an expression"),
+        (lambda: _problem("constructor", u0=(1,)), FormatError, "u0[0] must be an expression"),
         (lambda: expand_in_time(Var(1), -1), ValueError, "expansion order must be nonnegative"),
         (lambda: expand_rows(Func("exp", Var(TIME_INDEX)), -1), ValueError,
          "expansion order must be nonnegative"),
@@ -962,33 +1012,46 @@ class TestErrorPaths:
         (lambda: TimeSeriesVec(1, -1, ()), ValueError, "series order must be nonnegative"),
         (lambda: TimeSeriesVec(1, 0, ((ZERO, ZERO),)), DimensionMismatch,
          "coefficient vector length 2 != 1"),
-        (lambda: _problem(order=0), FormatError, "field 'order' must be >= 1"),
-        (lambda: _problem(m=2, f=(ZERO,) * 2, u0=(ZERO,) * 2, u1=(ZERO,) * 2),
+        (lambda path="create": _problem(path, order=0), FormatError,
+         "field 'order' must be >= 1"),
+        (lambda path="create": _problem(path, m=2, f=(ZERO,) * 2, u0=(ZERO,) * 2, u1=(ZERO,) * 2),
          DimensionMismatch, "field 'rho' must be an array of shape 2x2"),
-        (lambda: _problem(n=2), DimensionMismatch,
+        (lambda path="create": _problem(path, n=2), DimensionMismatch,
          "operator dimensions disagree with the problem"),
-        (lambda: _problem(u0=(ZERO, ZERO)), DimensionMismatch,
+        (lambda path="create": _problem(path, u0=(ZERO, ZERO)), DimensionMismatch,
          "field 'u0' has length 2, expected 1"),
-        (lambda: _problem(u1=(Var(TIME_INDEX),)), TimeNotAllowed,
+        (lambda path="create": _problem(path, u0=(Var(5),)), UnknownIdentifier,
+         "u0[0]: variable x5 exceeds spatial dimension 1 at offset 0"),
+        (lambda path="create": _problem(path, u1=(Var(TIME_INDEX),)), TimeNotAllowed,
          "u1[0]: the time symbol is not allowed here at offset 0"),
         # a field that is the forcing's own tuple is still not the forcing
-        (lambda t=(Var(TIME_INDEX),): checked_problem(1, 1, _I1, _D2, t, t, (ZERO,), 1),
+        (lambda t=(Var(TIME_INDEX),): ProblemSpec(1, 1, _I1, _D2, t, t, (ZERO,), 1),
          TimeNotAllowed, "u0[0]: the time symbol is not allowed here at offset 0"),
         # the polynomial of u0 is 1, but its tree uses t
-        (lambda: _problem(u0=(parse_expr("(1+t)*(1-t)+t^2", 1, allow_time=True),)),
+        (lambda path="create": _problem(
+            path, u0=(parse_expr("(1+t)*(1-t)+t^2", 1, allow_time=True),)),
          TimeNotAllowed, "u0[0]: the time symbol is not allowed here at offset 0"),
-        (lambda: _problem().with_order(0), FormatError, "truncation order must be >= 1"),
+        (lambda path="create": _problem(path).with_order(0), FormatError,
+         "truncation order must be >= 1"),
         # with more than one fault, rho is inverted first, then each tree
         # is checked in turn: L's coefficients, u0, u1, f
-        (lambda: _problem(rho=RationalMatrix.from_rows([[0]]), u1=(Var(TIME_INDEX),)),
+        (lambda path="create": _problem(
+            path, rho=RationalMatrix.from_rows([[0]]), u1=(Var(TIME_INDEX),)),
          SingularRho, "matrix is singular (rank < 1)"),
-        (lambda: _problem(u0=(parse_expr("1/((1+x1)*(1-x1)+x1^2-1)", 1),), u1=(Var(TIME_INDEX),)),
+        (lambda path="create": _problem(
+            path, u0=(parse_expr("1/((1+x1)*(1-x1)+x1^2-1)", 1),), u1=(Var(TIME_INDEX),)),
          ParseError, "u0[0]: zero raised to a negative power at offset 0"),
-    ])
+    ]))
     def test_rejects(self, build, error, message):
         with pytest.raises(error) as err:
             build()
         assert str(err.value) == message
+
+    def test_replace_inverts_the_new_mass_matrix(self):
+        p = dataclasses.replace(load_problem(problem_path("wave_1d.prob")),
+                                rho=RationalMatrix.from_rows([["2"]]))
+        assert p.rho_inv == RationalMatrix.from_rows([["1/2"]])
+        assert residual_check(p, taylor_coefficients(p), PLAN).overall
 
     def test_hidden_zero_to_a_negative_power_is_refused_at_create(self):
         # the tree keeps the product of sums whole; only the polynomial is
