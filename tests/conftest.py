@@ -4,6 +4,7 @@ correction-audit used by several suites."""
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
@@ -14,8 +15,10 @@ from fractions import Fraction
 from hypothesis import HealthCheck, settings
 
 from pdeseries.errors import (
+    DimensionMismatch,
     DomainError,
     ExpansionSingular,
+    FormatError,
     NonIntegerExponent,
     ParseError,
     SingularRho,
@@ -49,13 +52,15 @@ from pdeseries.expr import (
     sort_key,
     too_large_power,
 )
-from pdeseries.parser import MAX_NESTING, _fmt_power
+from pdeseries.parser import MAX_NESTING, _fmt_power, _rational, _require
 from pdeseries.poly import ONE as POLY_ONE, ZERO as POLY_ZERO, Poly, Ring, _nonzero, add, mul, scale
 from pdeseries.series import (
     OperatorTerm,
     ProblemSpec,
     RationalMatrix,
     SpatialOperator,
+    check_count,
+    check_rho_shape,
     invert,
 )
 
@@ -1391,6 +1396,75 @@ def _ref_chain(fold, operands: list[Expr], starts: list[int]) -> Expr:
 
 def ref_parse_expr(src: str, n: int, *, allow_time: bool = False) -> Expr:
     return _RefParser(ref_tokenize(src), n, allow_time).parse()
+
+
+def ref_parse_problem(src: str) -> tuple[tuple, Ring]:
+    """A problem file read as first written: ``parse_problem``'s walk of
+    the JSON, each expression field parsed alone by ``ref_parse_expr``,
+    then the rules of a problem checked as ``ProblemSpec`` first checked
+    them, tree by tree, the variables of each found by walking it.
+    Returns the problem's fields, m, n, rho, L, f, u0, u1 and order, and
+    the ring the checks leave."""
+    def field(text, allow_time: bool, where: str) -> Expr:
+        if not isinstance(text, str):
+            raise FormatError(f"{where} must be an expression string")
+        try:
+            return ref_parse_expr(text, n, allow_time=allow_time)
+        except ParseError as exc:
+            raise type(exc)(f"{where}: {exc.message}", exc.offset, exc.expected) from exc
+
+    def vector(key: str, allow_time: bool) -> tuple[Expr, ...]:
+        raw = _require(doc, key)
+        if not isinstance(raw, list):
+            raise FormatError(f"field {key!r} must be a list of expression strings")
+        return tuple(field(text, allow_time, f"{key}[{i}]") for i, text in enumerate(raw))
+
+    doc = json.loads(src)
+    m = _require(doc, "m")
+    check_count(m, "field 'm'")
+    n = _require(doc, "n")
+    check_count(n, "field 'n'")
+    order = _require(doc, "order")
+    check_count(order, "field 'order'")
+    rho_raw = _require(doc, "rho")
+    check_rho_shape(rho_raw, m)
+    rho = RationalMatrix(tuple(tuple(_rational(cell, f"rho[{i}][{j}]") for j, cell in enumerate(row))
+                               for i, row in enumerate(rho_raw)))
+    terms_raw = _require(doc, "L")
+    if not isinstance(terms_raw, list):
+        raise FormatError("field 'L' must be a list of operator terms")
+    terms = []
+    for i, entry in enumerate(terms_raw):
+        if not isinstance(entry, dict):
+            raise FormatError(f"L[{i}] must be an object")
+        derivs = entry.get("derivs")
+        coeff = field(entry.get("coeff"), False, f"L[{i}].coeff")
+        terms.append(OperatorTerm(entry.get("row"), entry.get("col"), coeff,
+                                  tuple(derivs) if isinstance(derivs, list) else derivs))
+    operator = SpatialOperator(m, n, tuple(terms))
+    f, u0, u1 = vector("f", True), vector("u0", False), vector("u1", False)
+
+    for name, vec in (("f", f), ("u0", u0), ("u1", u1)):
+        if len(vec) != m:
+            raise DimensionMismatch(f"field {name!r} has length {len(vec)}, expected {m}")
+    invert(rho)
+    trees = [(f"L[{i}].coeff", t.coeff) for i, t in enumerate(operator.terms)]
+    for name, vec in (("u0", u0), ("u1", u1), ("f", f)):
+        trees += [(f"{name}[{i}]", tree) for i, tree in enumerate(vec)]
+    ring = Ring(*(tree for _, tree in trees))
+    for where, tree in trees:
+        indices = variable_indices(tree)
+        if max(indices, default=0) > n:
+            raise UnknownIdentifier(
+                f"{where}: variable x{max(indices)} exceeds spatial dimension {n}", 0)
+        if not where.startswith("f["):
+            try:
+                ring.from_tree(tree)
+            except DomainError as exc:
+                raise ParseError(f"{where}: {exc}", 0) from exc
+            if TIME_INDEX in indices:
+                raise TimeNotAllowed(f"{where}: the time symbol is not allowed here", 0)
+    return (m, n, rho, operator, f, u0, u1, order), ring
 
 
 # ---------------------------------------------------------------------------

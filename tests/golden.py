@@ -1,4 +1,4 @@
-"""The golden corpus: 75 commands, their problem texts, and the exit
+"""The golden corpus: 105 commands, their problem texts, and the exit
 code and sha1 of stdout and of stderr that each printed when recorded.
 
 The corpus covers every command on the bundled problems in text and
@@ -15,9 +15,11 @@ coefficients to orders up to 30 and arguments whose part in t is one
 term, and one of them fails.  ``solve`` takes the heavy problem to
 order 16 as well, and ``hpm`` (text and JSON) meets a sum atom to the
 first power next to other terms, which is printed from its tree in a
-batch of coefficients that are not.  A change to the arithmetic under
-the engines, or to how coefficients are printed, must leave all of them
-as they are.
+batch of coefficients that are not.  Thirty more commands give each
+message of the lexer and the grammar, and each fold that fails, from
+a problem's field and from ``expand``.  A change to the arithmetic
+under the engines, to how coefficients are printed, or to how text is
+read, must leave all of them as they are.
 
 The module needs only the standard library, so it runs on any
 interpreter the package supports, with or without pytest.  From the
@@ -119,6 +121,60 @@ SUM_ATOM = """{"m": 1, "n": 2, "rho": [["1"]],
 # deeper than the JSON decoder recurses
 DEEP = '{"m": ' + "[" * 100000 + "]" * 100000 + "}"
 
+# A text for each message that the lexer and the grammar give, and for
+# each fold that fails, placed at its construct; with the sha1 of what
+# ``solve`` writes to stderr when the text is the coefficient of L[0],
+# and what ``expand --dim 2`` writes when it is the expression (None:
+# not run, as t is allowed there and the product of constants is in
+# the corpus already).  Each exits 2 and writes nothing to stdout.
+PARSE_ERRORS = (
+    ("2 + x1 @ x2",
+     '24024856a9e4d14e6071c3680be9b529d7d3525e', 'ea738fca3fc2ef63a6aac41cb9422099d00085ff'),
+    ("(x1 + 2",
+     '55de998b1579b1827af1eec1c3d04c47d69164b3', 'b362177b86cf2c2c6e3910bde40b2375903b509d'),
+    ("sin x1",
+     '9fca15b86f72fcdb7d8601ae15786168a95ea636', 'fa81c39974d332c2f2646c6ad2de6a526c6f987c'),
+    ("(" * 151 + "x1" + ")" * 151,
+     'c17e21d0ba31aac87cabe0d72c6086ac13d44570', 'a0fac3d52cf47bb3111fcc50c0caacde8cc7ed01'),
+    ("x1 x2",
+     '9eb45345326d0fd896171330ad8ec35385d08bc2', 'eaf0ca0654f2e027a7a1d34c5c62b416e3ae885c'),
+    ("x1^(1/2)",
+     '5b28df0dfcc93a30d7b44b133db616dfb700e0ea', '9f45c05d19252a69363931a0871221630eb3e6b6'),
+    ("1 + " + "7" * 5000,
+     '6411987ecaf196602fa8e014c03f87462c6663f9', 'f1fb5b91b5305adcc06d1c6f07bf467630ba0d92'),
+    ("x1*t",
+     '674fdada5a3deb98bfcb703c90694a782ecbe6a5', None),
+    ("x1 + x3",
+     '9e569394e1286fe7cbfe46166e086785b893908a', 'b54a507af2ece0dd479dbc64fbb072434266efc3'),
+    ("x1 + y",
+     '21fe01acdb91046bd8405347e5640e2f96680133', 'f4779f1d0ec41a785c76984c277050a275fa9d13'),
+    ("x1 + * 2",
+     '1f92a40aac5903c9877f6653e6549df50e391939', 'c79d8b6e1e31380a0198ad9555e88bdb840cbe35'),
+    ("x1 - x2/0",
+     '206edfbf7e9fb5398da5092f934ca8c93637ff5b', 'c67160c0c00c083ec9a24d2cb3350f96221ae0a9'),
+    ("x1 + 2/-0",
+     'cb6251bec1e99ef325cb8f82244bd09a202ce895', 'a4831ba4ba40fecce1c8adde5aef62f1180e6fa1'),
+    ("x1 + 7^6000",
+     '6d5a9ade528446331d8eceebff87d09b8d02d3be', '64db7e85871c9811743d7cea41c945bf654b7ff2'),
+    ("x1*7^3000*7^3000",
+     'f5a9e080a9ad760e86e0d37a45d32f666360ee26', None),
+    ("9" * 4300 + " + " + "9" * 4300,
+     '483a0da10bf3f5c9b4850c68ea32b7e9ae6d8764', '67754917ff95342876b003cd49e7fc0994458916'),
+)
+
+
+def coeff_error(text: str) -> str:
+    """A problem whose one operator coefficient is ``text``."""
+    return json.dumps({"m": 1, "n": 2, "rho": [["1"]],
+                       "L": [{"row": 0, "col": 0, "coeff": text, "derivs": [2, 0]}],
+                       "f": ["0"], "u0": ["x1"], "u1": ["0"], "order": 4})
+
+
+def parse_error_commands(i: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The ``solve`` and the ``expand`` command of ``PARSE_ERRORS[i]``."""
+    return ("solve", f"coeff_error_{i}.prob"), (
+        "expand", f"--expr={PARSE_ERRORS[i][0]}", "--order", "2", "--dim", "2")
+
 
 
 def scaled(text: str, c: int) -> str:
@@ -167,6 +223,7 @@ FILES = {
     "sum_atom.prob": SUM_ATOM,
     "heavy_2x2_x7.prob": scaled(HEAVY_2X2, 7),
     "forcing_1x1_x7.prob": scaled(FORCING_1X1, 7),
+    **{f"coeff_error_{i}.prob": coeff_error(text) for i, (text, _, _) in enumerate(PARSE_ERRORS)},
 }
 
 BUNDLED = ("wave_1d.prob", "forced_wave_2d.prob", "coupled_2x2.prob")
@@ -179,7 +236,7 @@ BUNDLED_COMMANDS = (
 
 
 def corpus() -> list[tuple[str, ...]]:
-    """The 75 commands; a bundled problem is named by its file name."""
+    """The 105 commands; a bundled problem is named by its file name."""
     out = [
         (cmd[0], name, *cmd[1:], *fmt)
         for name in BUNDLED
@@ -228,6 +285,9 @@ def corpus() -> list[tuple[str, ...]]:
         ("hpm", "sum_atom.prob", "--corrections", "1"),
         ("hpm", "sum_atom.prob", "--corrections", "1", "--format", "json"),
     ]
+    for i, (_, _, expand) in enumerate(PARSE_ERRORS):
+        solve, expand_command = parse_error_commands(i)
+        out += [solve] if expand is None else [solve, expand_command]
     return out
 
 
@@ -408,6 +468,10 @@ GOLDEN = {
     ('hpm', 'sum_atom.prob', '--corrections', '1', '--format', 'json'):
         (0, 'ca915dda60e591cbc194c3d770995002400308a6', 'da39a3ee5e6b4b0d3255bfef95601890afd80709'),
 }
+for _i, (_, _solve, _expand) in enumerate(PARSE_ERRORS):
+    for _command, _err in zip(parse_error_commands(_i), (_solve, _expand)):
+        if _err is not None:
+            GOLDEN[_command] = (2, 'da39a3ee5e6b4b0d3255bfef95601890afd80709', _err)
 
 
 def _argv(command: tuple[str, ...]) -> list[str]:
@@ -445,7 +509,7 @@ def _check() -> int:
     """Runs the corpus; prints each command whose result differs from
     ``GOLDEN`` and returns how many do."""
     commands = corpus()
-    if len(commands) != 75 or set(GOLDEN) != set(commands):
+    if len(commands) != 105 or set(GOLDEN) != set(commands):
         print("the corpus and the table name different commands")
         return 1
     bad = 0

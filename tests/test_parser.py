@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     problem_path, random_normal_expr, random_problem, random_raw_expr, ref_fmt, ref_parse_expr,
+    ref_parse_problem,
 )
 from golden import EXPANSIONS, RULE_EXPANSIONS
 from pdeseries import expr, series
@@ -691,6 +693,131 @@ class TestProblemFiles:
         p = parse_problem(json.dumps(doc))
         assert p.rho.entries[0][0] == Fraction(-3, 2)
         assert p.rho_inv.entries[0][0] == Fraction(-2, 3)
+
+
+def _field_text(rng: random.Random, n: int, allow_time: bool) -> str:
+    """An expression field: written as the benchmark's generator writes
+    one, or a random tree with every node in parentheses, or printed."""
+    roll = rng.random()
+    if roll < 0.5:
+        pieces = []
+        for _ in range(rng.randint(1, 3)):
+            c = f"({Fraction(rng.randint(-3, 3), rng.choice((1, 2)))})"
+            x = f"x{rng.randint(1, n)}"
+            pieces.append(rng.choice((c, f"{c}*{x}^{rng.randint(1, 3)}", f"{c}*sin({x})",
+                                      f"{c}*cos({x})", f"{c}*x1^1*x{n}^2")))
+        text = " + ".join(pieces)
+        return f"t^{rng.randint(1, 2)}*({text})" if allow_time and rng.random() < 0.7 else text
+    kwargs = dict(depth=3, n_vars=n, allow_time=allow_time)
+    if roll < 0.8:
+        return _parenthesised(random_raw_expr(rng, **kwargs))
+    return print_expr(random_normal_expr(rng, **kwargs))
+
+
+def _break_field(rng: random.Random, text: str, n: int) -> str:
+    """``text`` broken by one rule of a field: a character replaced, a
+    variable past n, the time symbol, a sum that is zero only as a
+    polynomial to a negative power, a constant past the digit limit, or
+    two of these at once."""
+    i = rng.randrange(len(text))
+    return rng.choice((
+        text[:i] + rng.choice("+-*/^()., 7xtπ") + text[i + 1:],
+        f"{text} + x{n + 1}",
+        f"({text})*t",
+        f"{text} + {_HIDDEN_ZERO}",
+        f"x{n + 1}*t + {text}",
+        f"t + {_HIDDEN_ZERO}",
+        f"x{n + 1} + {_HIDDEN_ZERO}",
+        f"{text}*7^3000*7^3000",
+        f"({text})/0",
+        f"-{text}/(-1/2)",
+    ))
+
+
+def _file_outcome(parse, text):
+    """The problem's fields and ring polynomials, or the error's class,
+    message and offset."""
+    try:
+        got = parse(text)
+    except PdeSeriesError as exc:
+        return type(exc), str(exc)
+    fields, ring = got if isinstance(got, tuple) else (
+        (got.m, got.n, got.rho, got.L, got.f_source, got.u0, got.u1, got.order), got.ring)
+    trees = [t.coeff for t in fields[3].terms] + [*fields[5], *fields[6]]
+    return fields, ring.trees, [ring.from_tree(tree) for tree in trees]
+
+
+class TestWholeFileParity:
+    """``parse_problem`` against ``conftest.ref_parse_problem``, which
+    parses each field with the first parser and checks each tree's
+    variables by walking it: the same fields, the same atoms in the same
+    ring order and the same polynomials, or the same error class, message
+    and offset, on documents shaped like the benchmark's and on the same
+    documents with one field broken."""
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=300)
+    def test_documents_agree(self, seed):
+        rng = random.Random(seed)
+        m, n = rng.choice((1, 2)), rng.choice((1, 2))
+        doc = {
+            "m": m, "n": n, "order": rng.randint(1, 4),
+            "rho": [[str(rng.choice((1, 2, -1, Fraction(1, 2))) if i == j else rng.choice((0, 1)))
+                     for j in range(m)] for i in range(m)],
+            "L": [{"row": rng.randrange(m), "col": rng.randrange(m),
+                   "coeff": _field_text(rng, n, False) if rng.random() < 0.4
+                   else f"({Fraction(rng.randint(-2, 2), rng.choice((1, 2)))})",
+                   "derivs": [rng.randint(0, 2) for _ in range(n)]}
+                  for _ in range(rng.randint(1, 3))],
+            "f": [_field_text(rng, n, True) for _ in range(m)],
+            "u0": [_field_text(rng, n, False) for _ in range(m)],
+            "u1": [_field_text(rng, n, False) for _ in range(m)],
+        }
+        texts = [json.dumps(doc)]
+        fields = [(term, "coeff") for term in doc["L"]]
+        fields += [(doc[key], i) for key in ("f", "u0", "u1") for i in range(m)]
+        for _ in range(2):
+            holder, key = rng.choice(fields)
+            kept = holder[key]
+            holder[key] = _break_field(rng, kept, n)
+            texts.append(json.dumps(doc))
+            holder[key] = kept
+        for text in texts:
+            assert _file_outcome(parse_problem, text) == _file_outcome(ref_parse_problem, text)
+
+
+# a problem file as the benchmark's generator writes one
+_BATCH_FILE = json.dumps({
+    "m": 2, "n": 2, "rho": [["-1", "1"], ["0", "2"]],
+    "L": [{"row": 1, "col": 0, "coeff": "(1/2)", "derivs": [2, 0]},
+          {"row": 0, "col": 1, "coeff": "(-1)*x2", "derivs": [0, 2]}],
+    "f": ["t*((-3/2)*x1^3)", "((2)*x1^2*x2^1 + (-3/2))"],
+    "u0": ["(1/2)*cos(x1) + (1)*sin(x2)", "(-1)*cos(x1) + (-3/2)*x1^3"],
+    "u1": ["(-1)*cos(x2) + (2)*x1^1", "(3/2)*x1^1*x2^1 + (3)*sin(x1)^2*cos(x2)"],
+    "order": 3,
+})
+
+
+class TestWorkCount:
+    """How often loading a problem folds a tree and walks one: a change
+    that folds or walks twice where once does changes these counts."""
+
+    def test_loading_a_batch_file(self):
+        from pdeseries import poly
+        counted = {f.__code__: f.__qualname__ for f in (
+            expr._mul, expr._add, expr._variables, poly.Ring.from_tree, poly._reach)}
+        calls = dict.fromkeys(counted.values(), 0)
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code in counted:
+                calls[counted[frame.f_code]] += 1
+
+        sys.setprofile(count)
+        try:
+            parse_problem(_BATCH_FILE)
+        finally:
+            sys.setprofile(None)
+        assert calls == {"_mul": 24, "_add": 5, "_variables": 49, "Ring.from_tree": 38, "_reach": 52}
 
 
 def _problem_text(p: ProblemSpec) -> str:
