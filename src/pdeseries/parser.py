@@ -60,6 +60,7 @@ from .expr import (
     Var,
     _func,
     _pow,
+    _small,
     eprod,
     esum,
     sort_key,
@@ -74,10 +75,9 @@ from .series import (
 # Lexer
 # ---------------------------------------------------------------------------
 
-# the blanks before a token, then the token or a character that starts none
-_TOKEN = re.compile(
-    r"([ \t\r\n]*)(?:([0-9]+(?:\.[0-9]+)?|[A-Za-z_][A-Za-z0-9_]*|[-+*/^(),])|([^ \t\r\n]))"
-)
+_TOKEN = re.compile(r"([0-9]+(?:\.[0-9]+)?|[A-Za-z_][A-Za-z0-9_]*|[-+*/^(),])")
+_BLANKS = " \t\r\n"
+# a token's kind, by its first character, as errors name it
 _KINDS = {
     **dict.fromkeys("0123456789", "number"),
     **dict.fromkeys(string.ascii_letters + "_", "ident"),
@@ -86,20 +86,18 @@ _KINDS = {
 }
 
 
-def tokenize(src: str) -> list[tuple[str, str, int]]:
-    out = []
-    pos = 0
-    for blanks, lexeme, other in _TOKEN.findall(src):
-        pos += len(blanks)
-        if other:
-            # only ASCII comes before it, so pos counts bytes; encoding all
-            # of src raises UnicodeEncodeError for a lone surrogate in it
-            raise ParseError(f"unexpected character {src.encode('utf-8')[pos:pos + 1]!r}", pos)
-        out.append((_KINDS[lexeme[0]], lexeme, pos))
-        pos += len(lexeme)
-    # src is ASCII here, so its length counts bytes
-    out.append(("eof", "", len(src)))
-    return out
+def tokenize(src: str) -> list[str]:
+    """``src`` split around its tokens: blanks, a token, blanks, ...,
+    a token, blanks.  ParseError at the first character that is neither
+    a blank nor the start of a token."""
+    parts = _TOKEN.split(src)
+    if "".join(parts[::2]).strip(_BLANKS):
+        i = next(i for i in range(0, len(parts), 2) if parts[i].strip(_BLANKS))
+        pos = len("".join(parts[:i + 1])) - len(parts[i].lstrip(_BLANKS))
+        # only ASCII comes before it, so pos counts bytes; encoding all
+        # of src raises UnicodeEncodeError for a lone surrogate in it
+        raise ParseError(f"unexpected character {src.encode('utf-8')[pos:pos + 1]!r}", pos)
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -116,42 +114,53 @@ MAX_NESTING = 150
 
 
 class _Parser:
-    """Recursive descent that returns each construct normalized, built
-    with the steps ``normalize`` takes; a DomainError in a step becomes
-    a ParseError at that construct."""
+    """Recursive descent over x1..xn that returns each construct
+    normalized, built with the steps ``normalize`` takes; a DomainError
+    in a step becomes a ParseError at that construct.  It reads tokens by
+    index, and works out a token's byte offset only for an error.  One
+    parser reads all the expression fields of a problem, and ``nodes``
+    keeps the Const or Var of each number and variable they meet, by its
+    text."""
 
-    def __init__(self, tokens: list[tuple[str, str, int]], n: int, allow_time: bool):
-        self.tokens = tokens
-        self.pos = 0  # index of the next token
+    def __init__(self, n: int):
         self.n = n
+        self.nodes: dict = {}
+
+    def parse(self, src: str, allow_time: bool) -> Expr:
+        self.parts = tokenize(src)
+        self.tokens = self.parts[1::2] + [""]  # "" ends the text
+        self.pos = self.depth = 0  # the index of the next token; the nesting
         self.allow_time = allow_time
-        self.depth = 0
-
-    def expect(self, kind: str, description: str) -> int:
-        got, _, at = self.tokens[self.pos]
-        if got != kind:
-            raise ParseError(
-                f"unexpected {got}", at, (description,)
-            )
-        self.pos += 1
-        return at
-
-    def enter(self, at: int) -> None:
-        """Open one nesting level at offset ``at``; the caller closes it by
-        decrementing ``depth`` once the nested operand is parsed."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", at)
-
-    def parse(self) -> Expr:
         e = self.additive()
-        kind, _, at = self.tokens[self.pos]
-        if kind != "eof":
+        if self.tokens[self.pos]:
             raise ParseError(
-                "unexpected token after expression", at,
+                "unexpected token after expression", self.offset(self.pos),
                 ("operator", "end of input"),
             )
         return e
+
+    def offset(self, i: int) -> int:
+        """The byte offset of token i; the text is ASCII up to there."""
+        return len("".join(self.parts[:2 * i + 1]))
+
+    def unexpected(self, i: int, expected: tuple[str, ...]) -> ParseError:
+        token = self.tokens[i]
+        return ParseError(f"unexpected {_KINDS[token[0]] if token else 'eof'}",
+                          self.offset(i), expected)
+
+    def enter(self, i: int) -> None:
+        """Open one nesting level at token i; ``close`` or the caller
+        closes it once the nested operand is parsed."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self.offset(i))
+
+    def close(self) -> None:
+        """Read the ')' that closes a nesting level, and close it."""
+        if self.tokens[self.pos] != ")":
+            raise self.unexpected(self.pos, ("')'",))
+        self.pos += 1
+        self.depth -= 1
 
     # A chain of + or of * is folded once, by one esum or eprod of all
     # its operands: folding operand by operand would fold the growing
@@ -159,154 +168,166 @@ class _Parser:
 
     def additive(self) -> Expr:
         tokens = self.tokens
-        start = tokens[self.pos][2]
+        start = self.pos
         term = self.multiplicative()
-        op = tokens[self.pos][0]
-        if op != "plus" and op != "minus":
+        op = tokens[self.pos]
+        if op != "+" and op != "-":
             return term
         terms, starts = [term], [start]
-        while op == "plus" or op == "minus":
-            self.pos += 1
-            start = tokens[self.pos][2]
+        while op == "+" or op == "-":
+            self.pos = start = self.pos + 1
             term = self.multiplicative()
-            if op == "minus":
-                term = _step(start, eprod, [MINUS_ONE, term])
-            terms.append(term)
+            terms.append(term if op == "+" else self.negated(start, term))
             starts.append(start)
-            op = tokens[self.pos][0]
-        return _chain(esum, terms, starts)
+            op = tokens[self.pos]
+        return self.chain(esum, terms, starts)
 
     def multiplicative(self) -> Expr:
         tokens = self.tokens
-        start = tokens[self.pos][2]
+        start = self.pos
         factor = self.unary()
-        op = tokens[self.pos][0]
-        if op != "star" and op != "slash":
+        op = tokens[self.pos]
+        if op != "*" and op != "/":
             return factor
         factors, starts = [factor], [start]
-        while op == "star" or op == "slash":
-            self.pos += 1
-            start = tokens[self.pos][2]
+        while op == "*" or op == "/":
+            self.pos = start = self.pos + 1
             factor = self.unary()
-            if op == "slash":
-                factor = _step(start, _pow, factor, -1)
+            if op == "/":
+                if isinstance(factor, Const) and factor.value and _small(q := factor.value):
+                    factor = Const(Fraction(q.denominator, q.numerator))  # as _pow folds it
+                else:
+                    factor = self.step(start, _pow, factor, -1)
             factors.append(factor)
             starts.append(start)
-            op = tokens[self.pos][0]
-        return _chain(eprod, factors, starts)
+            op = tokens[self.pos]
+        if len(factors) == 2 and isinstance(factors[0], Const) and isinstance(factors[1], Const):
+            a, b = factors[0].value, factors[1].value
+            q = Fraction(a.numerator * b.numerator, a.denominator * b.denominator)
+            if _small(a) and _small(q):
+                return Const(q)  # as eprod folds it
+        return self.chain(eprod, factors, starts)
 
     def unary(self) -> Expr:
         """A negation, or an atom raised to at most one power."""
-        kind, _, at = self.tokens[self.pos]
-        if kind == "minus":
-            self.pos += 1
+        tokens = self.tokens
+        at = self.pos
+        token = tokens[at]
+        self.pos = at + 1
+        if token == "-":
             self.enter(at)
             operand = self.unary()
             self.depth -= 1
-            return _step(at, eprod, [MINUS_ONE, operand])
-        base = self.atom()
-        kind, _, at = self.tokens[self.pos]
-        if kind != "caret":
+            return self.negated(at, operand)
+        if token == "(":
+            self.enter(at)
+            base = self.additive()
+            self.close()
+        else:
+            base = self.nodes.get(token)
+            if base is None:
+                base = self.atom(token, at)
+        if tokens[self.pos] != "^":
             return base
-        self.pos += 1
-        self.enter(at)
-        at = self.tokens[self.pos][2]
+        self.enter(self.pos)
+        at = self.pos = self.pos + 1
         exponent = self.unary()  # right associativity: x^2^3 = x^(2^3)
         self.depth -= 1
         if not isinstance(exponent, Const) or exponent.value.denominator != 1:
             raise NonIntegerExponent(
-                "exponent must reduce to an integer constant", at
+                "exponent must reduce to an integer constant", self.offset(at)
             )
-        return _step(at, _pow, base, int(exponent.value))
+        return self.step(at, _pow, base, int(exponent.value))
 
-    def atom(self) -> Expr:
-        kind, lexeme, at = self.tokens[self.pos]
-        self.pos += 1
+    def atom(self, token: str, at: int) -> Expr:
+        """The atom that token ``at`` starts, if no bracket: a number or
+        a variable not met before, t, or a function."""
+        kind = _KINDS[token[0]] if token else "eof"
         if kind == "number":
             try:
                 # an integer skips Fraction's string parser
-                return Const(Fraction(lexeme if "." in lexeme else int(lexeme)))
+                leaf = Const(Fraction(token if "." in token else int(token)))
             except ValueError as exc:  # more digits than int() converts
-                raise ParseError("number too long to represent", at) from exc
-        if kind == "lparen":
-            self.enter(at)
-            inner = self.additive()
-            self.expect("rparen", "')'")
-            self.depth -= 1
-            return inner
+                raise ParseError("number too long to represent", self.offset(at)) from exc
+            self.nodes[token] = leaf
+            return leaf
         if kind == "ident":
-            if lexeme == "t":
+            if token == "t":
                 if not self.allow_time:
                     raise TimeNotAllowed(
-                        "the time symbol is not allowed here", at
+                        "the time symbol is not allowed here", self.offset(at)
                     )
                 return Var(TIME_INDEX)
-            if lexeme in FUNCTIONS:
-                self.enter(self.expect("lparen", "'(' after function name"))
+            if token in FUNCTIONS:
+                if self.tokens[self.pos] != "(":
+                    raise self.unexpected(self.pos, ("'(' after function name",))
+                self.enter(self.pos)
+                self.pos += 1
                 arg = self.additive()
-                self.expect("rparen", "')'")
-                self.depth -= 1
-                return _func(lexeme, arg)
-            match = _VAR_PATTERN.match(lexeme)
+                self.close()
+                return _func(token, arg)
+            match = _VAR_PATTERN.match(token)
             if match:
                 index = int(match.group(1))
                 if index > self.n:
                     raise UnknownIdentifier(
-                        f"variable {lexeme} exceeds spatial dimension {self.n}", at
+                        f"variable {token} exceeds spatial dimension {self.n}", self.offset(at)
                     )
-                return Var(index)
-            raise UnknownIdentifier(f"unknown identifier {lexeme!r}", at)
-        raise ParseError(
-            f"unexpected {kind}", at,
-            ("number", "identifier", "'('", "'-'"),
-        )
+                leaf = self.nodes[token] = Var(index)
+                return leaf
+            raise UnknownIdentifier(f"unknown identifier {token!r}", self.offset(at))
+        raise self.unexpected(at, ("number", "identifier", "'('", "'-'"))
 
+    def negated(self, i: int, e: Expr) -> Expr:
+        """-e, from the '-' or the operand at token i."""
+        if isinstance(e, Const) and _small(e.value):
+            return Const(-e.value)  # as eprod folds it
+        return self.step(i, eprod, [MINUS_ONE, e])
 
-def _step(at: int, fold, *args) -> Expr:
-    """``fold(*args)``, a DomainError reported at byte offset ``at``."""
-    try:
-        return fold(*args)
-    except DomainError as exc:
-        raise ParseError(str(exc), at) from exc
-
-
-def _chain(fold, operands: list[Expr], starts: list[int]) -> Expr:
-    """``fold`` (esum or eprod) of a chain's normalized operands, which
-    start at the byte offsets ``starts``.  Where it fails, the error is
-    placed at the operand whose folding into the operands before it
-    first fails."""
-    try:
-        return fold(operands)
-    except DomainError as exc:
-        error = exc
-
-    def folds(count: int) -> bool:
+    def step(self, i: int, fold, *args) -> Expr:
+        """``fold(*args)``, a DomainError reported at token i."""
         try:
-            fold(operands[:count])
-        except DomainError:
-            return False
-        return True
+            return fold(*args)
+        except DomainError as exc:
+            raise ParseError(str(exc), self.offset(i)) from exc
 
-    # the first `lo` operands fold, the first `hi` do not: double `hi`
-    # from 2, then bisect, so the folds cost about two folds of the
-    # whole chain
-    lo, hi = 1, 2
-    while hi < len(operands) and folds(hi):
-        lo, hi = hi, min(2 * hi, len(operands))
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if folds(mid):
-            lo = mid
-        else:
-            hi = mid
-    raise ParseError(str(error), starts[hi - 1]) from error
+    def chain(self, fold, operands: list[Expr], starts: list[int]) -> Expr:
+        """``fold`` (esum or eprod) of a chain's normalized operands, which
+        start at the tokens ``starts``.  Where it fails, the error is
+        placed at the operand whose folding into the operands before it
+        first fails."""
+        try:
+            return fold(operands)
+        except DomainError as exc:
+            error = exc
+
+        def folds(count: int) -> bool:
+            try:
+                fold(operands[:count])
+            except DomainError:
+                return False
+            return True
+
+        # the first `lo` operands fold, the first `hi` do not: double `hi`
+        # from 2, then bisect, so the folds cost about two folds of the
+        # whole chain
+        lo, hi = 1, 2
+        while hi < len(operands) and folds(hi):
+            lo, hi = hi, min(2 * hi, len(operands))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if folds(mid):
+                lo = mid
+            else:
+                hi = mid
+        raise ParseError(str(error), self.offset(starts[hi - 1])) from error
 
 
 def parse_expr(src: str, n: int, *, allow_time: bool = False) -> Expr:
     """Parse an expression over x1..xn, n >= 1 (and t when allowed); the
     result is normalized."""
     check_count(n, "spatial dimension")
-    return _Parser(tokenize(src), n, allow_time).parse()
+    return _Parser(n).parse(src, allow_time)
 
 
 # ---------------------------------------------------------------------------
@@ -464,21 +485,21 @@ def _rational(text, where: str) -> Fraction:
         raise FormatError(f"{where} is not a valid rational: {exc}") from exc
 
 
-def _field_expr(text, n: int, allow_time: bool, where: str) -> Expr:
+def _field_expr(text, parser: _Parser, allow_time: bool, where: str) -> Expr:
     if not isinstance(text, str):
         raise FormatError(f"{where} must be an expression string")
     try:
-        return parse_expr(text, n, allow_time=allow_time)
+        return parser.parse(text, allow_time)
     except ParseError as exc:
         raise type(exc)(f"{where}: {exc.message}", exc.offset, exc.expected) from exc
 
 
-def _expr_vector(doc: dict, key: str, n: int, allow_time: bool) -> tuple[Expr, ...]:
+def _expr_vector(doc: dict, key: str, parser: _Parser, allow_time: bool) -> tuple[Expr, ...]:
     raw = _require(doc, key)
     if not isinstance(raw, list):
         raise FormatError(f"field {key!r} must be a list of expression strings")
     return tuple(
-        _field_expr(text, n, allow_time, f"{key}[{i}]") for i, text in enumerate(raw)
+        _field_expr(text, parser, allow_time, f"{key}[{i}]") for i, text in enumerate(raw)
     )
 
 
@@ -505,27 +526,27 @@ def parse_problem(src: str) -> ProblemSpec:
 
     rho_raw = _require(doc, "rho")
     check_rho_shape(rho_raw, m)  # before its rows are read
-    rho = RationalMatrix(tuple(
-        tuple(_rational(cell, f"rho[{i}][{j}]") for j, cell in enumerate(row))
+    rho = RationalMatrix(tuple([
+        tuple([_rational(cell, f"rho[{i}][{j}]") for j, cell in enumerate(row)])
         for i, row in enumerate(rho_raw)
-    ))
+    ]))
 
     terms_raw = _require(doc, "L")
     if not isinstance(terms_raw, list):
         raise FormatError("field 'L' must be a list of operator terms")
-    terms = []
+    terms, parser = [], _Parser(n)
     for i, entry in enumerate(terms_raw):
         if not isinstance(entry, dict):
             raise FormatError(f"L[{i}] must be an object")
         derivs = entry.get("derivs")  # a list's entries, or else what SpatialOperator refuses
-        coeff = _field_expr(entry.get("coeff"), n, False, f"L[{i}].coeff")
+        coeff = _field_expr(entry.get("coeff"), parser, False, f"L[{i}].coeff")
         terms.append(OperatorTerm(entry.get("row"), entry.get("col"), coeff,
                                   tuple(derivs) if isinstance(derivs, list) else derivs))
     operator = SpatialOperator(m, n, tuple(terms))
 
-    f = _expr_vector(doc, "f", n, allow_time=True)
-    u0 = _expr_vector(doc, "u0", n, allow_time=False)
-    u1 = _expr_vector(doc, "u1", n, allow_time=False)
+    f = _expr_vector(doc, "f", parser, True)
+    u0 = _expr_vector(doc, "u0", parser, False)
+    u1 = _expr_vector(doc, "u1", parser, False)
     # the parsed trees are normal already
     return ProblemSpec(m, n, rho, operator, f, u0, u1, order)
 

@@ -187,9 +187,10 @@ class Ring:
     ``trees[i]`` is atom i as a canonical tree: a ``Var``, a ``Func`` or
     a primitive ``Sum``.  ``polys[i]`` is what its derivative reads: the
     function's argument, the sum itself, or None.  ``known`` maps every
-    tree converted here to its polynomial.  Key fields are
-    ``width`` bits, 32 over the exponents ``from_tree`` makes of ``trees``
-    and at least 64.  Polynomials of different rings must not meet."""
+    tree converted here, but a rational times one factor, to its
+    polynomial.  Key fields are ``width`` bits, 32 over the exponents
+    ``from_tree`` makes of ``trees`` and at least 64.  Polynomials of
+    different rings must not meet."""
 
     def __init__(self, *trees: Expr):
         width = max(64, max(map(_reach, trees), default=0).bit_length() + 32)
@@ -244,6 +245,10 @@ class Ring:
             return const(e.value)
         if isinstance(e, Var):
             return Poly({self.atom(e): 1}, 1, 1)
+        if isinstance(e, Prod) and len(e.factors) == 2 and isinstance(e.factors[0], Const):
+            # a rational times one factor: scaling the factor's polynomial
+            # costs less than hashing the product to keep it
+            return scale(self.from_tree(e.factors[1]), e.factors[0].value)
         p = self.known.get(e)
         if p is not None:
             return p
@@ -329,7 +334,7 @@ class Ring:
         if len(p.num) == 1:
             ((m, c),) = p.num.items()
             d = p.den
-            if too_large_power(Fraction(c, d), k):
+            if too_large_power(max(abs(c), d), k):  # the digits of (c/d)^k, c/d not made
                 raise DomainError("power of a constant too large to represent")
             # c and d are coprime, and so are their powers
             c, d = (c ** k, d ** k) if k > 0 else (d ** -k, c ** -k)

@@ -55,7 +55,7 @@ class RationalMatrix:
 
     def __post_init__(self):
         m = len(self.entries)
-        if m == 0 or any(len(row) != m for row in self.entries):
+        if m == 0 or any([len(row) != m for row in self.entries]):
             raise DimensionMismatch("matrix must be square and non-empty")
 
     @cached_property
@@ -63,9 +63,9 @@ class RationalMatrix:
         """The entries as int numerators over their least common
         denominator, and that denominator; built on first use and kept in
         ``vars(self)``, which equality and repr ignore."""
-        den = math.lcm(*(x.denominator for row in self.entries for x in row))
-        return tuple(tuple(x.numerator * (den // x.denominator) for x in row)
-                     for row in self.entries), den
+        den = math.lcm(*[x.denominator for row in self.entries for x in row])
+        return tuple([tuple([x.numerator * (den // x.denominator) for x in row])
+                      for row in self.entries]), den
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "RationalMatrix":
@@ -89,11 +89,13 @@ def invert(matrix: RationalMatrix) -> RationalMatrix:
     Raises SingularRho when the matrix has no inverse."""
     rows, den = matrix.numerators
     m = len(rows)
-    aug = [[*row, *(int(i == j) for j in range(m))] for i, row in enumerate(rows)]
+    aug = [[*row, *[int(i == j) for j in range(m)]] for i, row in enumerate(rows)]
     previous = 1
     for col in range(m):
-        pivot_row = next((r for r in range(col, m) if aug[r][col]), None)
-        if pivot_row is None:
+        for pivot_row in range(col, m):
+            if aug[pivot_row][col]:
+                break
+        else:
             raise SingularRho(f"matrix is singular (rank < {m})")
         aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
         top = aug[col]
@@ -103,7 +105,8 @@ def invert(matrix: RationalMatrix) -> RationalMatrix:
                 factor = row[col]
                 aug[r] = [(pivot * x - factor * y) // previous for x, y in zip(row, top)]
         previous = pivot
-    return RationalMatrix(tuple(tuple(Fraction(den * x, previous) for x in row[m:]) for row in aug))
+    return RationalMatrix(tuple([tuple([Fraction(den * x, previous) for x in row[m:]])
+                                 for row in aug]))
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +136,13 @@ class SpatialOperator:
     def __post_init__(self):
         # worded as a problem file names the terms; every term's types first
         for i, t in enumerate(self.terms):
-            if not all(isinstance(k, int) and not isinstance(k, bool) for k in (t.row, t.col)):
+            if not all([isinstance(k, int) and not isinstance(k, bool) for k in (t.row, t.col)]):
                 raise FormatError(f"L[{i}] row/col must be integers")
-            if not isinstance(t.orders, tuple) or not all(
-                    isinstance(k, int) and not isinstance(k, bool) for k in t.orders):
+            if not isinstance(t.orders, tuple) or not all([
+                    isinstance(k, int) and not isinstance(k, bool) for k in t.orders]):
                 raise FormatError(f"L[{i}].derivs must be a list of integers")
         for i, t in enumerate(self.terms):
-            if any(k < 0 for k in t.orders):
+            if any([k < 0 for k in t.orders]):
                 raise FormatError(f"L[{i}].derivs entries must be nonnegative")
             if len(t.orders) != self.n:
                 raise DimensionMismatch(
@@ -539,10 +542,17 @@ class ProblemSpec:
         m, n, L = self.m, self.n, self.L
         for value, name in ((m, "field 'm'"), (n, "field 'n'"), (self.order, "field 'order'")):
             check_count(value, name)
+        for value, name, kind in ((self.rho, "rho", RationalMatrix), (L, "L", SpatialOperator)):
+            if not isinstance(value, kind):
+                raise FormatError(f"field {name!r} must be a {kind.__name__}")
         check_rho_shape(self.rho.entries, m)
         if L.m != m or L.n != n:
             raise DimensionMismatch("operator dimensions disagree with the problem")
-        for name, vec in (("f", self.f_source), ("u0", self.u0), ("u1", self.u1)):
+        for name, key in (("f", "f_source"), ("u0", "u0"), ("u1", "u1")):
+            vec = getattr(self, key)
+            if not isinstance(vec, (list, tuple)):
+                raise FormatError(f"field {name!r} must be a list of expressions")
+            object.__setattr__(self, key, tuple(vec))  # a list would not hash
             if len(vec) != m:
                 raise DimensionMismatch(f"field {name!r} has length {len(vec)}, expected {m}")
         rho_inv = invert(self.rho)
@@ -554,23 +564,31 @@ class ProblemSpec:
                 raise FormatError(f"{where} must be an expression")
         ring, walked = Ring(*(tree for _, tree in trees)), {}
         for where, tree in trees:
-            index, time = _variables(tree, walked)
-            if index > n:
-                raise UnknownIdentifier(f"{where}: variable x{index} exceeds spatial dimension {n}", 0)
-            if not where.startswith("f["):
+            forcing, atoms, error = where.startswith("f["), len(ring.trees), None
+            if not forcing:
                 try:
                     ring.from_tree(tree)
                 except DomainError as exc:
-                    raise ParseError(f"{where}: {exc}", 0) from exc
-                if time:
-                    raise TimeNotAllowed(f"{where}: the time symbol is not allowed here", 0)
+                    error = exc
+            if forcing or error:
+                index, time = _variables(tree, walked)
+            else:  # the new variable atoms: an earlier tree's passed these checks
+                new = [a.index for a in ring.trees[atoms:] if isinstance(a, Var)]
+                index, time = max(new, default=0), TIME_INDEX in new
+            if index > n:
+                raise UnknownIdentifier(f"{where}: variable x{index} exceeds spatial dimension {n}", 0)
+            if error:
+                raise ParseError(f"{where}: {error}", 0) from error
+            if time and not forcing:
+                raise TimeNotAllowed(f"{where}: the time symbol is not allowed here", 0)
         vars(self).update(rho_inv=rho_inv, ring=ring, _forcing=[])
 
     @classmethod
     def create(cls, m: int, n: int, rho: RationalMatrix, L: SpatialOperator, f: Sequence[Expr],
                u0: Sequence[Expr], u1: Sequence[Expr], order: int) -> "ProblemSpec":
         """The problem of these fields, with f, u0 and u1 normalized."""
-        f, u0, u1 = (tuple(map(normalize, vec)) for vec in (f, u0, u1))
+        f, u0, u1 = (tuple(normalize(e) if isinstance(e, Expr) else e for e in vec)
+                     for vec in (f, u0, u1))  # the constructor refuses what is not one
         return cls(m, n, rho, L, f, u0, u1, order)
 
     def with_order(self, order: int) -> "ProblemSpec":
@@ -601,9 +619,9 @@ def check_count(value: int, name: str) -> None:
 
 def check_rho_shape(rows, m: int) -> None:
     """Refuse ``rows`` unless it is m rows, lists or tuples, of m entries."""
-    if not isinstance(rows, (list, tuple)) or len(rows) != m or any(
+    if not isinstance(rows, (list, tuple)) or len(rows) != m or any([
         not isinstance(row, (list, tuple)) or len(row) != m for row in rows
-    ):
+    ]):
         raise DimensionMismatch(f"field 'rho' must be an array of shape {m}x{m}")
 
 

@@ -817,7 +817,7 @@ class TestWorkCount:
             parse_problem(_BATCH_FILE)
         finally:
             sys.setprofile(None)
-        assert calls == {"_mul": 24, "_add": 5, "_variables": 49, "Ring.from_tree": 38, "_reach": 52}
+        assert calls == {"_mul": 12, "_add": 5, "_variables": 12, "Ring.from_tree": 32, "_reach": 52}
 
 
 def _problem_text(p: ProblemSpec) -> str:

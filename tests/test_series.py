@@ -1041,11 +1041,26 @@ class TestErrorPaths:
         (lambda path="create": _problem(
             path, u0=(parse_expr("1/((1+x1)*(1-x1)+x1^2-1)", 1),), u1=(Var(TIME_INDEX),)),
          ParseError, "u0[0]: zero raised to a negative power at offset 0"),
+        # what a problem file cannot state: a field of another type, named
+        # as the field, and create's entry checked before it is normalized
+        (lambda path="create": _problem(path, u0=(1,)), FormatError,
+         "u0[0] must be an expression"),
+        (lambda path="create": _problem(path, rho=[[1]]), FormatError,
+         "field 'rho' must be a RationalMatrix"),
+        (lambda path="create": _problem(path, L="L"), FormatError,
+         "field 'L' must be a SpatialOperator"),
+        (lambda: _problem("constructor", f=ZERO), FormatError,
+         "field 'f' must be a list of expressions"),
     ]))
     def test_rejects(self, build, error, message):
         with pytest.raises(error) as err:
             build()
         assert str(err.value) == message
+
+    def test_list_vectors_are_taken_as_tuples(self):
+        p = ProblemSpec(1, 1, _I1, _D2, [ZERO], [Var(1)], [ZERO], 1)
+        assert p.u0 == (Var(1),)
+        assert hash(p) == hash(_problem("constructor", u0=(Var(1),)))
 
     def test_replace_inverts_the_new_mass_matrix(self):
         p = dataclasses.replace(load_problem(problem_path("wave_1d.prob")),
