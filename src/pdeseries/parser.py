@@ -25,10 +25,12 @@ before it first fails.  A construct that fails is rejected even where
 a later step would cancel it.  A product whose constants reach zero
 stays zero, so (x1-x1)*1/7^5000*1/7^5000 is 0; with the zero factor
 last, the two constants fail first.
-The lexer is one regular expression, and a token is a tuple (kind,
-lexeme, byte offset).  Tokens are ASCII, so up to the first character
-that starts none an offset counts characters and bytes alike.  Offsets
-in errors are byte offsets into the UTF-8 source.
+The lexer splits the text around its tokens with one regular
+expression, and a token's byte offset is worked out only for an error.
+Tokens are ASCII, so up to the first character that starts none an
+offset counts characters and bytes alike.  Offsets in errors are byte
+offsets into the UTF-8 source.  One parser reads all the fields of a
+problem, with one Const or Var per number or variable text.
 """
 
 from __future__ import annotations
@@ -129,7 +131,7 @@ class _Parser:
     def parse(self, src: str, allow_time: bool) -> Expr:
         self.parts = tokenize(src)
         self.tokens = self.parts[1::2] + [""]  # "" ends the text
-        self.pos = self.depth = 0  # the index of the next token; the nesting
+        self.pos = self.depth = 0  # the next token's index, and the nesting level
         self.allow_time = allow_time
         e = self.additive()
         if self.tokens[self.pos]:

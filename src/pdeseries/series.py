@@ -517,12 +517,15 @@ class ProblemSpec:
     However it is made (``create``, the constructor, ``dataclasses.replace``)
     it is refused unless it obeys every rule of a problem, in the words of
     a problem file; ``SpatialOperator`` checks its own terms.  Its trees
-    must be normal, and each may use x1..xn, and only the forcing t.  rho
-    is inverted first, then each tree is checked in turn, L's
+    must be normal, and each may use x1..xn, and only the forcing t.  The
+    types of rho, L and the vectors are checked first (a list is taken as
+    a tuple), then rho is inverted, then each tree in turn, L's
     coefficients, u0, u1 and f: that it is an expression, then its
     variables, its polynomial in the problem's ring (which sees a sum that
     is zero only as a polynomial, such as (1+x1)*(1-x1)+x1^2-1), its use
-    of t.  A tree keeps no byte offsets: ParseErrors are at 0.
+    of t.  The variables of L's, u0's and u1's trees are the variable
+    atoms that their conversion adds to the ring; f's are walked.  A tree
+    keeps no byte offsets: ParseErrors are at 0.
 
     The checks leave three attributes that are not fields, so equality,
     hashing and repr ignore them: ``rho_inv``, ``ring``, the polynomial
